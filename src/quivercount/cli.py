@@ -99,12 +99,8 @@ def _poly_json(p):
     return {k: str(v) for k, v in p.as_dict().items()}
 
 
-def _qtpoly_json(p):
-    return {k: str(v) for k, v in p.as_dict().items()}
-
-
 def _ratfun_json(f):
-    return {"num": _qtpoly_json(f.num), "den": _qtpoly_json(f.den_poly())}
+    return {"num": _poly_json(f.num), "den": _poly_json(f.den_poly())}
 
 
 def _emit(args, text_value, json_value):
@@ -214,21 +210,21 @@ def run(args):
     elif args.verb == "tutte":
         quiver = load_quiver(args.quiver)
         value = quiver.graph.tutte()
-        _emit(args, str(value), _qtpoly_json(value))
+        _emit(args, str(value), _poly_json(value))
     elif args.verb == "qeulerian":
         value = q_eulerian(args.m)
-        _emit(args, str(value), _qtpoly_json(value))
+        _emit(args, str(value), _poly_json(value))
     elif args.verb in ("brute-m", "brute-a", "brute-preproj-m", "brute-preproj-a", "fourier"):
         quiver = load_quiver(args.quiver)
         ring = ring_from_spec(args.ring)
         alpha = _parse_rank(args.rank, quiver)
         if args.verb == "fourier":
-            kwargs = {"guard_points": args.guard} if args.guard else {}
+            kwargs = {"guard_points": args.guard} if args.guard is not None else {}
             value = fourier_fiber_count(quiver, ring, alpha, **kwargs)
         else:
             fn = {"brute-m": m_count, "brute-a": a_count,
                   "brute-preproj-m": m_preproj, "brute-preproj-a": a_preproj}[args.verb]
-            kwargs = {"guard": args.guard} if args.guard else {}
+            kwargs = {"guard": args.guard} if args.guard is not None else {}
             value = fn(quiver, ring, alpha, **kwargs)
         _emit(args, str(value), {"count": str(value)})
     elif args.verb == "counterexample":

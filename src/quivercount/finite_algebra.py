@@ -77,6 +77,13 @@ class FiniteAlgebra:
                     right = self.mul(basis[i], self.table[j][k])
                     if left != right:
                         raise ValueError("structure constants are not associative")
+        # Without a residue field the algebra is its own residue field, so
+        # it must be a field: every nonzero element acts invertibly.
+        if self.residue_field is self:
+            for x in self.elements():
+                if any(x) and not modp.is_invertible(self.mul_matrix(x), self.p):
+                    raise ValueError("%s has zero divisors; an algebra given without a "
+                                     "residue field must be a field" % self.name)
 
     # -- element arithmetic (coordinate tuples) -----------------------
     def zero(self):
@@ -151,17 +158,14 @@ class FiniteAlgebra:
     def is_field(self):
         return self.residue_field is self and not self.max_ideal_basis
 
-    @property
-    def is_local(self):
-        return self.residue_field is not None
+    # Every algebra is local: a field, or given with its residue field.
+    is_local = True
 
     def residue(self, x):
         return self.residue_proj(x)
 
     def is_unit(self, x):
-        if self.is_local:
-            return any(self.residue(x))
-        return modp.is_invertible(self.mul_matrix(x), self.p)
+        return any(self.residue(x))
 
     def inverse(self, x):
         sol = modp.solve(self.mul_matrix(x), list(self.one), self.p)
@@ -175,10 +179,8 @@ class FiniteAlgebra:
         return self._units
 
     def unit_count(self):
-        if self.is_local:
-            q = self.residue_field.size()
-            return self.size() // q * (q - 1)
-        return len(self.units())
+        q = self.residue_field.size()
+        return self.size() // q * (q - 1)
 
     # -- residue-field discrete logarithms ------------------------------
     def primitive_element(self):
@@ -229,19 +231,6 @@ class FiniteAlgebra:
             if modp.is_invertible(gram, self.p):
                 return lam
         return None
-
-    def format_element(self, x):
-        parts = []
-        for c, name in zip(x, self.basis_names):
-            if not c:
-                continue
-            if name == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(name)
-            else:
-                parts.append("%d*%s" % (c, name))
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return "FiniteAlgebra(%s, dim %d over F_%d)" % (self.name, self.dim, self.p)
@@ -479,14 +468,6 @@ def mat_mul(alg, a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_sub(alg, a, b):
-    return tuple(tuple(alg.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_is_zero(alg, a):
-    return all(not any(x) for row in a for x in row)
 
 
 def mat_det(alg, m):

@@ -177,7 +177,8 @@ def r_d_via_convolution(gamma, d, guard=GUARD_SUBSETS):
     for k in range(d - 2, -1, -1):
         char = convolve(char, psi_char(k), guard=guard)
     value = char(gamma)
-    assert value == r_d_polynomial(gamma, d), (value, d)
+    if value != r_d_polynomial(gamma, d):
+        raise ArithmeticError("R_%d by convolution, %s, differs from the depth sum" % (d, value))
     return value
 
 

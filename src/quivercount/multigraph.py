@@ -59,20 +59,8 @@ class Multigraph:
     def component_labels(self):
         """Map vertex -> smallest vertex in its connected component."""
         parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                if ru > rv:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-        return {v: find(v) for v in range(1, self.n + 1)}
+        _merge(parent, ((u, v) for _, u, v in self.edges))
+        return {v: _find(parent, v) for v in range(1, self.n + 1)}
 
     def component_count(self):
         return len(set(self.component_labels().values()))
@@ -102,64 +90,25 @@ class Multigraph:
         """
         a = self._check_subset(a)
         parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in a:
-            u, v = self._by_id[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                if ru > rv:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-        reps = sorted({find(v) for v in range(1, self.n + 1)})
+        _merge(parent, (self._by_id[e] for e in a))
+        reps = sorted({_find(parent, v) for v in range(1, self.n + 1)})
         relabel = {r: i + 1 for i, r in enumerate(reps)}
-        new_edges = []
-        for e, u, v in self.edges:
-            if e in a:
-                continue
-            new_edges.append((e, relabel[find(u)], relabel[find(v)]))
+        new_edges = [(e, relabel[_find(parent, u)], relabel[_find(parent, v)])
+                     for e, u, v in self.edges if e not in a]
         return Multigraph(len(reps), new_edges)
 
     def b1_of_contraction(self, a):
-        """b1(self / a) without building the contracted graph."""
+        """b1(self / a) without building the contracted graph.
+
+        Once the edges of a are merged, every other edge either joins two
+        components of the contraction or closes a cycle in it, so b1 is
+        the number of edges outside a minus the merges they make.
+        """
         a = self._check_subset(a)
         parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in a:
-            u, v = self._by_id[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        merged = {find(v) for v in range(1, self.n + 1)}
-        comp = {r: r for r in merged}
-
-        def cfind(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        kept = 0
-        for e, u, v in self.edges:
-            if e in a:
-                continue
-            kept += 1
-            ru, rv = cfind(find(u)), cfind(find(v))
-            if ru != rv:
-                comp[max(ru, rv)] = min(ru, rv)
-        ncomp = len({cfind(r) for r in merged})
-        return kept - len(merged) + ncomp
+        _merge(parent, (self._by_id[e] for e in a))
+        kept = [(u, v) for e, u, v in self.edges if e not in a]
+        return len(kept) - _merge(parent, kept)
 
     def connected_spanning_subgraphs(self, guard=GUARD_EDGES):
         """Yield the edge subsets whose spanning subgraph is connected.
@@ -179,21 +128,7 @@ class Multigraph:
     def spanning_connected(self, a):
         """True iff the spanning subgraph on edge subset a is connected."""
         parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
-        for e in a:
-            u, v = self._by_id[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-                merges += 1
-        return merges == self.n - 1
+        return _merge(parent, (self._by_id[e] for e in a)) == self.n - 1
 
     def bridge_count(self):
         """Number of edges whose deletion disconnects their component."""
@@ -232,10 +167,6 @@ class Multigraph:
     def labeled_key(self):
         return (self.n, tuple(sorted((e, min(u, v), max(u, v)) for e, u, v in self.edges)))
 
-    def relabel_vertices(self, perm):
-        """perm: map old vertex -> new vertex (a bijection on 1..n)."""
-        return Multigraph(self.n, [(e, perm[u], perm[v]) for e, u, v in self.edges])
-
     def tutte(self):
         """Tutte polynomial (variables x, y) by deletion-contraction."""
         if not self.is_connected():
@@ -247,6 +178,29 @@ class Multigraph:
             self.n, ", ".join("%d:%d-%d" % t for t in self.edges))
 
     __repr__ = __str__
+
+
+def _find(parent, x):
+    """Root of x in a union-find parent list, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merge(parent, pairs):
+    """Union the endpoints of each pair, always under the smaller root, so
+    every class stays rooted at its smallest vertex; returns the number of
+    pairs that joined two classes."""
+    merges = 0
+    for u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            if ru > rv:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            merges += 1
+    return merges
 
 
 def _bareiss_det(m):

@@ -105,9 +105,6 @@ class QPoly:
     def is_monic(self):
         return self.leading_coefficient() == 1
 
-    def constant_term(self):
-        return self.coeffs.get(0, 0)
-
     def __call__(self, q):
         """Evaluate at an integer; exact (Fraction only if Laurent)."""
         total = Fraction(0)
@@ -238,9 +235,6 @@ class QTPoly:
     def deg_q(self):
         return max(i for i, _ in self.coeffs) if self.coeffs else None
 
-    def val_q(self):
-        return min(i for i, _ in self.coeffs) if self.coeffs else None
-
     def t_coefficient(self, j):
         """Coefficient of T^j as a QPoly in q."""
         return QPoly({i: c for (i, jj), c in self.coeffs.items() if jj == j})
@@ -273,13 +267,6 @@ class QTPoly:
             yv = y if isinstance(y, QPoly) else QPoly.const(y)
             total = total + (xv ** i) * (yv ** j) * c
         return total
-
-    def content(self):
-        from math import gcd
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c))
-        return g
 
     def as_dict(self):
         return {"%d,%d" % e: c for e, c in sorted(self.coeffs.items(), reverse=True)}

@@ -10,7 +10,7 @@ cross-multiplication, which is insensitive to any remaining common factor.
 
 from math import comb
 
-from .polynomials import QPoly, QTPoly, divide_exact_by_t_factor, divides_t_factor
+from .polynomials import QPoly, QTPoly, divide_exact_by_t_factor
 
 
 class RatQT:
@@ -34,10 +34,13 @@ class RatQT:
 
     def _reduce(self):
         for c in sorted(self.den):
-            while self.den.get(c, 0) > 0 and divides_t_factor(self.num, c):
-                self.num = divide_exact_by_t_factor(self.num, c)
+            while self.den[c] > 0:
+                try:
+                    self.num = divide_exact_by_t_factor(self.num, c)
+                except ValueError:
+                    break
                 self.den[c] -= 1
-            if self.den.get(c) == 0:
+            if self.den[c] == 0:
                 del self.den[c]
 
     @classmethod
@@ -167,9 +170,6 @@ class RatQT:
 
     def numerator_t_degree(self):
         return self.num.deg_t()
-
-    def as_json(self):
-        return {"num": self.num.as_dict(), "den": self.den_poly().as_dict()}
 
     def __str__(self):
         num = str(self.num)

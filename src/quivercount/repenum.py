@@ -43,11 +43,13 @@ def _validate_alpha(quiver, alpha):
 
 # -- GL enumeration ------------------------------------------------------
 
-def _gl_cache(alg):
-    cache = getattr(alg, "_gl_data", None)
-    if cache is None:
-        cache = alg._gl_data = {}
-    return cache
+def _all_matrices(alg, rows, cols):
+    """Every rows x cols matrix over alg, in a fixed order (a generator)."""
+    if rows == 0 or cols == 0:
+        yield ()
+        return
+    for entries in product(list(alg.elements()), repeat=rows * cols):
+        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
 
 
 def _is_normalized(alg, m):
@@ -60,74 +62,29 @@ def _is_normalized(alg, m):
     return False
 
 
-def _scan_gl(alg, size, guard=GUARD_POINTS):
-    if alg.size() ** (size * size) > guard:
-        raise GuardError("GL_%d over %s is too large to enumerate" % (size, alg.name))
-    count = 0
-    normalized = []
-    element_list = list(alg.elements())
-    for entries in product(element_list, repeat=size * size):
-        m = tuple(tuple(entries[i * size:(i + 1) * size]) for i in range(size))
-        if not alg.is_unit(mat_det(alg, m)):
-            continue
-        count += 1
-        if _is_normalized(alg, m):
-            normalized.append(m)
-    return count, normalized
+def _gl_table(alg, size, guard=GUARD_POINTS):
+    """(every invertible size x size matrix, the normalized ones among
+    them), both in a fixed order; one scan per algebra and size, memoized
+    in the algebra's _gl_data dict."""
+    cache = getattr(alg, "_gl_data", None)
+    if cache is None:
+        cache = alg._gl_data = {}
+    if size not in cache:
+        if alg.size() ** (size * size) > guard:
+            raise GuardError("GL_%d over %s is too large to enumerate" % (size, alg.name))
+        full = [m for m in _all_matrices(alg, size, size) if alg.is_unit(mat_det(alg, m))]
+        cache[size] = (full, [m for m in full if _is_normalized(alg, m)])
+    return cache[size]
 
 
 def gl_order(alg, size, guard=GUARD_POINTS):
     """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
-    if size == 0:
-        return 1
-    cache = _gl_cache(alg)
-    key = ("order", size)
-    if key not in cache:
-        if size == 1:
-            cache[key] = alg.unit_count()
-        else:
-            count, normalized = _scan_gl(alg, size, guard)
-            cache[key] = count
-            cache[("normalized", size)] = normalized
-    return cache[key]
+    return len(_gl_table(alg, size, guard)[0])
 
 
 def gl_elements(alg, size, guard=GUARD_POINTS):
     """Every invertible size x size matrix, deterministic order (memoized)."""
-    if size == 0:
-        return [()]
-    cache = _gl_cache(alg)
-    key = ("full", size)
-    if key not in cache:
-        if size == 1:
-            cache[key] = [((u,),) for u in alg.units()]
-        else:
-            if alg.size() ** (size * size) > guard:
-                raise GuardError("GL_%d over %s exceeds guard" % (size, alg.name))
-            element_list = list(alg.elements())
-            mats = []
-            for entries in product(element_list, repeat=size * size):
-                m = tuple(tuple(entries[i * size:(i + 1) * size]) for i in range(size))
-                if alg.is_unit(mat_det(alg, m)):
-                    mats.append(m)
-            cache[key] = mats
-    return cache[key]
-
-
-def _gl_normalized(alg, size, guard=GUARD_POINTS):
-    if size == 0:
-        return [()]
-    cache = _gl_cache(alg)
-    key = ("normalized", size)
-    if key not in cache:
-        if size == 1:
-            cache[key] = [((alg.one,),)]
-            cache[("order", 1)] = alg.unit_count()
-        else:
-            count, normalized = _scan_gl(alg, size, guard)
-            cache[("order", size)] = count
-            cache[key] = normalized
-    return cache[key]
+    return _gl_table(alg, size, guard)[0]
 
 
 def group_order(quiver, alg, alpha, guard=GUARD_GROUP):
@@ -223,21 +180,14 @@ def _fix_space_points(alg, gt, gs, rows, cols, guard=GUARD_POINTS):
 # -- the weighted group average ------------------------------------------
 
 def _vertex_lists(quiver, alg, alpha, guard):
-    """Per-vertex element index lists plus the scalar normalization factor."""
+    """Per-vertex GL element lists plus the scalar normalization factor:
+    the vertex with the largest group keeps one element per scalar coset."""
     order = group_order(quiver, alg, alpha, guard)
-    lists = [None] * quiver.n
-    scale = 1
-    v0 = None
-    if alg.is_local:
-        positive = [i for i, a in enumerate(alpha) if a > 0]
-        v0 = max(positive, key=lambda i: gl_order(alg, alpha[i]))
-    for i, a in enumerate(alpha):
-        if i == v0:
-            lists[i] = _gl_normalized(alg, a)
-            scale = alg.unit_count()
-        else:
-            lists[i] = gl_elements(alg, a)
-    return lists, scale, order
+    positive = [i for i, a in enumerate(alpha) if a > 0]
+    v0 = max(positive, key=lambda i: gl_order(alg, alpha[i]))
+    lists = [_gl_table(alg, a)[1] if i == v0 else gl_elements(alg, a)
+             for i, a in enumerate(alpha)]
+    return lists, alg.unit_count(), order
 
 
 def _det_residue_dlog(alg, m, generator=None):
@@ -263,24 +213,31 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_G
         for i, lst in enumerate(lists):
             weights[i] = [_det_residue_dlog(alg, m, generator) % char_order for m in lst]
 
-    tables = {}
+    tables, pairs, loops = {}, [], []
     if fix_values is None:
         p = alg.p
         for e, s, t in arrows:
             key = (t, s)
-            if key in tables:
-                continue
-            rows, cols = alpha[t - 1], alpha[s - 1]
-            tables[key] = [[p ** fix_nullity(alg, gt, gs, rows, cols)
-                            for gs in lists[s - 1]] for gt in lists[t - 1]]
-    arrow_keys = [(t, s) for e, s, t in arrows]
+            if key not in tables:
+                rows, cols = alpha[t - 1], alpha[s - 1]
+                if s == t:      # a loop only ever reads the diagonal gt = gs
+                    tables[key] = [p ** fix_nullity(alg, g, g, rows, cols) for g in lists[t - 1]]
+                else:
+                    tables[key] = [[p ** fix_nullity(alg, gt, gs, rows, cols)
+                                    for gs in lists[s - 1]] for gt in lists[t - 1]]
+            if s == t:
+                loops.append((tables[key], t - 1))
+            else:
+                pairs.append((tables[key], t - 1, s - 1))
 
     buckets = [0] * nbuckets
     for combo in product(*[range(len(lst)) for lst in lists]):
         if fix_values is None:
             fix = 1
-            for (t, s) in arrow_keys:
-                fix *= tables[(t, s)][combo[t - 1]][combo[s - 1]]
+            for table, ti, si in pairs:
+                fix *= table[combo[ti]][combo[si]]
+            for table, vi in loops:
+                fix *= table[combo[vi]]
         else:
             fix = fix_values(tuple(lists[i][combo[i]] for i in range(quiver.n)))
         if char_order:
@@ -291,13 +248,40 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_G
     return buckets, order, scale
 
 
+def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
+                   **guards):
+    """The finishing step shared by m_count, a_count, m_preproj and
+    a_preproj: run the bucketed Burnside sum of `engine` and divide by |G|.
+
+    With `character`, the buckets are weighted by the determinant
+    character of order |alpha| and summed exactly in Z[zeta]; that needs
+    |alpha| | q - 1 (the residue field must contain the roots of unity).
+    """
+    alpha = _validate_alpha(quiver, alpha)
+    char_order = None
+    if character:
+        char_order = sum(alpha)
+        q = alg.residue_field.size()
+        if (q - 1) % char_order:
+            raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (char_order, q - 1))
+    buckets, order, scale = engine(quiver, alg, alpha, char_order=char_order,
+                                   generator=generator, **guards)
+    if char_order is None:
+        value = buckets[0] * scale
+    else:
+        total = CycInt.zero(char_order)
+        for e_val, count in enumerate(buckets):
+            if count:
+                total = total + CycInt.root_power(char_order, e_val).scaled(count * scale)
+        value = total.as_integer()
+    if value < 0 or value % order:
+        raise AssertionError("group average is not a count: %d / %d" % (value, order))
+    return value // order
+
+
 def m_count(quiver, alg, alpha, guard=GUARD_GROUP):
     """Number of isomorphism classes of representations of the given rank."""
-    buckets, order, scale = _burnside(quiver, alg, alpha, guard=guard)
-    total = buckets[0] * scale
-    if total % order:
-        raise AssertionError("group average is not integral: %d / %d" % (total, order))
-    return total // order
+    return _group_average(_burnside, quiver, alg, alpha, guard=guard)
 
 
 def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None):
@@ -307,23 +291,8 @@ def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None):
     Requires alg local split with residue field F_q and |alpha| | q - 1
     (the residue field must contain the needed roots of unity).
     """
-    alpha = _validate_alpha(quiver, alpha)
-    if not alg.is_local:
-        raise ValueError("a_count requires a local algebra")
-    m = sum(alpha)
-    q = alg.residue_field.size()
-    if (q - 1) % m:
-        raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (m, q - 1))
-    buckets, order, scale = _burnside(quiver, alg, alpha, char_order=m,
-                                      generator=generator, guard=guard)
-    total = CycInt.zero(m)
-    for e_val, count in enumerate(buckets):
-        if count:
-            total = total + CycInt.root_power(m, e_val).scaled(count * scale)
-    value = total.as_integer()
-    if value < 0 or value % order:
-        raise AssertionError("character average is not a count: %d / %d" % (value, order))
-    return value // order
+    return _group_average(_burnside, quiver, alg, alpha, character=True,
+                          generator=generator, guard=guard)
 
 
 # -- double quiver, moment map, preprojective counts -----------------------
@@ -339,58 +308,54 @@ def double_quiver(quiver):
     return dq, {e: e + offset for e, _, _ in quiver.arrows()}
 
 
+def _moment_blocks(alg, alpha, arrows, star, x):
+    """Vertex blocks (lists of rows) of sum over arrows of M_a M_a* - M_a* M_a."""
+    blocks = [[[alg.zero()] * a for _ in range(a)] for a in alpha]
+    for e, s, t in arrows:
+        ma, mstar = x[e], x[star[e]]
+        for block, term, op in ((blocks[t - 1], mat_mul(alg, ma, mstar), alg.add),
+                                (blocks[s - 1], mat_mul(alg, mstar, ma), alg.sub)):
+            for i, row in enumerate(term):
+                for j, entry in enumerate(row):
+                    block[i][j] = op(block[i][j], entry)
+    return blocks
+
+
 def moment_map(quiver, alg, alpha, x):
     """Vertex-wise value of sum over arrows of M_a M_a* - M_a* M_a for a
     representation x of the double quiver (dict arrow id -> matrix)."""
     alpha = _validate_alpha(quiver, alpha)
     _, star = double_quiver(quiver)
-    out = [tuple(tuple(alg.zero() for _ in range(a)) for _ in range(a)) for a in alpha]
-    for e, s, t in quiver.arrows():
-        ma, mstar = x[e], x[star[e]]
+    arrows = quiver.arrows()
+    for e, s, t in arrows:
+        ma = x[e]
         if len(ma) != alpha[t - 1] or (ma and len(ma[0]) != alpha[s - 1]):
             raise ValueError("arrow %d matrix has the wrong shape" % e)
-        forward = mat_mul(alg, ma, mstar)
-        backward = mat_mul(alg, mstar, ma)
-        out[t - 1] = tuple(tuple(alg.add(a, b) for a, b in zip(r1, r2))
-                           for r1, r2 in zip(out[t - 1], forward))
-        out[s - 1] = tuple(tuple(alg.sub(a, b) for a, b in zip(r1, r2))
-                           for r1, r2 in zip(out[s - 1], backward))
-    return tuple(out)
+    return tuple(tuple(map(tuple, block)) for block in _moment_blocks(alg, alpha, arrows, star, x))
 
 
-def _moment_is_zero(value):
-    return all(not any(entry) for block in value for row in block for entry in row)
-
-
-def _moment_zero_test(quiver, alg, alpha, star):
-    """Closure testing whether a double-quiver point lies in the zero fiber."""
+def _zero_fiber(quiver, alg, alpha):
+    """Closure over the double quiver: given one matrix list per doubled
+    arrow, in the order of its arrows(), yield the points of their product
+    on which the moment map vanishes."""
+    dq, star = double_quiver(quiver)
     arrows = quiver.arrows()
+    aids = [e for e, _, _ in dq.arrows()]
 
-    def is_zero(x):
-        blocks = [[[alg.zero()] * a for _ in range(a)] for a in alpha]
-        for e, s, t in arrows:
-            ma, mstar = x[e], x[star[e]]
-            forward = mat_mul(alg, ma, mstar)
-            backward = mat_mul(alg, mstar, ma)
-            bt, bs = blocks[t - 1], blocks[s - 1]
-            for i, row in enumerate(forward):
-                for j, entry in enumerate(row):
-                    bt[i][j] = alg.add(bt[i][j], entry)
-            for i, row in enumerate(backward):
-                for j, entry in enumerate(row):
-                    bs[i][j] = alg.sub(bs[i][j], entry)
-        return all(not any(entry) for block in blocks for row in block for entry in row)
+    def points(per_arrow):
+        for combo in product(*per_arrow):
+            blocks = _moment_blocks(alg, alpha, arrows, star, dict(zip(aids, combo)))
+            if not any(any(entry) for block in blocks for row in block for entry in row):
+                yield combo
 
-    return is_zero
+    return points
 
 
 def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
                      guard=GUARD_GROUP, guard_points=GUARD_POINTS):
     alpha = _validate_alpha(quiver, alpha)
-    dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    aids = [e for e, _, _ in darrows]
-    moment_zero = _moment_zero_test(quiver, alg, alpha, star)
+    darrows = double_quiver(quiver)[0].arrows()
+    zero_fiber = _zero_fiber(quiver, alg, alpha)
     space_cache = {}
 
     def zero_fiber_fixed_count(g):
@@ -408,11 +373,7 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
             if total > guard_points:
                 raise GuardError("fixed-space enumeration of %d points exceeds guard; "
                                  "for tiny spaces preproj_orbit_partition avoids it" % total)
-        count = 0
-        for combo in product(*per_arrow):
-            if moment_zero(dict(zip(aids, combo))):
-                count += 1
-        return count
+        return sum(1 for _ in zero_fiber(per_arrow))
 
     return _burnside(quiver, alg, alpha, char_order=char_order, generator=generator,
                      guard=guard, fix_values=zero_fiber_fixed_count)
@@ -422,36 +383,16 @@ def m_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
     """Isomorphism classes of locally free modules over the preprojective
     algebra: the group average of fixed points inside the moment map's
     zero fiber."""
-    buckets, order, scale = _preproj_buckets(quiver, alg, alpha,
-                                             guard=guard, guard_points=guard_points)
-    total = buckets[0] * scale
-    if total % order:
-        raise AssertionError("group average is not integral: %d / %d" % (total, order))
-    return total // order
+    return _group_average(_preproj_buckets, quiver, alg, alpha,
+                          guard=guard, guard_points=guard_points)
 
 
 def a_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS,
               generator=None):
     """Absolutely indecomposable classes in the moment map's zero fiber,
     with the same determinant-character weight as a_count."""
-    alpha = _validate_alpha(quiver, alpha)
-    if not alg.is_local:
-        raise ValueError("a_preproj requires a local algebra")
-    m = sum(alpha)
-    q = alg.residue_field.size()
-    if (q - 1) % m:
-        raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (m, q - 1))
-    buckets, order, scale = _preproj_buckets(quiver, alg, alpha, char_order=m,
-                                             generator=generator, guard=guard,
-                                             guard_points=guard_points)
-    total = CycInt.zero(m)
-    for e_val, count in enumerate(buckets):
-        if count:
-            total = total + CycInt.root_power(m, e_val).scaled(count * scale)
-    value = total.as_integer()
-    if value < 0 or value % order:
-        raise AssertionError("character average is not a count: %d / %d" % (value, order))
-    return value // order
+    return _group_average(_preproj_buckets, quiver, alg, alpha, character=True,
+                          generator=generator, guard=guard, guard_points=guard_points)
 
 
 def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD_GROUP,
@@ -460,26 +401,13 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD_GROUP,
     the zero-fiber points, then sweep each unvisited one with the whole
     group.  Only viable for tiny spaces; must agree with m_preproj."""
     alpha = _validate_alpha(quiver, alpha)
-    dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    aids = [e for e, _, _ in darrows]
+    darrows = double_quiver(quiver)[0].arrows()
     total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
     if total_points > guard_points:
         raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
     group_order(quiver, alg, alpha, guard)
-    moment_zero = _moment_zero_test(quiver, alg, alpha, star)
-
-    def all_matrices(rows, cols):
-        if rows == 0 or cols == 0:
-            return [()]
-        elems = list(alg.elements())
-        return [tuple(tuple(entries[i * cols + j] for j in range(cols)) for i in range(rows))
-                for entries in product(elems, repeat=rows * cols)]
-
-    fiber = []
-    for combo in product(*[all_matrices(alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]):
-        if moment_zero(dict(zip(aids, combo))):
-            fiber.append(combo)
+    fiber = list(_zero_fiber(quiver, alg, alpha)(
+        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]))
 
     group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g])
              for g in enumerate_group(quiver, alg, alpha, guard)]
@@ -507,27 +435,12 @@ def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
     p = alg.p
 
     # direct side: enumerate the doubled representation space
-    dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    sizes = [alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows]
-    total_points = prod(sizes)
+    darrows = double_quiver(quiver)[0].arrows()
+    total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
     if total_points > guard_points:
         raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
-
-    def all_matrices(rows, cols):
-        if rows == 0 or cols == 0:
-            return [()]
-        elems = list(alg.elements())
-        return [tuple(tuple(entries[i * cols + j] for j in range(cols)) for i in range(rows))
-                for entries in product(elems, repeat=rows * cols)]
-
-    per_arrow = [all_matrices(alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]
-    aids = [e for e, _, _ in darrows]
-    moment_zero = _moment_zero_test(quiver, alg, alpha, star)
-    direct = 0
-    for combo in product(*per_arrow):
-        if moment_zero(dict(zip(aids, combo))):
-            direct += 1
+    direct = sum(1 for _ in _zero_fiber(quiver, alg, alpha)(
+        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]))
 
     # additive average side
     lie_sizes = [alg.size() ** (a * a) for a in alpha]
@@ -535,7 +448,7 @@ def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
     if lie_total > guard_points:
         raise GuardError("additive group of %d elements exceeds guard" % lie_total)
     v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
-    per_vertex = [all_matrices(a, a) for a in alpha]
+    per_vertex = [_all_matrices(alg, a, a) for a in alpha]
     acc = 0
     for x in product(*per_vertex):
         kernel = 1

@@ -35,7 +35,7 @@ def contraction_b1_table(gamma):
     return table
 
 
-def delta(gamma, r, d, _table=None):
+def delta(gamma, r, d):
     """sum over k = 1..d-1 of b1(gamma) - b1(gamma_k), where gamma_k
     contracts the edges of depth > k."""
     if not gamma.is_connected():
@@ -45,15 +45,15 @@ def delta(gamma, r, d, _table=None):
     total = 0
     for k in range(1, d):
         deep = frozenset(e for e, value in r.items() if value > k)
-        b1_k = _table[deep] if _table is not None else gamma.b1_of_contraction(deep)
-        total += b1 - b1_k
+        total += b1 - gamma.b1_of_contraction(deep)
     return total
 
 
 def r_d_polynomial(gamma, d, guard=GUARD_TERMS):
     """sum over all depth functions r of q^delta(gamma, r).
 
-    Monic of degree (d-1) * b1(gamma) with non-negative coefficients;
+    Degree (d-1) * b1(gamma), leading coefficient d^bridges(gamma) (so
+    monic exactly when gamma has no bridge), non-negative coefficients;
     d = 0 returns the counit value (1 iff gamma is a single vertex).
     """
     if not gamma.is_connected():
@@ -104,8 +104,8 @@ def a_d_polynomial(graph, d, guard=GUARD_TERMS):
     representations over F_q[t]/(t^d), as an exact polynomial in q.
 
     Sums (q-1)^b1(gamma) * R_d(gamma) over connected spanning subgraphs;
-    monic of degree d * b1(graph).  d = 0 returns 1 iff every edge is a
-    loop (the one-vertex classes).
+    degree d * b1(graph) with leading coefficient d^bridges(graph).  d = 0
+    returns 1 iff every edge is a loop (the one-vertex classes).
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
@@ -168,7 +168,9 @@ def toric_type_orbit_data(gamma, r, d, q=None):
             delta_simplified += b1 - b1_k
             delta_unsimplified += len(shallow) - b1_k - n + 1
     # Built-in consistency check of the delta simplification.
-    assert delta_simplified == delta_unsimplified, (delta_simplified, delta_unsimplified)
+    if delta_simplified != delta_unsimplified:
+        raise ArithmeticError("delta simplification failed: %d != %d"
+                              % (delta_simplified, delta_unsimplified))
 
     qm1 = QPoly({1: 1, 0: -1})
     stab = QPoly.monomial(dtilde + d - 1) * qm1
@@ -181,5 +183,7 @@ def toric_type_orbit_data(gamma, r, d, q=None):
     if (reps_v * stab_v) % group:
         raise AssertionError("orbit count is not integral; inconsistent type data")
     orbits_v = reps_v * stab_v // group
-    assert orbits_v == orbits(q)
+    if orbits_v != orbits(q):
+        raise ArithmeticError("orbit count %d != q^delta (q-1)^b1 = %d at q = %d"
+                              % (orbits_v, orbits(q), q))
     return stab_v, reps_v, orbits_v

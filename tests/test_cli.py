@@ -99,6 +99,10 @@ def test_exit_codes(capsys):
     assert main(["brute-m", "--quiver", "builtin:A3", "--ring", "kd(fq(2),3)",
                  "--rank", "2,2,2", "--guard", "100"]) == 3
     capsys.readouterr()
+    # an explicit zero guard is a guard, not "unset"
+    assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(3)",
+                 "--rank", "1,1", "--guard", "0"]) == 3
+    capsys.readouterr()
     # usage error from argparse -> SystemExit(2)
     with pytest.raises(SystemExit) as err:
         main(["poly", "--quiver", "builtin:C3"])

@@ -119,6 +119,11 @@ def test_structure_constant_validation():
     table = ((one, a, b), (a, b, one), (b, one, zero))
     with pytest.raises(ValueError):
         FiniteAlgebra(2, ("1", "a", "b"), table, one, "bogus")
+    # F_2 x F_2 is associative and commutative but not local: given with
+    # no residue field it would pass for a field, so it is rejected
+    e1, e2, zero = (1, 0), (0, 1), (0, 0)
+    with pytest.raises(ValueError, match="zero divisors"):
+        FiniteAlgebra(2, ("e1", "e2"), ((e1, zero), (zero, e2)), (1, 1), "F2xF2")
 
 
 def test_matrix_determinant_criterion_exhaustive():

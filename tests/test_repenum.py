@@ -64,6 +64,22 @@ def test_m_count_values():
     assert lhs == rhs
 
 
+def test_loop_arrow_solves_only_the_diagonal(monkeypatch):
+    from quivercount import repenum
+    calls = []
+    original = repenum.fix_nullity
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(repenum, "fix_nullity", counting)
+    # conjugacy classes of 2x2 matrices over F_5: q^2 + q
+    assert m_count(jordan_quiver(), make_prime_field(5), (2,)) == 30
+    # one solve per normalized element of GL_2(F_5), 480 / 4 of them
+    assert len(calls) == 120
+
+
 def test_a_count_values():
     a2 = path_quiver(2)
     for d in (1, 2, 3):

@@ -85,6 +85,9 @@ def test_laws_on_every_small_graph():
         for d in range(1, 5):
             a = a_d_polynomial(g, d)
             assert a(1) == d ** (g.n - 1) * trees
+            # R_d: degree (d-1) b1, leading coefficient d^bridges
+            r = r_d_polynomial(g, d)
+            assert r.degree() == (d - 1) * b1 and r.leading_coefficient() == d ** bridges
             if b1 > 0:
                 assert a.degree() == d * b1
                 assert a.leading_coefficient() == d ** bridges
