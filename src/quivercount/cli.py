@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration guard exceeded.  Big integers are serialized as decimal
-strings in JSON output so consumers never face precision ambiguity.
+3 enumeration guard exceeded, 4 internal error (a consistency check in
+the library raised ArithmeticError or AssertionError).  Big integers are
+serialized as decimal strings in JSON output so consumers never face
+precision ambiguity.
 """
 
 import argparse
@@ -253,6 +255,9 @@ def main(argv=None):
     except (ParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -84,6 +84,47 @@ class FiniteAlgebra:
                 if any(x) and not modp.is_invertible(self.mul_matrix(x), self.p):
                     raise ValueError("%s has zero divisors; an algebra given without a "
                                      "residue field must be a field" % self.name)
+            if self.max_ideal_basis:
+                raise ValueError("%s is a field; its maximal ideal is zero" % self.name)
+        else:
+            self._check_residue_map()
+
+    def _check_residue_map(self):
+        """The supplied residue map must be a ring map onto a field whose
+        kernel is spanned by max_ideal_basis, a basis of nilpotents; then
+        the algebra is local with that residue field.  O(|R| * dim) steps."""
+        field, proj, dim = self.residue_field, self.residue_proj, self.dim
+
+        def fail(what):
+            raise ValueError("residue map of %s: %s" % (self.name, what))
+
+        if not field.is_field or field.p != self.p:
+            fail("the residue field must be a field of characteristic %d" % self.p)
+        basis = [self.basis_vector(i) for i in range(dim)]
+        images = [proj(b) for b in basis]
+        if proj(self.one) != field.one:
+            fail("1 does not map to 1")
+        seen = set()
+        for x in self.elements():
+            image = proj(x)
+            seen.add(image)
+            for b, image_b in zip(basis, images):
+                if proj(self.add(x, b)) != field.add(image, image_b):
+                    fail("not additive")
+        for i in range(dim):
+            for j in range(dim):
+                if proj(self.table[i][j]) != field.mul(images[i], images[j]):
+                    fail("not multiplicative")
+        if len(seen) != field.size():
+            fail("not onto %s" % field.name)
+        ideal = [list(x) for x in self.max_ideal_basis]
+        if len(ideal) != dim - field.dim or modp.rank(ideal, self.p) != len(ideal):
+            fail("max_ideal_basis is not a basis of the kernel")
+        for x in self.max_ideal_basis:
+            if any(proj(x)):
+                fail("max_ideal_basis is not a basis of the kernel")
+            if any(self.power(x, dim)):
+                fail("max_ideal_basis contains a non-nilpotent element")
 
     # -- element arithmetic (coordinate tuples) -----------------------
     def zero(self):

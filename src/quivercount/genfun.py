@@ -36,23 +36,27 @@ def epsilon1_value(g):
 def cvector_of_filtration(gamma, chain):
     """c-vector (c_0, ..., c_l) of a strict filtration, c_0 = 0 and
     c_i = b1(gamma) - b1(Lambda_i) where Lambda_i contracts everything
-    outside F_{i-1}."""
-    if not gamma.is_connected():
-        raise ValueError("gamma must be connected")
+    outside F_{i-1}.
+
+    That difference is b1(gamma[U_i]) for U_i = E - F_{i-1}, the union of
+    blocks i..l, so one union-find adds the blocks from last to first.
+    Its last step spans gamma, whose rank |E| - c_1 is n - 1 exactly when
+    gamma is connected.
+    """
     ids = frozenset(gamma.edge_ids())
     prev = frozenset()
+    blocks = []
     for step in chain:
         if not (prev < step <= ids):
             raise ValueError("not a strict filtration of the edge set")
+        blocks.append(step - prev)
         prev = step
-    if chain and chain[-1] != ids or (not chain and ids):
+    if prev != ids:
         raise ValueError("filtration must end at the full edge set")
-    b1 = gamma.b1()
-    cs = [0]
-    for i in range(1, len(chain) + 1):
-        outside = ids - (chain[i - 2] if i >= 2 else frozenset())
-        cs.append(b1 - gamma.b1_of_contraction(outside))
-    return tuple(cs)
+    cs = gamma.b1_of_unions(reversed(blocks))
+    if gamma.n > 1 and len(ids) - (cs[-1] if cs else 0) != gamma.n - 1:
+        raise ValueError("gamma must be connected")
+    return (0,) + tuple(reversed(cs))
 
 
 def r_of_cvector(c):

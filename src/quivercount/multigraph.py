@@ -110,6 +110,38 @@ class Multigraph:
         kept = [(u, v) for e, u, v in self.edges if e not in a]
         return len(kept) - _merge(parent, kept)
 
+    def subset_b1(self, ids):
+        """b1 of the spanning subgraph on every subset of the edge ids,
+        as a list indexed by bitmask over ids (bit i for ids[i]).
+
+        Equals b1(self) - b1_of_contraction(subset); each entry costs one
+        union-find pass over at most len(ids) edges.
+        """
+        ends = [self.endpoints(e) for e in ids]
+        table = []
+        for mask in range(1 << len(ids)):
+            pairs = [ends[i] for i in range(len(ends)) if mask >> i & 1]
+            table.append(len(pairs) - _merge(list(range(self.n + 1)), pairs))
+        return table
+
+    def b1_of_unions(self, blocks):
+        """b1 of the spanning subgraphs on blocks[0], blocks[0] | blocks[1],
+        ..., from one union-find: edges added so far minus merges made.
+        The blocks must be disjoint sets of edge ids."""
+        parent = list(range(self.n + 1))
+        by_id = self._by_id
+        edges = merges = 0
+        out = []
+        for block in blocks:
+            try:
+                pairs = [by_id[e] for e in block]
+            except KeyError as exc:
+                raise ValueError("unknown edge id %r" % exc.args) from None
+            edges += len(pairs)
+            merges += _merge(parent, pairs)
+            out.append(edges - merges)
+        return out
+
     def connected_spanning_subgraphs(self, guard=GUARD_EDGES):
         """Yield the edge subsets whose spanning subgraph is connected.
 

@@ -6,9 +6,12 @@ gamma the connected support subgraph and r a depth function assigning
 each edge an integer 1..d (r records the annihilator exponent of the
 edge value).  Per-type orbit data and the polynomials A_d and R_d are
 computed exactly in q.
-"""
 
-from itertools import product
+R_d sums q^delta over the d^|E| depth functions, but delta only reads
+b1 of the nested edge sets of a depth function, so A_d and R_d come
+from one table of b1 over the 2^|E| edge subsets and d - 1 subset-sum
+transforms over it (_r_d_table), not from the depth functions one by one.
+"""
 
 from .multigraph import GuardError, Multigraph
 from .polynomials import QPoly
@@ -23,16 +26,6 @@ def check_depth_function(gamma, r, d):
     for e, value in r.items():
         if not 1 <= value <= d:
             raise ValueError("depth value r(%d) = %r outside 1..%d" % (e, value, d))
-
-
-def contraction_b1_table(gamma):
-    """Map frozenset(contracted edges) -> b1 of the contraction."""
-    ids = sorted(gamma.edge_ids())
-    table = {}
-    for mask in range(1 << len(ids)):
-        subset = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        table[subset] = gamma.b1_of_contraction(subset)
-    return table
 
 
 def delta(gamma, r, d):
@@ -55,6 +48,8 @@ def r_d_polynomial(gamma, d, guard=GUARD_TERMS):
     Degree (d-1) * b1(gamma), leading coefficient d^bridges(gamma) (so
     monic exactly when gamma has no bridge), non-negative coefficients;
     d = 0 returns the counit value (1 iff gamma is a single vertex).
+    Computed by d - 1 subset-sum transforms over the 2^|E| edge subsets
+    (see _r_d_table); guard bounds their (d-1) * |E| * 2^|E| steps.
     """
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
@@ -62,26 +57,42 @@ def r_d_polynomial(gamma, d, guard=GUARD_TERMS):
         raise ValueError("d >= 0 required")
     if d == 0:
         return QPoly.const(1 if gamma.edge_count() == 0 else 0)
-    return _r_d_sum(gamma, d, guard)
-
-
-def _r_d_sum(gamma, d, guard=GUARD_TERMS):
-    ids = sorted(gamma.edge_ids())
-    m = len(ids)
-    if d ** m > guard:
-        raise GuardError("d^|E| = %d^%d exceeds guard" % (d, m))
-    if m == 0:
+    if d == 1:
         return QPoly.const(1)
-    table = contraction_b1_table(gamma)
-    b1 = table[frozenset()]
-    counts = {}
-    for values in product(range(1, d + 1), repeat=m):
-        exp = 0
-        for k in range(1, d):
-            deep = frozenset(ids[i] for i in range(m) if values[i] > k)
-            exp += b1 - table[deep]
-        counts[exp] = counts.get(exp, 0) + 1
-    return QPoly(counts)
+    _, r_d = _r_d_table(gamma, d, guard)
+    return QPoly(r_d[-1])
+
+
+def _r_d_table(graph, d, guard):
+    """b1 and R_d of the spanning subgraph on every edge subset, as two
+    lists indexed by bitmask over the sorted edge ids; R_d as {exp: coeff}.
+
+    A depth function on U is a chain U = S_0 > S_1 > ... > S_{d-1} (S_k the
+    edges of depth > k, not necessarily strict) and contributes
+    q^(b1(S_1) + ... + b1(S_{d-1})).  So with h_0 = 1 and
+    h_j(U) = sum over S in U of q^b1(S) h_{j-1}(S), one subset-sum (zeta)
+    transform per j, R_d(U) = h_{d-1}(U).  The transform is the one of
+    Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast
+    subset convolution" (STOC 2007).  The b1 table alone costs as much as
+    one transform, so the guard counts max(d-1, 1) transforms.
+    """
+    ids = sorted(graph.edge_ids())
+    m = len(ids)
+    steps = max(d - 1, 1) * m << m
+    if steps > guard:
+        raise GuardError("(d-1) * |E| * 2^|E| = %d transform steps exceed guard" % steps)
+    b1 = graph.subset_b1(ids)
+    h = [{0: 1} for _ in b1]
+    for _ in range(d - 1):
+        h = [{e + b: c for e, c in poly.items()} for b, poly in zip(b1, h)]
+        for i in range(m):
+            bit = 1 << i
+            for base in range(0, 1 << m, bit << 1):
+                for mask in range(base + bit, base + (bit << 1)):
+                    target = h[mask]
+                    for e, c in h[mask ^ bit].items():
+                        target[e] = target.get(e, 0) + c
+    return b1, h
 
 
 def r_d_on_components(g, d, guard=GUARD_TERMS):
@@ -105,7 +116,9 @@ def a_d_polynomial(graph, d, guard=GUARD_TERMS):
 
     Sums (q-1)^b1(gamma) * R_d(gamma) over connected spanning subgraphs;
     degree d * b1(graph) with leading coefficient d^bridges(graph).  d = 0
-    returns 1 iff every edge is a loop (the one-vertex classes).
+    returns 1 iff every edge is a loop (the one-vertex classes).  One pass
+    of _r_d_table gives R_d of every spanning subgraph at once; guard
+    bounds its max(d-1, 1) * |E| * 2^|E| steps.
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
@@ -114,11 +127,19 @@ def a_d_polynomial(graph, d, guard=GUARD_TERMS):
     if d == 0:
         all_loops = all(graph.is_loop(e) for e in graph.edge_ids())
         return QPoly.const(1 if all_loops else 0)
+    b1, r_d = _r_d_table(graph, d, guard)
+    # Spanning subgraphs are connected when their rank, |S| - b1(S), is n - 1;
+    # those of equal b1 share the factor (q-1)^b1.
+    by_b1 = {}
+    for mask, (b, poly) in enumerate(zip(b1, r_d)):
+        if mask.bit_count() - b == graph.n - 1:
+            acc = by_b1.setdefault(b, {})
+            for e, c in poly.items():
+                acc[e] = acc.get(e, 0) + c
     qm1 = QPoly({1: 1, 0: -1})
     total = QPoly()
-    for subset in graph.connected_spanning_subgraphs():
-        sub = graph.spanning_subgraph(subset)
-        total = total + qm1 ** sub.b1() * _r_d_sum(sub, d, guard)
+    for b in sorted(by_b1):
+        total = total + qm1 ** b * QPoly(by_b1[b])
     return total
 
 

@@ -86,7 +86,7 @@ def test_qeulerian_and_counterexample(capsys):
     assert json.loads(capsys.readouterr().out) == {"A": "15", "B": "18", "difference": "3"}
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     # parse error -> 2
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(4)", "--rank", "1,1"]) == 2
     capsys.readouterr()
@@ -103,6 +103,23 @@ def test_exit_codes(capsys):
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(3)",
                  "--rank", "1,1", "--guard", "0"]) == 3
     capsys.readouterr()
+    # a failed internal consistency check -> 4, one line on stderr
+    from quivercount import cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("group average is not a count")
+
+    monkeypatch.setattr(cli, "m_count", broken)
+    assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(3)", "--rank", "1,1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: group average is not a count\n"
+
+    def inexact(m):
+        raise ArithmeticError("(T)_{m+1} did not clear the denominator")
+
+    monkeypatch.setattr(cli, "q_eulerian", inexact)
+    assert main(["qeulerian", "--m", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: ArithmeticError")
     # usage error from argparse -> SystemExit(2)
     with pytest.raises(SystemExit) as err:
         main(["poly", "--quiver", "builtin:C3"])

@@ -126,6 +126,54 @@ def test_structure_constant_validation():
         FiniteAlgebra(2, ("e1", "e2"), ((e1, zero), (zero, e2)), (1, 1), "F2xF2")
 
 
+def test_residue_map_validation():
+    f2 = make_prime_field(2)
+    e1, e2, zero = (1, 0), (0, 1), (0, 0)
+    f2xf2 = ((e1, zero), (zero, e2))
+
+    def build(table, one, **kw):
+        return FiniteAlgebra(2, ("e1", "e2"), table, one, "test", residue_field=f2, **kw)
+
+    # F_2 x F_2 projected onto its first factor: a ring map onto F_2, but
+    # its kernel (e2) is idempotent, not nilpotent, so the ring is not local
+    with pytest.raises(ValueError, match="kernel"):
+        build(f2xf2, (1, 1), residue_proj=lambda x: x[:1])
+    with pytest.raises(ValueError, match="nilpotent"):
+        build(f2xf2, (1, 1), residue_proj=lambda x: x[:1], max_ideal_basis=(e2,))
+    # on k_2(F_2) = F_2[t]/(t^2), basis (1, t)
+    dual = ((e1, e2), (e2, zero))
+    assert build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e2,)).unit_count() == 2
+    with pytest.raises(ValueError, match="1 does not map to 1"):
+        build(dual, (1, 0), residue_proj=lambda x: (0,), max_ideal_basis=(e2,))
+    with pytest.raises(ValueError, match="not additive"):
+        build(dual, (1, 0), residue_proj=lambda x: (x[0] * (1 - x[1]),), max_ideal_basis=(e2,))
+    with pytest.raises(ValueError, match="not multiplicative"):
+        build(dual, (1, 0), residue_proj=lambda x: ((x[0] + x[1]) % 2,), max_ideal_basis=(e2,))
+    with pytest.raises(ValueError, match="kernel"):
+        build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e1,))
+    with pytest.raises(ValueError, match="kernel"):
+        build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e2, e2))
+    k2f2 = make_truncated(f2, 2)
+    with pytest.raises(ValueError, match="must be a field"):
+        FiniteAlgebra(2, ("1", "t"), dual, (1, 0), "test", residue_field=k2f2,
+                      residue_proj=lambda x: x, max_ideal_basis=())
+    # a field given with a nonzero maximal ideal
+    with pytest.raises(ValueError, match="maximal ideal is zero"):
+        FiniteAlgebra(2, ("1",), (((1,),),), (1,), "F2", max_ideal_basis=((1,),))
+    # a ring map into F_4 that misses most of it
+    f4 = make_field(4)
+    with pytest.raises(ValueError, match="not onto"):
+        FiniteAlgebra(2, ("1", "t"), (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1, 0), "k2F2",
+                      residue_field=f4, residue_proj=lambda x: (x[0], 0), max_ideal_basis=((0, 1),))
+
+
+def test_every_builtin_ring_constructs():
+    for spec in ["fq(2)", "fq(2,2)", "fq(3,2)", "kd(fq(3),3)", "kd(fq(2,2),2)",
+                 "eps(fq(5))", "eps(kd(fq(2),2))", "eps(eps(fq(2)))", "sqz(fq(3),2)"]:
+        ring = ring_from_spec(spec)
+        assert ring.unit_count() == len(ring.units())
+
+
 def test_matrix_determinant_criterion_exhaustive():
     for alg in [make_truncated(make_prime_field(2), 2), make_field(4)]:
         elems = list(alg.elements())

@@ -8,7 +8,7 @@ from quivercount.genfun import (a_genfun, check_duality, check_recursion,
                                 psi_inverse_char, q_eulerian, r_d_char,
                                 r_d_via_convolution, r_genfun, r_of_cvector,
                                 series_coefficient)
-from quivercount.multigraph import GuardError
+from quivercount.multigraph import GuardError, Multigraph, strict_filtrations
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.toric import r_d_polynomial
@@ -26,6 +26,19 @@ def test_cvector_examples():
         cvector_of_filtration(c3, (frozenset([1]),))
     with pytest.raises(ValueError):
         cvector_of_filtration(c3, (full, full))
+    with pytest.raises(ValueError):
+        cvector_of_filtration(Multigraph(2, [(1, 1, 1)]), (frozenset([1]),))
+
+
+def test_cvector_matches_the_definition():
+    # c_i = b1 - b1(gamma contracted by everything outside F_{i-1})
+    from quivercount.families import all_connected_multigraphs
+    for g in all_connected_multigraphs(4):
+        ids, b1 = frozenset(g.edge_ids()), g.b1()
+        for chain in strict_filtrations(ids):
+            outside = [ids - prev for prev in ((frozenset(),) + chain)[:len(chain)]]
+            expected = (0,) + tuple(b1 - g.b1_of_contraction(a) for a in outside)
+            assert cvector_of_filtration(g, chain) == expected
 
 
 def test_r_of_cvector_examples():

@@ -1,0 +1,45 @@
+"""Property tests on random connected multigraphs with loops and parallel
+edges: the subset transforms against the depth-function sum, and the
+filtration sum R(T) against the transforms coefficient by coefficient.
+Derandomized, so a run is reproducible; a failure shrinks to a small graph.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from quivercount.genfun import r_genfun, series_coefficient  # noqa: E402
+from quivercount.multigraph import Multigraph  # noqa: E402
+from quivercount.toric import r_d_polynomial  # noqa: E402
+from test_toric import depth_function_sum  # noqa: E402
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def connected_multigraphs(draw, max_edges):
+    """A random spanning tree plus random extra edges (loops and parallel
+    edges allowed), in shuffled order under distinct random edge ids."""
+    n = draw(st.integers(1, min(max_edges + 1, 5)))
+    pairs = [(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)]
+    vertex = st.integers(1, n)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(pairs)))
+    pairs = draw(st.permutations(pairs))
+    ids = draw(st.lists(st.integers(1, 99), min_size=len(pairs), max_size=len(pairs),
+                        unique=True))
+    return Multigraph(n, [(e, u, v) for e, (u, v) in zip(ids, pairs)])
+
+
+@PROPERTY
+@given(connected_multigraphs(6), st.integers(0, 4))
+def test_r_d_transform_equals_the_depth_function_sum(graph, d):
+    assert r_d_polynomial(graph, d) == depth_function_sum(graph, d)
+
+
+@PROPERTY
+@given(connected_multigraphs(5))
+def test_filtration_sum_coefficients_equal_r_d(graph):
+    f = r_genfun(graph)
+    for d in range(4):
+        assert series_coefficient(f, d) == r_d_polynomial(graph, d)

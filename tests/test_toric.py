@@ -1,11 +1,61 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from quivercount.families import (banana_graph, cycle_graph, loops_graph,
-                                  path_graph)
+from quivercount.families import (all_connected_multigraphs, banana_graph,
+                                  cycle_graph, loops_graph, path_graph)
 from quivercount.multigraph import GuardError, Multigraph
 from quivercount.polynomials import QPoly
 from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, delta,
                                r_d_polynomial, toric_type_orbit_data)
+
+
+def depth_function_sum(gamma, d):
+    """R_d by its definition, q^delta summed over all d^|E| depth functions,
+    with b1 of each contraction looked up in a table over the edge subsets."""
+    if d == 0:
+        return QPoly.const(1 if gamma.edge_count() == 0 else 0)
+    ids = sorted(gamma.edge_ids())
+    m = len(ids)
+    table = {}
+    for mask in range(1 << m):
+        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
+        table[subset] = gamma.b1_of_contraction(subset)
+    b1 = gamma.b1()
+    counts = Counter()
+    for values in product(range(1, d + 1), repeat=m):
+        exp = 0
+        for k in range(1, d):
+            exp += b1 - table[frozenset(ids[i] for i in range(m) if values[i] > k)]
+        counts[exp] += 1
+    return QPoly(counts)
+
+
+def weighted_depth_function_sum(graph, d):
+    """A_d as (q-1)^b1 * depth_function_sum over connected spanning subgraphs."""
+    qm1 = QPoly({1: 1, 0: -1})
+    total = QPoly()
+    for subset in graph.connected_spanning_subgraphs():
+        sub = graph.spanning_subgraph(subset)
+        total = total + qm1 ** sub.b1() * depth_function_sum(sub, d)
+    return total
+
+
+def test_transforms_match_the_depth_function_sum():
+    for g in all_connected_multigraphs(4):
+        for d in range(0, 5):
+            assert r_d_polynomial(g, d) == depth_function_sum(g, d)
+            assert a_d_polynomial(g, d) == weighted_depth_function_sum(g, d)
+
+
+def test_r_d_of_the_eight_cycle():
+    assert str(r_d_polynomial(cycle_graph(8), 5)) == \
+        "q^4 + 255*q^3 + 6305*q^2 + 58975*q + 325089"
+    # 8^8 depth functions; the transforms take 7 * 8 * 2^8 steps
+    qm1 = QPoly({1: 1, 0: -1})
+    r_8 = r_d_polynomial(cycle_graph(8), 8)
+    assert qm1 * r_8 + QPoly.const(8 * 8 ** 7) == a_d_cyclic_closed_form(8, 8)
 
 
 def test_delta_examples():
@@ -131,3 +181,16 @@ def test_orbit_data_numeric():
 def test_guard_on_depth_enumeration():
     with pytest.raises(GuardError):
         r_d_polynomial(cycle_graph(3), 4, guard=10)
+    # the guard is the transform's step count, (d-1) * m * 2^m = 72 here
+    with pytest.raises(GuardError, match="72"):
+        r_d_polynomial(cycle_graph(3), 4, guard=71)
+    assert r_d_polynomial(cycle_graph(3), 4, guard=72) == depth_function_sum(cycle_graph(3), 4)
+    # A_d builds the b1 table even at d = 1: m * 2^m steps
+    with pytest.raises(GuardError):
+        a_d_polynomial(cycle_graph(3), 1, guard=23)
+    assert a_d_polynomial(cycle_graph(3), 1, guard=24) == QPoly({1: 1, 0: 2})
+    # predicted before any table is built: 2^40 subsets would never finish
+    with pytest.raises(GuardError):
+        r_d_polynomial(cycle_graph(40), 2)
+    with pytest.raises(GuardError):
+        a_d_polynomial(cycle_graph(40), 1)
