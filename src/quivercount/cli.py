@@ -157,7 +157,8 @@ def build_parser():
 
     p = subs.add_parser("brute-m", help="isomorphism classes by group average")
     _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None, help="group-size guard override")
+    p.add_argument("--guard", type=int, default=None,
+                   help="guard override for the group size and the enumerated points")
 
     p = subs.add_parser("brute-a", help="absolutely indecomposable classes")
     _add_common(p, ring=True, rank=True)
@@ -226,7 +227,8 @@ def run(args):
         else:
             fn = {"brute-m": m_count, "brute-a": a_count,
                   "brute-preproj-m": m_preproj, "brute-preproj-a": a_preproj}[args.verb]
-            kwargs = {"guard": args.guard} if args.guard is not None else {}
+            kwargs = ({"guard": args.guard, "guard_points": args.guard}
+                      if args.guard is not None else {})
             value = fn(quiver, ring, alpha, **kwargs)
         _emit(args, str(value), {"count": str(value)})
     elif args.verb == "counterexample":

@@ -12,21 +12,25 @@ Preprojective counts filter the same fixed subspaces through the moment
 map; an independent orbit-partition engine provides the oracle for the
 rank-one (toric) counts.
 
-The group loop normalizes away the central scalar action: over a local
-algebra every invertible matrix has a unit entry, so tuples whose
-largest-group vertex factor has first unit entry equal to 1 form an
-exact transversal of the scalar cosets.  Fixed-point counts and the
-determinant character are constant on those cosets, so the full Burnside
-sum is |R^x| times the normalized sum.  Exact and deterministic.
+Every summand of the group average is a class function on
+G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
+count and the determinant character are unchanged when each vertex factor
+is conjugated.  So the Burnside sum runs over tuples of conjugacy-class
+representatives, each weighted by the product of its class sizes.  The
+classes of GL_n(R) come from one union-find per algebra and n, memoized
+with the GL scan; each of its parts lies inside one class, so the sum is
+exact even where the parts were finer than the classes.  Exact and
+deterministic.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 from math import prod
 
 from . import modp
 from .cyclotomic import CycInt
 from .finite_algebra import mat_det, mat_inverse, mat_mul
-from .multigraph import GuardError, Multigraph, Quiver
+from .multigraph import GuardError, Multigraph, Quiver, _find, _merge
 
 GUARD_GROUP = 1 << 30
 GUARD_POINTS = 1 << 24
@@ -52,28 +56,19 @@ def _all_matrices(alg, rows, cols):
         yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
 
 
-def _is_normalized(alg, m):
-    """First unit entry (row-major) equals 1; picks one element per
-    scalar coset of GL_n over a local algebra."""
-    for row in m:
-        for entry in row:
-            if alg.is_unit(entry):
-                return entry == alg.one
-    return False
-
-
 def _gl_table(alg, size, guard=GUARD_POINTS):
-    """(every invertible size x size matrix, the normalized ones among
-    them), both in a fixed order; one scan per algebra and size, memoized
-    in the algebra's _gl_data dict."""
+    """The memo entry [every invertible size x size matrix in a fixed
+    order, its conjugacy classes or None until first asked for]; one scan
+    per algebra and size, kept in the algebra's _gl_data dict.  The guard
+    bounds the |alg|^(size^2) matrices the scan visits, cached or not."""
+    if alg.size() ** (size * size) > guard:
+        raise GuardError("GL_%d over %s is too large to enumerate" % (size, alg.name))
     cache = getattr(alg, "_gl_data", None)
     if cache is None:
         cache = alg._gl_data = {}
     if size not in cache:
-        if alg.size() ** (size * size) > guard:
-            raise GuardError("GL_%d over %s is too large to enumerate" % (size, alg.name))
-        full = [m for m in _all_matrices(alg, size, size) if alg.is_unit(mat_det(alg, m))]
-        cache[size] = (full, [m for m in full if _is_normalized(alg, m)])
+        cache[size] = [[m for m in _all_matrices(alg, size, size)
+                        if alg.is_unit(mat_det(alg, m))], None]
     return cache[size]
 
 
@@ -87,9 +82,82 @@ def gl_elements(alg, size, guard=GUARD_POINTS):
     return _gl_table(alg, size, guard)[0]
 
 
-def group_order(quiver, alg, alpha, guard=GUARD_GROUP):
+def gl_classes(alg, size, guard=GUARD_POINTS):
+    """The conjugacy classes of GL_size(alg) as (first element in the
+    order of gl_elements, class size) pairs, in that order (memoized)."""
+    entry = _gl_table(alg, size, guard)
+    if entry[1] is None:
+        entry[1] = _conjugacy_classes(alg, size, entry[0])
+    return entry[1]
+
+
+def _conjugacy_classes(alg, n, elements):
+    """Union-find over `elements`, all of GL_n(alg), joining each g with
+    s g s^-1 for every generator s: E_ij(b) = 1 + b e_ij for each F_p-basis
+    vector b, and diag(u, 1, ..., 1) for u in a generating set of the
+    units.  Each part lies in one conjugacy class whatever the s, so a sum
+    over parts weighted by their sizes is exact; over a local ring the s
+    generate GL_n (E_n(R) = SL_n(R)), so the parts are the classes.
+    Matrices are conjugated as flat tuples of element indices through
+    |R| x |R| index tables."""
+    if n < 2:       # GL_0 and GL_1 are abelian
+        return [(m, 1) for m in elements]
+    ring = list(alg.elements())
+    index = {x: i for i, x in enumerate(ring)}
+    add = [[index[alg.add(x, y)] for y in ring] for x in ring]
+    mul = [[index[alg.mul(x, y)] for y in ring] for x in ring]
+    one = index[alg.one]
+
+    def powers(u):
+        out, x = [one], u
+        while x != one:
+            out.append(x)
+            x = mul[x][u]
+        return out
+
+    # Largest order first, so a cyclic R^x needs one generator; R^x is
+    # abelian, so the subgroup <H, u> is H<u>.
+    unit_gens, reached = [], {one}
+    for u in sorted((index[u] for u in alg.units()), key=lambda u: len(powers(u)), reverse=True):
+        if u not in reached:
+            unit_gens.append(ring[u])
+            reached = {mul[x][y] for x in reached for y in powers(u)}
+
+    def times(x):
+        return mul[index[x]]
+
+    # Each conjugation g -> s g s^-1 as steps m[a] += c * m[b], in order:
+    # for 1 + b e_ij, row i += b * row j, then column j -= b * column i;
+    # for diag(u, 1, ..., 1), row 0 *= u, then column 0 *= u^-1, each
+    # entry scaled as m[a] += (u - 1) * m[a].
+    conjugations = []
+    for b in (alg.basis_vector(k) for k in range(alg.dim)):
+        for i, j in permutations(range(n), 2):
+            conjugations.append([(i * n + k, j * n + k, times(b)) for k in range(n)]
+                                + [(k * n + j, k * n + i, times(alg.neg(b))) for k in range(n)])
+    for u in unit_gens:
+        u_minus_1, u_inv_minus_1 = alg.sub(u, alg.one), alg.sub(alg.inverse(u), alg.one)
+        conjugations.append([(k, k, times(u_minus_1)) for k in range(n)]
+                            + [(k * n, k * n, times(u_inv_minus_1)) for k in range(n)])
+
+    def conjugates(g):
+        for steps in conjugations:
+            m = list(g)
+            for target, source, by in steps:
+                m[target] = add[m[target]][by[m[source]]]
+            yield tuple(m)
+
+    flat = [tuple(index[x] for row in m for x in row) for m in elements]
+    position = {g: k for k, g in enumerate(flat)}
+    parent = list(range(len(flat)))
+    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
+    sizes = Counter(_find(parent, k) for k in range(len(flat)))
+    return [(elements[root], count) for root, count in sorted(sizes.items())]
+
+
+def group_order(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
     alpha = _validate_alpha(quiver, alpha)
-    total = prod(gl_order(alg, a) for a in alpha)
+    total = prod(gl_order(alg, a, guard_points) for a in alpha)
     if total > guard:
         raise GuardError("group order %d exceeds guard" % total)
     return total
@@ -179,15 +247,13 @@ def _fix_space_points(alg, gt, gs, rows, cols, guard=GUARD_POINTS):
 
 # -- the weighted group average ------------------------------------------
 
-def _vertex_lists(quiver, alg, alpha, guard):
-    """Per-vertex GL element lists plus the scalar normalization factor:
-    the vertex with the largest group keeps one element per scalar coset."""
-    order = group_order(quiver, alg, alpha, guard)
-    positive = [i for i, a in enumerate(alpha) if a > 0]
-    v0 = max(positive, key=lambda i: gl_order(alg, alpha[i]))
-    lists = [_gl_table(alg, a)[1] if i == v0 else gl_elements(alg, a)
-             for i, a in enumerate(alpha)]
-    return lists, alg.unit_count(), order
+def _vertex_lists(quiver, alg, alpha, guard, guard_points):
+    """Per-vertex conjugacy-class representatives, their class sizes, and
+    |G|."""
+    order = group_order(quiver, alg, alpha, guard, guard_points)
+    classes = [gl_classes(alg, a) for a in alpha]
+    return ([[rep for rep, _ in c] for c in classes],
+            [[size for _, size in c] for c in classes], order)
 
 
 def _det_residue_dlog(alg, m, generator=None):
@@ -199,18 +265,19 @@ def _det_residue_dlog(alg, m, generator=None):
 
 
 def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_GROUP,
-              fix_values=None):
-    """Accumulate fixed-point counts bucketed by the determinant character
-    exponent.  Returns (buckets, |G|, scalar factor).  fix_values lets the
-    preprojective engine substitute its own per-group-element count.
+              guard_points=GUARD_POINTS, fix_values=None):
+    """Accumulate fixed-point counts over tuples of conjugacy classes,
+    weighted by class size and bucketed by the determinant character
+    exponent.  Returns (buckets, |G|).  fix_values lets the preprojective
+    engine substitute its own count for a tuple of class representatives.
     """
     alpha = _validate_alpha(quiver, alpha)
-    lists, scale, order = _vertex_lists(quiver, alg, alpha, guard)
+    reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard, guard_points)
     arrows = quiver.arrows()
     nbuckets = char_order or 1
     weights = [None] * quiver.n
     if char_order:
-        for i, lst in enumerate(lists):
+        for i, lst in enumerate(reps):
             weights[i] = [_det_residue_dlog(alg, m, generator) % char_order for m in lst]
 
     tables, pairs, loops = {}, [], []
@@ -221,17 +288,17 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_G
             if key not in tables:
                 rows, cols = alpha[t - 1], alpha[s - 1]
                 if s == t:      # a loop only ever reads the diagonal gt = gs
-                    tables[key] = [p ** fix_nullity(alg, g, g, rows, cols) for g in lists[t - 1]]
+                    tables[key] = [p ** fix_nullity(alg, g, g, rows, cols) for g in reps[t - 1]]
                 else:
                     tables[key] = [[p ** fix_nullity(alg, gt, gs, rows, cols)
-                                    for gs in lists[s - 1]] for gt in lists[t - 1]]
+                                    for gs in reps[s - 1]] for gt in reps[t - 1]]
             if s == t:
                 loops.append((tables[key], t - 1))
             else:
                 pairs.append((tables[key], t - 1, s - 1))
 
     buckets = [0] * nbuckets
-    for combo in product(*[range(len(lst)) for lst in lists]):
+    for combo in product(*[range(len(lst)) for lst in reps]):
         if fix_values is None:
             fix = 1
             for table, ti, si in pairs:
@@ -239,13 +306,15 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_G
             for table, vi in loops:
                 fix *= table[combo[vi]]
         else:
-            fix = fix_values(tuple(lists[i][combo[i]] for i in range(quiver.n)))
+            fix = fix_values(tuple(reps[i][combo[i]] for i in range(quiver.n)))
+        for i in range(quiver.n):
+            fix *= sizes[i][combo[i]]
         if char_order:
             e_val = sum(weights[i][combo[i]] for i in range(quiver.n)) % char_order
         else:
             e_val = 0
         buckets[e_val] += fix
-    return buckets, order, scale
+    return buckets, order
 
 
 def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
@@ -264,27 +333,28 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
         q = alg.residue_field.size()
         if (q - 1) % char_order:
             raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (char_order, q - 1))
-    buckets, order, scale = engine(quiver, alg, alpha, char_order=char_order,
-                                   generator=generator, **guards)
+    buckets, order = engine(quiver, alg, alpha, char_order=char_order,
+                            generator=generator, **guards)
     if char_order is None:
-        value = buckets[0] * scale
+        value = buckets[0]
     else:
         total = CycInt.zero(char_order)
         for e_val, count in enumerate(buckets):
             if count:
-                total = total + CycInt.root_power(char_order, e_val).scaled(count * scale)
+                total = total + CycInt.root_power(char_order, e_val).scaled(count)
         value = total.as_integer()
     if value < 0 or value % order:
         raise AssertionError("group average is not a count: %d / %d" % (value, order))
     return value // order
 
 
-def m_count(quiver, alg, alpha, guard=GUARD_GROUP):
+def m_count(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
     """Number of isomorphism classes of representations of the given rank."""
-    return _group_average(_burnside, quiver, alg, alpha, guard=guard)
+    return _group_average(_burnside, quiver, alg, alpha, guard=guard,
+                          guard_points=guard_points)
 
 
-def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None):
+def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None, guard_points=GUARD_POINTS):
     """Number of isomorphism classes of absolutely indecomposable
     representations, by the determinant-character weighted group average.
 
@@ -292,7 +362,7 @@ def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None):
     (the residue field must contain the needed roots of unity).
     """
     return _group_average(_burnside, quiver, alg, alpha, character=True,
-                          generator=generator, guard=guard)
+                          generator=generator, guard=guard, guard_points=guard_points)
 
 
 # -- double quiver, moment map, preprojective counts -----------------------
@@ -376,7 +446,8 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
         return sum(1 for _ in zero_fiber(per_arrow))
 
     return _burnside(quiver, alg, alpha, char_order=char_order, generator=generator,
-                     guard=guard, fix_values=zero_fiber_fixed_count)
+                     guard=guard, guard_points=guard_points,
+                     fix_values=zero_fiber_fixed_count)
 
 
 def m_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):

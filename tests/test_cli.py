@@ -103,6 +103,10 @@ def test_exit_codes(capsys, monkeypatch):
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(3)",
                  "--rank", "1,1", "--guard", "0"]) == 3
     capsys.readouterr()
+    # --guard also bounds the GL scan: GL_2(F_2) visits 2^4 = 16 matrices
+    assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(2)",
+                 "--rank", "2,1", "--guard", "10"]) == 3
+    assert "GL_2" in capsys.readouterr().err
     # a failed internal consistency check -> 4, one line on stderr
     from quivercount import cli
 

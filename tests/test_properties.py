@@ -1,18 +1,26 @@
 """Property tests on random connected multigraphs with loops and parallel
 edges: the subset transforms against the depth-function sum, and the
-filtration sum R(T) against the transforms coefficient by coefficient.
-Derandomized, so a run is reproducible; a failure shrinks to a small graph.
+filtration sum R(T) against the transforms coefficient by coefficient; and
+on random small quivers, the conjugacy-class sums of m_count and a_count
+against the loop over every group element.  Derandomized, so a run is
+reproducible; a failure shrinks to a small graph.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from quivercount.finite_algebra import make_prime_field, make_truncated  # noqa: E402
 from quivercount.genfun import r_genfun, series_coefficient  # noqa: E402
-from quivercount.multigraph import Multigraph  # noqa: E402
+from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
+from quivercount.repenum import a_count, group_order, m_count  # noqa: E402
 from quivercount.toric import r_d_polynomial  # noqa: E402
+from test_repenum import burnside_by_elements  # noqa: E402
 from test_toric import depth_function_sum  # noqa: E402
+
+F2, F3 = make_prime_field(2), make_prime_field(3)
+RINGS = (F2, F3, make_truncated(F2, 2))
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -43,3 +51,22 @@ def test_filtration_sum_coefficients_equal_r_d(graph):
     f = r_genfun(graph)
     for d in range(4):
         assert series_coefficient(f, d) == r_d_polynomial(graph, d)
+
+
+@st.composite
+def small_quivers(draw):
+    """A quiver with at most 3 vertices and 3 arrows, loops allowed."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(1, n)
+    return Quiver.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=3)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(small_quivers(), st.sampled_from(RINGS), st.data())
+def test_class_sums_equal_the_element_loop(quiver, ring, data):
+    alpha = data.draw(st.tuples(*[st.integers(0, 2)] * quiver.n))
+    assume(any(alpha) and group_order(quiver, ring, alpha) <= 500)
+    assert m_count(quiver, ring, alpha) == burnside_by_elements(quiver, ring, alpha)
+    if (ring.residue_field.size() - 1) % sum(alpha) == 0:
+        assert a_count(quiver, ring, alpha) == \
+            burnside_by_elements(quiver, ring, alpha, character=True)

@@ -1,22 +1,68 @@
+from itertools import product
+
 import pytest
 
+from quivercount.cyclotomic import CycInt
 from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
                                   path_quiver)
 from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
-                                        make_truncated, mat_identity,
-                                        truncated_generator)
+                                        make_truncated, mat_det, mat_identity,
+                                        mat_inverse, mat_mul, truncated_generator)
 from quivercount.multigraph import GuardError
 from quivercount.repenum import (a_count, a_preproj, counterexample_counts,
                                  double_quiver, enumerate_group, fix_count,
-                                 fourier_fiber_count, gl_elements, gl_order,
-                                 group_order, m_count, m_preproj, moment_map,
-                                 preproj_orbit_partition, stabilizer_order,
-                                 toric_ai_orbit_count, toric_point)
+                                 fourier_fiber_count, gl_classes, gl_elements,
+                                 gl_order, group_order, m_count, m_preproj,
+                                 moment_map, preproj_orbit_partition,
+                                 stabilizer_order, toric_ai_orbit_count,
+                                 toric_point)
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
 K2F2 = make_truncated(F2, 2)
+
+
+def _matrices(alg, rows, cols):
+    if rows == 0 or cols == 0:
+        yield ()
+        return
+    for entries in product(list(alg.elements()), repeat=rows * cols):
+        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
+    """The group average over every element g of G = prod GL_{alpha_v}(alg),
+    one fixed-point count per element: the oracle for the class sums of
+    m_count and a_count (character=True), and of m_preproj and a_preproj
+    (preproj=True), which count the points of the whole zero fiber of the
+    moment map that g fixes."""
+    alpha = tuple(alpha)
+    order = sum(alpha) if character else 1
+    if preproj:
+        darrows = double_quiver(quiver)[0].arrows()
+        points = [dict(zip([e for e, _, _ in darrows], combo)) for combo in
+                  product(*[list(_matrices(alg, alpha[t - 1], alpha[s - 1]))
+                            for _, s, t in darrows])]
+        fiber = [x for x in points
+                 if not any(any(entry) for block in moment_map(quiver, alg, alpha, x)
+                            for row in block for entry in row)]
+    buckets = [0] * order
+    for g in enumerate_group(quiver, alg, alpha):
+        if preproj:
+            fix = sum(1 for x in fiber
+                      if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
+                             for e, s, t in darrows))
+        else:
+            fix = fix_count(g, quiver, alg, alpha)
+        exponent = sum(alg.dlog(alg.residue(mat_det(alg, m))) for m in g) if character else 0
+        buckets[exponent % order] += fix
+    total = CycInt.zero(order)
+    for exponent, count in enumerate(buckets):
+        total = total + CycInt.root_power(order, exponent).scaled(count)
+    value, rest = divmod(total.as_integer(), group_order(quiver, alg, alpha))
+    assert rest == 0
+    return value
 
 
 def test_group_orders():
@@ -64,7 +110,7 @@ def test_m_count_values():
     assert lhs == rhs
 
 
-def test_loop_arrow_solves_only_the_diagonal(monkeypatch):
+def test_loop_arrow_solves_once_per_class(monkeypatch):
     from quivercount import repenum
     calls = []
     original = repenum.fix_nullity
@@ -76,8 +122,85 @@ def test_loop_arrow_solves_only_the_diagonal(monkeypatch):
     monkeypatch.setattr(repenum, "fix_nullity", counting)
     # conjugacy classes of 2x2 matrices over F_5: q^2 + q
     assert m_count(jordan_quiver(), make_prime_field(5), (2,)) == 30
-    # one solve per normalized element of GL_2(F_5), 480 / 4 of them
-    assert len(calls) == 120
+    # one solve per conjugacy class of GL_2(F_5), q^2 - 1 of them
+    assert len(calls) == 24
+
+
+def test_gl2_of_a_field_has_q_squared_minus_one_classes():
+    for q in (2, 3, 4, 5):
+        field = make_field(q)
+        classes = gl_classes(field, 2)
+        assert len(classes) == q * q - 1
+        assert sum(size for _, size in classes) == gl_order(field, 2)
+
+
+def test_class_equation():
+    for ring in (F3, make_field(4), K2F2):
+        elements = gl_elements(ring, 2)
+        classes = gl_classes(ring, 2)
+        assert sum(size for _, size in classes) == gl_order(ring, 2)
+        for rep, size in classes:
+            centralizer = sum(1 for h in elements
+                              if mat_mul(ring, h, rep) == mat_mul(ring, rep, h))
+            assert size * centralizer == len(elements)
+    assert gl_classes(F2, 0) == [((), 1)]
+    assert gl_classes(K2F2, 1) == [(m, 1) for m in gl_elements(K2F2, 1)]
+
+
+def test_classes_are_the_conjugation_orbits():
+    for ring in (F3, K2F2):
+        elements = gl_elements(ring, 2)
+        inverses = [mat_inverse(ring, h) for h in elements]
+        orbits, seen = [], set()
+        for g in elements:
+            if g not in seen:
+                orbit = {mat_mul(ring, mat_mul(ring, h, g), h_inv)
+                         for h, h_inv in zip(elements, inverses)}
+                seen |= orbit
+                orbits.append((g, len(orbit)))
+        # the union-find parts refine the orbits; as many parts means equal
+        assert gl_classes(ring, 2) == orbits
+
+
+def test_class_sums_match_the_element_loop():
+    a2, a3 = path_quiver(2), path_quiver(3)
+    k2f3 = make_truncated(F3, 2)
+    counts = [
+        (a2, make_truncated(F2, 3), (1, 1)),
+        (a2, k2f3, (1, 1)),
+        (jordan_quiver(1), F3, (1,)),
+        (a3, K2F2, (1, 1, 1)),
+        (a3.flip([2]), K2F2, (1, 1, 1)),
+        (jordan_quiver(), make_prime_field(5), (2,)),
+        (a2, F2, (2, 2)),
+        (a2, K2F2, (2, 1)),
+        (cycle_quiver(2), F3, (2, 1)),
+    ]
+    for quiver, ring, alpha in counts:
+        assert m_count(quiver, ring, alpha) == burnside_by_elements(quiver, ring, alpha)
+    characters = [
+        (a2, F3, (1, 1)),
+        (a2, make_truncated(F3, 3), (1, 1)),
+        (a3, make_truncated(make_field(4), 2), (1, 1, 1)),
+        (jordan_quiver(1), k2f3, (1,)),
+        (banana_quiver(2), k2f3, (1, 1)),
+        (jordan_quiver(), make_prime_field(5), (2,)),
+        (a2, make_field(4), (2, 1)),
+    ]
+    for quiver, ring, alpha in characters:
+        assert a_count(quiver, ring, alpha) == \
+            burnside_by_elements(quiver, ring, alpha, character=True)
+    preprojective = [
+        (a2, F2, (1, 1)),
+        (jordan_quiver(1), F3, (1,)),
+        (a2, make_square_zero(F2, 2), (1, 1)),
+        (a2, F2, (2, 1)),
+    ]
+    for quiver, ring, alpha in preprojective:
+        assert m_preproj(quiver, ring, alpha) == \
+            burnside_by_elements(quiver, ring, alpha, preproj=True)
+    assert a_preproj(a2, F3, (1, 1)) == \
+        burnside_by_elements(a2, F3, (1, 1), character=True, preproj=True)
 
 
 def test_a_count_values():
@@ -225,6 +348,16 @@ def test_counterexample_counts():
 def test_group_guard():
     with pytest.raises(GuardError):
         m_count(path_quiver(2), K2F2, (2, 2), guard=10)
+
+
+def test_point_guard_bounds_the_gl_scan():
+    # the GL_2(F_2) scan visits 2^4 = 16 matrices, whether or not it is memoized
+    for _ in range(2):
+        with pytest.raises(GuardError):
+            m_count(path_quiver(2), F2, (2, 1), guard_points=15)
+        assert m_count(path_quiver(2), F2, (2, 1), guard_points=16) == 2
+    with pytest.raises(GuardError):
+        a_count(path_quiver(2), F3, (1, 1), guard_points=2)
 
 
 def test_random_graphs_cross_validate_closed_form():
