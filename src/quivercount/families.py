@@ -1,12 +1,19 @@
-"""Named graph families and small-graph enumeration.
+"""Named graph families and small-graph enumeration by canonical
+augmentation.
 
-The enumerators produce connected multigraphs with loops and parallel
-edges; they back the property batteries, which sweep every isomorphism
-class up to a given edge count.
+The enumerator produces connected multigraphs with loops and parallel
+edges; it backs the property batteries, which sweep every isomorphism
+class up to a given edge count.  The classes with e edges grow from those
+with e - 1: add an edge between old vertices (a loop included), or a
+pendant edge to a new vertex, and keep the canonical key of the result.
+That reaches every class, because a connected graph with e >= 1 edges
+has an edge that is not a bridge, or it is a tree and has a leaf; deleting
+that edge, or that leaf with its edge, leaves a connected graph with
+e - 1 edges.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 from .multigraph import Multigraph, Quiver
 
@@ -68,11 +75,17 @@ def banana_quiver(m):
 
 
 def _canonical_form(n, pairs):
-    """Minimal edge multiset over all vertex relabelings."""
+    """The class key (n, pairs') of a multigraph on vertices 1..n: pairs'
+    is the lexicographically least sorted tuple of (min, max) endpoint
+    pairs over all n! vertex relabelings.
+
+    A scan over every edge multiset on 1..n in lexicographic order meets
+    each class first at this labeling, so the representatives built from
+    the keys, in key order, are the ones such a scan keeps."""
     best = None
     for perm in permutations(range(1, n + 1)):
-        relab = {i + 1: perm[i] for i in range(n)}
-        key = tuple(sorted((min(relab[u], relab[v]), max(relab[u], relab[v]))
+        p = (0,) + perm
+        key = tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
                            for u, v in pairs))
         if best is None or key < best:
             best = key
@@ -80,22 +93,38 @@ def _canonical_form(n, pairs):
 
 
 @lru_cache(maxsize=None)
+def _connected_classes(edges):
+    """The class keys of the connected multigraphs with exactly `edges`
+    edges, each class with e >= 1 edges grown from a key with e - 1: add
+    an edge (u, v), u <= v <= n, or a pendant edge (u, n + 1)."""
+    if edges == 0:
+        return frozenset([(1, ())])
+    keys = set()
+    for n, pairs in _connected_classes(edges - 1):
+        for u in range(1, n + 1):
+            for v in range(u, n + 2):
+                keys.add(_canonical_form(max(n, v), pairs + ((u, v),)))
+    return frozenset(keys)
+
+
 def all_connected_multigraphs(max_edges):
     """All connected multigraphs with at most max_edges edges, one labeled
-    representative per isomorphism class (loops and parallel edges included).
+    representative per isomorphism class (loops and parallel edges
+    included): the key's pairs as edges 1, 2, ..., sorted by (edge count,
+    vertex count, key), as a lexicographic scan of edge multisets would
+    list them.  ValueError unless max_edges is an int >= 0.
     """
-    found = {}
-    for e in range(0, max_edges + 1):
-        for n in range(1, e + 2):
-            pair_types = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
-            for combo in combinations_with_replacement(pair_types, e):
-                g = Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(combo)])
-                if not g.is_connected():
-                    continue
-                key = _canonical_form(n, combo)
-                if key not in found:
-                    found[key] = g
-    return tuple(found.values())
+    if type(max_edges) is not int or max_edges < 0:
+        raise ValueError("max_edges must be an int >= 0, not %r" % (max_edges,))
+    return _connected_multigraphs(max_edges)
+
+
+@lru_cache(maxsize=None)
+def _connected_multigraphs(max_edges):
+    keys = sorted((key for e in range(max_edges + 1) for key in _connected_classes(e)),
+                  key=lambda key: (len(key[1]), key))
+    return tuple(Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(pairs)])
+                 for n, pairs in keys)
 
 
 def random_connected_multigraph(rng, max_edges=5):

@@ -542,32 +542,36 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_PO
     """Orbit count of rank-one representations by direct partition of the
     whole representation space under the unit-tuple action; counts only
     orbits with connected (spanning) support when the flag is set.
+    Points are tuples of element indices, scaled through one |R| x |R|
+    product table.
 
     Independent of the group-average engine by construction.
     """
     arrows = quiver.arrows()
     m = len(arrows)
-    n = quiver.n
     if alg.size() ** m > guard_points:
         raise GuardError("|R|^%d points exceed guard" % m)
-    units = list(alg.units())
-    inverse = {u: alg.inverse(u) for u in units}
-    element_list = list(alg.elements())
+    ring = list(alg.elements())
+    index = {x: i for i, x in enumerate(ring)}
+    mul = [[index[alg.mul(x, y)] for y in ring] for x in ring]
+    units = [index[u] for u in alg.units()]
+    inverse = {u: index[alg.inverse(ring[u])] for u in units}
+    zero = index[alg.zero()]
+    # the unit tuple g scales the arrow s -> t by g_t g_s^-1: one row of
+    # `mul` per arrow; unit tuples with equal scalings give equal images
+    scalings = {tuple(mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
+                for g in product(units, repeat=quiver.n)}
+    rows = [tuple(mul[c] for c in scaling) for scaling in scalings]
     graph = quiver.graph
 
     visited = set()
     orbits = 0
-    for point in product(element_list, repeat=m):
+    for point in product(range(len(ring)), repeat=m):
         if point in visited:
             continue
-        orbit = set()
-        for g in product(units, repeat=n):
-            img = tuple(alg.mul(alg.mul(g[t - 1], x), inverse[g[s - 1]])
-                        for x, (e, s, t) in zip(point, arrows))
-            orbit.add(img)
-        visited |= orbit
+        visited.update(tuple(row[x] for row, x in zip(by, point)) for by in rows)
         if connected_only:
-            support = frozenset(e for x, (e, _, _) in zip(point, arrows) if any(x))
+            support = frozenset(e for x, (e, _, _) in zip(point, arrows) if x != zero)
             if graph.spanning_connected(support):
                 orbits += 1
         else:

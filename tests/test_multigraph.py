@@ -1,15 +1,77 @@
-from itertools import combinations
+import os
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from quivercount.families import (all_connected_multigraphs, banana_graph,
-                                  cycle_graph, loops_graph, path_graph,
-                                  point_graph)
+from quivercount import verify
+from quivercount.families import (_canonical_form, all_connected_multigraphs,
+                                  banana_graph, cycle_graph, loops_graph,
+                                  path_graph, point_graph)
 from quivercount.multigraph import (GuardError, Multigraph, Quiver,
                                     strict_filtrations)
 from quivercount.polynomials import QTPoly
 
 ORDERED_BELL = [1, 1, 3, 13, 75, 541]
+
+
+def all_connected_multigraphs_by_scan(max_edges):
+    """Oracle: every edge multiset on 1..n in lexicographic order, keeping
+    the first connected labeling met of each isomorphism class."""
+    found = {}
+    for e in range(0, max_edges + 1):
+        for n in range(1, e + 2):
+            pair_types = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+            for combo in combinations_with_replacement(pair_types, e):
+                g = Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(combo)])
+                if not g.is_connected():
+                    continue
+                key = _canonical_form(n, combo)
+                if key not in found:
+                    found[key] = g
+    return tuple(found.values())
+
+
+def _labelled(graphs):
+    return [(g.n, g.edges) for g in graphs]
+
+
+def test_enumeration_equals_the_multiset_scan():
+    for k in range(5):
+        assert _labelled(all_connected_multigraphs(k)) == \
+            _labelled(all_connected_multigraphs_by_scan(k))
+
+
+@pytest.mark.skipif(not os.environ.get("QUIVERCOUNT_SLOW"),
+                    reason="set QUIVERCOUNT_SLOW=1 to run the scan at 5 edges (about 5 s)")
+def test_enumeration_equals_the_multiset_scan_at_five_edges():
+    assert _labelled(all_connected_multigraphs(5)) == \
+        _labelled(all_connected_multigraphs_by_scan(5))
+
+
+def test_class_counts_at_six_edges():
+    # connected multigraphs with loops; trees (OEIS A000055); connected
+    # simple graphs by edge count (OEIS A002905)
+    graphs = all_connected_multigraphs(6)
+    loopless_simple = [g for g in graphs if len({(u, v) for _, u, v in g.edges}) == g.edge_count()
+                       and all(u != v for _, u, v in g.edges)]
+    for name, subset, expected in [("all", graphs, [1, 2, 4, 11, 30, 95, 328]),
+                                   ("trees", [g for g in graphs if g.n == g.edge_count() + 1],
+                                    [1, 1, 1, 2, 3, 6, 11]),
+                                   ("simple", loopless_simple, [1, 1, 1, 3, 5, 12, 30])]:
+        counts = [sum(1 for g in subset if g.edge_count() == e) for e in range(7)]
+        assert counts == expected, name
+    assert all(g.is_connected() for g in graphs)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+def test_edge_bound_must_be_a_non_negative_int(bad):
+    with pytest.raises(ValueError):
+        all_connected_multigraphs(bad)
+
+
+def test_battery_rejects_a_negative_edge_bound():
+    with pytest.raises(ValueError):
+        verify.check_tutte(max_edges=-1)
 
 
 def test_b1_examples():

@@ -2,18 +2,37 @@
 
 import ast
 import pathlib
+import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quivercount"
+
+
+def _parsed_sources():
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in files]
 
 
 def test_no_assert_statements():
     # python -O strips assert statements, so a consistency check written as
     # one silently stops running; checks must raise explicitly instead.
-    files = sorted(SOURCE.glob("*.py"))
-    assert files
     found = []
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += ["%s:%d" % (path.name, node.lineno)
+    for name, tree in _parsed_sources():
+        found += ["%s:%d" % (name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_runtime_imports_are_stdlib():
+    found = []
+    for name, tree in _parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, module) for module in modules
+                      if module.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
