@@ -8,9 +8,12 @@ representation space.  Absolutely indecomposable classes are counted the
 same way with a determinant character weight valued in roots of unity,
 accumulated exactly in Z[zeta].
 
-Preprojective counts filter the same fixed subspaces through the moment
-map; an independent orbit-partition engine provides the oracle for the
-rank-one (toric) counts.
+Preprojective counts use that the moment map mu(x, y) is bilinear in the
+arrows x and their stars y: the fixed points of g in its zero fiber number
+sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with one F_p
+rank per point of the smaller half and the other half never listed.  An
+independent orbit-partition engine provides the oracle for the rank-one
+(toric) counts.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
@@ -19,8 +22,9 @@ is conjugated.  So the Burnside sum runs over tuples of conjugacy-class
 representatives, each weighted by the product of its class sizes.  The
 classes of GL_n(R) come from one union-find per algebra and n, memoized
 with the GL scan; each of its parts lies inside one class, so the sum is
-exact even where the parts were finer than the classes.  Exact and
-deterministic.
+exact even where the parts were finer than the classes.  The GL scan, the
+class partition and the toric oracle compute on element indices through
+one set of |R| x |R| tables per algebra.  Exact and deterministic.
 """
 
 from collections import Counter
@@ -31,6 +35,7 @@ from . import modp
 from .cyclotomic import CycInt
 from .finite_algebra import mat_det, mat_inverse, mat_mul
 from .multigraph import GuardError, Multigraph, Quiver, _find, _merge
+from .ring_tables import index_tables, invertible_matrices
 
 GUARD_GROUP = 1 << 30
 GUARD_POINTS = 1 << 24
@@ -67,8 +72,7 @@ def _gl_table(alg, size, guard=GUARD_POINTS):
     if cache is None:
         cache = alg._gl_data = {}
     if size not in cache:
-        cache[size] = [[m for m in _all_matrices(alg, size, size)
-                        if alg.is_unit(mat_det(alg, m))], None]
+        cache[size] = [invertible_matrices(alg, size), None]
     return cache[size]
 
 
@@ -102,11 +106,8 @@ def _conjugacy_classes(alg, n, elements):
     |R| x |R| index tables."""
     if n < 2:       # GL_0 and GL_1 are abelian
         return [(m, 1) for m in elements]
-    ring = list(alg.elements())
-    index = {x: i for i, x in enumerate(ring)}
-    add = [[index[alg.add(x, y)] for y in ring] for x in ring]
-    mul = [[index[alg.mul(x, y)] for y in ring] for x in ring]
-    one = index[alg.one]
+    t = index_tables(alg)
+    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
 
     def powers(u):
         out, x = [one], u
@@ -118,7 +119,8 @@ def _conjugacy_classes(alg, n, elements):
     # Largest order first, so a cyclic R^x needs one generator; R^x is
     # abelian, so the subgroup <H, u> is H<u>.
     unit_gens, reached = [], {one}
-    for u in sorted((index[u] for u in alg.units()), key=lambda u: len(powers(u)), reverse=True):
+    units = (u for u, unit in enumerate(t.is_unit) if unit)
+    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
         if u not in reached:
             unit_gens.append(ring[u])
             reached = {mul[x][y] for x in reached for y in powers(u)}
@@ -423,31 +425,50 @@ def _zero_fiber(quiver, alg, alpha):
 
 def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
                      guard=GUARD_GROUP, guard_points=GUARD_POINTS):
+    """The Burnside sum of zero-fiber fixed counts.  For a tuple g the
+    fixed space of the doubled quiver is V^g x V*^g (the arrows, then their
+    stars), and mu(x, y) is F_p-bilinear; so the count is the sum over x in
+    one half of p^(dim of the other half - rank of mu(x, .) on it).  The
+    half with fewer points is the one enumerated."""
     alpha = _validate_alpha(quiver, alpha)
-    darrows = double_quiver(quiver)[0].arrows()
-    zero_fiber = _zero_fiber(quiver, alg, alpha)
-    space_cache = {}
+    arrows = quiver.arrows()
+    star = double_quiver(quiver)[1]
+    p = alg.p
+    basis_cache = {}
 
-    def zero_fiber_fixed_count(g):
+    def basis(gt, gs, rows, cols):
+        key = (rows, cols, gt, gs)
+        if key not in basis_cache:
+            basis_cache[key] = [
+                _vector_to_matrix(alg, vec, rows, cols)
+                for vec in modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)]
+        return basis_cache[key]
+
+    def column(arrow, x, y):
+        """mu at the point x on the arrow, y on its star, zero elsewhere,
+        as a flat F_p vector."""
+        blocks = _moment_blocks(alg, alpha, [arrow], star, {arrow[0]: x, star[arrow[0]]: y})
+        return [c for block in blocks for row in block for entry in row for c in entry]
+
+    def fix_values(g):
+        halves = [[(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows],
+                  [(g[s - 1], g[t - 1], alpha[s - 1], alpha[t - 1]) for _, s, t in arrows]]
+        bases = [[basis(*key) for key in half] for half in halves]
+        dims = [sum(map(len, half)) for half in bases]
+        starred = dims[1] < dims[0]     # enumerate V*^g, the smaller half
+        if p ** dims[starred] > guard_points:
+            raise GuardError("preprojective fixed-space enumeration of p^%d = %d points "
+                             "exceeds guard" % (dims[starred], p ** dims[starred]))
         per_arrow = []
-        total = 1
-        for e, s, t in darrows:
-            key = (alpha[t - 1], alpha[s - 1], g[t - 1], g[s - 1])
-            pts = space_cache.get(key)
-            if pts is None:
-                pts = _fix_space_points(alg, g[t - 1], g[s - 1],
-                                        alpha[t - 1], alpha[s - 1], guard_points)
-                space_cache[key] = pts
-            per_arrow.append(pts)
-            total *= len(pts)
-            if total > guard_points:
-                raise GuardError("fixed-space enumeration of %d points exceeds guard; "
-                                 "for tiny spaces preproj_orbit_partition avoids it" % total)
-        return sum(1 for _ in zero_fiber(per_arrow))
+        for arrow, key, other in zip(arrows, halves[starred], bases[not starred]):
+            points = _fix_space_points(alg, *key, guard_points)
+            per_arrow.append([[column(arrow, b, pt) if starred else column(arrow, pt, b)
+                               for b in other] for pt in points])
+        return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))
+                   for combo in product(*per_arrow))
 
     return _burnside(quiver, alg, alpha, char_order=char_order, generator=generator,
-                     guard=guard, guard_points=guard_points,
-                     fix_values=zero_fiber_fixed_count)
+                     guard=guard, guard_points=guard_points, fix_values=fix_values)
 
 
 def m_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
@@ -551,12 +572,10 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_PO
     m = len(arrows)
     if alg.size() ** m > guard_points:
         raise GuardError("|R|^%d points exceed guard" % m)
-    ring = list(alg.elements())
-    index = {x: i for i, x in enumerate(ring)}
-    mul = [[index[alg.mul(x, y)] for y in ring] for x in ring]
-    units = [index[u] for u in alg.units()]
-    inverse = {u: index[alg.inverse(ring[u])] for u in units}
-    zero = index[alg.zero()]
+    t = index_tables(alg)
+    ring, mul, zero = t.ring, t.mul, t.zero
+    units = [u for u, unit in enumerate(t.is_unit) if unit]
+    inverse = {u: mul[u].index(t.one) for u in units}
     # the unit tuple g scales the arrow s -> t by g_t g_s^-1: one row of
     # `mul` per arrow; unit tuples with equal scalings give equal images
     scalings = {tuple(mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)

@@ -2,7 +2,8 @@
 edges: the subset transforms against the depth-function sum, and the
 filtration sum R(T) against the transforms coefficient by coefficient; and
 on random small quivers, the conjugacy-class sums of m_count and a_count
-against the loop over every group element.  Derandomized, so a run is
+against the loop over every group element, and the rank sums of m_preproj
+and a_preproj against the zero-fiber filter.  Derandomized, so a run is
 reproducible; a failure shrinks to a small graph.
 """
 
@@ -14,9 +15,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from quivercount.finite_algebra import make_prime_field, make_truncated  # noqa: E402
 from quivercount.genfun import r_genfun, series_coefficient  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
-from quivercount.repenum import a_count, group_order, m_count  # noqa: E402
+from quivercount.repenum import (a_count, a_preproj, group_order, m_count,  # noqa: E402
+                                 m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
-from test_repenum import burnside_by_elements  # noqa: E402
+from test_repenum import burnside_by_elements, preproj_by_filter  # noqa: E402
 from test_toric import depth_function_sum  # noqa: E402
 
 F2, F3 = make_prime_field(2), make_prime_field(3)
@@ -70,3 +72,16 @@ def test_class_sums_equal_the_element_loop(quiver, ring, data):
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_count(quiver, ring, alpha) == \
             burnside_by_elements(quiver, ring, alpha, character=True)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(small_quivers(), st.sampled_from(RINGS), st.data())
+def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data):
+    alpha = data.draw(st.tuples(*[st.integers(0, 2)] * quiver.n))
+    # the filter lists at most the whole doubled space, |R|^(2 sum_a alpha_t alpha_s)
+    doubled = ring.size() ** (2 * sum(alpha[t - 1] * alpha[s - 1] for _, s, t in quiver.arrows()))
+    assume(any(alpha) and doubled <= 5000)
+    assert m_preproj(quiver, ring, alpha) == preproj_by_filter(quiver, ring, alpha)
+    if (ring.residue_field.size() - 1) % sum(alpha) == 0:
+        assert a_preproj(quiver, ring, alpha) == \
+            preproj_by_filter(quiver, ring, alpha, character=True)

@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -10,7 +11,8 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_truncated, mat_det, mat_identity,
                                         mat_inverse, mat_mul, truncated_generator)
 from quivercount.multigraph import GuardError
-from quivercount.repenum import (a_count, a_preproj, counterexample_counts,
+from quivercount.repenum import (_burnside, _fix_space_points, _group_average,
+                                 _zero_fiber, a_count, a_preproj, counterexample_counts,
                                  double_quiver, enumerate_group, fix_count,
                                  fourier_fiber_count, gl_classes, gl_elements,
                                  gl_order, group_order, m_count, m_preproj,
@@ -65,6 +67,26 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
     return value
 
 
+def preproj_by_filter(quiver, alg, alpha, character=False):
+    """m_preproj (a_preproj with character=True) by filtering: per tuple
+    of class representatives g, list every point of V^g x V*^g and keep
+    those on which the moment map vanishes.  The oracle for the rank sums
+    of the engine."""
+    alpha = tuple(alpha)
+    darrows = double_quiver(quiver)[0].arrows()
+    zero_fiber = _zero_fiber(quiver, alg, alpha)
+
+    def fix_values(g):
+        per_arrow = [_fix_space_points(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+                     for _, s, t in darrows]
+        return sum(1 for _ in zero_fiber(per_arrow))
+
+    def engine(quiver, alg, alpha, **kwargs):
+        return _burnside(quiver, alg, alpha, fix_values=fix_values, **kwargs)
+
+    return _group_average(engine, quiver, alg, alpha, character=character)
+
+
 def test_group_orders():
     assert group_order(path_quiver(2), K2F2, (1, 1)) == 4
     assert group_order(jordan_quiver(1), F3, (1,)) == 2
@@ -73,6 +95,20 @@ def test_group_orders():
     assert gl_order(K2F2, 2) == 96
     assert gl_order(F3, 2) == 48
     assert gl_order(F2, 0) == 1
+
+
+def test_gl_order_of_truncated_rings():
+    # GL_n(k_d(F_q)) is GL_n(F_q) times the kernel 1 + t M_n(k_d), of size q^(n^2 (d - 1))
+    for q, d, n in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 1, 3), (3, 1, 3)]:
+        field_order = prod(q ** n - q ** i for i in range(n))
+        ring = make_truncated(make_prime_field(q), d)
+        assert gl_order(ring, n) == field_order * q ** (n * n * (d - 1))
+
+
+def test_gl_elements_equal_the_determinant_filter():
+    ring = make_truncated(F2, 2)
+    assert gl_elements(ring, 2) == [m for m in _matrices(ring, 2, 2)
+                                    if ring.is_unit(mat_det(ring, m))]
 
 
 def test_enumerate_group():
@@ -286,6 +322,53 @@ def test_preprojective_counts():
         assert a_preproj(jordan_quiver(1), ring, (1,)) == q ** 2
     assert m_preproj(a2, make_square_zero(F2, 2), (1, 1)) == 18
     assert a_preproj(a2, F3, (1, 1)) == a_count(a2, make_dual_numbers(F3), (1, 1)) == 2
+
+
+def test_rank_sum_equals_the_zero_fiber_filter():
+    a2 = path_quiver(2)
+    cases = [
+        (a2, F3, (2, 2)),
+        (a2, F2, (2, 2)),
+        (jordan_quiver(), F3, (2,)),
+        (jordan_quiver(), K2F2, (2,)),
+        (path_quiver(3), F2, (1, 2, 1)),
+        (cycle_quiver(2), F2, (2, 2)),
+        (a2, K2F2, (1, 1)),
+        (a2, K2F2, (2, 1)),
+        # over this non-Frobenius ring V*^g can be the smaller half
+        (a2, make_square_zero(F2, 2), (2, 1)),
+    ]
+    for quiver, ring, alpha in cases:
+        assert m_preproj(quiver, ring, alpha) == preproj_by_filter(quiver, ring, alpha)
+    for ring in (F3, make_prime_field(5)):
+        assert a_preproj(a2, ring, (1, 1)) == \
+            preproj_by_filter(a2, ring, (1, 1), character=True)
+
+
+def test_preprojective_counts_equal_dual_number_counts_at_rank_two():
+    # the preprojective theorem: Pi_Q over R against Q over R[eps]
+    cases = [
+        (path_quiver(2), F3, (2, 2), 6),
+        (path_quiver(2), F2, (2, 2), 6),
+        (jordan_quiver(), F3, (2,), 117),
+        (path_quiver(3), F2, (1, 2, 1), 14),
+    ]
+    for quiver, ring, alpha, value in cases:
+        assert m_preproj(quiver, ring, alpha) == value
+        assert m_count(quiver, make_dual_numbers(ring), alpha) == value
+    # under the default guards
+    assert a_preproj(path_quiver(2), make_prime_field(5), (2, 2)) == 0
+
+
+def test_preproj_guard_counts_the_enumerated_half():
+    # the identity tuple comes first; each half of its fixed space has 3^2
+    # points, the product 3^4
+    kronecker = banana_quiver(2)
+    with pytest.raises(GuardError, match="p\\^2 = 9 points"):
+        m_preproj(kronecker, F3, (1, 1), guard_points=8)
+    assert m_preproj(kronecker, F3, (1, 1), guard_points=9) == m_preproj(kronecker, F3, (1, 1))
+    # 3^4 points per half, 3^8 in the product; 3^4 also admits the GL_2 scan
+    assert m_preproj(path_quiver(2), F3, (2, 2), guard_points=81) == 6
 
 
 def test_preproj_partition_fallback_agrees():
