@@ -3,8 +3,10 @@
 
 Collecting the depth-d counts A_d and R_d into power series in T gives
 rational functions with denominators built from factors (1 - q^c T).
-They are computed exactly as sums over strict filtrations of the edge
-set, and they transform with a simple sign under (q, T) -> (1/q, 1/T).
+R is computed exactly as a sum over strict filtrations of the edge set;
+A and the q-Eulerian numerators come from their first series coefficients
+over a denominator known in advance.  Both transform with a simple sign
+under (q, T) -> (1/q, 1/T).
 """
 
 from quivercount import (a_genfun, banana_graph, check_duality, cycle_graph,

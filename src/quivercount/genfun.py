@@ -1,11 +1,12 @@
 """Rational generating functions for the toric counting polynomials and
 the convolution calculus of multiplicative graph invariants.
 
-R(gamma, q, T) collects the depth-d counts R_d as a power series in T and
-is computed exactly as a sum over strict filtrations of the edge set;
-A(graph, q, T) adds the (q-1)^b1 weights over connected spanning
-subgraphs.  Both satisfy an inversion identity under
-(q, T) -> (1/q, 1/T), verified here by exact substitution.
+R(gamma, q, T) collects the depth-d counts R_d as a power series in T, a
+sum over strict filtrations of the edge set.  A(graph, q, T), with (q-1)^b1
+weights over connected spanning subgraphs, and the q-Eulerian numerators
+come from the steps of toric._r_d_table over a known denominator.  Both
+satisfy an inversion identity under (q, T) -> (1/q, 1/T), verified here by
+exact substitution.
 
 Characters are functions on multigraphs, multiplicative over disjoint
 union and one-point join, with convolution
@@ -18,7 +19,7 @@ from math import comb
 from .multigraph import GuardError, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT
-from .toric import r_d_on_components, r_d_polynomial
+from .toric import GUARD_TERMS, _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
 
 GUARD_SUBSETS = 20
 
@@ -84,17 +85,33 @@ def r_genfun(gamma, guard=GUARD_SUBSETS):
     return total
 
 
-def a_genfun(graph, guard=GUARD_SUBSETS):
-    """A(graph, q, T) = sum over connected spanning subgraphs of
-    (q-1)^b1 * R(subgraph, q, T)."""
+def _from_series(coeffs, den):
+    """The series sum_d coeffs[d] T^d as RatQT(N, den), for den = {c: mult}
+    known to clear it to a numerator N of T-degree below len(coeffs): then
+    N = series * prod (1 - q^c T)^mult mod T^len(coeffs), one pass per factor."""
+    if len(coeffs) != sum(den.values()):
+        raise ValueError("need as many coefficients as the denominator's T-degree")
+    rows = [dict(c.coeffs) for c in coeffs]
+    for c in Counter(den).elements():
+        for d in range(len(rows) - 1, 0, -1):
+            row = rows[d]
+            for e, v in rows[d - 1].items():
+                row[e + c] = row.get(e + c, 0) - v
+    return RatQT(QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()}), den)
+
+
+def a_genfun(graph, guard=GUARD_TERMS):
+    """A(graph, q, T), the sum of (q-1)^b1(S) R(S, q, T) over connected
+    spanning S.  Along a strict filtration b1 never increases and each value
+    occurs at most n times, so D = prod_{b=0}^{b1} (1 - q^b T)^n clears A to
+    a numerator of T-degree below deg D = n (b1 + 1).  A_0 = eps1; A_1, ...,
+    A_{deg D - 1} come from the transform steps of _r_d_table, which guard bounds."""
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    qm1 = QPoly({1: 1, 0: -1})
-    total = RatQT.zero()
-    for subset in graph.connected_spanning_subgraphs(guard=guard):
-        sub = graph.spanning_subgraph(subset)
-        total = total + r_genfun(sub, guard=guard) * qm1 ** sub.b1()
-    return total
+    n, b1 = graph.n, graph.b1()
+    steps = _r_d_table(graph, n * (b1 + 1) - 1, guard)
+    coeffs = [QPoly.const(epsilon1_value(graph))] + [_a_of_step(n, *step) for step in steps]
+    return _from_series(coeffs, dict.fromkeys(range(b1 + 1), n))
 
 
 def series_coefficient(f, d):
@@ -213,7 +230,7 @@ def check_duality(g, which, guard=GUARD_SUBSETS):
     if not g.is_connected():
         raise ValueError("g must be connected")
     if which == "A":
-        f = a_genfun(g, guard=guard)
+        f = a_genfun(g)     # guard counts edges; a_genfun's counts transform steps
         sign = (-1) ** (g.n % 2)
         rhs = RatQT(epsilon1_value(g)) + sign * f
         return f.invert_vars() == rhs
@@ -233,13 +250,15 @@ def t_pochhammer(m):
     return out
 
 
-def q_eulerian(m, guard=GUARD_SUBSETS):
+def q_eulerian(m, guard=GUARD_TERMS):
     """The q-analog Eulerian polynomial F_m(q, T), extracted from
-    R(S_m, q, T) = T F_m(q, T) / (T)_{m+1} by exact division."""
+    R(S_m, q, T) = T F_m(q, T) / (T)_{m+1} by exact division; R(S_m) is
+    built from R_0 = 0 and R_1..R_m, with a_genfun's guard unit."""
     if m < 1:
         raise ValueError("m >= 1 required")
     from .families import loops_graph
-    f = r_genfun(loops_graph(m), guard=guard) * t_pochhammer(m + 1)
+    coeffs = [QPoly()] + [QPoly(h[-1]) for _, h in _r_d_table(loops_graph(m), m, guard)]
+    f = _from_series(coeffs, dict.fromkeys(range(m + 1), 1)) * t_pochhammer(m + 1)
     if f.den:
         raise ArithmeticError("(T)_{m+1} did not clear the denominator")
     num = f.num

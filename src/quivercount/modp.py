@@ -39,12 +39,6 @@ def rank(matrix, p):
     return len(rref(matrix, p)[1])
 
 
-def nullity(matrix, p):
-    if not matrix:
-        return 0
-    return len(matrix[0]) - rank(matrix, p)
-
-
 def nullspace_basis(matrix, p):
     """Basis vectors (lists) of the right nullspace of matrix mod p."""
     if not matrix:

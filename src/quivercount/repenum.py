@@ -227,11 +227,12 @@ def _vector_to_matrix(alg, vec, rows, cols):
                        for j in range(cols)) for i in range(rows))
 
 
-def _fix_space_points(alg, gt, gs, rows, cols, guard=GUARD_POINTS):
-    """All matrices X with gt X = X gs, enumerated from a nullspace basis."""
+def _fix_space_points(alg, gt, gs, rows, cols, guard=GUARD_POINTS, basis=None):
+    """All matrices X with gt X = X gs, from a nullspace basis given or solved for."""
     if rows == 0 or cols == 0:
         return [()]
-    basis = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
+    if basis is None:
+        basis = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
     p = alg.p
     if p ** len(basis) > guard:
         raise GuardError("fixed subspace with p^%d points exceeds guard" % len(basis))
@@ -439,9 +440,8 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
     def basis(gt, gs, rows, cols):
         key = (rows, cols, gt, gs)
         if key not in basis_cache:
-            basis_cache[key] = [
-                _vector_to_matrix(alg, vec, rows, cols)
-                for vec in modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)]
+            vecs = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
+            basis_cache[key] = vecs, [_vector_to_matrix(alg, v, rows, cols) for v in vecs]
         return basis_cache[key]
 
     def column(arrow, x, y):
@@ -454,14 +454,14 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
         halves = [[(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows],
                   [(g[s - 1], g[t - 1], alpha[s - 1], alpha[t - 1]) for _, s, t in arrows]]
         bases = [[basis(*key) for key in half] for half in halves]
-        dims = [sum(map(len, half)) for half in bases]
+        dims = [sum(len(v) for v, _ in half) for half in bases]
         starred = dims[1] < dims[0]     # enumerate V*^g, the smaller half
         if p ** dims[starred] > guard_points:
             raise GuardError("preprojective fixed-space enumeration of p^%d = %d points "
                              "exceeds guard" % (dims[starred], p ** dims[starred]))
         per_arrow = []
-        for arrow, key, other in zip(arrows, halves[starred], bases[not starred]):
-            points = _fix_space_points(alg, *key, guard_points)
+        for arrow, key, (_, other) in zip(arrows, halves[starred], bases[not starred]):
+            points = _fix_space_points(alg, *key, guard_points, basis(*key)[0])
             per_arrow.append([[column(arrow, b, pt) if starred else column(arrow, pt, b)
                                for b in other] for pt in points])
         return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))

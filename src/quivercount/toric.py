@@ -13,6 +13,8 @@ from one table of b1 over the 2^|E| edge subsets and d - 1 subset-sum
 transforms over it (_r_d_table), not from the depth functions one by one.
 """
 
+from collections import deque
+
 from .multigraph import GuardError, Multigraph
 from .polynomials import QPoly
 
@@ -59,13 +61,14 @@ def r_d_polynomial(gamma, d, guard=GUARD_TERMS):
         return QPoly.const(1 if gamma.edge_count() == 0 else 0)
     if d == 1:
         return QPoly.const(1)
-    _, r_d = _r_d_table(gamma, d, guard)
-    return QPoly(r_d[-1])
+    _, h = deque(_r_d_table(gamma, d, guard), maxlen=1).pop()
+    return QPoly(h[-1])
 
 
 def _r_d_table(graph, d, guard):
-    """b1 and R_d of the spanning subgraph on every edge subset, as two
-    lists indexed by bitmask over the sorted edge ids; R_d as {exp: coeff}.
+    """Yield the transform steps j = 0..d-1 as pairs (b1, h_j): b1 of the
+    spanning subgraph on every edge subset and h_j(U) = R_{j+1}(U) as
+    {exp: coeff}, both lists indexed by bitmask over the sorted edge ids.
 
     A depth function on U is a chain U = S_0 > S_1 > ... > S_{d-1} (S_k the
     edges of depth > k, not necessarily strict) and contributes
@@ -74,7 +77,7 @@ def _r_d_table(graph, d, guard):
     transform per j, R_d(U) = h_{d-1}(U).  The transform is the one of
     Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast
     subset convolution" (STOC 2007).  The b1 table alone costs as much as
-    one transform, so the guard counts max(d-1, 1) transforms.
+    one transform, so the guard counts max(d-1, 1) transforms, up front.
     """
     ids = sorted(graph.edge_ids())
     m = len(ids)
@@ -83,16 +86,17 @@ def _r_d_table(graph, d, guard):
         raise GuardError("(d-1) * |E| * 2^|E| = %d transform steps exceed guard" % steps)
     b1 = graph.subset_b1(ids)
     h = [{0: 1} for _ in b1]
-    for _ in range(d - 1):
-        h = [{e + b: c for e, c in poly.items()} for b, poly in zip(b1, h)]
-        for i in range(m):
-            bit = 1 << i
-            for base in range(0, 1 << m, bit << 1):
-                for mask in range(base + bit, base + (bit << 1)):
-                    target = h[mask]
-                    for e, c in h[mask ^ bit].items():
-                        target[e] = target.get(e, 0) + c
-    return b1, h
+    for j in range(d):
+        if j:
+            h = [{e + b: c for e, c in poly.items()} for b, poly in zip(b1, h)]
+            for i in range(m):
+                bit = 1 << i
+                for base in range(0, 1 << m, bit << 1):
+                    for mask in range(base + bit, base + (bit << 1)):
+                        target = h[mask]
+                        for e, c in h[mask ^ bit].items():
+                            target[e] = target.get(e, 0) + c
+        yield b1, h
 
 
 def r_d_on_components(g, d, guard=GUARD_TERMS):
@@ -127,12 +131,15 @@ def a_d_polynomial(graph, d, guard=GUARD_TERMS):
     if d == 0:
         all_loops = all(graph.is_loop(e) for e in graph.edge_ids())
         return QPoly.const(1 if all_loops else 0)
-    b1, r_d = _r_d_table(graph, d, guard)
-    # Spanning subgraphs are connected when their rank, |S| - b1(S), is n - 1;
-    # those of equal b1 share the factor (q-1)^b1.
+    return _a_of_step(graph.n, *deque(_r_d_table(graph, d, guard), maxlen=1).pop())
+
+
+def _a_of_step(n, b1, h):
+    """sum of (q-1)^b1(S) h(S) over the connected spanning S, those of rank
+    |S| - b1(S) = n - 1; those of equal b1 share the factor (q-1)^b1."""
     by_b1 = {}
-    for mask, (b, poly) in enumerate(zip(b1, r_d)):
-        if mask.bit_count() - b == graph.n - 1:
+    for mask, (b, poly) in enumerate(zip(b1, h)):
+        if mask.bit_count() - b == n - 1:
             acc = by_b1.setdefault(b, {})
             for e, c in poly.items():
                 acc[e] = acc.get(e, 0) + c

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -134,3 +135,12 @@ def test_verify_verb(capsys):
     assert main(["verify", "fourier"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_genfun_a_guard_trips_before_any_table(capsys):
+    # A(C16) needs 30 * 16 * 2^16 transform steps, above the default guard
+    start = time.perf_counter()
+    assert main(["genfun", "--quiver", "builtin:C16", "--which", "A"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "guard exceeded" in err and str(30 * 16 << 16) in err

@@ -1,17 +1,35 @@
+import time
+
 import pytest
 
-from quivercount.families import (banana_graph, cycle_graph, loops_graph,
-                                  path_graph, point_graph)
-from quivercount.genfun import (a_genfun, check_duality, check_recursion,
+from quivercount.families import (all_connected_multigraphs, banana_graph, cycle_graph,
+                                  loops_graph, path_graph, point_graph)
+from quivercount.genfun import (_from_series, a_genfun, check_duality, check_recursion,
                                 convolve, cvector_of_filtration, epsilon1_char,
                                 epsilon_char, eulerian_numbers, psi_char,
                                 psi_inverse_char, q_eulerian, r_d_char,
                                 r_d_via_convolution, r_genfun, r_of_cvector,
-                                series_coefficient)
+                                series_coefficient, t_pochhammer)
 from quivercount.multigraph import GuardError, Multigraph, strict_filtrations
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.toric import r_d_polynomial
+
+
+def a_genfun_by_subgraphs(graph):
+    """Oracle for a_genfun: the sum over connected spanning subgraphs of
+    (q-1)^b1 times their filtration sum R, one RatQT addition each."""
+    qm1 = QPoly({1: 1, 0: -1})
+    total = RatQT.zero()
+    for subset in graph.connected_spanning_subgraphs():
+        sub = graph.spanning_subgraph(subset)
+        total = total + r_genfun(sub) * qm1 ** sub.b1()
+    return total
+
+
+def same_form(f, g):
+    """The same reduced numerator and denominator, so the same text and JSON."""
+    return f.num.coeffs == g.num.coeffs and f.den == g.den
 
 
 def test_cvector_examples():
@@ -175,3 +193,55 @@ def test_convolution_guard():
         convolve(psi_char(1), psi_char(0), guard=3)(big)
     with pytest.raises(GuardError):
         r_genfun(big, guard=3)
+
+
+def test_a_genfun_equals_the_subgraph_sum_oracle():
+    graphs = all_connected_multigraphs(5)
+    assert len(graphs) == 143
+    for g in graphs:
+        assert same_form(a_genfun(g), a_genfun_by_subgraphs(g)), g
+
+
+def test_filtration_sum_equals_the_series_with_its_known_denominator():
+    # the engine r_genfun is to move to: R_0..R_{deg D - 1} over the
+    # denominator prod_{b=0}^{b1} (1 - q^b T)^n
+    for g in all_connected_multigraphs(5):
+        deg = g.n * (g.b1() + 1)
+        series = _from_series([r_d_polynomial(g, d) for d in range(deg)],
+                              dict.fromkeys(range(g.b1() + 1), g.n))
+        assert same_form(series, r_genfun(g)), g
+
+
+def test_q_eulerian_equals_the_bouquet_filtration_sum():
+    for m in range(1, 7):
+        f = r_genfun(loops_graph(m)) * t_pochhammer(m + 1)
+        assert not f.den
+        assert q_eulerian(m) == f.num.shift(0, -1)
+
+
+def test_from_series_needs_one_coefficient_per_factor():
+    with pytest.raises(ValueError):
+        _from_series([QPoly.const(1)], {0: 2})
+    # 1 + T + T^2 + ... over (1 - T): numerator 1
+    assert same_form(_from_series([QPoly.const(1)], {0: 1}), RatQT.geometric(0))
+
+
+def test_a_genfun_guard_predicts_the_transform_steps():
+    # C16: deg D = 32, so 30 * 16 * 2^16 steps, above the default 2^24
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match=str(30 * 16 << 16)):
+        a_genfun(cycle_graph(16))
+    assert time.perf_counter() - start < 1
+    # C3: deg D = 6, so 4 * 3 * 2^3 = 96 steps
+    with pytest.raises(GuardError, match="96"):
+        a_genfun(cycle_graph(3), guard=95)
+    assert same_form(a_genfun(cycle_graph(3), guard=96), a_genfun(cycle_graph(3)))
+    # S_4: deg D = 5, so 3 * 4 * 2^4 = 192 steps
+    with pytest.raises(GuardError, match="192"):
+        q_eulerian(4, guard=191)
+    assert q_eulerian(4, guard=192) == q_eulerian(4)
+    # check_duality's guard counts the edges of R's filtration sum; A has its own
+    assert check_duality(cycle_graph(3), "A", guard=2)
+    with pytest.raises(GuardError):
+        check_duality(cycle_graph(3), "R", guard=2)
+

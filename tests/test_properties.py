@@ -1,6 +1,7 @@
 """Property tests on random connected multigraphs with loops and parallel
-edges: the subset transforms against the depth-function sum, and the
-filtration sum R(T) against the transforms coefficient by coefficient; and
+edges: the subset transforms against the depth-function sum, the
+filtration sum R(T) against the transforms coefficient by coefficient, and
+A(T) from the transform against the sum over connected spanning subgraphs; and
 on random small quivers, the conjugacy-class sums of m_count and a_count
 against the loop over every group element, and the rank sums of m_preproj
 and a_preproj against the zero-fiber filter.  Derandomized, so a run is
@@ -13,11 +14,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from quivercount.finite_algebra import make_prime_field, make_truncated  # noqa: E402
-from quivercount.genfun import r_genfun, series_coefficient  # noqa: E402
+from quivercount.genfun import a_genfun, r_genfun, series_coefficient  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
 from quivercount.repenum import (a_count, a_preproj, group_order, m_count,  # noqa: E402
                                  m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
+from test_genfun import a_genfun_by_subgraphs, same_form  # noqa: E402
 from test_repenum import burnside_by_elements, preproj_by_filter  # noqa: E402
 from test_toric import depth_function_sum  # noqa: E402
 
@@ -53,6 +55,12 @@ def test_filtration_sum_coefficients_equal_r_d(graph):
     f = r_genfun(graph)
     for d in range(4):
         assert series_coefficient(f, d) == r_d_polynomial(graph, d)
+
+
+@PROPERTY
+@given(connected_multigraphs(6))
+def test_a_genfun_equals_the_subgraph_sum_oracle(graph):
+    assert same_form(a_genfun(graph), a_genfun_by_subgraphs(graph))
 
 
 @st.composite
