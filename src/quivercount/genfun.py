@@ -85,10 +85,10 @@ def r_genfun(gamma, guard=GUARD_SUBSETS):
     return total
 
 
-def _from_series(coeffs, den):
-    """The series sum_d coeffs[d] T^d as RatQT(N, den), for den = {c: mult}
-    known to clear it to a numerator N of T-degree below len(coeffs): then
-    N = series * prod (1 - q^c T)^mult mod T^len(coeffs), one pass per factor."""
+def _series_numerator(coeffs, den):
+    """N = (sum_d coeffs[d] T^d) prod (1 - q^c T)^mult mod T^len(coeffs) for
+    den = {c: mult}, one pass per factor.  When den clears the series to a
+    numerator of T-degree below len(coeffs), the series is N / den."""
     if len(coeffs) != sum(den.values()):
         raise ValueError("need as many coefficients as the denominator's T-degree")
     rows = [dict(c.coeffs) for c in coeffs]
@@ -97,7 +97,7 @@ def _from_series(coeffs, den):
             row = rows[d]
             for e, v in rows[d - 1].items():
                 row[e + c] = row.get(e + c, 0) - v
-    return RatQT(QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()}), den)
+    return QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()})
 
 
 def a_genfun(graph, guard=GUARD_TERMS):
@@ -111,7 +111,8 @@ def a_genfun(graph, guard=GUARD_TERMS):
     n, b1 = graph.n, graph.b1()
     steps = _r_d_table(graph, n * (b1 + 1) - 1, guard)
     coeffs = [QPoly.const(epsilon1_value(graph))] + [_a_of_step(n, *step) for step in steps]
-    return _from_series(coeffs, dict.fromkeys(range(b1 + 1), n))
+    den = dict.fromkeys(range(b1 + 1), n)
+    return RatQT(_series_numerator(coeffs, den), den)
 
 
 def series_coefficient(f, d):
@@ -242,29 +243,16 @@ def check_duality(g, which, guard=GUARD_SUBSETS):
     raise ValueError("which must be 'A' or 'R'")
 
 
-def t_pochhammer(m):
-    """(T)_m = prod_{i=0}^{m-1} (1 - q^i T) as a QTPoly."""
-    out = QTPoly.const(1)
-    for i in range(m):
-        out = out * (QTPoly.const(1) - QTPoly.monomial(i, 1))
-    return out
-
-
 def q_eulerian(m, guard=GUARD_TERMS):
-    """The q-analog Eulerian polynomial F_m(q, T), extracted from
-    R(S_m, q, T) = T F_m(q, T) / (T)_{m+1} by exact division; R(S_m) is
-    built from R_0 = 0 and R_1..R_m, with a_genfun's guard unit."""
+    """The q-analog Eulerian polynomial F_m(q, T), from
+    R(S_m, q, T) = T F_m(q, T) / (T)_{m+1}: T F_m is the numerator of R(S_m)
+    over that known denominator, built from R_0 = 0 and R_1..R_m with
+    a_genfun's guard unit."""
     if m < 1:
         raise ValueError("m >= 1 required")
     from .families import loops_graph
     coeffs = [QPoly()] + [QPoly(h[-1]) for _, h in _r_d_table(loops_graph(m), m, guard)]
-    f = _from_series(coeffs, dict.fromkeys(range(m + 1), 1)) * t_pochhammer(m + 1)
-    if f.den:
-        raise ArithmeticError("(T)_{m+1} did not clear the denominator")
-    num = f.num
-    if num.val_t() < 1:
-        raise ArithmeticError("numerator is not divisible by T")
-    return num.shift(0, -1)
+    return _series_numerator(coeffs, dict.fromkeys(range(m + 1), 1)).shift(0, -1)
 
 
 def eulerian_numbers(n):

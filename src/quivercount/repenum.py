@@ -227,12 +227,11 @@ def _vector_to_matrix(alg, vec, rows, cols):
                        for j in range(cols)) for i in range(rows))
 
 
-def _fix_space_points(alg, gt, gs, rows, cols, guard=GUARD_POINTS, basis=None):
-    """All matrices X with gt X = X gs, from a nullspace basis given or solved for."""
+def _fix_space_points(alg, basis, rows, cols, guard=GUARD_POINTS):
+    """All rows x cols matrices in the span of basis, the nullspace vectors
+    of the system gt X = X gs."""
     if rows == 0 or cols == 0:
         return [()]
-    if basis is None:
-        basis = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
     p = alg.p
     if p ** len(basis) > guard:
         raise GuardError("fixed subspace with p^%d points exceeds guard" % len(basis))
@@ -461,7 +460,7 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
                              "exceeds guard" % (dims[starred], p ** dims[starred]))
         per_arrow = []
         for arrow, key, (_, other) in zip(arrows, halves[starred], bases[not starred]):
-            points = _fix_space_points(alg, *key, guard_points, basis(*key)[0])
+            points = _fix_space_points(alg, basis(*key)[0], *key[2:], guard_points)
             per_arrow.append([[column(arrow, b, pt) if starred else column(arrow, pt, b)
                                for b in other] for pt in points])
         return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))

@@ -10,8 +10,9 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_det, mat_identity,
                                         mat_inverse, mat_mul, truncated_generator)
+from quivercount.modp import nullspace_basis
 from quivercount.multigraph import GuardError
-from quivercount.repenum import (_burnside, _fix_space_points, _group_average,
+from quivercount.repenum import (_burnside, _fix_space_points, _fix_system, _group_average,
                                  _zero_fiber, a_count, a_preproj, counterexample_counts,
                                  double_quiver, enumerate_group, fix_count,
                                  fourier_fiber_count, gl_classes, gl_elements,
@@ -76,8 +77,12 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
     darrows = double_quiver(quiver)[0].arrows()
     zero_fiber = _zero_fiber(quiver, alg, alpha)
 
+    def points(gt, gs, rows, cols):
+        basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
+        return _fix_space_points(alg, basis, rows, cols)
+
     def fix_values(g):
-        per_arrow = [_fix_space_points(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+        per_arrow = [points(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
                      for _, s, t in darrows]
         return sum(1 for _ in zero_fiber(per_arrow))
 
