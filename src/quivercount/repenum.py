@@ -22,20 +22,29 @@ is conjugated.  So the Burnside sum runs over tuples of conjugacy-class
 representatives, each weighted by the product of its class sizes.  The
 classes of GL_n(R) come from one union-find per algebra and n, memoized
 with the GL scan; each of its parts lies inside one class, so the sum is
-exact even where the parts were finer than the classes.  The GL scan, the
-class partition and the toric oracle compute on element indices through
-one set of |R| x |R| tables per algebra.  Exact and deterministic.
+exact even where the parts were finer than the classes.
+
+The fixed-point count is a product over the arrows, so the sum over class
+tuples is a contraction along the quiver: a factor per vertex (class size
+times z^(character exponent), in Z[z]/(z^m - 1)) and one per arrow (its
+fixed-point counts on pairs of classes), summed out one vertex at a time,
+cheapest first.  Each algebra solves one table per pair of ranks, and
+every arrow of those ranks reads it.  The preprojective count does not
+split over arrows and enters as one factor on all vertices.  The GL scan,
+the class partition, the zero-fiber filter and the toric oracle compute
+on element indices through one set of |R| x |R| tables per algebra.
+Exact and deterministic.
 """
 
-from collections import Counter
-from itertools import permutations, product
+from itertools import product
 from math import prod
 
 from . import modp
 from .cyclotomic import CycInt
 from .finite_algebra import mat_det, mat_inverse, mat_mul
-from .multigraph import GuardError, Multigraph, Quiver, _find, _merge
-from .ring_tables import index_tables, invertible_matrices
+from .multigraph import GuardError, Multigraph, Quiver
+from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, scaling_orbits,
+                          vanishing_points)
 
 GUARD_GROUP = 1 << 30
 GUARD_POINTS = 1 << 24
@@ -91,70 +100,8 @@ def gl_classes(alg, size, guard=GUARD_POINTS):
     order of gl_elements, class size) pairs, in that order (memoized)."""
     entry = _gl_table(alg, size, guard)
     if entry[1] is None:
-        entry[1] = _conjugacy_classes(alg, size, entry[0])
+        entry[1] = conjugacy_classes(alg, size, entry[0])
     return entry[1]
-
-
-def _conjugacy_classes(alg, n, elements):
-    """Union-find over `elements`, all of GL_n(alg), joining each g with
-    s g s^-1 for every generator s: E_ij(b) = 1 + b e_ij for each F_p-basis
-    vector b, and diag(u, 1, ..., 1) for u in a generating set of the
-    units.  Each part lies in one conjugacy class whatever the s, so a sum
-    over parts weighted by their sizes is exact; over a local ring the s
-    generate GL_n (E_n(R) = SL_n(R)), so the parts are the classes.
-    Matrices are conjugated as flat tuples of element indices through
-    |R| x |R| index tables."""
-    if n < 2:       # GL_0 and GL_1 are abelian
-        return [(m, 1) for m in elements]
-    t = index_tables(alg)
-    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
-
-    def powers(u):
-        out, x = [one], u
-        while x != one:
-            out.append(x)
-            x = mul[x][u]
-        return out
-
-    # Largest order first, so a cyclic R^x needs one generator; R^x is
-    # abelian, so the subgroup <H, u> is H<u>.
-    unit_gens, reached = [], {one}
-    units = (u for u, unit in enumerate(t.is_unit) if unit)
-    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
-        if u not in reached:
-            unit_gens.append(ring[u])
-            reached = {mul[x][y] for x in reached for y in powers(u)}
-
-    def times(x):
-        return mul[index[x]]
-
-    # Each conjugation g -> s g s^-1 as steps m[a] += c * m[b], in order:
-    # for 1 + b e_ij, row i += b * row j, then column j -= b * column i;
-    # for diag(u, 1, ..., 1), row 0 *= u, then column 0 *= u^-1, each
-    # entry scaled as m[a] += (u - 1) * m[a].
-    conjugations = []
-    for b in (alg.basis_vector(k) for k in range(alg.dim)):
-        for i, j in permutations(range(n), 2):
-            conjugations.append([(i * n + k, j * n + k, times(b)) for k in range(n)]
-                                + [(k * n + j, k * n + i, times(alg.neg(b))) for k in range(n)])
-    for u in unit_gens:
-        u_minus_1, u_inv_minus_1 = alg.sub(u, alg.one), alg.sub(alg.inverse(u), alg.one)
-        conjugations.append([(k, k, times(u_minus_1)) for k in range(n)]
-                            + [(k * n, k * n, times(u_inv_minus_1)) for k in range(n)])
-
-    def conjugates(g):
-        for steps in conjugations:
-            m = list(g)
-            for target, source, by in steps:
-                m[target] = add[m[target]][by[m[source]]]
-            yield tuple(m)
-
-    flat = [tuple(index[x] for row in m for x in row) for m in elements]
-    position = {g: k for k, g in enumerate(flat)}
-    parent = list(range(len(flat)))
-    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
-    sizes = Counter(_find(parent, k) for k in range(len(flat)))
-    return [(elements[root], count) for root, count in sorted(sizes.items())]
 
 
 def group_order(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
@@ -266,57 +213,109 @@ def _det_residue_dlog(alg, m, generator=None):
     return alg.dlog(mat_det(field, res), generator)
 
 
+def _arrow_table(alg, rows, cols):
+    """p^nullity of X -> gt X - X gs for the class representatives gt of
+    GL_rows and gs of GL_cols, as one flat list over the class index pairs
+    (ct, cs) in product order; for a loop, cols None, the diagonal gt = gs
+    only.  Memoized on the algebra as _arrow_data, apart from the scans in
+    _gl_data, so every arrow of these ranks reads one table in any quiver
+    and orientation.  Each entry is its own solve: none is copied from the
+    transposed pair, since that symmetry is the orientation theorem the
+    checks test."""
+    cache = getattr(alg, "_arrow_data", None)
+    if cache is None:
+        cache = alg._arrow_data = {}
+    if (rows, cols) not in cache:
+        p, targets = alg.p, [g for g, _ in gl_classes(alg, rows)]
+        if cols is None:
+            table = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
+        else:
+            sources = [g for g, _ in gl_classes(alg, cols)]
+            table = [p ** fix_nullity(alg, gt, gs, rows, cols) for gt in targets for gs in sources]
+        cache[rows, cols] = table
+    return cache[rows, cols]
+
+
+def _times(x, y, m):
+    """x * y in Z[z]/(z^m - 1), x a list of m coefficients, y one too or
+    an integer."""
+    if isinstance(y, int):
+        return [a * y for a in x]
+    out = [0] * m
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[(i + j) % m] += a * b
+    return out
+
+
+def _contract(factors, counts, m):
+    """The sum over every tuple of class indices of the product of the
+    factors, in Z[z]/(z^m - 1).  A factor is (scope, table): a tuple of
+    vertices and a flat list of values of _times over their class indices
+    in product order.  Vertices are eliminated cheapest first, so a tree
+    goes leaves first: each step multiplies the factors on one vertex,
+    sums out its classes and leaves one factor on their other vertices."""
+    def cost(v):
+        """Classes of v and of its neighbours in the factors left."""
+        return prod(counts[u] for u in {v}.union(*(s for s, _ in factors if v in s))), v
+
+    unit = [1] + [0] * (m - 1)
+    total, left = unit, set(range(len(counts)))
+    while left:
+        v = min(left, key=cost)
+        left.remove(v)
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = tuple(sorted({u for s, _ in touching for u in s} - {v}))
+        # each factor's values over the classes of v, for a tuple of the
+        # others, are one slice of its table
+        reads = []
+        for s, t in touching:
+            stride = {u: prod(counts[w] for w in s[k + 1:]) for k, u in enumerate(s)}
+            reads.append((t, [stride.get(u, 0) for u in scope], stride[v]))
+        table = []
+        for key in product(*[range(counts[u]) for u in scope]):
+            starts = [sum(c * st for c, st in zip(key, strides)) for _, strides, _ in reads]
+            entry = [0] * m
+            for values in zip(*[t[start:start + step * counts[v]:step]
+                                for (t, _, step), start in zip(reads, starts)]):
+                value = unit
+                for x in values:
+                    value = _times(value, x, m)
+                entry = [a + b for a, b in zip(entry, value)]
+            table.append(entry)
+        if scope:
+            factors.append((scope, table))
+        else:
+            total = _times(total, table[0], m)
+    return total
+
+
 def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_GROUP,
               guard_points=GUARD_POINTS, fix_values=None):
-    """Accumulate fixed-point counts over tuples of conjugacy classes,
-    weighted by class size and bucketed by the determinant character
-    exponent.  Returns (buckets, |G|).  fix_values lets the preprojective
-    engine substitute its own count for a tuple of class representatives.
-    """
+    """The fixed-point counts summed over tuples of conjugacy classes,
+    weighted by class size and graded by the determinant character
+    exponent mod m = char_order (or 1): a contraction of one factor per
+    vertex (class size times z^exponent) and one per arrow (its table of
+    fixed-point counts).  fix_values lets the preprojective engine give
+    its count for a tuple of class representatives instead, as one factor
+    on all vertices.  Returns (buckets, |G|)."""
     alpha = _validate_alpha(quiver, alpha)
     reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard, guard_points)
-    arrows = quiver.arrows()
-    nbuckets = char_order or 1
-    weights = [None] * quiver.n
-    if char_order:
-        for i, lst in enumerate(reps):
-            weights[i] = [_det_residue_dlog(alg, m, generator) % char_order for m in lst]
-
-    tables, pairs, loops = {}, [], []
-    if fix_values is None:
-        p = alg.p
-        for e, s, t in arrows:
-            key = (t, s)
-            if key not in tables:
-                rows, cols = alpha[t - 1], alpha[s - 1]
-                if s == t:      # a loop only ever reads the diagonal gt = gs
-                    tables[key] = [p ** fix_nullity(alg, g, g, rows, cols) for g in reps[t - 1]]
-                else:
-                    tables[key] = [[p ** fix_nullity(alg, gt, gs, rows, cols)
-                                    for gs in reps[s - 1]] for gt in reps[t - 1]]
-            if s == t:
-                loops.append((tables[key], t - 1))
-            else:
-                pairs.append((tables[key], t - 1, s - 1))
-
-    buckets = [0] * nbuckets
-    for combo in product(*[range(len(lst)) for lst in reps]):
-        if fix_values is None:
-            fix = 1
-            for table, ti, si in pairs:
-                fix *= table[combo[ti]][combo[si]]
-            for table, vi in loops:
-                fix *= table[combo[vi]]
-        else:
-            fix = fix_values(tuple(reps[i][combo[i]] for i in range(quiver.n)))
-        for i in range(quiver.n):
-            fix *= sizes[i][combo[i]]
-        if char_order:
-            e_val = sum(weights[i][combo[i]] for i in range(quiver.n)) % char_order
-        else:
-            e_val = 0
-        buckets[e_val] += fix
-    return buckets, order
+    m, factors = char_order or 1, []
+    for v, (lst, weights) in enumerate(zip(reps, sizes)):
+        exponents = [_det_residue_dlog(alg, g, generator) % m if char_order else 0 for g in lst]
+        factors.append(((v,), [[size * (e == i) for i in range(m)]
+                               for e, size in zip(exponents, weights)]))
+    if fix_values is not None:
+        factors.append((tuple(range(quiver.n)), [fix_values(g) for g in product(*reps)]))
+    else:
+        for _, s, t in quiver.arrows():
+            loop = s == t
+            factors.append(((t - 1,) if loop else (t - 1, s - 1),
+                            _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1])))
+    return _contract(factors, [len(lst) for lst in reps], m), order
 
 
 def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
@@ -409,18 +408,36 @@ def moment_map(quiver, alg, alpha, x):
 def _zero_fiber(quiver, alg, alpha):
     """Closure over the double quiver: given one matrix list per doubled
     arrow, in the order of its arrows(), yield the points of their product
-    on which the moment map vanishes."""
+    on which the moment map vanishes.  Each entry of mu is a signed sum of
+    products of two arrow entries, M_a M_a* at the target of a and
+    -M_a* M_a at its source, evaluated through the index tables."""
     dq, star = double_quiver(quiver)
-    arrows = quiver.arrows()
-    aids = [e for e, _, _ in dq.arrows()]
+    slot = {e: k for k, (e, _, _) in enumerate(dq.arrows())}
+    sums = {}       # (vertex, i, j) -> [(slot, flat index, slot, flat index, negated)]
+    for e, s, t in quiver.arrows():
+        for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
+            n, k = alpha[v - 1], alpha[w - 1]
+            for i, j, h in product(range(n), range(n), range(k)):
+                sums.setdefault((v, i, j), []).append(
+                    (slot[left], i * k + h, slot[right], h * n + j, negated))
 
     def points(per_arrow):
-        for combo in product(*per_arrow):
-            blocks = _moment_blocks(alg, alpha, arrows, star, dict(zip(aids, combo)))
-            if not any(any(entry) for block in blocks for row in block for entry in row):
-                yield combo
+        per_arrow = [list(matrices) for matrices in per_arrow]
+        for combo in vanishing_points(alg, per_arrow, list(sums.values())):
+            yield tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
 
     return points
+
+
+def _whole_zero_fiber(quiver, alg, alpha, guard_points):
+    """The zero fiber's points in the whole doubled representation space,
+    listed lazily once the guard admits the size of that space."""
+    darrows = double_quiver(quiver)[0].arrows()
+    total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
+    if total_points > guard_points:
+        raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
+    return _zero_fiber(quiver, alg, alpha)(
+        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows])
 
 
 def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
@@ -493,12 +510,9 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD_GROUP,
     group.  Only viable for tiny spaces; must agree with m_preproj."""
     alpha = _validate_alpha(quiver, alpha)
     darrows = double_quiver(quiver)[0].arrows()
-    total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
-    if total_points > guard_points:
-        raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
+    points = _whole_zero_fiber(quiver, alg, alpha, guard_points)
     group_order(quiver, alg, alpha, guard)
-    fiber = list(_zero_fiber(quiver, alg, alpha)(
-        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]))
+    fiber = list(points)
 
     group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g])
              for g in enumerate_group(quiver, alg, alpha, guard)]
@@ -526,12 +540,7 @@ def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
     p = alg.p
 
     # direct side: enumerate the doubled representation space
-    darrows = double_quiver(quiver)[0].arrows()
-    total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
-    if total_points > guard_points:
-        raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
-    direct = sum(1 for _ in _zero_fiber(quiver, alg, alpha)(
-        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows]))
+    direct = sum(1 for _ in _whole_zero_fiber(quiver, alg, alpha, guard_points))
 
     # additive average side
     lie_sizes = [alg.size() ** (a * a) for a in alpha]
@@ -562,39 +571,22 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_PO
     """Orbit count of rank-one representations by direct partition of the
     whole representation space under the unit-tuple action; counts only
     orbits with connected (spanning) support when the flag is set.
-    Points are tuples of element indices, scaled through one |R| x |R|
-    product table.
+    Points are tuples of element indices (ring_tables.scaling_orbits).
 
     Independent of the group-average engine by construction.
     """
     arrows = quiver.arrows()
-    m = len(arrows)
-    if alg.size() ** m > guard_points:
-        raise GuardError("|R|^%d points exceed guard" % m)
-    t = index_tables(alg)
-    ring, mul, zero = t.ring, t.mul, t.zero
-    units = [u for u, unit in enumerate(t.is_unit) if unit]
-    inverse = {u: mul[u].index(t.one) for u in units}
-    # the unit tuple g scales the arrow s -> t by g_t g_s^-1: one row of
-    # `mul` per arrow; unit tuples with equal scalings give equal images
-    scalings = {tuple(mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
+    if alg.size() ** len(arrows) > guard_points:
+        raise GuardError("|R|^%d points exceed guard" % len(arrows))
+    tab = index_tables(alg)
+    units = [u for u, unit in enumerate(tab.is_unit) if unit]
+    inverse = {u: tab.mul[u].index(tab.one) for u in units}
+    # the unit tuple g scales the arrow s -> t by g_t g_s^-1
+    scalings = {tuple(tab.mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
                 for g in product(units, repeat=quiver.n)}
-    rows = [tuple(mul[c] for c in scaling) for scaling in scalings]
-    graph = quiver.graph
-
-    visited = set()
-    orbits = 0
-    for point in product(range(len(ring)), repeat=m):
-        if point in visited:
-            continue
-        visited.update(tuple(row[x] for row, x in zip(by, point)) for by in rows)
-        if connected_only:
-            support = frozenset(e for x, (e, _, _) in zip(point, arrows) if x != zero)
-            if graph.spanning_connected(support):
-                orbits += 1
-        else:
-            orbits += 1
-    return orbits
+    return sum(1 for point in scaling_orbits(alg, len(arrows), scalings)
+               if not connected_only or quiver.graph.spanning_connected(
+                   frozenset(e for x, (e, _, _) in zip(point, arrows) if x != tab.zero)))
 
 
 def stabilizer_order(x, quiver, alg, alpha, guard=GUARD_GROUP):

@@ -3,11 +3,15 @@ its arithmetic element by element.
 
 Elements are numbered 0..|R|-1 in the order of elements(); sums, products
 and negatives are looked up in |R| x |R| tables built once per algebra.
-The GL scan, the conjugacy-class partition and the toric oracle run on
-these indices.
+The GL scan, the conjugacy-class partition, the zero-fiber filter of the
+moment map and the scaling orbits of the toric oracle run on these
+indices.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
+
+from .multigraph import _find, _merge
 
 
 class IndexTables:
@@ -71,3 +75,100 @@ def invertible_matrices(alg, n):
         prefix = tuple(row_elements[h] for h in head)
         out.extend(prefix + (row_elements[r],) for r, d in enumerate(dets) if t.is_unit[d])
     return out
+
+
+def conjugacy_classes(alg, n, elements):
+    """Union-find over `elements`, all of GL_n(alg), joining each g with
+    s g s^-1 for every generator s: E_ij(1) = 1 + e_ij, and diag(u, 1, ...,
+    1) for u in a generating set of the units.  Each part lies in one
+    conjugacy class whatever the s, so a sum over parts weighted by their
+    sizes is exact.  Over a local ring the s generate GL_n, so the parts
+    are the classes: they give every E_ij(u) with u a unit, each r is a
+    unit or 1 + r is, so E_ij(r) = E_ij(1 + r) E_ij(-1), and E_n(R) =
+    SL_n(R).  Matrices are conjugated as flat tuples of element indices
+    through |R| x |R| index tables."""
+    if n < 2:       # GL_0 and GL_1 are abelian
+        return [(m, 1) for m in elements]
+    t = index_tables(alg)
+    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
+
+    def powers(u):
+        out, x = [one], u
+        while x != one:
+            out.append(x)
+            x = mul[x][u]
+        return out
+
+    # Largest order first, so a cyclic R^x needs one generator; R^x is
+    # abelian, so the subgroup <H, u> is H<u>.
+    unit_gens, reached = [], {one}
+    units = (u for u, unit in enumerate(t.is_unit) if unit)
+    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
+        if u not in reached:
+            unit_gens.append(ring[u])
+            reached = {mul[x][y] for x in reached for y in powers(u)}
+
+    def times(x):
+        return mul[index[x]]
+
+    # Each conjugation g -> s g s^-1 as steps m[a] += c * m[b], in order:
+    # for 1 + e_ij, row i += row j, then column j -= column i; for
+    # diag(u, 1, ..., 1), row 0 *= u, then column 0 *= u^-1, each entry
+    # scaled as m[a] += (u - 1) * m[a].
+    plus, minus = mul[one], mul[t.neg[one]]
+    conjugations = [[(i * n + k, j * n + k, plus) for k in range(n)]
+                    + [(k * n + j, k * n + i, minus) for k in range(n)]
+                    for i, j in permutations(range(n), 2)]
+    for u in unit_gens:
+        u_minus_1, u_inv_minus_1 = alg.sub(u, alg.one), alg.sub(alg.inverse(u), alg.one)
+        conjugations.append([(k, k, times(u_minus_1)) for k in range(n)]
+                            + [(k * n, k * n, times(u_inv_minus_1)) for k in range(n)])
+
+    def conjugates(g):
+        for steps in conjugations:
+            m = list(g)
+            for target, source, by in steps:
+                m[target] = add[m[target]][by[m[source]]]
+            yield tuple(m)
+
+    flat = [tuple(index[x] for row in m for x in row) for m in elements]
+    position = {g: k for k, g in enumerate(flat)}
+    parent = list(range(len(flat)))
+    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
+    sizes = Counter(_find(parent, k) for k in range(len(flat)))
+    return [(elements[root], count) for root, count in sorted(sizes.items())]
+
+
+def vanishing_points(alg, matrices, sums):
+    """The index tuples into `matrices`, one list of matrices per slot, at
+    which every sum vanishes; a sum is a list of signed products of two
+    matrix entries, (slot, flat entry index, slot, flat entry index,
+    negated).  A point is dropped at its first nonzero sum."""
+    t = index_tables(alg)
+    add, mul, neg, zero = t.add, t.mul, t.neg, t.zero
+    flat = [[tuple(t.index[x] for row in m for x in row) for m in lst] for lst in matrices]
+    for combo in product(*[range(len(f)) for f in flat]):
+        point = [f[c] for f, c in zip(flat, combo)]
+        for terms in sums:
+            acc = zero
+            for a, i, b, j, negated in terms:
+                x = mul[point[a][i]][point[b][j]]
+                acc = add[acc][neg[x] if negated else x]
+            if acc != zero:
+                break
+        else:
+            yield combo
+
+
+def scaling_orbits(alg, m, scalings):
+    """The first point, in product order, of each orbit of the index
+    tuples of length m under the given coordinatewise scalings (tuples of
+    m element indices, one per group element): one row of the product
+    table per coordinate, and equal scalings given once."""
+    t = index_tables(alg)
+    rows = [tuple(t.mul[c] for c in scaling) for scaling in scalings]
+    visited = set()
+    for point in product(range(len(t.ring)), repeat=m):
+        if point not in visited:
+            visited.update(tuple(row[x] for row, x in zip(by, point)) for by in rows)
+            yield point

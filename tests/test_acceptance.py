@@ -1,13 +1,8 @@
 """Acceptance suite: one test per criterion, each asserting the exact
 values (zero tolerance) and printing a pass line.
 
-Run `pytest tests/test_acceptance.py -v` for the per-criterion verdicts;
-the flag-gated slow check runs only with QUIVERCOUNT_SLOW=1.
+Run `pytest tests/test_acceptance.py -v` for the per-criterion verdicts.
 """
-
-import os
-
-import pytest
 
 from quivercount import verify
 from quivercount.finite_algebra import make_prime_field, make_truncated
@@ -99,8 +94,6 @@ def test_criterion_13_small_count_tables():
     print("PASS criterion 13: small count tables over k_d")
 
 
-@pytest.mark.skipif(not os.environ.get("QUIVERCOUNT_SLOW"),
-                    reason="set QUIVERCOUNT_SLOW=1 to run the minutes-long check")
 def test_criterion_13_slow_rank_two_table():
     _require(verify.check_count_tables_slow())
     print("PASS criterion 13 (slow): rank (1,2,1) count over k_2(F_5)")

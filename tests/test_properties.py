@@ -3,7 +3,8 @@ edges: the subset transforms against the depth-function sum, the
 filtration sum R(T) against the transforms coefficient by coefficient, and
 A(T) from the transform against the sum over connected spanning subgraphs; and
 on random small quivers, the conjugacy-class sums of m_count and a_count
-against the loop over every group element, and the rank sums of m_preproj
+against the loop over every group element, their contraction along the
+quiver against the loop over class tuples, and the rank sums of m_preproj
 and a_preproj against the zero-fiber filter.  Derandomized, so a run is
 reproducible; a failure shrinks to a small graph.
 """
@@ -11,20 +12,23 @@ reproducible; a failure shrinks to a small graph.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from quivercount.finite_algebra import make_prime_field, make_truncated  # noqa: E402
+from quivercount.finite_algebra import make_field, make_prime_field, make_truncated  # noqa: E402
 from quivercount.genfun import a_genfun, r_genfun, series_coefficient  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
-from quivercount.repenum import (a_count, a_preproj, group_order, m_count,  # noqa: E402
-                                 m_preproj)
+from quivercount.repenum import (_burnside, a_count, a_preproj, group_order,  # noqa: E402
+                                 gl_classes, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from test_genfun import a_genfun_by_subgraphs, same_form  # noqa: E402
-from test_repenum import burnside_by_elements, preproj_by_filter  # noqa: E402
+from test_repenum import (burnside_by_elements, class_tuple_buckets,  # noqa: E402
+                          preproj_by_filter)
 from test_toric import depth_function_sum  # noqa: E402
 
 F2, F3 = make_prime_field(2), make_prime_field(3)
 RINGS = (F2, F3, make_truncated(F2, 2))
+GRADED_RINGS = (F3, make_field(4), make_prime_field(5), make_truncated(F2, 2),
+                make_truncated(F3, 2))
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -93,3 +97,35 @@ def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data)
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_preproj(quiver, ring, alpha) == \
             preproj_by_filter(quiver, ring, alpha, character=True)
+
+
+@st.composite
+def quivers_with_ranks(draw):
+    """A quiver with at most 4 vertices and 6 arrows, half of them built
+    on the oriented cycle through every vertex (loops and parallel arrows
+    allowed), and a rank vector with entries 0..2."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(1, n)
+    arrows = [(v, v % n + 1) for v in range(1, n + 1)] if draw(st.booleans()) else []
+    arrows += draw(st.lists(st.tuples(vertex, vertex), max_size=6 - len(arrows)))
+    return Quiver.from_edges(n, arrows), draw(st.tuples(*[st.integers(0, 2)] * n))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(quivers_with_ranks(), st.sampled_from(GRADED_RINGS))
+# cycles with every rank nonzero, which the random draws seldom give
+@example((Quiver.from_edges(3, [(1, 2), (2, 3), (3, 1)]), (1, 2, 1)), GRADED_RINGS[2])
+@example((Quiver.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 2)]), (1, 1, 1, 1)),
+         GRADED_RINGS[4])
+def test_contraction_equals_the_class_tuple_loop(quiver_alpha, ring):
+    quiver, alpha = quiver_alpha
+    assume(any(alpha))
+    tuples = 1
+    for a in alpha:
+        tuples *= len(gl_classes(ring, a))
+    assume(tuples <= 3000)
+    # graded by the determinant exponent mod |alpha| (a character when
+    # |alpha| divides q - 1, a class function either way) and ungraded
+    for char_order in (sum(alpha), None):
+        assert _burnside(quiver, ring, alpha, char_order=char_order) == \
+            class_tuple_buckets(quiver, ring, alpha, char_order=char_order)

@@ -11,10 +11,11 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_truncated, mat_det, mat_identity,
                                         mat_inverse, mat_mul, truncated_generator)
 from quivercount.modp import nullspace_basis
-from quivercount.multigraph import GuardError
-from quivercount.repenum import (_burnside, _fix_space_points, _fix_system, _group_average,
-                                 _zero_fiber, a_count, a_preproj, counterexample_counts,
-                                 double_quiver, enumerate_group, fix_count,
+from quivercount.multigraph import GuardError, Quiver
+from quivercount.repenum import (_burnside, _det_residue_dlog, _fix_space_points, _fix_system,
+                                 _group_average, _vertex_lists, _zero_fiber, a_count,
+                                 a_preproj, counterexample_counts,
+                                 double_quiver, enumerate_group, fix_count, fix_nullity,
                                  fourier_fiber_count, gl_classes, gl_elements,
                                  gl_order, group_order, m_count, m_preproj,
                                  moment_map, preproj_orbit_partition,
@@ -68,11 +69,45 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
     return value
 
 
+def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
+                        guard=1 << 30, guard_points=1 << 24, fix_values=None):
+    """The Burnside sum as one loop over the product of the per-vertex
+    class lists: per tuple of class representatives, the product of the
+    arrows' fixed-point counts (or fix_values) times the class sizes, in
+    the bucket of its determinant character exponent.  The oracle for the
+    contraction of _burnside; returns (buckets, |G|) like it."""
+    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard, guard_points)
+    m = char_order or 1
+    buckets = [0] * m
+    solved = {}
+
+    def fixed(gt, gs, rows, cols):
+        if (gt, gs, rows, cols) not in solved:
+            solved[gt, gs, rows, cols] = alg.p ** fix_nullity(alg, gt, gs, rows, cols)
+        return solved[gt, gs, rows, cols]
+
+    for combo in product(*[range(len(lst)) for lst in reps]):
+        g = tuple(lst[c] for lst, c in zip(reps, combo))
+        if fix_values is None:
+            fix = prod(fixed(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+                       for _, s, t in quiver.arrows())
+        else:
+            fix = fix_values(g)
+        exponent = sum(_det_residue_dlog(alg, h, generator) for h in g) if char_order else 0
+        buckets[exponent % m] += fix * prod(lst[c] for lst, c in zip(sizes, combo))
+    return buckets, order
+
+
+def burnside_by_class_tuples(quiver, alg, alpha, character=False):
+    """m_count (a_count with character=True) by the class-tuple loop."""
+    return _group_average(class_tuple_buckets, quiver, alg, alpha, character=character)
+
+
 def preproj_by_filter(quiver, alg, alpha, character=False):
     """m_preproj (a_preproj with character=True) by filtering: per tuple
-    of class representatives g, list every point of V^g x V*^g and keep
-    those on which the moment map vanishes.  The oracle for the rank sums
-    of the engine."""
+    of class representatives g, in the class-tuple loop, list every point
+    of V^g x V*^g and keep those on which the moment map vanishes.  The
+    oracle for the rank sums of the engine and for their contraction."""
     alpha = tuple(alpha)
     darrows = double_quiver(quiver)[0].arrows()
     zero_fiber = _zero_fiber(quiver, alg, alpha)
@@ -87,7 +122,7 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
         return sum(1 for _ in zero_fiber(per_arrow))
 
     def engine(quiver, alg, alpha, **kwargs):
-        return _burnside(quiver, alg, alpha, fix_values=fix_values, **kwargs)
+        return class_tuple_buckets(quiver, alg, alpha, fix_values=fix_values, **kwargs)
 
     return _group_average(engine, quiver, alg, alpha, character=character)
 
@@ -165,6 +200,71 @@ def test_loop_arrow_solves_once_per_class(monkeypatch):
     assert m_count(jordan_quiver(), make_prime_field(5), (2,)) == 30
     # one solve per conjugacy class of GL_2(F_5), q^2 - 1 of them
     assert len(calls) == 24
+
+
+def _count_solves(monkeypatch):
+    from quivercount import repenum
+    calls = []
+    original = repenum.fix_nullity
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(repenum, "fix_nullity", counting)
+    return calls
+
+
+def test_one_arrow_table_per_algebra_and_ranks(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    ring = make_truncated(make_prime_field(7), 2)
+    a3 = path_quiver(3)
+    # 42 classes in GL_1(k_2(F_7)): one 42 x 42 table serves both arrows of
+    # all four orientations (the class-tuple loop solved 4 * 2 * 42^2)
+    assert {a_count(q, ring, (1, 1, 1)) for q in a3.all_orientations()} == {4}
+    assert len(calls) == 42 * 42 == 1764
+    # every ordered pair is its own solve, the transposed one included
+    assert len({(gt, gs) for _, gt, gs, _, _ in calls}) == 1764
+    assert m_count(a3.flip([1]), ring, (1, 1, 1)) == m_count(a3, ring, (1, 1, 1))
+    assert len(calls) == 1764
+    # another algebra object, even an equal one, keeps its own tables
+    assert a_count(a3, make_truncated(make_prime_field(7), 2), (1, 1, 1)) == 4
+    assert len(calls) == 2 * 1764
+
+
+def test_guards_trip_before_any_arrow_table(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    cases = [
+        (m_count, path_quiver(2), make_truncated(F2, 2), (2, 2), {"guard": 10}),
+        (m_count, path_quiver(2), make_prime_field(2), (2, 1), {"guard_points": 15}),
+        (a_count, path_quiver(2), make_prime_field(3), (1, 1), {"guard_points": 2}),
+        (m_count, jordan_quiver(), make_prime_field(7), (3,), {}),     # 7^9 matrices
+    ]
+    for count, quiver, ring, alpha, guards in cases:
+        with pytest.raises(GuardError) as engine:
+            count(quiver, ring, alpha, **guards)
+        with pytest.raises(GuardError) as loop:
+            class_tuple_buckets(quiver, ring, alpha, **guards)
+        assert str(engine.value) == str(loop.value)
+        assert calls == [] and not hasattr(ring, "_arrow_data")
+
+
+def test_contraction_buckets_equal_the_class_tuple_loop():
+    f5, k2f3 = make_prime_field(5), make_truncated(F3, 2)
+    jordan_and_arrow = Quiver.from_edges(2, [(1, 1), (1, 2)])
+    cases = [
+        (path_quiver(4), k2f3, (1, 1, 1, 1)),          # a tree, eliminated leaves first
+        (cycle_quiver(3), f5, (1, 2, 1)),               # a cycle
+        (banana_quiver(3), f5, (1, 2)),                 # parallel arrows
+        (jordan_and_arrow, f5, (2, 1)),                 # a loop beside an arrow
+        (jordan_quiver(2), F3, (2,)),                   # two loops on one vertex
+        (path_quiver(3), k2f3, (1, 0, 2)),              # a zero rank cuts the path
+        (Quiver.from_edges(3, [(1, 2)]), f5, (1, 2, 2)),  # an isolated vertex
+    ]
+    for quiver, ring, alpha in cases:
+        for char_order in (None, 2, 3, 4):
+            assert _burnside(quiver, ring, alpha, char_order=char_order) == \
+                class_tuple_buckets(quiver, ring, alpha, char_order=char_order)
 
 
 def test_gl2_of_a_field_has_q_squared_minus_one_classes():
