@@ -66,23 +66,32 @@ def r_of_cvector(c):
     if not c or c[0] != 0 or any(x < 0 for x in c):
         raise ValueError("c-vector must start with 0 and be non-negative")
     l = len(c) - 1
-    num = QTPoly.monomial(sum(c[2:]), l)
-    den = Counter(c)
-    return RatQT(num, den)
+    # a monomial is a unit, so it shares no factor with the denominator
+    return RatQT(QTPoly.monomial(sum(c[2:]), l), Counter(c), reduce=False)
 
 
-def r_genfun(gamma, guard=GUARD_SUBSETS):
+def r_genfun(gamma, guard=GUARD_TERMS):
     """R(gamma, q, T) as an exact rational function: the sum of
-    R(c(F), q, T) over all strict filtrations F of the edge set."""
+    R(c(F), q, T) over all strict filtrations F of the edge set.  guard
+    bounds their number, the ordered Bell number Fubini(|E|), up front."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
+    m = gamma.edge_count()
+    chains = _fubini(m)
+    if chains > guard:
+        raise GuardError("Fubini(%d) = %d strict filtrations exceed guard" % (m, chains))
     weights = Counter()
-    for chain in strict_filtrations(gamma.edge_ids(), guard=guard):
+    for chain in strict_filtrations(gamma.edge_ids(), guard=m):
         weights[cvector_of_filtration(gamma, chain)] += 1
-    total = RatQT.zero()
-    for c in sorted(weights):
-        total = total + weights[c] * r_of_cvector(c)
-    return total
+    return RatQT.sum(weights[c] * r_of_cvector(c) for c in sorted(weights))
+
+
+def _fubini(m):
+    """Ordered Bell number: the ordered set partitions of an m-set."""
+    row = [1]
+    for n in range(1, m + 1):
+        row.append(sum(comb(n, k) * row[n - k] for k in range(1, n + 1)))
+    return row[m]
 
 
 def _series_numerator(coeffs, den):
@@ -209,20 +218,19 @@ def check_recursion(gamma, guard=GUARD_SUBSETS):
     R(gamma/A, q, q^b1(gamma[A]) T), exactly as rational functions."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
-    lhs = r_genfun(gamma, guard=guard)
     ids = sorted(gamma.edge_ids())
     if len(ids) > guard:
         raise GuardError("2^%d recursion terms exceed guard" % len(ids))
-    rhs = RatQT(epsilon_value(gamma))
+    lhs = r_genfun(gamma)
+    terms = [epsilon_value(gamma)]
     for mask in range(1 << len(ids)):
         a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
         scale = gamma.spanning_subgraph(a).b1()
-        term = r_genfun(gamma.contract(a), guard=guard).subs_t_scale(scale)
-        rhs = rhs + term.t_shift(1)
-    return lhs == rhs
+        terms.append(r_genfun(gamma.contract(a)).subs_t_scale(scale).t_shift(1))
+    return lhs == RatQT.sum(terms)
 
 
-def check_duality(g, which, guard=GUARD_SUBSETS):
+def check_duality(g, which, guard=GUARD_TERMS):
     """Inversion identity under (q, T) -> (1/q, 1/T):
 
       which='A':  A(1/q, 1/T) = eps1(g) + (-1)^#V * A(q, T)
@@ -231,7 +239,7 @@ def check_duality(g, which, guard=GUARD_SUBSETS):
     if not g.is_connected():
         raise ValueError("g must be connected")
     if which == "A":
-        f = a_genfun(g)     # guard counts edges; a_genfun's counts transform steps
+        f = a_genfun(g)     # guard counts R's filtrations; a_genfun's counts transform steps
         sign = (-1) ** (g.n % 2)
         rhs = RatQT(epsilon1_value(g)) + sign * f
         return f.invert_vars() == rhs

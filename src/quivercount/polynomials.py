@@ -305,28 +305,25 @@ class QTPoly:
 def divide_exact_by_t_factor(p, c):
     """Exact division of p by (1 - q^c * T); raises ValueError if inexact.
 
-    Works on Laurent input by clearing the minimal T-exponent first.
+    One synthetic-division pass over the T-slices, lowest first: quotient
+    slice h_j = p_j + q^c h_(j-1); the slice left over above the top must
+    vanish.  Laurent input needs no shift.
     """
-    if not p:
-        return QTPoly(vars=p.vars)
-    vt = p.val_t()
-    work = p.shift(0, -vt) if vt else p
-    slices = work.t_coefficients()
-    top = max(slices)
-    qc = QPoly.monomial(c)
-    out = {}
-    prev = QPoly()
-    for j in range(0, top):
-        hj = slices.get(j, QPoly()) + qc * prev
-        if hj:
-            out[j] = hj
-        prev = hj
-    if slices.get(top, QPoly()) + qc * prev != QPoly():
-        raise ValueError("division by (1 - q^%d*T) is not exact" % c)
+    slices = {}
+    for (i, j), v in p.coeffs.items():
+        slices.setdefault(j, {})[i] = v
     quot = {}
-    for j, poly in out.items():
-        for i, cc in poly.coeffs.items():
-            quot[(i, j + (vt or 0))] = cc
+    if slices:
+        prev = {}
+        for j in range(min(slices), max(slices) + 1):
+            h = slices.get(j, {})
+            for i, v in prev.items():
+                h[i + c] = h.get(i + c, 0) + v
+            prev = {i: v for i, v in h.items() if v}
+            for i, v in prev.items():
+                quot[(i, j)] = v
+        if prev:
+            raise ValueError("division by (1 - q^%d*T) is not exact" % c)
     return QTPoly(quot, p.vars)
 
 

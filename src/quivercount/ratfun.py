@@ -6,8 +6,13 @@ filtration sums, their T -> q^k T rescalings and (q, T) -> (1/q, 1/T)
 inversions all stay inside it, so no multivariate gcd is ever needed.
 Common factors are cancelled by exact division; equality is decided by
 cross-multiplication, which is insensitive to any remaining common factor.
+
+A sum is reduced once, over the least common denominator (RatQT.sum):
+each (1 - q^c T) is prime in Z[q^+-1, T^+-1], so the fully reduced
+num/den is unique and equals what reducing after every addition gives.
 """
 
+from collections import Counter
 from math import comb
 
 from .polynomials import QPoly, QTPoly, divide_exact_by_t_factor
@@ -44,14 +49,6 @@ class RatQT:
                 del self.den[c]
 
     @classmethod
-    def zero(cls):
-        return cls(QTPoly())
-
-    @classmethod
-    def one(cls):
-        return cls(QTPoly.const(1))
-
-    @classmethod
     def geometric(cls, c):
         """1 / (1 - q^c * T)."""
         return cls(QTPoly.const(1), {c: 1})
@@ -80,22 +77,30 @@ class RatQT:
     def __hash__(self):
         raise TypeError("RatQT is not hashable")
 
+    @classmethod
+    def sum(cls, terms):
+        """Sum of RatQTs, ints, QPolys and QTPolys: each numerator is
+        multiplied up to the least common denominator by one
+        shift-and-subtract pass per missing factor, and the total is
+        reduced once."""
+        terms = [t if isinstance(t, RatQT) else cls(t) for t in terms]
+        den = Counter()
+        for t in terms:
+            den |= Counter(t.den)
+        total = Counter()
+        for t in terms:
+            coeffs = t.num.coeffs
+            for c in (den - Counter(t.den)).elements():
+                coeffs, prev = dict(coeffs), coeffs
+                for (i, j), v in prev.items():
+                    coeffs[i + c, j + 1] = coeffs.get((i + c, j + 1), 0) - v
+            total.update(coeffs)
+        return cls(QTPoly(total), den)
+
     def __add__(self, other):
-        if isinstance(other, (int, QPoly, QTPoly)):
-            other = RatQT(other)
-        den = {c: max(self.den.get(c, 0), other.den.get(c, 0))
-               for c in set(self.den) | set(other.den)}
-        a = self.num
-        for c, m in den.items():
-            extra = m - self.den.get(c, 0)
-            if extra:
-                a = a * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** extra
-        b = other.num
-        for c, m in den.items():
-            extra = m - other.den.get(c, 0)
-            if extra:
-                b = b * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** extra
-        return RatQT(a + b, den)
+        if not isinstance(other, (int, QPoly, QTPoly, RatQT)):
+            return NotImplemented
+        return RatQT.sum((self, other))
 
     __radd__ = __add__
 
@@ -112,7 +117,8 @@ class RatQT:
 
     def __mul__(self, other):
         if isinstance(other, (int, QPoly, QTPoly)):
-            return RatQT(self.num * other, dict(self.den))
+            # a nonzero q-only factor is prime to every (1 - q^c T)
+            return RatQT(self.num * other, dict(self.den), reduce=isinstance(other, QTPoly))
         den = {c: self.den.get(c, 0) + other.den.get(c, 0)
                for c in set(self.den) | set(other.den)}
         return RatQT(self.num * other.num, den)
@@ -166,6 +172,8 @@ class RatQT:
 
     def series(self, order):
         """List of T-coefficients up to T^order inclusive."""
+        if order < 0:
+            raise ValueError("order >= 0 required")
         return [self.series_coefficient(d) for d in range(order + 1)]
 
     def numerator_t_degree(self):

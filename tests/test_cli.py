@@ -64,6 +64,35 @@ def test_genfun_and_series_verbs(capsys):
     assert coeffs == [{}, {"0": "1"}, {"1": "1", "0": "3"}]
 
 
+# genfun --which R --format json as the pairwise-reducing sum printed it; reducing
+# once over the common denominator must give the same bytes
+R_JSON = {
+    "builtin:C3": '{"den": {"0,0": "1", "0,1": "-3", "0,2": "3", "0,3": "-1", "1,1": "-1", '
+                  '"1,2": "3", "1,3": "-3", "1,4": "1"}, "num": {"0,1": "1", "0,2": "4", '
+                  '"0,3": "1"}}',
+    "builtin:C5": '{"den": {"0,0": "1", "0,1": "-5", "0,2": "10", "0,3": "-10", "0,4": "5", '
+                  '"0,5": "-1", "1,1": "-1", "1,2": "5", "1,3": "-10", "1,4": "10", '
+                  '"1,5": "-5", "1,6": "1"}, "num": {"0,1": "1", "0,2": "26", "0,3": "66", '
+                  '"0,4": "26", "0,5": "1"}}',
+    "builtin:Sm:3": '{"den": {"0,0": "1", "0,1": "-1", "1,1": "-1", "1,2": "1", "2,1": "-1", '
+                    '"2,2": "1", "3,1": "-1", "3,2": "2", "3,3": "-1", "4,2": "1", '
+                    '"4,3": "-1", "5,2": "1", "5,3": "-1", "6,3": "-1", "6,4": "1"}, '
+                    '"num": {"0,1": "1", "1,2": "2", "2,2": "2", "3,3": "1"}}',
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(R_JSON))
+def test_genfun_r_json_is_byte_identical(capsys, quiver):
+    assert main(["genfun", "--quiver", quiver, "--which", "R", "--format", "json"]) == 0
+    assert capsys.readouterr().out == R_JSON[quiver] + "\n"
+
+
+def test_series_rejects_a_negative_order(capsys):
+    assert main(["series", "--quiver", "builtin:C3", "--which", "R", "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "order" in captured.err
+
+
 def test_count_verbs(capsys):
     args = ["brute-m", "--quiver", "builtin:A2", "--ring", "kd(fq(2),2)", "--rank", "1,1"]
     assert main(args) == 0
@@ -144,3 +173,12 @@ def test_genfun_a_guard_trips_before_any_table(capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "guard exceeded" in err and str(30 * 16 << 16) in err
+
+
+def test_genfun_r_guard_trips_before_any_filtration(capsys):
+    # R(C12) sums Fubini(12) strict filtrations, above the default guard
+    start = time.perf_counter()
+    assert main(["genfun", "--quiver", "builtin:C12", "--which", "R"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "guard exceeded" in err and "28091567595" in err

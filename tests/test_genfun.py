@@ -20,7 +20,7 @@ def a_genfun_by_subgraphs(graph):
     """Oracle for a_genfun: the sum over connected spanning subgraphs of
     (q-1)^b1 times their filtration sum R, one RatQT addition each."""
     qm1 = QPoly({1: 1, 0: -1})
-    total = RatQT.zero()
+    total = RatQT(0)
     for subset in graph.connected_spanning_subgraphs():
         sub = graph.spanning_subgraph(subset)
         total = total + r_genfun(sub) * qm1 ** sub.b1()
@@ -203,6 +203,21 @@ def test_convolution_guard():
         r_genfun(big, guard=3)
 
 
+def test_r_genfun_guard_predicts_the_strict_filtrations():
+    # C3 has Fubini(3) = 13 strict filtrations
+    with pytest.raises(GuardError, match="13"):
+        r_genfun(cycle_graph(3), guard=12)
+    assert same_form(r_genfun(cycle_graph(3), guard=13), r_genfun(cycle_graph(3)))
+    # C12: Fubini(12) chains, above the default 2^24, refused before the first
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="28091567595"):
+        r_genfun(cycle_graph(12))
+    assert time.perf_counter() - start < 1
+    # check_recursion's guard still counts the edges behind its 2^m terms
+    with pytest.raises(GuardError, match="2\\^3"):
+        check_recursion(cycle_graph(3), guard=2)
+
+
 def test_a_genfun_equals_the_subgraph_sum_oracle():
     graphs = all_connected_multigraphs(5)
     assert len(graphs) == 143
@@ -248,7 +263,8 @@ def test_a_genfun_guard_predicts_the_transform_steps():
     with pytest.raises(GuardError, match="192"):
         q_eulerian(4, guard=191)
     assert q_eulerian(4, guard=192) == q_eulerian(4)
-    # check_duality's guard counts the edges of R's filtration sum; A has its own
+    # check_duality's guard counts R's strict filtrations, Fubini(3) = 13
+    # for C3; A has its own guard
     assert check_duality(cycle_graph(3), "A", guard=2)
     with pytest.raises(GuardError):
         check_duality(cycle_graph(3), "R", guard=2)

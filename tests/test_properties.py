@@ -5,9 +5,13 @@ A(T) from the transform against the sum over connected spanning subgraphs; and
 on random small quivers, the conjugacy-class sums of m_count and a_count
 against the loop over every group element, their contraction along the
 quiver against the loop over class tuples, and the rank sums of m_preproj
-and a_preproj against the zero-fiber filter.  Derandomized, so a run is
-reproducible; a failure shrinks to a small graph.
+and a_preproj against the zero-fiber filter; and on random Laurent
+polynomials, RatQT.sum against the pairwise addition and the one-pass
+division by (1 - q^c T) against the slice-by-slice division.
+Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
+
+from functools import reduce
 
 import pytest
 
@@ -17,10 +21,14 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from quivercount.finite_algebra import make_field, make_prime_field, make_truncated  # noqa: E402
 from quivercount.genfun import a_genfun, r_genfun, series_coefficient  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
+from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
+from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, a_count, a_preproj, group_order,  # noqa: E402
                                  gl_classes, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from test_genfun import a_genfun_by_subgraphs, same_form  # noqa: E402
+from test_polynomials import divide_by_t_factor_slices  # noqa: E402
+from test_ratfun import add_pairwise  # noqa: E402
 from test_repenum import (burnside_by_elements, class_tuple_buckets,  # noqa: E402
                           preproj_by_filter)
 from test_toric import depth_function_sum  # noqa: E402
@@ -129,3 +137,58 @@ def test_contraction_equals_the_class_tuple_loop(quiver_alpha, ring):
     for char_order in (sum(alpha), None):
         assert _burnside(quiver, ring, alpha, char_order=char_order) == \
             class_tuple_buckets(quiver, ring, alpha, char_order=char_order)
+
+
+# Laurent polynomials in (q, T) with small exponents, negative T ones included
+laurent_qt = st.dictionaries(st.tuples(st.integers(-2, 4), st.integers(-2, 3)),
+                             st.integers(-3, 3), max_size=5).map(QTPoly)
+t_factor_exponents = st.integers(0, 3)
+denominators = st.dictionaries(t_factor_exponents, st.integers(0, 2), max_size=3)
+
+
+@st.composite
+def sum_terms(draw):
+    """An int, a QPoly, a QTPoly, a reduced RatQT, or a RatQT built with
+    reduce=False, whose numerator may carry a factor of its denominator."""
+    kind = draw(st.sampled_from(("int", "qpoly", "qtpoly", "reduced", "unreduced")))
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    if kind == "qpoly":
+        return QPoly(draw(st.dictionaries(st.integers(-2, 3), st.integers(-3, 3), max_size=3)))
+    num, den = draw(laurent_qt), draw(denominators)
+    if kind == "qtpoly":
+        return num
+    if kind == "reduced":
+        return RatQT(num, den)
+    for c in draw(st.lists(t_factor_exponents, max_size=2)):
+        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
+    return RatQT(num, den, reduce=False)
+
+
+@PROPERTY
+@given(st.lists(sum_terms(), max_size=6))
+def test_sum_equals_the_pairwise_fold(terms):
+    total = RatQT.sum(terms)
+    expected = reduce(add_pairwise, terms, RatQT(0))
+    assert total.num.coeffs == expected.num.coeffs
+    assert total.den == expected.den
+
+
+@PROPERTY
+@given(laurent_qt, t_factor_exponents)
+def test_division_of_a_multiple_equals_the_slice_division(p, c):
+    multiple = p * (QTPoly.const(1) - QTPoly.monomial(c, 1))
+    quotient = divide_exact_by_t_factor(multiple, c)
+    assert quotient == divide_by_t_factor_slices(multiple, c) == p
+
+
+@PROPERTY
+@given(laurent_qt, t_factor_exponents)
+def test_division_fails_where_the_slice_division_fails(p, c):
+    try:
+        expected = divide_by_t_factor_slices(p, c)
+    except ValueError:
+        with pytest.raises(ValueError):
+            divide_exact_by_t_factor(p, c)
+    else:
+        assert divide_exact_by_t_factor(p, c) == expected

@@ -10,6 +10,22 @@ def _t(i, j, c=1):
     return QTPoly.monomial(i, j, c)
 
 
+def add_pairwise(a, b):
+    """Oracle for RatQT.sum: the pairwise addition it replaced, which
+    expands each missing factor as a QTPoly power and reduces the result."""
+    a, b = (x if isinstance(x, RatQT) else RatQT(x) for x in (a, b))
+    den = {c: max(a.den.get(c, 0), b.den.get(c, 0)) for c in set(a.den) | set(b.den)}
+    nums = []
+    for f in (a, b):
+        num = f.num
+        for c, m in den.items():
+            extra = m - f.den.get(c, 0)
+            if extra:
+                num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** extra
+        nums.append(num)
+    return RatQT(nums[0] + nums[1], den)
+
+
 def test_geometric_series():
     f = RatQT.geometric(0)
     assert f.series(4) == [QPoly.const(1)] * 5
@@ -89,3 +105,42 @@ def test_str_factored_display():
     f = RatQT(_t(0, 1), {0: 2, 1: 1})
     assert str(f) == "(T) / (1-T)^2*(1-q*T)"
     assert str(RatQT(QTPoly.const(3))) == "3"
+
+
+def test_sum_of_nothing_is_zero():
+    total = RatQT.sum([])
+    assert not total and total.den == {} and total == 0
+    assert RatQT.sum(iter(())).num == QTPoly()
+
+
+def test_sum_reduces_once_to_the_pairwise_form():
+    # 1/(1-T) - q/(1-qT) + (q-1)/((1-T)(1-qT)) = 0, so the sum is 3
+    terms = [RatQT.geometric(0), -QPoly.q() * RatQT.geometric(1),
+             RatQT(QTPoly({(1, 0): 1, (0, 0): -1}), {0: 1, 1: 1}), 3]
+    total = RatQT.sum(terms)
+    expected = 0
+    for t in terms:
+        expected = add_pairwise(expected, t)
+    assert total.den == expected.den == {}
+    assert total.num.coeffs == expected.num.coeffs == {(0, 0): 3}
+
+
+def test_sum_mixes_term_types():
+    total = RatQT.sum([2, QPoly.q(), _t(0, 1), RatQT.geometric(0)])
+    assert total == RatQT(QTPoly({(0, 0): 3, (1, 0): 1, (0, 1): -1, (1, 1): -1,
+                                  (0, 2): -1}), {0: 1})
+
+
+def test_scalar_product_keeps_the_reduced_form():
+    f = RatQT.geometric(0) + RatQT.geometric(1)
+    for k in (3, QPoly({1: 1, 0: 1}), QPoly.monomial(-2, -1)):
+        g = f * k
+        assert g.den == f.den
+        assert g.num == f.num * k
+    assert not (f * 0) and (f * 0).den == {}
+
+
+def test_series_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order"):
+        RatQT.geometric(0).series(-1)
+    assert RatQT.geometric(0).series(0) == [QPoly.const(1)]
