@@ -28,7 +28,7 @@ from .multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT
 from .repenum import (a_count, a_preproj, counterexample_counts, double_quiver,
-                      enumerate_group, fix_count, fourier_fiber_count,
+                      enumerate_group, fourier_fiber_count,
                       gl_elements, gl_order, group_order, m_count, m_preproj,
                       moment_map, preproj_orbit_partition, stabilizer_order,
                       toric_ai_orbit_count, toric_point)

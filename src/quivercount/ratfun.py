@@ -4,8 +4,9 @@ of factors (1 - q^c * T).
 Every generating function this library produces lives in this class: the
 filtration sums, their T -> q^k T rescalings and (q, T) -> (1/q, 1/T)
 inversions all stay inside it, so no multivariate gcd is ever needed.
-Common factors are cancelled by exact division; equality is decided by
-cross-multiplication, which is insensitive to any remaining common factor.
+Common factors are cancelled by exact division; equality compares the
+numerators over the least common denominator, which is insensitive to any
+remaining common factor.
 
 A sum is reduced once, over the least common denominator (RatQT.sum):
 each (1 - q^c T) is prime in Z[q^+-1, T^+-1], so the fully reduced
@@ -72,7 +73,8 @@ class RatQT:
             other = RatQT(other)
         if not isinstance(other, RatQT):
             return NotImplemented
-        return self.num * other.den_poly() == other.num * self.den_poly()
+        den = Counter(self.den) | Counter(other.den)
+        return QTPoly(_times_factors(self, den)) == QTPoly(_times_factors(other, den))
 
     def __hash__(self):
         raise TypeError("RatQT is not hashable")
@@ -89,12 +91,7 @@ class RatQT:
             den |= Counter(t.den)
         total = Counter()
         for t in terms:
-            coeffs = t.num.coeffs
-            for c in (den - Counter(t.den)).elements():
-                coeffs, prev = dict(coeffs), coeffs
-                for (i, j), v in prev.items():
-                    coeffs[i + c, j + 1] = coeffs.get((i + c, j + 1), 0) - v
-            total.update(coeffs)
+            total.update(_times_factors(t, den))
         return cls(QTPoly(total), den)
 
     def __add__(self, other):
@@ -196,6 +193,18 @@ class RatQT:
         return "(%s) / %s" % (num, "*".join(parts))
 
     __repr__ = __str__
+
+
+def _times_factors(f, den):
+    """The coefficients of f's numerator over the common denominator den
+    (a Counter that includes f.den): one shift-and-subtract pass per
+    missing factor (1 - q^c T).  Zero coefficients may be kept."""
+    coeffs = f.num.coeffs
+    for c in (den - Counter(f.den)).elements():
+        coeffs, prev = dict(coeffs), coeffs
+        for (i, j), v in prev.items():
+            coeffs[i + c, j + 1] = coeffs.get((i + c, j + 1), 0) - v
+    return coeffs
 
 
 def _truncated_product(a, b, order):

@@ -4,16 +4,21 @@ commutative algebras.
 Isomorphism classes are counted by averaging fixed points over the base
 change group (a product of GL's over the algebra); fixed-point counts
 come from nullspace dimensions over F_p, never from scanning the
-representation space.  Absolutely indecomposable classes are counted the
-same way with a determinant character weight valued in roots of unity,
-accumulated exactly in Z[zeta].
+representation space.  The F_p system of X -> gt X - X gs is the
+Kronecker sum gt (x) 1 - 1 (x) gs^T with each entry replaced by its
+multiplication block (ring_tables.mul_block, memoized per element), so
+building it multiplies nothing.  Absolutely indecomposable classes are
+counted the same way with a determinant character weight valued in roots
+of unity, accumulated exactly in Z[zeta].
 
 Preprojective counts use that the moment map mu(x, y) is bilinear in the
 arrows x and their stars y: the fixed points of g in its zero fiber number
 sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with one F_p
-rank per point of the smaller half and the other half never listed.  An
-independent orbit-partition engine provides the oracle for the rank-one
-(toric) counts.
+rank per point of the smaller half and the other half never listed.  The
+columns mu(x, b) over a basis b of the other half are F_p-combinations of
+the mu(B_i, b) over a basis B_i of the listed half: one moment map per
+basis pair, not per point.  An independent orbit-partition engine
+provides the oracle for the rank-one (toric) counts.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
@@ -43,8 +48,8 @@ from . import modp
 from .cyclotomic import CycInt
 from .finite_algebra import mat_det, mat_inverse, mat_mul
 from .multigraph import GuardError, Multigraph, Quiver
-from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, scaling_orbits,
-                          vanishing_points)
+from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, mul_block,
+                          scaling_orbits, vanishing_points)
 
 GUARD_GROUP = 1 << 30
 GUARD_POINTS = 1 << 24
@@ -125,29 +130,24 @@ def enumerate_group(quiver, alg, alpha, guard=GUARD_GROUP):
 def _fix_system(alg, gt, gs, rows, cols):
     """Equation matrix over F_p of X -> gt X - X gs on rows x cols matrices
     over alg: row r is one coordinate of the image, columns index the
-    unknown coordinates of X."""
+    unknown coordinates of X.  It is the Kronecker sum gt (x) 1 - 1 (x) gs^T
+    with each entry replaced by its multiplication block."""
     dim, p = alg.dim, alg.p
-    n_unknowns = rows * cols * dim
-    columns = []
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(dim):
-                bk = alg.basis_vector(k)
-                col = [0] * n_unknowns
-                for a in range(rows):
-                    val = alg.mul(gt[a][i], bk)
-                    base = (a * cols + j) * dim
-                    for t, vt in enumerate(val):
-                        if vt:
-                            col[base + t] = (col[base + t] + vt) % p
-                for c in range(cols):
-                    val = alg.mul(bk, gs[j][c])
-                    base = (i * cols + c) * dim
-                    for t, vt in enumerate(val):
-                        if vt:
-                            col[base + t] = (col[base + t] - vt) % p
-                columns.append(col)
-    return [[columns[c][r] for c in range(n_unknowns)] for r in range(n_unknowns)]
+    n = rows * cols * dim
+    left = [[mul_block(alg, x) for x in row] for row in gt]
+    right = [[mul_block(alg, x) for x in row] for row in gs]
+    matrix = [[0] * n for _ in range(n)]
+    for i, j, k in product(range(rows), range(cols), range(dim)):
+        col = (i * cols + j) * dim + k
+        for a in range(rows):
+            base = (a * cols + j) * dim
+            for t, v in left[a][i][k]:
+                matrix[base + t][col] = (matrix[base + t][col] + v) % p
+        for c in range(cols):
+            base = (i * cols + c) * dim
+            for t, v in right[j][c][k]:
+                matrix[base + t][col] = (matrix[base + t][col] - v) % p
+    return matrix
 
 
 def fix_nullity(alg, gt, gs, rows, cols):
@@ -157,41 +157,10 @@ def fix_nullity(alg, gt, gs, rows, cols):
     return rows * cols * alg.dim - modp.rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
 
 
-def fix_count(g, quiver, alg, alpha):
-    """Cardinality of the fixed space of g acting on the representation
-    space; the per-arrow systems are independent, so this is a product of
-    p-powers of nullities."""
-    alpha = _validate_alpha(quiver, alpha)
-    total = 1
-    for e, s, t in quiver.arrows():
-        total *= alg.p ** fix_nullity(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
-    return total
-
-
 def _vector_to_matrix(alg, vec, rows, cols):
     dim = alg.dim
     return tuple(tuple(tuple(vec[(i * cols + j) * dim + k] % alg.p for k in range(dim))
                        for j in range(cols)) for i in range(rows))
-
-
-def _fix_space_points(alg, basis, rows, cols, guard=GUARD_POINTS):
-    """All rows x cols matrices in the span of basis, the nullspace vectors
-    of the system gt X = X gs."""
-    if rows == 0 or cols == 0:
-        return [()]
-    p = alg.p
-    if p ** len(basis) > guard:
-        raise GuardError("fixed subspace with p^%d points exceeds guard" % len(basis))
-    n = rows * cols * alg.dim
-    points = []
-    for coeffs in product(range(p), repeat=len(basis)):
-        vec = [0] * n
-        for cf, bvec in zip(coeffs, basis):
-            if cf:
-                for idx, bv in enumerate(bvec):
-                    vec[idx] += cf * bv
-        points.append(_vector_to_matrix(alg, vec, rows, cols))
-    return points
 
 
 # -- the weighted group average ------------------------------------------
@@ -451,13 +420,14 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
     arrows = quiver.arrows()
     star = double_quiver(quiver)[1]
     p = alg.p
+    width = sum(a * a for a in alpha) * alg.dim
     basis_cache = {}
 
     def basis(gt, gs, rows, cols):
         key = (rows, cols, gt, gs)
         if key not in basis_cache:
-            vecs = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
-            basis_cache[key] = vecs, [_vector_to_matrix(alg, v, rows, cols) for v in vecs]
+            basis_cache[key] = [_vector_to_matrix(alg, v, rows, cols) for v in
+                                modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)]
         return basis_cache[key]
 
     def column(arrow, x, y):
@@ -470,16 +440,22 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
         halves = [[(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows],
                   [(g[s - 1], g[t - 1], alpha[s - 1], alpha[t - 1]) for _, s, t in arrows]]
         bases = [[basis(*key) for key in half] for half in halves]
-        dims = [sum(len(v) for v, _ in half) for half in bases]
+        dims = [sum(map(len, half)) for half in bases]
         starred = dims[1] < dims[0]     # enumerate V*^g, the smaller half
         if p ** dims[starred] > guard_points:
             raise GuardError("preprojective fixed-space enumeration of p^%d = %d points "
                              "exceeds guard" % (dims[starred], p ** dims[starred]))
         per_arrow = []
-        for arrow, key, (_, other) in zip(arrows, halves[starred], bases[not starred]):
-            points = _fix_space_points(alg, basis(*key)[0], *key[2:], guard_points)
-            per_arrow.append([[column(arrow, b, pt) if starred else column(arrow, pt, b)
-                               for b in other] for pt in points])
+        for arrow, enumerated, other in zip(arrows, bases[starred], bases[not starred]):
+            # mu is bilinear, so the point sum_i c_i B_i of the enumerated
+            # half has the columns sum_i c_i mu(B_i, b): one moment map per
+            # pair (B_i, b), the points in product order of the c_i
+            points = [[[0] * width for _ in other]]
+            for e in enumerated:
+                gen = [column(arrow, b, e) if starred else column(arrow, e, b) for b in other]
+                points = [[[(u + c * w) % p for u, w in zip(col, by)] for col, by in zip(pt, gen)]
+                          for pt in points for c in range(p)]
+            per_arrow.append(points)
         return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))
                    for combo in product(*per_arrow))
 
@@ -630,13 +606,19 @@ def counterexample_counts(n, q, guard_points=GUARD_POINTS):
 
     visited = bytearray(doubled.size())
     units = doubled.units()
-    a_value = 0
+    p, a_value = doubled.p, 0
     for x in doubled.elements():
         if visited[doubled.element_index(x)]:
             continue
         a_value += 1
+        # u x = sum_k u_k (x b_k), read off the block of x
+        block = mul_block(doubled, x)
         for u in units:
-            visited[doubled.element_index(doubled.mul(u, x))] = 1
+            image = [0] * doubled.dim
+            for uk, column in zip(u, block):
+                for t, v in column:
+                    image[t] += uk * v
+            visited[doubled.element_index([c % p for c in image])] = 1
 
     s = sum(q ** i for i in range(n))
     closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s

@@ -6,6 +6,11 @@ and negatives are looked up in |R| x |R| tables built once per algebra.
 The GL scan, the conjugacy-class partition, the zero-fiber filter of the
 moment map and the scaling orbits of the toric oracle run on these
 indices.
+
+Multiplication by a fixed element is F_p-linear; its block, the dim
+columns x * b_k read off the structure constants, is kept per distinct
+element, so the F_p systems of the arrow solves and the scaling orbits of
+the counterexample multiply nothing.
 """
 
 from collections import Counter
@@ -49,6 +54,27 @@ def index_tables(alg):
     if tables is None:
         tables = alg._index_data = IndexTables(alg)
     return tables
+
+
+def mul_block(alg, x):
+    """Multiplication by x as its dim columns x * b_k over F_p, each a
+    tuple of the (coordinate, value) pairs with value nonzero.  Filled
+    lazily per distinct element and kept on the algebra as _block_data."""
+    blocks = getattr(alg, "_block_data", None)
+    if blocks is None:
+        blocks = alg._block_data = {}
+    block = blocks.get(x)
+    if block is None:
+        p, table, columns = alg.p, alg.table, []
+        for k in range(alg.dim):
+            column = [0] * alg.dim
+            for i, xi in enumerate(x):
+                if xi:
+                    for t, c in enumerate(table[i][k]):
+                        column[t] += xi * c
+            columns.append(tuple((t, v % p) for t, v in enumerate(column) if v % p))
+        block = blocks[x] = tuple(columns)
+    return block
 
 
 def invertible_matrices(alg, n):

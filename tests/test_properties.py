@@ -6,8 +6,11 @@ on random small quivers, the conjugacy-class sums of m_count and a_count
 against the loop over every group element, their contraction along the
 quiver against the loop over class tuples, and the rank sums of m_preproj
 and a_preproj against the zero-fiber filter; and on random Laurent
-polynomials, RatQT.sum against the pairwise addition and the one-pass
-division by (1 - q^c T) against the slice-by-slice division.
+polynomials, RatQT.sum against the pairwise addition, RatQT equality
+against cross-multiplication and the one-pass division by (1 - q^c T)
+against the slice-by-slice division; and on random elements of GL_1 and
+GL_2 over seven rings, the block-built arrow systems against the systems
+built one product at a time.
 Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
 
@@ -18,25 +21,29 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from quivercount.finite_algebra import make_field, make_prime_field, make_truncated  # noqa: E402
+from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
+                                        make_prime_field, make_square_zero, make_truncated)
 from quivercount.genfun import a_genfun, r_genfun, series_coefficient  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
-from quivercount.repenum import (_burnside, a_count, a_preproj, group_order,  # noqa: E402
-                                 gl_classes, m_count, m_preproj)
+from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
+                                 gl_classes, gl_elements, group_order, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from test_genfun import a_genfun_by_subgraphs, same_form  # noqa: E402
 from test_polynomials import divide_by_t_factor_slices  # noqa: E402
-from test_ratfun import add_pairwise  # noqa: E402
+from test_ratfun import add_pairwise, equal_by_cross_multiplication  # noqa: E402
 from test_repenum import (burnside_by_elements, class_tuple_buckets,  # noqa: E402
-                          preproj_by_filter)
+                          fix_system_by_products, preproj_by_filter)
 from test_toric import depth_function_sum  # noqa: E402
 
 F2, F3 = make_prime_field(2), make_prime_field(3)
 RINGS = (F2, F3, make_truncated(F2, 2))
 GRADED_RINGS = (F3, make_field(4), make_prime_field(5), make_truncated(F2, 2),
                 make_truncated(F3, 2))
+# fields, chain rings, the dual numbers F_3[eps] and the non-Frobenius sqz(F_2, 2)
+SYSTEM_RINGS = (F2, make_field(4), make_prime_field(5), make_truncated(F3, 2),
+                make_truncated(F2, 3), make_dual_numbers(F3), make_square_zero(F2, 2))
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -139,6 +146,21 @@ def test_contraction_equals_the_class_tuple_loop(quiver_alpha, ring):
             class_tuple_buckets(quiver, ring, alpha, char_order=char_order)
 
 
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.sampled_from(SYSTEM_RINGS), st.integers(1, 2), st.integers(1, 2), st.booleans(),
+       st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+@example(SYSTEM_RINGS[6], 2, 1, False, 5, 1)
+@example(SYSTEM_RINGS[4], 2, 2, True, 100, 0)
+def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loop, t, s):
+    # a loop arrow solves gt X = X gt on square matrices
+    if loop:
+        cols = rows
+    targets, sources = gl_elements(ring, rows), gl_elements(ring, cols)
+    gt = targets[t % len(targets)]
+    gs = gt if loop else sources[s % len(sources)]
+    assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(ring, gt, gs, rows, cols)
+
+
 # Laurent polynomials in (q, T) with small exponents, negative T ones included
 laurent_qt = st.dictionaries(st.tuples(st.integers(-2, 4), st.integers(-2, 3)),
                              st.integers(-3, 3), max_size=5).map(QTPoly)
@@ -172,6 +194,34 @@ def test_sum_equals_the_pairwise_fold(terms):
     expected = reduce(add_pairwise, terms, RatQT(0))
     assert total.num.coeffs == expected.num.coeffs
     assert total.den == expected.den
+
+
+@st.composite
+def ratqts(draw):
+    """A reduced RatQT, or one built with reduce=False whose numerator may
+    carry a factor of its denominator."""
+    num, den = draw(laurent_qt), draw(denominators)
+    if draw(st.booleans()):
+        return RatQT(num, den)
+    for c in draw(st.lists(t_factor_exponents, max_size=2)):
+        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
+    return RatQT(num, den, reduce=False)
+
+
+@PROPERTY
+@given(ratqts(), ratqts(), st.lists(t_factor_exponents, max_size=3),
+       st.one_of(st.just(QTPoly()), laurent_qt))
+def test_equality_equals_cross_multiplication(f, g, extra, perturbation):
+    # f with extra factors on both sides, unreduced: equal to f exactly
+    # when the perturbation of its numerator is zero
+    num, den = f.num, dict(f.den)
+    for c in extra:
+        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
+        den[c] = den.get(c, 0) + 1
+    h = RatQT(num + perturbation, den, reduce=False)
+    assert (f == h) == (h == f) == (not perturbation)
+    for a, b in ((f, h), (f, g), (g, h)):
+        assert (a == b) == (b == a) == equal_by_cross_multiplication(a, b)
 
 
 @PROPERTY

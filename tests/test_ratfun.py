@@ -26,6 +26,12 @@ def add_pairwise(a, b):
     return RatQT(nums[0] + nums[1], den)
 
 
+def equal_by_cross_multiplication(a, b):
+    """Oracle for RatQT.__eq__: the cross-multiplication it replaced, with
+    both denominators expanded by den_poly."""
+    return a.num * b.den_poly() == b.num * a.den_poly()
+
+
 def test_geometric_series():
     f = RatQT.geometric(0)
     assert f.series(4) == [QPoly.const(1)] * 5

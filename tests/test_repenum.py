@@ -12,10 +12,10 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         mat_inverse, mat_mul, truncated_generator)
 from quivercount.modp import nullspace_basis
 from quivercount.multigraph import GuardError, Quiver
-from quivercount.repenum import (_burnside, _det_residue_dlog, _fix_space_points, _fix_system,
-                                 _group_average, _vertex_lists, _zero_fiber, a_count,
-                                 a_preproj, counterexample_counts,
-                                 double_quiver, enumerate_group, fix_count, fix_nullity,
+from quivercount.repenum import (_burnside, _det_residue_dlog, _fix_system, _group_average,
+                                 _validate_alpha, _vector_to_matrix, _vertex_lists,
+                                 _zero_fiber, a_count, a_preproj, counterexample_counts,
+                                 double_quiver, enumerate_group, fix_nullity,
                                  fourier_fiber_count, gl_classes, gl_elements,
                                  gl_order, group_order, m_count, m_preproj,
                                  moment_map, preproj_orbit_partition,
@@ -33,6 +33,62 @@ def _matrices(alg, rows, cols):
         return
     for entries in product(list(alg.elements()), repeat=rows * cols):
         yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def fix_system_by_products(alg, gt, gs, rows, cols):
+    """The equation matrix of X -> gt X - X gs built one coefficient at a
+    time through FiniteAlgebra.mul: the oracle for _fix_system, which
+    reads the same entries off memoized multiplication blocks."""
+    dim, p = alg.dim, alg.p
+    n_unknowns = rows * cols * dim
+    columns = []
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(dim):
+                bk = alg.basis_vector(k)
+                col = [0] * n_unknowns
+                for a in range(rows):
+                    val = alg.mul(gt[a][i], bk)
+                    base = (a * cols + j) * dim
+                    for t, vt in enumerate(val):
+                        if vt:
+                            col[base + t] = (col[base + t] + vt) % p
+                for c in range(cols):
+                    val = alg.mul(bk, gs[j][c])
+                    base = (i * cols + c) * dim
+                    for t, vt in enumerate(val):
+                        if vt:
+                            col[base + t] = (col[base + t] - vt) % p
+                columns.append(col)
+    return [[columns[c][r] for c in range(n_unknowns)] for r in range(n_unknowns)]
+
+
+def fix_count(g, quiver, alg, alpha):
+    """Cardinality of the fixed space of g acting on the representation
+    space; the per-arrow systems are independent, so this is a product of
+    p-powers of nullities."""
+    alpha = _validate_alpha(quiver, alpha)
+    total = 1
+    for e, s, t in quiver.arrows():
+        total *= alg.p ** fix_nullity(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+    return total
+
+
+def fix_space_points(alg, basis, rows, cols):
+    """All rows x cols matrices in the span of basis, the nullspace vectors
+    of the system gt X = X gs, in product order of the coefficients."""
+    if rows == 0 or cols == 0:
+        return [()]
+    n = rows * cols * alg.dim
+    points = []
+    for coeffs in product(range(alg.p), repeat=len(basis)):
+        vec = [0] * n
+        for cf, bvec in zip(coeffs, basis):
+            if cf:
+                for idx, bv in enumerate(bvec):
+                    vec[idx] += cf * bv
+        points.append(_vector_to_matrix(alg, vec, rows, cols))
+    return points
 
 
 def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
@@ -114,7 +170,7 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
 
     def points(gt, gs, rows, cols):
         basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
-        return _fix_space_points(alg, basis, rows, cols)
+        return fix_space_points(alg, basis, rows, cols)
 
     def fix_values(g):
         per_arrow = [points(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
@@ -474,6 +530,38 @@ def test_preproj_guard_counts_the_enumerated_half():
     assert m_preproj(kronecker, F3, (1, 1), guard_points=9) == m_preproj(kronecker, F3, (1, 1))
     # 3^4 points per half, 3^8 in the product; 3^4 also admits the GL_2 scan
     assert m_preproj(path_quiver(2), F3, (2, 2), guard_points=81) == 6
+
+
+def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
+    from quivercount import repenum
+    calls, engine = [], {}
+    original = repenum._moment_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    def capture(quiver, alg, alpha, fix_values=None, **kwargs):
+        engine["fix_values"] = fix_values
+        return [1], 1
+
+    monkeypatch.setattr(repenum, "_moment_blocks", counting)
+    monkeypatch.setattr(repenum, "_burnside", capture)
+    # at the identity tuple both halves of A2 at (2,2) over F_3 are all of
+    # M_2(F_3): k = |b| = 4, so 4 * 4 moment maps, not 3^4 * 4, and the
+    # count is that of the pairs X, Y with XY = 0 and YX = 0
+    a2, identity = path_quiver(2), mat_identity(F3, 2)
+    m_preproj(a2, F3, (2, 2))
+    matrices = list(_matrices(F3, 2, 2))
+    fiber = sum(1 for _ in _zero_fiber(a2, F3, (2, 2))([matrices, matrices]))
+    assert engine["fix_values"]((identity, identity)) == fiber
+    assert len(calls) == 16
+    # Kronecker at (1,1): k = |b| = 1 on each of its two arrows; the fiber
+    # is x . y = 0 on F_3^2, 9 points y at x = 0 and 3 at each x != 0
+    calls.clear()
+    m_preproj(banana_quiver(2), F3, (1, 1))
+    assert engine["fix_values"]((((F3.one,),),) * 2) == 9 + 8 * 3
+    assert len(calls) == 2
 
 
 def test_preproj_partition_fallback_agrees():

@@ -36,3 +36,13 @@ def test_runtime_imports_are_stdlib():
             found += ["%s:%d %s" % (name, node.lineno, module) for module in modules
                       if module.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_module_outgrows_the_largest():
+    # Without cached bytecode every interpreter compiles the package from
+    # source, and the benchmark's peak_rss_mb follows the size of the
+    # largest module (the FOUND line on peak_rss_mb in CHANGES.md).  So no
+    # module may grow past repenum.py's 652 lines; a growth fails here,
+    # naming the module, instead of at the benchmark gate.
+    lengths = {path.name: len(path.read_text().splitlines()) for path in SOURCE.glob("*.py")}
+    assert {name: n for name, n in lengths.items() if n > 652} == {}
