@@ -11,7 +11,7 @@ under (q, T) -> (1/q, 1/T).
 
 from quivercount import (a_genfun, banana_graph, check_duality, cycle_graph,
                          loops_graph, path_graph, point_graph, q_eulerian,
-                         r_d_polynomial, r_genfun, series_coefficient)
+                         r_d_polynomial, r_genfun)
 
 print("Small-graph table (R on the left, A on the right):")
 rows = [("point", point_graph()), ("loop", loops_graph(1)),
@@ -25,7 +25,7 @@ print("Series coefficients recover the counting polynomials:")
 tri = cycle_graph(3)
 a = a_genfun(tri)
 for d in range(4):
-    coeff = series_coefficient(a, d)
+    coeff = a.series_coefficient(d)
     print("  [T^%d] A(C3) = %s" % (d, coeff))
     from quivercount import a_d_polynomial
     assert coeff == a_d_polynomial(tri, d)

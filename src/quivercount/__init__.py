@@ -22,8 +22,7 @@ from .finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
 from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
                      convolve, cvector_of_filtration, epsilon1_char,
                      epsilon_char, psi_char, psi_inverse_char, q_eulerian,
-                     r_d_char, r_d_via_convolution, r_genfun, r_of_cvector,
-                     series_coefficient)
+                     r_d_char, r_d_via_convolution, r_genfun, r_of_cvector)
 from .multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT

@@ -14,7 +14,7 @@ import sys
 from .families import cycle_quiver, jordan_quiver, path_quiver
 from .finite_algebra import ring_from_spec
 from .genfun import a_genfun, q_eulerian, r_genfun
-from .multigraph import GuardError, Quiver
+from .multigraph import GUARD, GuardError, Quiver
 from .repenum import (a_count, a_preproj, counterexample_counts,
                       fourier_fiber_count, m_count, m_preproj)
 from .toric import a_d_polynomial, r_d_polynomial
@@ -112,15 +112,17 @@ def _emit(args, text_value, json_value):
         print(text_value)
 
 
-def _add_common(sub, quiver=True, ring=False, rank=False):
-    if quiver:
-        sub.add_argument("--quiver", required=True,
-                         help="quiver file or builtin:<name> (builtin:C3, builtin:A3, builtin:Sm:2)")
-    if ring:
+def _add_common(sub, brute=False):
+    sub.add_argument("--quiver", required=True,
+                     help="quiver file or builtin:<name> (builtin:C3, builtin:A3, builtin:Sm:2)")
+    if brute:
         sub.add_argument("--ring", required=True,
                          help="ring spec: fq(p[,k]) | kd(spec,d) | eps(spec) | sqz(fq(p[,k]),n)")
-    if rank:
         sub.add_argument("--rank", required=True, help="comma-separated rank vector, e.g. 1,1")
+        sub.add_argument("--guard", type=int, default=GUARD,
+                         help="the most enumerands any one enumeration may list: GL scan "
+                              "matrices, arrow solves, contraction terms, points "
+                              "(default 2^24)")
     sub.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -156,25 +158,19 @@ def build_parser():
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = subs.add_parser("brute-m", help="isomorphism classes by group average")
-    _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None,
-                   help="guard override for the group size and the enumerated points")
+    _add_common(p, brute=True)
 
     p = subs.add_parser("brute-a", help="absolutely indecomposable classes")
-    _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None)
+    _add_common(p, brute=True)
 
     p = subs.add_parser("brute-preproj-m", help="preprojective classes")
-    _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None)
+    _add_common(p, brute=True)
 
     p = subs.add_parser("brute-preproj-a", help="absolutely indecomposable preprojective classes")
-    _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None)
+    _add_common(p, brute=True)
 
     p = subs.add_parser("fourier", help="zero-fiber cardinality, two ways")
-    _add_common(p, ring=True, rank=True)
-    p.add_argument("--guard", type=int, default=None)
+    _add_common(p, brute=True)
 
     p = subs.add_parser("counterexample", help="self-duality failure counts over square-zero rings")
     p.add_argument("--n", type=int, required=True)
@@ -221,15 +217,9 @@ def run(args):
         quiver = load_quiver(args.quiver)
         ring = ring_from_spec(args.ring)
         alpha = _parse_rank(args.rank, quiver)
-        if args.verb == "fourier":
-            kwargs = {"guard_points": args.guard} if args.guard is not None else {}
-            value = fourier_fiber_count(quiver, ring, alpha, **kwargs)
-        else:
-            fn = {"brute-m": m_count, "brute-a": a_count,
-                  "brute-preproj-m": m_preproj, "brute-preproj-a": a_preproj}[args.verb]
-            kwargs = ({"guard": args.guard, "guard_points": args.guard}
-                      if args.guard is not None else {})
-            value = fn(quiver, ring, alpha, **kwargs)
+        fn = {"brute-m": m_count, "brute-a": a_count, "brute-preproj-m": m_preproj,
+              "brute-preproj-a": a_preproj, "fourier": fourier_fiber_count}[args.verb]
+        value = fn(quiver, ring, alpha, guard=args.guard)
         _emit(args, str(value), {"count": str(value)})
     elif args.verb == "counterexample":
         a, b = counterexample_counts(args.n, args.q)

@@ -12,9 +12,7 @@ for its multiplicative group.
 from itertools import product
 
 from . import modp
-from .multigraph import GuardError
-
-GUARD_FORMS = 1 << 20
+from .multigraph import GUARD, charge
 
 # Default irreducible polynomials (ascending coefficients, monic) for the
 # built-in extension fields.
@@ -258,14 +256,13 @@ class FiniteAlgebra:
         return table[x]
 
     # -- Frobenius forms -------------------------------------------------
-    def find_frobenius_form(self, guard=GUARD_FORMS):
+    def find_frobenius_form(self, guard=GUARD):
         """A linear form F_p^dim -> F_p whose Gram matrix (b_i b_j -> form)
         is invertible, or None when no such form exists.  Presence is
         equivalent to the algebra being self-dual as a module over itself.
         """
-        if self.p ** self.dim > guard:
-            raise GuardError("p^dim = %d^%d candidate forms exceed guard; "
-                             "supply a form explicitly" % (self.p, self.dim))
+        charge(self.p ** self.dim, guard, "p^dim = %d^%d = %d candidate forms"
+               % (self.p, self.dim, self.p ** self.dim))
         for lam in product(range(self.p), repeat=self.dim):
             gram = [[sum(a * b for a, b in zip(lam, self.table[i][j])) % self.p
                      for j in range(self.dim)] for i in range(self.dim)]

@@ -16,12 +16,10 @@ union and one-point join, with convolution
 from collections import Counter
 from math import comb
 
-from .multigraph import GuardError, strict_filtrations
+from .multigraph import GUARD, charge, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT
-from .toric import GUARD_TERMS, _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
-
-GUARD_SUBSETS = 20
+from .toric import _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
 
 
 def epsilon_value(g):
@@ -70,28 +68,16 @@ def r_of_cvector(c):
     return RatQT(QTPoly.monomial(sum(c[2:]), l), Counter(c), reduce=False)
 
 
-def r_genfun(gamma, guard=GUARD_TERMS):
+def r_genfun(gamma, guard=GUARD):
     """R(gamma, q, T) as an exact rational function: the sum of
-    R(c(F), q, T) over all strict filtrations F of the edge set.  guard
-    bounds their number, the ordered Bell number Fubini(|E|), up front."""
+    R(c(F), q, T) over all strict filtrations F of the edge set, whose
+    number Fubini(|E|) strict_filtrations charges up front."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
-    m = gamma.edge_count()
-    chains = _fubini(m)
-    if chains > guard:
-        raise GuardError("Fubini(%d) = %d strict filtrations exceed guard" % (m, chains))
     weights = Counter()
-    for chain in strict_filtrations(gamma.edge_ids(), guard=m):
+    for chain in strict_filtrations(gamma.edge_ids(), guard):
         weights[cvector_of_filtration(gamma, chain)] += 1
     return RatQT.sum(weights[c] * r_of_cvector(c) for c in sorted(weights))
-
-
-def _fubini(m):
-    """Ordered Bell number: the ordered set partitions of an m-set."""
-    row = [1]
-    for n in range(1, m + 1):
-        row.append(sum(comb(n, k) * row[n - k] for k in range(1, n + 1)))
-    return row[m]
 
 
 def _series_numerator(coeffs, den):
@@ -109,7 +95,7 @@ def _series_numerator(coeffs, den):
     return QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()})
 
 
-def a_genfun(graph, guard=GUARD_TERMS):
+def a_genfun(graph, guard=GUARD):
     """A(graph, q, T), the sum of (q-1)^b1(S) R(S, q, T) over connected
     spanning S.  Along a strict filtration b1 never increases and each value
     occurs at most n times, so D = prod_{b=0}^{b1} (1 - q^b T)^n clears A to
@@ -122,11 +108,6 @@ def a_genfun(graph, guard=GUARD_TERMS):
     coeffs = [QPoly.const(epsilon1_value(graph))] + [_a_of_step(n, *step) for step in steps]
     den = dict.fromkeys(range(b1 + 1), n)
     return RatQT(_series_numerator(coeffs, den), den)
-
-
-def series_coefficient(f, d):
-    """Coefficient of T^d in the expansion of f at T = 0, as a QPoly."""
-    return f.series_coefficient(d)
 
 
 class GraphChar:
@@ -182,12 +163,12 @@ def r_d_char(d):
     return GraphChar("R_%d" % d, lambda g: r_d_on_components(g, d))
 
 
-def convolve(f, g, guard=GUARD_SUBSETS):
+def convolve(f, g, guard=GUARD):
     """(f * g)(Gamma) = sum over A of f(Gamma[A]) * g(Gamma/A)."""
     def evaluate(graph):
         ids = sorted(graph.edge_ids())
-        if len(ids) > guard:
-            raise GuardError("2^%d convolution terms exceed guard" % len(ids))
+        charge(1 << len(ids), guard,
+               "2^%d = %d convolution terms" % (len(ids), 1 << len(ids)))
         total = QPoly()
         for mask in range(1 << len(ids)):
             a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
@@ -197,7 +178,7 @@ def convolve(f, g, guard=GUARD_SUBSETS):
     return GraphChar("(%s*%s)" % (f.name, g.name), evaluate)
 
 
-def r_d_via_convolution(gamma, d, guard=GUARD_SUBSETS):
+def r_d_via_convolution(gamma, d, guard=GUARD):
     """R_d computed as the convolution psi(q^(d-1)) * ... * psi(q^0);
     asserted equal to the direct depth-function sum."""
     if d < 1:
@@ -208,29 +189,28 @@ def r_d_via_convolution(gamma, d, guard=GUARD_SUBSETS):
     for k in range(d - 2, -1, -1):
         char = convolve(char, psi_char(k), guard=guard)
     value = char(gamma)
-    if value != r_d_polynomial(gamma, d):
+    if value != r_d_polynomial(gamma, d, guard):
         raise ArithmeticError("R_%d by convolution, %s, differs from the depth sum" % (d, value))
     return value
 
 
-def check_recursion(gamma, guard=GUARD_SUBSETS):
+def check_recursion(gamma, guard=GUARD):
     """Verify R(gamma,q,T) = eps(gamma) + T * sum over A of
     R(gamma/A, q, q^b1(gamma[A]) T), exactly as rational functions."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
     ids = sorted(gamma.edge_ids())
-    if len(ids) > guard:
-        raise GuardError("2^%d recursion terms exceed guard" % len(ids))
-    lhs = r_genfun(gamma)
+    charge(1 << len(ids), guard, "2^%d = %d recursion terms" % (len(ids), 1 << len(ids)))
+    lhs = r_genfun(gamma, guard)
     terms = [epsilon_value(gamma)]
     for mask in range(1 << len(ids)):
         a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
         scale = gamma.spanning_subgraph(a).b1()
-        terms.append(r_genfun(gamma.contract(a)).subs_t_scale(scale).t_shift(1))
+        terms.append(r_genfun(gamma.contract(a), guard).subs_t_scale(scale).t_shift(1))
     return lhs == RatQT.sum(terms)
 
 
-def check_duality(g, which, guard=GUARD_TERMS):
+def check_duality(g, which, guard=GUARD):
     """Inversion identity under (q, T) -> (1/q, 1/T):
 
       which='A':  A(1/q, 1/T) = eps1(g) + (-1)^#V * A(q, T)
@@ -239,19 +219,19 @@ def check_duality(g, which, guard=GUARD_TERMS):
     if not g.is_connected():
         raise ValueError("g must be connected")
     if which == "A":
-        f = a_genfun(g)     # guard counts R's filtrations; a_genfun's counts transform steps
+        f = a_genfun(g, guard)
         sign = (-1) ** (g.n % 2)
         rhs = RatQT(epsilon1_value(g)) + sign * f
         return f.invert_vars() == rhs
     if which == "R":
-        f = r_genfun(g, guard=guard)
+        f = r_genfun(g, guard)
         sign = (-1) ** ((g.edge_count() - 1) % 2)
         rhs = RatQT(epsilon_value(g)) + sign * (QPoly.monomial(g.b1()) * f)
         return f.invert_vars() == rhs
     raise ValueError("which must be 'A' or 'R'")
 
 
-def q_eulerian(m, guard=GUARD_TERMS):
+def q_eulerian(m, guard=GUARD):
     """The q-analog Eulerian polynomial F_m(q, T), from
     R(S_m, q, T) = T F_m(q, T) / (T)_{m+1}: T F_m is the numerator of R(S_m)
     over that known denominator, built from R_0 = 0 and R_1..R_m with

@@ -6,14 +6,24 @@ canonically.  Loops and parallel edges are allowed everywhere.
 """
 
 from functools import lru_cache
+from math import comb
 
 from .polynomials import QTPoly
 
-GUARD_EDGES = 20
+GUARD = 1 << 24
 
 
 class GuardError(RuntimeError):
     """An enumeration would exceed its configured size guard."""
+
+
+def charge(count, guard, what):
+    """Admit an enumeration of count items, predicted before the first is
+    listed, or raise GuardError naming them by what.  The one guard check
+    of the library: every guarded entry point takes guard=GUARD and charges
+    each enumeration it makes, memoized or not."""
+    if count > guard:
+        raise GuardError("%s exceed guard %d" % (what, guard))
 
 
 class Multigraph:
@@ -142,7 +152,7 @@ class Multigraph:
             out.append(edges - merges)
         return out
 
-    def connected_spanning_subgraphs(self, guard=GUARD_EDGES):
+    def connected_spanning_subgraphs(self, guard=GUARD):
         """Yield the edge subsets whose spanning subgraph is connected.
 
         Deterministic order: subsets of the sorted id list in binary
@@ -150,8 +160,7 @@ class Multigraph:
         """
         ids = sorted(self._by_id)
         m = len(ids)
-        if m > guard:
-            raise GuardError("2^%d subsets exceeds guard; pass a larger guard" % m)
+        charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
         for mask in range(1 << m):
             subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
             if self.spanning_connected(subset):
@@ -274,16 +283,17 @@ def _tutte_key(key):
             + _tutte_key(g.contract([eid]).canonical_key()))
 
 
-def strict_filtrations(edge_ids, guard=GUARD_EDGES):
+def strict_filtrations(edge_ids, guard=GUARD):
     """Yield every strict filtration of the edge set as a chain of
     cumulative frozensets (F_1, ..., F_l) with F_l the full set.
 
     Equivalently all ordered set partitions; for |E| = m there are
-    ordered-Bell-many of them.  The empty set yields one empty chain.
+    Fubini(m) of them, charged before the first is listed.  The empty set
+    yields one empty chain.
     """
     ids = tuple(sorted(edge_ids))
-    if len(ids) > guard:
-        raise GuardError("ordered set partitions of %d edges exceed guard" % len(ids))
+    chains = _fubini(len(ids))
+    charge(chains, guard, "Fubini(%d) = %d strict filtrations" % (len(ids), chains))
 
     def rec(remaining, prefix_union):
         if not remaining:
@@ -298,6 +308,15 @@ def strict_filtrations(edge_ids, guard=GUARD_EDGES):
                 yield (cumulative,) + tail
 
     return rec(ids, frozenset())
+
+
+@lru_cache(maxsize=None)
+def _fubini(m):
+    """Ordered Bell number: the ordered set partitions of an m-set."""
+    row = [1]
+    for n in range(1, m + 1):
+        row.append(sum(comb(n, k) * row[n - k] for k in range(1, n + 1)))
+    return row[m]
 
 
 class Quiver:

@@ -47,12 +47,9 @@ from math import prod
 from . import modp
 from .cyclotomic import CycInt
 from .finite_algebra import mat_det, mat_inverse, mat_mul
-from .multigraph import GuardError, Multigraph, Quiver
+from .multigraph import GUARD, Multigraph, Quiver, charge
 from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, mul_block,
                           scaling_orbits, vanishing_points)
-
-GUARD_GROUP = 1 << 30
-GUARD_POINTS = 1 << 24
 
 
 def _validate_alpha(quiver, alpha):
@@ -75,13 +72,13 @@ def _all_matrices(alg, rows, cols):
         yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
 
 
-def _gl_table(alg, size, guard=GUARD_POINTS):
+def _gl_table(alg, size, guard=GUARD):
     """The memo entry [every invertible size x size matrix in a fixed
     order, its conjugacy classes or None until first asked for]; one scan
-    per algebra and size, kept in the algebra's _gl_data dict.  The guard
-    bounds the |alg|^(size^2) matrices the scan visits, cached or not."""
-    if alg.size() ** (size * size) > guard:
-        raise GuardError("GL_%d over %s is too large to enumerate" % (size, alg.name))
+    per algebra and size, kept in the algebra's _gl_data dict.  It charges
+    the |alg|^(size^2) matrices the scan visits, cached or not."""
+    matrices = alg.size() ** (size * size)
+    charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
     cache = getattr(alg, "_gl_data", None)
     if cache is None:
         cache = alg._gl_data = {}
@@ -90,17 +87,17 @@ def _gl_table(alg, size, guard=GUARD_POINTS):
     return cache[size]
 
 
-def gl_order(alg, size, guard=GUARD_POINTS):
+def gl_order(alg, size, guard=GUARD):
     """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
     return len(_gl_table(alg, size, guard)[0])
 
 
-def gl_elements(alg, size, guard=GUARD_POINTS):
+def gl_elements(alg, size, guard=GUARD):
     """Every invertible size x size matrix, deterministic order (memoized)."""
     return _gl_table(alg, size, guard)[0]
 
 
-def gl_classes(alg, size, guard=GUARD_POINTS):
+def gl_classes(alg, size, guard=GUARD):
     """The conjugacy classes of GL_size(alg) as (first element in the
     order of gl_elements, class size) pairs, in that order (memoized)."""
     entry = _gl_table(alg, size, guard)
@@ -109,20 +106,18 @@ def gl_classes(alg, size, guard=GUARD_POINTS):
     return entry[1]
 
 
-def group_order(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
+def group_order(quiver, alg, alpha, guard=GUARD):
     alpha = _validate_alpha(quiver, alpha)
-    total = prod(gl_order(alg, a, guard_points) for a in alpha)
-    if total > guard:
-        raise GuardError("group order %d exceeds guard" % total)
-    return total
+    return prod(gl_order(alg, a, guard) for a in alpha)
 
 
-def enumerate_group(quiver, alg, alpha, guard=GUARD_GROUP):
-    """Yield every element of the product of GL's, one tuple per element."""
+def enumerate_group(quiver, alg, alpha, guard=GUARD):
+    """Yield every element of the product of GL's, one tuple per element;
+    charges the GL scans and the |G| elements listed."""
     alpha = _validate_alpha(quiver, alpha)
-    group_order(quiver, alg, alpha, guard)
-    lists = [gl_elements(alg, a) for a in alpha]
-    return product(*lists)
+    order = group_order(quiver, alg, alpha, guard)
+    charge(order, guard, "|G| = %d group elements" % order)
+    return product(*[gl_elements(alg, a, guard) for a in alpha])
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -165,11 +160,11 @@ def _vector_to_matrix(alg, vec, rows, cols):
 
 # -- the weighted group average ------------------------------------------
 
-def _vertex_lists(quiver, alg, alpha, guard, guard_points):
+def _vertex_lists(quiver, alg, alpha, guard):
     """Per-vertex conjugacy-class representatives, their class sizes, and
     |G|."""
-    order = group_order(quiver, alg, alpha, guard, guard_points)
-    classes = [gl_classes(alg, a) for a in alpha]
+    order = group_order(quiver, alg, alpha, guard)
+    classes = [gl_classes(alg, a, guard) for a in alpha]
     return ([[rep for rep, _ in c] for c in classes],
             [[size for _, size in c] for c in classes], order)
 
@@ -182,24 +177,27 @@ def _det_residue_dlog(alg, m, generator=None):
     return alg.dlog(mat_det(field, res), generator)
 
 
-def _arrow_table(alg, rows, cols):
+def _arrow_table(alg, rows, cols, guard):
     """p^nullity of X -> gt X - X gs for the class representatives gt of
     GL_rows and gs of GL_cols, as one flat list over the class index pairs
     (ct, cs) in product order; for a loop, cols None, the diagonal gt = gs
     only.  Memoized on the algebra as _arrow_data, apart from the scans in
     _gl_data, so every arrow of these ranks reads one table in any quiver
-    and orientation.  Each entry is its own solve: none is copied from the
-    transposed pair, since that symmetry is the orientation theorem the
-    checks test."""
+    and orientation; its solves are charged, memoized or not.  Each entry
+    is its own solve: none is copied from the transposed pair, since that
+    symmetry is the orientation theorem the checks test."""
+    targets = [g for g, _ in gl_classes(alg, rows, guard)]
+    sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard)]
+    solves = len(targets) if cols is None else len(targets) * len(sources)
+    charge(solves, guard, "%d arrow solves" % solves)
     cache = getattr(alg, "_arrow_data", None)
     if cache is None:
         cache = alg._arrow_data = {}
     if (rows, cols) not in cache:
-        p, targets = alg.p, [g for g, _ in gl_classes(alg, rows)]
+        p = alg.p
         if cols is None:
             table = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
         else:
-            sources = [g for g, _ in gl_classes(alg, cols)]
             table = [p ** fix_nullity(alg, gt, gs, rows, cols) for gt in targets for gs in sources]
         cache[rows, cols] = table
     return cache[rows, cols]
@@ -218,13 +216,14 @@ def _times(x, y, m):
     return out
 
 
-def _contract(factors, counts, m):
+def _contract(factors, counts, m, guard):
     """The sum over every tuple of class indices of the product of the
     factors, in Z[z]/(z^m - 1).  A factor is (scope, table): a tuple of
     vertices and a flat list of values of _times over their class indices
     in product order.  Vertices are eliminated cheapest first, so a tree
     goes leaves first: each step multiplies the factors on one vertex,
-    sums out its classes and leaves one factor on their other vertices."""
+    sums out its classes and leaves one factor on their other vertices;
+    the step is charged its terms, the classes of v and its neighbours."""
     def cost(v):
         """Classes of v and of its neighbours in the factors left."""
         return prod(counts[u] for u in {v}.union(*(s for s, _ in factors if v in s))), v
@@ -232,7 +231,8 @@ def _contract(factors, counts, m):
     unit = [1] + [0] * (m - 1)
     total, left = unit, set(range(len(counts)))
     while left:
-        v = min(left, key=cost)
+        terms, v = min(map(cost, left))
+        charge(terms, guard, "%d terms in one contraction step" % terms)
         left.remove(v)
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
@@ -261,34 +261,35 @@ def _contract(factors, counts, m):
     return total
 
 
-def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD_GROUP,
-              guard_points=GUARD_POINTS, fix_values=None):
+def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD,
+              fix_values=None):
     """The fixed-point counts summed over tuples of conjugacy classes,
     weighted by class size and graded by the determinant character
     exponent mod m = char_order (or 1): a contraction of one factor per
     vertex (class size times z^exponent) and one per arrow (its table of
     fixed-point counts).  fix_values lets the preprojective engine give
     its count for a tuple of class representatives instead, as one factor
-    on all vertices.  Returns (buckets, |G|)."""
+    on all vertices, charged one entry per tuple.  Returns (buckets, |G|)."""
     alpha = _validate_alpha(quiver, alpha)
-    reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard, guard_points)
+    reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard)
     m, factors = char_order or 1, []
     for v, (lst, weights) in enumerate(zip(reps, sizes)):
         exponents = [_det_residue_dlog(alg, g, generator) % m if char_order else 0 for g in lst]
         factors.append(((v,), [[size * (e == i) for i in range(m)]
                                for e, size in zip(exponents, weights)]))
     if fix_values is not None:
+        tuples = prod(map(len, reps))
+        charge(tuples, guard, "%d class tuples in the preprojective factor" % tuples)
         factors.append((tuple(range(quiver.n)), [fix_values(g) for g in product(*reps)]))
     else:
         for _, s, t in quiver.arrows():
             loop = s == t
             factors.append(((t - 1,) if loop else (t - 1, s - 1),
-                            _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1])))
-    return _contract(factors, [len(lst) for lst in reps], m), order
+                            _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1], guard)))
+    return _contract(factors, [len(lst) for lst in reps], m, guard), order
 
 
-def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
-                   **guards):
+def _group_average(engine, quiver, alg, alpha, character=False, generator=None, guard=GUARD):
     """The finishing step shared by m_count, a_count, m_preproj and
     a_preproj: run the bucketed Burnside sum of `engine` and divide by |G|.
 
@@ -304,7 +305,7 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
         if (q - 1) % char_order:
             raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (char_order, q - 1))
     buckets, order = engine(quiver, alg, alpha, char_order=char_order,
-                            generator=generator, **guards)
+                            generator=generator, guard=guard)
     if char_order is None:
         value = buckets[0]
     else:
@@ -318,13 +319,12 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None,
     return value // order
 
 
-def m_count(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
+def m_count(quiver, alg, alpha, guard=GUARD):
     """Number of isomorphism classes of representations of the given rank."""
-    return _group_average(_burnside, quiver, alg, alpha, guard=guard,
-                          guard_points=guard_points)
+    return _group_average(_burnside, quiver, alg, alpha, guard=guard)
 
 
-def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None, guard_points=GUARD_POINTS):
+def a_count(quiver, alg, alpha, guard=GUARD, generator=None):
     """Number of isomorphism classes of absolutely indecomposable
     representations, by the determinant-character weighted group average.
 
@@ -332,7 +332,7 @@ def a_count(quiver, alg, alpha, guard=GUARD_GROUP, generator=None, guard_points=
     (the residue field must contain the needed roots of unity).
     """
     return _group_average(_burnside, quiver, alg, alpha, character=True,
-                          generator=generator, guard=guard, guard_points=guard_points)
+                          generator=generator, guard=guard)
 
 
 # -- double quiver, moment map, preprojective counts -----------------------
@@ -374,14 +374,18 @@ def moment_map(quiver, alg, alpha, x):
     return tuple(tuple(map(tuple, block)) for block in _moment_blocks(alg, alpha, arrows, star, x))
 
 
-def _zero_fiber(quiver, alg, alpha):
-    """Closure over the double quiver: given one matrix list per doubled
-    arrow, in the order of its arrows(), yield the points of their product
-    on which the moment map vanishes.  Each entry of mu is a signed sum of
-    products of two arrow entries, M_a M_a* at the target of a and
-    -M_a* M_a at its source, evaluated through the index tables."""
+def _whole_zero_fiber(quiver, alg, alpha, guard):
+    """The points of the whole doubled representation space, one matrix
+    per arrow of the double quiver in the order of its arrows(), on which
+    the moment map vanishes; listed lazily once their number is charged.
+    Each entry of mu is a signed sum of products of two arrow entries,
+    M_a M_a* at the target of a and -M_a* M_a at its source, evaluated
+    through the index tables."""
     dq, star = double_quiver(quiver)
-    slot = {e: k for k, (e, _, _) in enumerate(dq.arrows())}
+    darrows = dq.arrows()
+    total = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
+    charge(total, guard, "%d points of the doubled representation space" % total)
+    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
     sums = {}       # (vertex, i, j) -> [(slot, flat index, slot, flat index, negated)]
     for e, s, t in quiver.arrows():
         for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
@@ -389,28 +393,12 @@ def _zero_fiber(quiver, alg, alpha):
             for i, j, h in product(range(n), range(n), range(k)):
                 sums.setdefault((v, i, j), []).append(
                     (slot[left], i * k + h, slot[right], h * n + j, negated))
-
-    def points(per_arrow):
-        per_arrow = [list(matrices) for matrices in per_arrow]
-        for combo in vanishing_points(alg, per_arrow, list(sums.values())):
-            yield tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
-
-    return points
+    per_arrow = [list(_all_matrices(alg, alpha[t - 1], alpha[s - 1])) for _, s, t in darrows]
+    return (tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
+            for combo in vanishing_points(alg, per_arrow, list(sums.values())))
 
 
-def _whole_zero_fiber(quiver, alg, alpha, guard_points):
-    """The zero fiber's points in the whole doubled representation space,
-    listed lazily once the guard admits the size of that space."""
-    darrows = double_quiver(quiver)[0].arrows()
-    total_points = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
-    if total_points > guard_points:
-        raise GuardError("zero-fiber enumeration of %d points exceeds guard" % total_points)
-    return _zero_fiber(quiver, alg, alpha)(
-        [_all_matrices(alg, alpha[t - 1], alpha[s - 1]) for _, s, t in darrows])
-
-
-def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
-                     guard=GUARD_GROUP, guard_points=GUARD_POINTS):
+def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD):
     """The Burnside sum of zero-fiber fixed counts.  For a tuple g the
     fixed space of the doubled quiver is V^g x V*^g (the arrows, then their
     stars), and mu(x, y) is F_p-bilinear; so the count is the sum over x in
@@ -442,9 +430,8 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
         bases = [[basis(*key) for key in half] for half in halves]
         dims = [sum(map(len, half)) for half in bases]
         starred = dims[1] < dims[0]     # enumerate V*^g, the smaller half
-        if p ** dims[starred] > guard_points:
-            raise GuardError("preprojective fixed-space enumeration of p^%d = %d points "
-                             "exceeds guard" % (dims[starred], p ** dims[starred]))
+        charge(p ** dims[starred], guard, "p^%d = %d points of the enumerated preprojective "
+               "half" % (dims[starred], p ** dims[starred]))
         per_arrow = []
         for arrow, enumerated, other in zip(arrows, bases[starred], bases[not starred]):
             # mu is bilinear, so the point sum_i c_i B_i of the enumerated
@@ -460,38 +447,34 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None,
                    for combo in product(*per_arrow))
 
     return _burnside(quiver, alg, alpha, char_order=char_order, generator=generator,
-                     guard=guard, guard_points=guard_points, fix_values=fix_values)
+                     guard=guard, fix_values=fix_values)
 
 
-def m_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS):
+def m_preproj(quiver, alg, alpha, guard=GUARD):
     """Isomorphism classes of locally free modules over the preprojective
     algebra: the group average of fixed points inside the moment map's
     zero fiber."""
-    return _group_average(_preproj_buckets, quiver, alg, alpha,
-                          guard=guard, guard_points=guard_points)
+    return _group_average(_preproj_buckets, quiver, alg, alpha, guard=guard)
 
 
-def a_preproj(quiver, alg, alpha, guard=GUARD_GROUP, guard_points=GUARD_POINTS,
-              generator=None):
+def a_preproj(quiver, alg, alpha, guard=GUARD, generator=None):
     """Absolutely indecomposable classes in the moment map's zero fiber,
     with the same determinant-character weight as a_count."""
     return _group_average(_preproj_buckets, quiver, alg, alpha, character=True,
-                          generator=generator, guard=guard, guard_points=guard_points)
+                          generator=generator, guard=guard)
 
 
-def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD_GROUP,
-                            guard_points=GUARD_POINTS):
+def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
     """Direct-partition fallback for the preprojective class count: list
     the zero-fiber points, then sweep each unvisited one with the whole
     group.  Only viable for tiny spaces; must agree with m_preproj."""
     alpha = _validate_alpha(quiver, alpha)
     darrows = double_quiver(quiver)[0].arrows()
-    points = _whole_zero_fiber(quiver, alg, alpha, guard_points)
-    group_order(quiver, alg, alpha, guard)
+    points = _whole_zero_fiber(quiver, alg, alpha, guard)
+    elements = enumerate_group(quiver, alg, alpha, guard)
     fiber = list(points)
 
-    group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g])
-             for g in enumerate_group(quiver, alg, alpha, guard)]
+    group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g]) for g in elements]
     orbits = 0
     visited = set()
     for point in fiber:
@@ -507,7 +490,7 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD_GROUP,
 
 # -- Fourier fiber count ----------------------------------------------------
 
-def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
+def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
     """Cardinality of the moment map's zero fiber, both by direct
     enumeration and by the additive-group average
     (1/|g|) sum_x |V| |ker rho(x)|; asserts the two agree."""
@@ -515,14 +498,13 @@ def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
     arrows = quiver.arrows()
     p = alg.p
 
+    lie_total = prod(alg.size() ** (a * a) for a in alpha)
+    charge(lie_total, guard, "%d elements of the additive group" % lie_total)
+
     # direct side: enumerate the doubled representation space
-    direct = sum(1 for _ in _whole_zero_fiber(quiver, alg, alpha, guard_points))
+    direct = sum(1 for _ in _whole_zero_fiber(quiver, alg, alpha, guard))
 
     # additive average side
-    lie_sizes = [alg.size() ** (a * a) for a in alpha]
-    lie_total = prod(lie_sizes)
-    if lie_total > guard_points:
-        raise GuardError("additive group of %d elements exceeds guard" % lie_total)
     v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
     per_vertex = [_all_matrices(alg, a, a) for a in alpha]
     acc = 0
@@ -543,7 +525,7 @@ def fourier_fiber_count(quiver, alg, alpha, guard_points=GUARD_POINTS):
 
 # -- toric oracle and stabilizers -------------------------------------------
 
-def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_POINTS):
+def toric_ai_orbit_count(quiver, alg, connected_only=True, guard=GUARD):
     """Orbit count of rank-one representations by direct partition of the
     whole representation space under the unit-tuple action; counts only
     orbits with connected (spanning) support when the flag is set.
@@ -552,10 +534,12 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_PO
     Independent of the group-average engine by construction.
     """
     arrows = quiver.arrows()
-    if alg.size() ** len(arrows) > guard_points:
-        raise GuardError("|R|^%d points exceed guard" % len(arrows))
+    points = alg.size() ** len(arrows)
+    charge(points, guard, "|R|^%d = %d points" % (len(arrows), points))
     tab = index_tables(alg)
     units = [u for u, unit in enumerate(tab.is_unit) if unit]
+    group = len(units) ** quiver.n
+    charge(group, guard, "|R^x|^%d = %d unit tuples" % (quiver.n, group))
     inverse = {u: tab.mul[u].index(tab.one) for u in units}
     # the unit tuple g scales the arrow s -> t by g_t g_s^-1
     scalings = {tuple(tab.mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
@@ -565,7 +549,7 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard_points=GUARD_PO
                    frozenset(e for x, (e, _, _) in zip(point, arrows) if x != tab.zero)))
 
 
-def stabilizer_order(x, quiver, alg, alpha, guard=GUARD_GROUP):
+def stabilizer_order(x, quiver, alg, alpha, guard=GUARD):
     """Order of the stabilizer of a representation point x (dict arrow
     id -> matrix), by filtering the full group enumeration."""
     alpha = _validate_alpha(quiver, alpha)
@@ -585,7 +569,7 @@ def toric_point(quiver, values):
 
 # -- the non-self-dual counterexample ----------------------------------------
 
-def counterexample_counts(n, q, guard_points=GUARD_POINTS):
+def counterexample_counts(n, q, guard=GUARD):
     """Scaling-orbit count over sqz(F_q, n)[eps] versus the preprojective
     count over sqz(F_q, n), with both checked against their closed forms:
 
@@ -601,8 +585,7 @@ def counterexample_counts(n, q, guard_points=GUARD_POINTS):
     field = make_field(q)
     ring = make_square_zero(field, n)
     doubled = make_dual_numbers(ring)
-    if doubled.size() > guard_points:
-        raise GuardError("ring with %d elements exceeds guard" % doubled.size())
+    charge(doubled.size(), guard, "%d elements of the doubled ring" % doubled.size())
 
     visited = bytearray(doubled.size())
     units = doubled.units()
@@ -626,7 +609,7 @@ def counterexample_counts(n, q, guard_points=GUARD_POINTS):
     if a_value != closed_a:
         raise AssertionError("scaling orbit count %d != closed form %d" % (a_value, closed_a))
 
-    b_value = m_preproj(path_quiver(2), ring, (1, 1), guard_points=guard_points)
+    b_value = m_preproj(path_quiver(2), ring, (1, 1), guard)
     if b_value != closed_b:
         raise AssertionError("preprojective count %d != closed form %d" % (b_value, closed_b))
     if b_value - a_value != (q ** n - 1) * (q ** (n - 1) - 1):

@@ -15,10 +15,8 @@ transforms over it (_r_d_table), not from the depth functions one by one.
 
 from collections import deque
 
-from .multigraph import GuardError, Multigraph
+from .multigraph import GUARD, Multigraph, charge
 from .polynomials import QPoly
-
-GUARD_TERMS = 1 << 24
 
 
 def check_depth_function(gamma, r, d):
@@ -44,7 +42,7 @@ def delta(gamma, r, d):
     return total
 
 
-def r_d_polynomial(gamma, d, guard=GUARD_TERMS):
+def r_d_polynomial(gamma, d, guard=GUARD):
     """sum over all depth functions r of q^delta(gamma, r).
 
     Degree (d-1) * b1(gamma), leading coefficient d^bridges(gamma) (so
@@ -82,8 +80,7 @@ def _r_d_table(graph, d, guard):
     ids = sorted(graph.edge_ids())
     m = len(ids)
     steps = max(d - 1, 1) * m << m
-    if steps > guard:
-        raise GuardError("(d-1) * |E| * 2^|E| = %d transform steps exceed guard" % steps)
+    charge(steps, guard, "(d-1) * |E| * 2^|E| = %d transform steps" % steps)
     b1 = graph.subset_b1(ids)
     h = [{0: 1} for _ in b1]
     for j in range(d):
@@ -99,7 +96,7 @@ def _r_d_table(graph, d, guard):
         yield b1, h
 
 
-def r_d_on_components(g, d, guard=GUARD_TERMS):
+def r_d_on_components(g, d, guard=GUARD):
     """R_d extended multiplicatively to arbitrary multigraphs."""
     labels = g.component_labels()
     out = QPoly.const(1)
@@ -114,7 +111,7 @@ def r_d_on_components(g, d, guard=GUARD_TERMS):
     return out
 
 
-def a_d_polynomial(graph, d, guard=GUARD_TERMS):
+def a_d_polynomial(graph, d, guard=GUARD):
     """Number of isomorphism classes of absolutely indecomposable toric
     representations over F_q[t]/(t^d), as an exact polynomial in q.
 

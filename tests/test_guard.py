@@ -1,0 +1,100 @@
+"""One guard: every guarded entry point admits exactly its predicted count.
+
+Each row is a call taking guard=, the number of enumerands its largest
+enumeration lists, and the words of the GuardError that names them.  One
+below the count the call raises before listing anything; at the count it
+returns what the default guard returns; and a warm memo changes neither.
+"""
+
+import pytest
+
+from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycle_quiver,
+                                  jordan_quiver, path_quiver)
+from quivercount.finite_algebra import make_prime_field, make_truncated, mat_identity
+from quivercount.genfun import (a_genfun, check_duality, check_recursion, convolve, psi_char,
+                                q_eulerian, r_d_via_convolution, r_genfun)
+from quivercount.multigraph import GUARD, GuardError, strict_filtrations
+from quivercount.repenum import (a_count, a_preproj, counterexample_counts, enumerate_group,
+                                 fourier_fiber_count, gl_classes, gl_elements, gl_order,
+                                 group_order, m_count, m_preproj, preproj_orbit_partition,
+                                 stabilizer_order, toric_ai_orbit_count)
+from quivercount.toric import a_d_polynomial, r_d_on_components, r_d_polynomial
+
+F2, F3, F5 = make_prime_field(2), make_prime_field(3), make_prime_field(5)
+K2F2, K3F2 = make_truncated(F2, 2), make_truncated(F2, 3)
+C3 = cycle_graph(3)
+
+CASES = {
+    # subset sums: 2^m terms
+    "connected_spanning_subgraphs": (lambda g: list(C3.connected_spanning_subgraphs(g)), 8,
+                                     "2^3 = 8 subsets"),
+    "convolve": (lambda g: convolve(psi_char(1), psi_char(0), g)(C3), 8,
+                 "2^3 = 8 convolution terms"),
+    "check_recursion": (lambda g: check_recursion(banana_graph(2), g), 4,
+                        "2^2 = 4 recursion terms"),
+    # strict filtrations: Fubini(m)
+    "strict_filtrations": (lambda g: list(strict_filtrations([1, 2, 3], g)), 13,
+                           "Fubini(3) = 13"),
+    "r_genfun": (lambda g: r_genfun(C3, g), 13, "Fubini(3) = 13"),
+    "check_duality_R": (lambda g: check_duality(C3, "R", g), 13, "Fubini(3) = 13"),
+    # transform steps: max(d-1, 1) * m * 2^m
+    "r_d_polynomial": (lambda g: r_d_polynomial(C3, 4, g), 72, "72 transform steps"),
+    "a_d_polynomial": (lambda g: a_d_polynomial(C3, 1, g), 24, "24 transform steps"),
+    "r_d_on_components": (lambda g: r_d_on_components(C3, 3, g), 48, "48 transform steps"),
+    "r_d_via_convolution": (lambda g: r_d_via_convolution(C3, 3, g), 48, "48 transform steps"),
+    "a_genfun": (lambda g: a_genfun(C3, g), 96, "96 transform steps"),
+    "check_duality_A": (lambda g: check_duality(C3, "A", g), 96, "96 transform steps"),
+    "q_eulerian": (lambda g: q_eulerian(4, g), 192, "192 transform steps"),
+    # candidate Frobenius forms: p^dim
+    "find_frobenius_form": (lambda g: make_truncated(F2, 3).find_frobenius_form(g), 8,
+                            "p^dim = 2^3 = 8 candidate forms"),
+    # GL scans: |R|^(n^2) matrices, memoized or not
+    "gl_order": (lambda g: gl_order(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
+    "gl_elements": (lambda g: gl_elements(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
+    "gl_classes": (lambda g: gl_classes(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
+    "group_order": (lambda g: group_order(path_quiver(2), F2, (2, 1), g), 16,
+                    "GL_2 over fq(2): 16 matrices"),
+    "m_count_gl_scan": (lambda g: m_count(path_quiver(2), F2, (2, 1), g), 16,
+                        "GL_2 over fq(2): 16 matrices"),
+    "m_preproj_gl_scan": (lambda g: m_preproj(path_quiver(2), F3, (2, 2), g), 81,
+                          "GL_2 over fq(3): 81 matrices"),
+    # the oracles that list G: |G| elements
+    "enumerate_group": (lambda g: list(enumerate_group(path_quiver(2), F3, (1, 1), g)), 4,
+                        "|G| = 4 group elements"),
+    "stabilizer_order": (lambda g: stabilizer_order({1: mat_identity(F2, 2)}, jordan_quiver(),
+                                                    F2, (2,), g), 16, "GL_2"),
+    # group averages: arrow solves, contraction terms, class tuples, points
+    "m_count_arrow_table": (lambda g: m_count(path_quiver(2), F5, (1, 1), g), 16,
+                            "16 arrow solves"),
+    "a_count_arrow_table": (lambda g: a_count(path_quiver(2), F3, (1, 1), g), 4,
+                            "4 arrow solves"),
+    "m_count_contraction": (lambda g: m_count(cycle_quiver(3), F5, (1, 1, 1), g), 64,
+                            "64 terms in one contraction step"),
+    "m_preproj_class_tuples": (lambda g: m_preproj(path_quiver(2), F5, (1, 1), g), 16,
+                               "16 class tuples"),
+    "a_preproj_class_tuples": (lambda g: a_preproj(path_quiver(2), F3, (1, 1), g), 4,
+                               "4 class tuples"),
+    "m_preproj_half": (lambda g: m_preproj(banana_quiver(2), F3, (1, 1), g), 9,
+                       "p^2 = 9 points"),
+    # whole spaces of the oracles
+    "preproj_orbit_partition": (lambda g: preproj_orbit_partition(path_quiver(2), K2F2,
+                                                                  (1, 1), g), 16, "16 points"),
+    "fourier_fiber_count": (lambda g: fourier_fiber_count(path_quiver(2), K2F2, (1, 1), g), 16,
+                            "16 elements of the additive group"),
+    "toric_ai_orbit_count": (lambda g: toric_ai_orbit_count(cycle_quiver(3), K2F2, guard=g),
+                             64, "|R|^3 = 64 points"),
+    "toric_ai_orbit_count_units": (lambda g: toric_ai_orbit_count(path_quiver(2), K3F2, guard=g),
+                                   16, "|R^x|^2 = 16 unit tuples"),
+    "counterexample_counts": (lambda g: counterexample_counts(1, 2, g), 16,
+                              "16 elements of the doubled ring"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_guard_admits_exactly_the_predicted_count(name):
+    call, count, names = CASES[name]
+    for _ in range(2):      # the second round runs on warm memos
+        with pytest.raises(GuardError) as refused:
+            call(count - 1)
+        assert names in str(refused.value) and str(count) in str(refused.value)
+        assert call(count) == call(GUARD)

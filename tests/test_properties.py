@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
-from quivercount.genfun import a_genfun, r_genfun, series_coefficient  # noqa: E402
+from quivercount.genfun import a_genfun, r_genfun  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
@@ -73,7 +73,7 @@ def test_r_d_transform_equals_the_depth_function_sum(graph, d):
 def test_filtration_sum_coefficients_equal_r_d(graph):
     f = r_genfun(graph)
     for d in range(4):
-        assert series_coefficient(f, d) == r_d_polynomial(graph, d)
+        assert f.series_coefficient(d) == r_d_polynomial(graph, d)
 
 
 @PROPERTY

@@ -11,16 +11,17 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_truncated, mat_det, mat_identity,
                                         mat_inverse, mat_mul, truncated_generator)
 from quivercount.modp import nullspace_basis
-from quivercount.multigraph import GuardError, Quiver
+from quivercount.multigraph import GUARD, GuardError, Quiver
 from quivercount.repenum import (_burnside, _det_residue_dlog, _fix_system, _group_average,
                                  _validate_alpha, _vector_to_matrix, _vertex_lists,
-                                 _zero_fiber, a_count, a_preproj, counterexample_counts,
+                                 _whole_zero_fiber, a_count, a_preproj, counterexample_counts,
                                  double_quiver, enumerate_group, fix_nullity,
                                  fourier_fiber_count, gl_classes, gl_elements,
                                  gl_order, group_order, m_count, m_preproj,
                                  moment_map, preproj_orbit_partition,
                                  stabilizer_order, toric_ai_orbit_count,
                                  toric_point)
+from quivercount.ring_tables import vanishing_points
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -126,13 +127,13 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
 
 
 def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
-                        guard=1 << 30, guard_points=1 << 24, fix_values=None):
+                        guard=GUARD, fix_values=None):
     """The Burnside sum as one loop over the product of the per-vertex
     class lists: per tuple of class representatives, the product of the
     arrows' fixed-point counts (or fix_values) times the class sizes, in
     the bucket of its determinant character exponent.  The oracle for the
     contraction of _burnside; returns (buckets, |G|) like it."""
-    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard, guard_points)
+    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard)
     m = char_order or 1
     buckets = [0] * m
     solved = {}
@@ -165,8 +166,20 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
     of V^g x V*^g and keep those on which the moment map vanishes.  The
     oracle for the rank sums of the engine and for their contraction."""
     alpha = tuple(alpha)
-    darrows = double_quiver(quiver)[0].arrows()
-    zero_fiber = _zero_fiber(quiver, alg, alpha)
+    dq, star = double_quiver(quiver)
+    darrows = dq.arrows()
+    # entry (i, j) of mu at v: sum_h a[i][h] a*[h][j] over the arrows a into
+    # v, minus the same with a* first over the arrows out of v, each product
+    # as (slot, flat index, slot, flat index, negated)
+    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
+    equations = {}
+    for e, s, t in quiver.arrows():
+        for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
+            n, k = alpha[v - 1], alpha[w - 1]
+            for i, j, h in product(range(n), range(n), range(k)):
+                equations.setdefault((v, i, j), []).append(
+                    (slot[left], i * k + h, slot[right], h * n + j, negated))
+    sums = list(equations.values())
 
     def points(gt, gs, rows, cols):
         basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
@@ -175,7 +188,7 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
     def fix_values(g):
         per_arrow = [points(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
                      for _, s, t in darrows]
-        return sum(1 for _ in zero_fiber(per_arrow))
+        return sum(1 for _ in vanishing_points(alg, per_arrow, sums))
 
     def engine(quiver, alg, alpha, **kwargs):
         return class_tuple_buckets(quiver, alg, alpha, fix_values=fix_values, **kwargs)
@@ -292,8 +305,8 @@ def test_guards_trip_before_any_arrow_table(monkeypatch):
     calls = _count_solves(monkeypatch)
     cases = [
         (m_count, path_quiver(2), make_truncated(F2, 2), (2, 2), {"guard": 10}),
-        (m_count, path_quiver(2), make_prime_field(2), (2, 1), {"guard_points": 15}),
-        (a_count, path_quiver(2), make_prime_field(3), (1, 1), {"guard_points": 2}),
+        (m_count, path_quiver(2), make_prime_field(2), (2, 1), {"guard": 15}),
+        (a_count, path_quiver(2), make_prime_field(3), (1, 1), {"guard": 2}),
         (m_count, jordan_quiver(), make_prime_field(7), (3,), {}),     # 7^9 matrices
     ]
     for count, quiver, ring, alpha, guards in cases:
@@ -521,17 +534,6 @@ def test_preprojective_counts_equal_dual_number_counts_at_rank_two():
     assert a_preproj(path_quiver(2), make_prime_field(5), (2, 2)) == 0
 
 
-def test_preproj_guard_counts_the_enumerated_half():
-    # the identity tuple comes first; each half of its fixed space has 3^2
-    # points, the product 3^4
-    kronecker = banana_quiver(2)
-    with pytest.raises(GuardError, match="p\\^2 = 9 points"):
-        m_preproj(kronecker, F3, (1, 1), guard_points=8)
-    assert m_preproj(kronecker, F3, (1, 1), guard_points=9) == m_preproj(kronecker, F3, (1, 1))
-    # 3^4 points per half, 3^8 in the product; 3^4 also admits the GL_2 scan
-    assert m_preproj(path_quiver(2), F3, (2, 2), guard_points=81) == 6
-
-
 def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     from quivercount import repenum
     calls, engine = [], {}
@@ -552,8 +554,7 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     # count is that of the pairs X, Y with XY = 0 and YX = 0
     a2, identity = path_quiver(2), mat_identity(F3, 2)
     m_preproj(a2, F3, (2, 2))
-    matrices = list(_matrices(F3, 2, 2))
-    fiber = sum(1 for _ in _zero_fiber(a2, F3, (2, 2))([matrices, matrices]))
+    fiber = sum(1 for _ in _whole_zero_fiber(a2, F3, (2, 2), GUARD))
     assert engine["fix_values"]((identity, identity)) == fiber
     assert len(calls) == 16
     # Kronecker at (1,1): k = |b| = 1 on each of its two arrows; the fiber
@@ -576,7 +577,7 @@ def test_preproj_partition_fallback_agrees():
         assert preproj_orbit_partition(quiver, ring, alpha) == \
             m_preproj(quiver, ring, alpha)
     with pytest.raises(GuardError):
-        preproj_orbit_partition(path_quiver(2), K2F2, (1, 1), guard_points=10)
+        preproj_orbit_partition(path_quiver(2), K2F2, (1, 1), guard=10)
 
 
 def test_fourier_fiber_counts():
@@ -585,7 +586,7 @@ def test_fourier_fiber_counts():
     assert fourier_fiber_count(jordan_quiver(1), F2, (1,)) == 4
     assert fourier_fiber_count(jordan_quiver(1), F3, (1,)) == 9
     with pytest.raises(GuardError):
-        fourier_fiber_count(path_quiver(2), K2F2, (1, 1), guard_points=10)
+        fourier_fiber_count(path_quiver(2), K2F2, (1, 1), guard=10)
 
 
 def test_toric_orbit_counts():
@@ -598,7 +599,7 @@ def test_toric_orbit_counts():
     # without the connectivity filter every class is counted
     assert toric_ai_orbit_count(path_quiver(2), K2F2, connected_only=False) == 3
     with pytest.raises(GuardError):
-        toric_ai_orbit_count(cycle_quiver(3), K2F2, guard_points=10)
+        toric_ai_orbit_count(cycle_quiver(3), K2F2, guard=10)
 
 
 def test_stabilizer_orders():
@@ -619,21 +620,6 @@ def test_counterexample_counts():
     assert counterexample_counts(2, 2) == (15, 18)
     a, b = counterexample_counts(2, 3)
     assert b - a == (9 - 1) * (3 - 1)
-
-
-def test_group_guard():
-    with pytest.raises(GuardError):
-        m_count(path_quiver(2), K2F2, (2, 2), guard=10)
-
-
-def test_point_guard_bounds_the_gl_scan():
-    # the GL_2(F_2) scan visits 2^4 = 16 matrices, whether or not it is memoized
-    for _ in range(2):
-        with pytest.raises(GuardError):
-            m_count(path_quiver(2), F2, (2, 1), guard_points=15)
-        assert m_count(path_quiver(2), F2, (2, 1), guard_points=16) == 2
-    with pytest.raises(GuardError):
-        a_count(path_quiver(2), F3, (1, 1), guard_points=2)
 
 
 def test_random_graphs_cross_validate_closed_form():

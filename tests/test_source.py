@@ -46,3 +46,23 @@ def test_no_module_outgrows_the_largest():
     # naming the module, instead of at the benchmark gate.
     lengths = {path.name: len(path.read_text().splitlines()) for path in SOURCE.glob("*.py")}
     assert {name: n for name, n in lengths.items() if n > 652} == {}
+
+def test_one_guard():
+    # One guard mechanism: multigraph.charge is the only code that raises
+    # GuardError, and GUARD the only module-level guard name.
+    raises, names = [], []
+    for name, tree in _parsed_sources():
+        helper = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and (name, f.name) == ("multigraph.py", "charge") for node in ast.walk(f)}
+        raises += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   and "GuardError" in ast.unparse(node.exc) and id(node) not in helper]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+            else:
+                continue
+            names += ["%s %s" % (name, n) for n in found if n.startswith("GUARD") and n != "GUARD"]
+    assert raises == [] and names == []
