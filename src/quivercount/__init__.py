@@ -17,8 +17,8 @@ from .finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                              make_field_ext, make_prime_field,
                              make_square_zero, make_truncated, mat_det,
                              mat_identity, mat_inverse, mat_mul,
-                             matrix_is_invertible, ring_from_spec,
-                             truncated_depth, truncated_generator)
+                             ring_from_spec, truncated_depth,
+                             truncated_generator)
 from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
                      convolve, cvector_of_filtration, epsilon1_char,
                      epsilon_char, psi_char, psi_inverse_char, q_eulerian,
@@ -31,7 +31,7 @@ from .repenum import (a_count, a_preproj, counterexample_counts, double_quiver,
                       gl_elements, gl_order, group_order, m_count, m_preproj,
                       moment_map, preproj_orbit_partition, stabilizer_order,
                       toric_ai_orbit_count, toric_point)
-from .toric import (a_d_cyclic_closed_form, a_d_polynomial, delta,
-                    r_d_polynomial, toric_type_orbit_data)
+from .toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
+                    toric_type_orbit_data)
 
 __version__ = "0.1.0"

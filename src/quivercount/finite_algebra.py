@@ -53,7 +53,7 @@ class FiniteAlgebra:
         self.residue_proj = residue_proj if residue_proj is not None else (lambda x: x)
         self.max_ideal_basis = tuple(max_ideal_basis or ())
         self._units = None
-        self._dlog = None
+        self._dlog = {}
         self._check_structure()
 
     # -- construction-time sanity -------------------------------------
@@ -222,38 +222,36 @@ class FiniteAlgebra:
         return self.size() // q * (q - 1)
 
     # -- residue-field discrete logarithms ------------------------------
+    def _log_table(self, x):
+        """{x^k: k} when the powers of x are the q - 1 units of the residue
+        field, else None."""
+        field = self.residue_field
+        table, value = {}, field.one
+        while value not in table:
+            table[value] = len(table)
+            value = field.mul(value, x)
+        return table if value == field.one and len(table) == field.size() - 1 else None
+
     def primitive_element(self):
         """Smallest generator of the residue field's multiplicative group."""
-        field = self.residue_field
-        order = field.size() - 1
-        for x in field.elements():
-            if not any(x):
-                continue
-            value, k = x, 1
-            while value != field.one:
-                value = field.mul(value, x)
-                k += 1
-            if k == order:
+        for x in self.residue_field.elements():
+            if self._log_table(x) is not None:
                 return x
         raise ArithmeticError("no generator found; residue is not a field?")
 
     def dlog(self, x, generator=None):
-        """Discrete log of a nonzero residue-field element."""
-        field = self.residue_field
-        if generator is None:
-            if self._dlog is None:
-                gen = self.primitive_element()
-                table, value = {}, field.one
-                for k in range(field.size() - 1):
-                    table[value] = k
-                    value = field.mul(value, gen)
-                self._dlog = (gen, table)
-            return self._dlog[1][x]
-        table, value = {}, field.one
-        for k in range(field.size() - 1):
-            table[value] = k
-            value = field.mul(value, generator)
-        return table[x]
+        """Discrete log of a nonzero residue-field element to the base
+        generator (default primitive_element()), from a table memoized per
+        generator; ValueError if the generator's powers do not reach all
+        q - 1 units of the residue field."""
+        key = None if generator is None else tuple(generator)
+        if key not in self._dlog:
+            table = self._log_table(self.primitive_element() if key is None else key)
+            if table is None:
+                raise ValueError("%r does not generate the units of %s"
+                                 % (generator, self.residue_field.name))
+            self._dlog[key] = table
+        return self._dlog[key][x]
 
     # -- Frobenius forms -------------------------------------------------
     def find_frobenius_form(self, guard=GUARD):
@@ -363,8 +361,30 @@ def make_field(q):
 
 # -- local algebra constructors ----------------------------------------
 
-def _block_name(base_name, suffix):
-    return base_name if suffix == "" else (suffix if base_name == "1" else base_name + "*" + suffix)
+def _local_ring(base, suffixes, vanishes, name):
+    """base (x) span(1, m_1, ..., m_n), the m_a named by suffixes, with
+    m_a m_b = m_(a+b), or 0 when vanishes(a, b).  Local with the residue
+    field of base, read off the first block; its maximal ideal is that of
+    base, then the new monomials."""
+    bd, blocks = base.dim, len(suffixes) + 1
+    dim = bd * blocks
+    names = list(base.basis_names)
+    for suffix in suffixes:
+        names.extend(suffix if b == "1" else b + "*" + suffix for b in base.basis_names)
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for j1, j2 in product(range(blocks), repeat=2):
+        if not vanishes(j1, j2):
+            for i1, i2 in product(range(bd), repeat=2):
+                cell = [0] * dim
+                cell[(j1 + j2) * bd:(j1 + j2 + 1) * bd] = base.table[i1][i2]
+                table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
+    one = tuple(base.one) + (0,) * (dim - bd)
+    ideal = tuple(tuple(x) + (0,) * (dim - bd) for x in base.max_ideal_basis)
+    ideal += tuple(tuple(1 if t == k else 0 for t in range(dim)) for k in range(bd, dim))
+    return FiniteAlgebra(base.p, names, table, one, name, residue_field=base.residue_field,
+                         residue_proj=lambda x: base.residue_proj(tuple(x[:bd])),
+                         max_ideal_basis=ideal)
 
 
 def make_truncated(base, d):
@@ -375,59 +395,15 @@ def make_truncated(base, d):
         raise ValueError("d >= 1 required")
     if d == 1:
         return base
-    bd = base.dim
-    dim = bd * d
-    names = []
-    for j in range(d):
-        suffix = "" if j == 0 else ("t" if j == 1 else "t^%d" % j)
-        names.extend(_block_name(b, suffix) for b in base.basis_names)
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for j1 in range(d):
-        for i1 in range(bd):
-            for j2 in range(d):
-                for i2 in range(bd):
-                    if j1 + j2 >= d:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(base.table[i1][i2]):
-                        cell[(j1 + j2) * bd + k] = c
-                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
-    one = tuple(base.one) + (0,) * (dim - bd)
-    proj = lambda x: tuple(x[:bd])
-    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
-                  for j in range(1, d) for i in range(bd))
-    alg = FiniteAlgebra(base.p, names, table, one, "kd(%s,%d)" % (base.name, d),
-                        residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
-    alg.truncation = (d, bd)
+    suffixes = ["t" if j == 1 else "t^%d" % j for j in range(1, d)]
+    alg = _local_ring(base, suffixes, lambda a, b: a + b >= d, "kd(%s,%d)" % (base.name, d))
+    alg.truncation = (d, base.dim)
     return alg
 
 
 def make_dual_numbers(ring):
     """ring[eps]/(eps^2); local with the same residue field when ring is."""
-    rd = ring.dim
-    dim = 2 * rd
-    names = [n for n in ring.basis_names]
-    names += [_block_name(n, "e") for n in ring.basis_names]
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for k1 in range(2):
-        for i1 in range(rd):
-            for k2 in range(2):
-                for i2 in range(rd):
-                    if k1 + k2 >= 2:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(ring.table[i1][i2]):
-                        cell[(k1 + k2) * rd + k] = c
-                    table[k1 * rd + i1][k2 * rd + i2] = tuple(cell)
-    one = tuple(ring.one) + (0,) * rd
-    residue = ring.residue_field
-    proj = lambda x: ring.residue_proj(tuple(x[:rd]))
-    ideal = tuple(tuple(b) + (0,) * rd for b in ring.max_ideal_basis)
-    ideal += tuple(tuple(1 if t == rd + i else 0 for t in range(dim)) for i in range(rd))
-    return FiniteAlgebra(ring.p, names, table, one, "eps(%s)" % ring.name,
-                         residue_field=residue, residue_proj=proj, max_ideal_basis=ideal)
+    return _local_ring(ring, ["e"], lambda a, b: a and b, "eps(%s)" % ring.name)
 
 
 def make_square_zero(base, n):
@@ -436,30 +412,8 @@ def make_square_zero(base, n):
         raise ValueError("square-zero rings require a field base")
     if n < 1:
         raise ValueError("n >= 1 required")
-    bd = base.dim
-    dim = bd * (n + 1)
-    names = []
-    for j in range(n + 1):
-        suffix = "" if j == 0 else "t%d" % j
-        names.extend(_block_name(b, suffix) for b in base.basis_names)
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for j1 in range(n + 1):
-        for i1 in range(bd):
-            for j2 in range(n + 1):
-                for i2 in range(bd):
-                    if j1 and j2:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(base.table[i1][i2]):
-                        cell[(j1 + j2) * bd + k] = c
-                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
-    one = tuple(base.one) + (0,) * (dim - bd)
-    proj = lambda x: tuple(x[:bd])
-    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
-                  for j in range(1, n + 1) for i in range(bd))
-    return FiniteAlgebra(base.p, names, table, one, "sqz(%s,%d)" % (base.name, n),
-                         residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
+    suffixes = ["t%d" % j for j in range(1, n + 1)]
+    return _local_ring(base, suffixes, lambda a, b: a and b, "sqz(%s,%d)" % (base.name, n))
 
 
 def truncated_generator(alg):
@@ -522,12 +476,6 @@ def mat_det(alg, m):
         term = alg.mul(m[0][j], mat_det(alg, minor))
         det = alg.add(det, term) if j % 2 == 0 else alg.sub(det, term)
     return det
-
-
-def matrix_is_invertible(alg, m):
-    if m and any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
-    return alg.is_unit(mat_det(alg, m))
 
 
 def mat_inverse(alg, m):

@@ -17,7 +17,7 @@ from collections import Counter
 from math import comb
 
 from .multigraph import GUARD, charge, strict_filtrations
-from .polynomials import QPoly, QTPoly
+from .polynomials import QPoly, QTPoly, times_t_factors
 from .ratfun import RatQT
 from .toric import _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
 
@@ -86,13 +86,8 @@ def _series_numerator(coeffs, den):
     numerator of T-degree below len(coeffs), the series is N / den."""
     if len(coeffs) != sum(den.values()):
         raise ValueError("need as many coefficients as the denominator's T-degree")
-    rows = [dict(c.coeffs) for c in coeffs]
-    for c in Counter(den).elements():
-        for d in range(len(rows) - 1, 0, -1):
-            row = rows[d]
-            for e, v in rows[d - 1].items():
-                row[e + c] = row.get(e + c, 0) - v
-    return QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()})
+    series = {(e, d): v for d, c in enumerate(coeffs) for e, v in c.coeffs.items()}
+    return QTPoly(times_t_factors(series, Counter(den).elements(), len(coeffs)))
 
 
 def a_genfun(graph, guard=GUARD):

@@ -152,20 +152,6 @@ class Multigraph:
             out.append(edges - merges)
         return out
 
-    def connected_spanning_subgraphs(self, guard=GUARD):
-        """Yield the edge subsets whose spanning subgraph is connected.
-
-        Deterministic order: subsets of the sorted id list in binary
-        counting order (lexicographic on the indicator over sorted ids).
-        """
-        ids = sorted(self._by_id)
-        m = len(ids)
-        charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
-        for mask in range(1 << m):
-            subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
-            if self.spanning_connected(subset):
-                yield subset
-
     def spanning_connected(self, a):
         """True iff the spanning subgraph on edge subset a is connected."""
         parent = list(range(self.n + 1))

@@ -3,6 +3,9 @@
 Two coefficient-map classes: QPoly, a Laurent polynomial in a single
 variable q, and QTPoly, a (Laurent) polynomial in two variables.  All
 coefficients are Python ints, so nothing ever overflows or rounds.
+Products of factors (1 - q^c T) meet them in one pass each way:
+times_t_factors multiplies by shift-and-subtract, divide_by_t_factor
+divides by synthetic division, exactly or as a power series.
 """
 
 from fractions import Fraction
@@ -10,6 +13,19 @@ from fractions import Fraction
 
 def _strip(coeffs):
     return {e: c for e, c in coeffs.items() if c != 0}
+
+
+def _power(base, n, one):
+    """base^n by repeated squaring, for n >= 0."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class QPoly:
@@ -81,16 +97,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly.const(1))
 
     def degree(self):
         """Largest exponent; None for the zero polynomial."""
@@ -215,16 +222,7 @@ class QTPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QTPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QTPoly.const(1, self.vars))
 
     def deg_t(self):
         return max(j for _, j in self.coeffs) if self.coeffs else None
@@ -241,10 +239,7 @@ class QTPoly:
 
     def t_coefficients(self):
         """Map t_exp -> QPoly, covering all nonzero T-slices."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out.setdefault(j, {})[i] = c
-        return {j: QPoly(d) for j, d in out.items()}
+        return {j: QPoly(d) for j, d in _t_slices(self).items()}
 
     def subs_t_scale(self, k):
         """Substitute T -> q^k * T."""
@@ -302,34 +297,47 @@ class QTPoly:
     __repr__ = __str__
 
 
-def divide_exact_by_t_factor(p, c):
-    """Exact division of p by (1 - q^c * T); raises ValueError if inexact.
-
-    One synthetic-division pass over the T-slices, lowest first: quotient
-    slice h_j = p_j + q^c h_(j-1); the slice left over above the top must
-    vanish.  Laurent input needs no shift.
-    """
+def _t_slices(p):
+    """The T-slices {t_exp: {q_exp: coefficient}} of p, as new dicts."""
     slices = {}
     for (i, j), v in p.coeffs.items():
         slices.setdefault(j, {})[i] = v
-    quot = {}
-    if slices:
-        prev = {}
-        for j in range(min(slices), max(slices) + 1):
-            h = slices.get(j, {})
-            for i, v in prev.items():
-                h[i + c] = h.get(i + c, 0) + v
-            prev = {i: v for i, v in h.items() if v}
-            for i, v in prev.items():
-                quot[(i, j)] = v
-        if prev:
-            raise ValueError("division by (1 - q^%d*T) is not exact" % c)
-    return QTPoly(quot, p.vars)
+    return slices
 
 
-def divides_t_factor(p, c):
-    try:
-        divide_exact_by_t_factor(p, c)
-        return True
-    except ValueError:
-        return False
+def times_t_factors(coeffs, factors, below=None):
+    """coeffs {(q_exp, t_exp): c} times prod (1 - q^c T) over the iterable
+    factors (c repeated for a power), one shift-and-subtract pass
+    k[i + c, j + 1] -= k[i, j] per factor; mod T^below when given, for
+    coeffs of T-degree under below.  Zero coefficients may be kept."""
+    for c in factors:
+        coeffs, prev = dict(coeffs), coeffs
+        for (i, j), v in prev.items():
+            if below is None or j + 1 < below:
+                coeffs[i + c, j + 1] = coeffs.get((i + c, j + 1), 0) - v
+    return coeffs
+
+
+def divide_by_t_factor(p, c, stop):
+    """p / (1 - q^c T) through T^stop by one synthetic-division pass over
+    the T-slices, lowest first: h_j = p_j + q^c h_(j-1).  Returns the
+    quotient and its last slice h_stop, {q_exp: coefficient}."""
+    slices = _t_slices(p)
+    quot, prev = {}, {}
+    for j in range(min(slices, default=stop + 1), stop + 1):
+        h = slices.get(j, {})
+        for i, v in prev.items():
+            h[i + c] = h.get(i + c, 0) + v
+        prev = {i: v for i, v in h.items() if v}
+        for i, v in prev.items():
+            quot[(i, j)] = v
+    return QTPoly(quot, p.vars), prev
+
+
+def divide_exact_by_t_factor(p, c):
+    """Exact division of p by (1 - q^c * T); raises ValueError if inexact:
+    the division pass run to the top of p must leave its last slice zero."""
+    quot, rest = divide_by_t_factor(p, c, p.deg_t() if p else 0)
+    if rest:
+        raise ValueError("division by (1 - q^%d*T) is not exact" % c)
+    return quot

@@ -11,12 +11,14 @@ remaining common factor.
 A sum is reduced once, over the least common denominator (RatQT.sum):
 each (1 - q^c T) is prime in Z[q^+-1, T^+-1], so the fully reduced
 num/den is unique and equals what reducing after every addition gives.
+The power series at T = 0 is the numerator divided by one factor at a
+time, by synthetic division cut after the wanted order (RatQT.series).
 """
 
 from collections import Counter
-from math import comb
 
-from .polynomials import QPoly, QTPoly, divide_exact_by_t_factor
+from .polynomials import (QPoly, QTPoly, divide_by_t_factor, divide_exact_by_t_factor,
+                          times_t_factors)
 
 
 class RatQT:
@@ -56,11 +58,7 @@ class RatQT:
 
     def den_poly(self):
         """Denominator expanded as a QTPoly."""
-        out = QTPoly.const(1)
-        for c, m in self.den.items():
-            factor = QTPoly.const(1) - QTPoly.monomial(c, 1)
-            out = out * factor ** m
-        return out
+        return QTPoly(_times_factors(RatQT(1), Counter(self.den)))
 
     def den_t_degree(self):
         return sum(self.den.values())
@@ -153,25 +151,21 @@ class RatQT:
         """Coefficient of T^d in the power-series expansion at T = 0."""
         if d < 0:
             raise ValueError("d >= 0 required")
-        if self.num and self.num.val_t() < 0:
-            raise ValueError("numerator has a pole at T = 0")
-        # Expand each 1/(1-q^c T)^m as sum_j C(m-1+j, j) q^(c j) T^j.
-        series = {0: QPoly.const(1)}
-        for c, m in self.den.items():
-            factor = {j: QPoly.monomial(c * j, comb(m - 1 + j, j)) for j in range(d + 1)}
-            series = _truncated_product(series, factor, d)
-        num_slices = self.num.t_coefficients()
-        out = QPoly()
-        for j, p in num_slices.items():
-            if j <= d and (d - j) in series:
-                out = out + p * series[d - j]
-        return out
+        return self.series(d)[d]
 
     def series(self, order):
-        """List of T-coefficients up to T^order inclusive."""
+        """List of T-coefficients up to T^order inclusive: the numerator
+        divided by each factor (1 - q^c T) in turn, by synthetic division
+        h_j = p_j + q^c h_(j-1) stopped after T^order."""
         if order < 0:
             raise ValueError("order >= 0 required")
-        return [self.series_coefficient(d) for d in range(order + 1)]
+        if self.num and self.num.val_t() < 0:
+            raise ValueError("numerator has a pole at T = 0")
+        series = self.num
+        for c in Counter(self.den).elements():
+            series = divide_by_t_factor(series, c, order)[0]
+        slices = series.t_coefficients()
+        return [slices.get(d, QPoly()) for d in range(order + 1)]
 
     def numerator_t_degree(self):
         return self.num.deg_t()
@@ -197,22 +191,5 @@ class RatQT:
 
 def _times_factors(f, den):
     """The coefficients of f's numerator over the common denominator den
-    (a Counter that includes f.den): one shift-and-subtract pass per
-    missing factor (1 - q^c T).  Zero coefficients may be kept."""
-    coeffs = f.num.coeffs
-    for c in (den - Counter(f.den)).elements():
-        coeffs, prev = dict(coeffs), coeffs
-        for (i, j), v in prev.items():
-            coeffs[i + c, j + 1] = coeffs.get((i + c, j + 1), 0) - v
-    return coeffs
-
-
-def _truncated_product(a, b, order):
-    out = {}
-    for i, p in a.items():
-        for j, r in b.items():
-            k = i + j
-            if k > order:
-                continue
-            out[k] = out.get(k, QPoly()) + p * r
-    return out
+    (a Counter that includes f.den).  Zero coefficients may be kept."""
+    return times_t_factors(f.num.coeffs, (den - Counter(f.den)).elements())

@@ -304,6 +304,7 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None, 
         q = alg.residue_field.size()
         if (q - 1) % char_order:
             raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (char_order, q - 1))
+        alg.dlog(alg.residue_field.one, generator)     # a bad generator fails here, not mid-sum
     buckets, order = engine(quiver, alg, alpha, char_order=char_order,
                             generator=generator, guard=guard)
     if char_order is None:

@@ -28,20 +28,6 @@ def check_depth_function(gamma, r, d):
             raise ValueError("depth value r(%d) = %r outside 1..%d" % (e, value, d))
 
 
-def delta(gamma, r, d):
-    """sum over k = 1..d-1 of b1(gamma) - b1(gamma_k), where gamma_k
-    contracts the edges of depth > k."""
-    if not gamma.is_connected():
-        raise ValueError("gamma must be connected")
-    check_depth_function(gamma, r, d)
-    b1 = gamma.b1()
-    total = 0
-    for k in range(1, d):
-        deep = frozenset(e for e, value in r.items() if value > k)
-        total += b1 - gamma.b1_of_contraction(deep)
-    return total
-
-
 def r_d_polynomial(gamma, d, guard=GUARD):
     """sum over all depth functions r of q^delta(gamma, r).
 

@@ -7,8 +7,7 @@ from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         make_field, make_field_ext,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_det, mat_identity,
-                                        mat_mul, matrix_is_invertible,
-                                        ring_from_spec, truncated_depth,
+                                        mat_mul, ring_from_spec, truncated_depth,
                                         truncated_generator,
                                         truncated_valuation)
 from quivercount.multigraph import GuardError
@@ -174,6 +173,12 @@ def test_every_builtin_ring_constructs():
         assert ring.unit_count() == len(ring.units())
 
 
+def matrix_is_invertible(alg, m):
+    if m and any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    return alg.is_unit(mat_det(alg, m))
+
+
 def test_matrix_determinant_criterion_exhaustive():
     for alg in [make_truncated(make_prime_field(2), 2), make_field(4)]:
         elems = list(alg.elements())
@@ -245,6 +250,130 @@ def test_dlog_tables():
     assert f4.dlog(f4.mul(gen, gen), generator=gen) == 2
     k2f3 = make_truncated(make_prime_field(3), 2)
     assert k2f3.dlog(k2f3.residue((2, 1))) == 1
+
+
+def test_dlog_rejects_a_generator_that_misses_units():
+    f5 = make_prime_field(5)
+    # 4 has order 2 and 1 order 1: their powers miss units, so no log exists
+    for gen in ((4,), (1,), (0,)):
+        for x in ((4,), (1,)):
+            with pytest.raises(ValueError, match=r"\(%d,\) does not generate" % gen[0]):
+                f5.dlog(x, generator=gen)
+    assert [f5.dlog(x, generator=(2,)) for x in ((1,), (2,), (4,), (3,))] == [0, 1, 2, 3]
+    assert [f5.dlog(x, generator=(3,)) for x in ((1,), (3,), (4,), (2,))] == [0, 1, 2, 3]
+
+
+def _block_name(base_name, suffix):
+    return base_name if suffix == "" else (suffix if base_name == "1" else base_name + "*" + suffix)
+
+
+def truncated_by_blocks(base, d):
+    """Oracle for make_truncated: the constructor with its own block loop."""
+    if d == 1:
+        return base
+    bd = base.dim
+    dim = bd * d
+    names = []
+    for j in range(d):
+        suffix = "" if j == 0 else ("t" if j == 1 else "t^%d" % j)
+        names.extend(_block_name(b, suffix) for b in base.basis_names)
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for j1 in range(d):
+        for i1 in range(bd):
+            for j2 in range(d):
+                for i2 in range(bd):
+                    if j1 + j2 >= d:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(base.table[i1][i2]):
+                        cell[(j1 + j2) * bd + k] = c
+                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
+    one = tuple(base.one) + (0,) * (dim - bd)
+    proj = lambda x: tuple(x[:bd])
+    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
+                  for j in range(1, d) for i in range(bd))
+    alg = FiniteAlgebra(base.p, names, table, one, "kd(%s,%d)" % (base.name, d),
+                        residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
+    alg.truncation = (d, bd)
+    return alg
+
+
+def dual_numbers_by_blocks(ring):
+    """Oracle for make_dual_numbers: the constructor with its own block loop."""
+    rd = ring.dim
+    dim = 2 * rd
+    names = [n for n in ring.basis_names]
+    names += [_block_name(n, "e") for n in ring.basis_names]
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for k1 in range(2):
+        for i1 in range(rd):
+            for k2 in range(2):
+                for i2 in range(rd):
+                    if k1 + k2 >= 2:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(ring.table[i1][i2]):
+                        cell[(k1 + k2) * rd + k] = c
+                    table[k1 * rd + i1][k2 * rd + i2] = tuple(cell)
+    one = tuple(ring.one) + (0,) * rd
+    proj = lambda x: ring.residue_proj(tuple(x[:rd]))
+    ideal = tuple(tuple(b) + (0,) * rd for b in ring.max_ideal_basis)
+    ideal += tuple(tuple(1 if t == rd + i else 0 for t in range(dim)) for i in range(rd))
+    return FiniteAlgebra(ring.p, names, table, one, "eps(%s)" % ring.name,
+                         residue_field=ring.residue_field, residue_proj=proj,
+                         max_ideal_basis=ideal)
+
+
+def square_zero_by_blocks(base, n):
+    """Oracle for make_square_zero: the constructor with its own block loop."""
+    bd = base.dim
+    dim = bd * (n + 1)
+    names = []
+    for j in range(n + 1):
+        suffix = "" if j == 0 else "t%d" % j
+        names.extend(_block_name(b, suffix) for b in base.basis_names)
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for j1 in range(n + 1):
+        for i1 in range(bd):
+            for j2 in range(n + 1):
+                for i2 in range(bd):
+                    if j1 and j2:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(base.table[i1][i2]):
+                        cell[(j1 + j2) * bd + k] = c
+                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
+    one = tuple(base.one) + (0,) * (dim - bd)
+    proj = lambda x: tuple(x[:bd])
+    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
+                  for j in range(1, n + 1) for i in range(bd))
+    return FiniteAlgebra(base.p, names, table, one, "sqz(%s,%d)" % (base.name, n),
+                         residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
+
+
+CONSTRUCTORS = {"kd": (make_truncated, truncated_by_blocks),
+                "sqz": (make_square_zero, square_zero_by_blocks),
+                "eps": (make_dual_numbers, dual_numbers_by_blocks)}
+FIELD_SPECS = ("fq(2)", "fq(3)", "fq(2,2)", "fq(5)", "fq(7)", "fq(2,3)", "fq(3,2)")  # F_2..F_9
+LOCAL_RINGS = ([("kd", spec, d) for spec in FIELD_SPECS for d in (1, 2, 3)]
+               + [("sqz", spec, n) for spec in FIELD_SPECS for n in (1, 2, 3)]
+               + [("eps", spec) for spec in FIELD_SPECS
+                  + ("kd(fq(2),2)", "sqz(fq(3),2)", "eps(fq(2))")])
+
+
+@pytest.mark.parametrize("case", LOCAL_RINGS, ids=lambda case: "-".join(map(str, case)))
+def test_local_ring_constructors_equal_their_block_loops(case):
+    make, oracle = CONSTRUCTORS[case[0]]
+    base = ring_from_spec(case[1])
+    ring, oracle = make(base, *case[2:]), oracle(base, *case[2:])
+    assert (ring.name, ring.basis_names, ring.table, ring.one, ring.max_ideal_basis) == \
+        (oracle.name, oracle.basis_names, oracle.table, oracle.one, oracle.max_ideal_basis)
+    assert ring.residue_field is oracle.residue_field
+    assert getattr(ring, "truncation", None) == getattr(oracle, "truncation", None)
+    assert all(ring.residue(x) == oracle.residue(x) for x in ring.elements())
 
 
 def test_ring_spec_parser():

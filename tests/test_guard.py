@@ -26,8 +26,6 @@ C3 = cycle_graph(3)
 
 CASES = {
     # subset sums: 2^m terms
-    "connected_spanning_subgraphs": (lambda g: list(C3.connected_spanning_subgraphs(g)), 8,
-                                     "2^3 = 8 subsets"),
     "convolve": (lambda g: convolve(psi_char(1), psi_char(0), g)(C3), 8,
                  "2^3 = 8 convolution terms"),
     "check_recursion": (lambda g: check_recursion(banana_graph(2), g), 4,

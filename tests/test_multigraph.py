@@ -7,7 +7,7 @@ from quivercount import verify
 from quivercount.families import (_canonical_form, all_connected_multigraphs,
                                   banana_graph, cycle_graph, loops_graph,
                                   path_graph, point_graph)
-from quivercount.multigraph import (GuardError, Multigraph, Quiver,
+from quivercount.multigraph import (GUARD, GuardError, Multigraph, Quiver, charge,
                                     strict_filtrations)
 from quivercount.polynomials import QTPoly
 
@@ -118,13 +118,25 @@ def test_spanning_subgraph_examples():
         c3.spanning_subgraph([7])
 
 
+def connected_spanning_subgraphs(graph, guard=GUARD):
+    """Yield the edge subsets whose spanning subgraph is connected, in
+    binary counting order over the sorted ids; 2^m subsets charged up front."""
+    ids = sorted(graph.edge_ids())
+    m = len(ids)
+    charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
+    for mask in range(1 << m):
+        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
+        if graph.spanning_connected(subset):
+            yield subset
+
+
 def test_connected_spanning_subgraphs():
-    assert len(list(cycle_graph(3).connected_spanning_subgraphs())) == 4
-    assert len(list(banana_graph(2).connected_spanning_subgraphs())) == 3
-    assert list(path_graph(2).connected_spanning_subgraphs()) == [frozenset([1])]
+    assert len(list(connected_spanning_subgraphs(cycle_graph(3)))) == 4
+    assert len(list(connected_spanning_subgraphs(banana_graph(2)))) == 3
+    assert list(connected_spanning_subgraphs(path_graph(2))) == [frozenset([1])]
     # disconnected host yields nothing
     g = Multigraph(3, [(1, 1, 2)])
-    assert list(g.connected_spanning_subgraphs()) == []
+    assert list(connected_spanning_subgraphs(g)) == []
 
 
 def test_connected_spanning_subgraphs_against_naive_filter():
@@ -137,7 +149,7 @@ def test_connected_spanning_subgraphs_against_naive_filter():
             for combo in combinations(ids, r):
                 if g.spanning_subgraph(combo).is_connected():
                     naive.add(frozenset(combo))
-        assert set(g.connected_spanning_subgraphs()) == naive
+        assert set(connected_spanning_subgraphs(g)) == naive
 
 
 def test_strict_filtration_counts():
@@ -210,8 +222,10 @@ def test_b1_of_contraction_matches_graph_construction():
 
 def test_guard_on_subset_enumeration():
     g = cycle_graph(3)
-    with pytest.raises(GuardError):
-        list(g.connected_spanning_subgraphs(guard=2))
+    for _ in range(2):      # as in tests/test_guard.py: exactly 2^3 subsets admitted
+        with pytest.raises(GuardError, match=r"2\^3 = 8 subsets"):
+            list(connected_spanning_subgraphs(g, 7))
+        assert list(connected_spanning_subgraphs(g, 8)) == list(connected_spanning_subgraphs(g))
     with pytest.raises(GuardError):
         list(strict_filtrations([1, 2, 3], guard=2))
 

@@ -7,8 +7,10 @@ against the loop over every group element, their contraction along the
 quiver against the loop over class tuples, and the rank sums of m_preproj
 and a_preproj against the zero-fiber filter; and on random Laurent
 polynomials, RatQT.sum against the pairwise addition, RatQT equality
-against cross-multiplication and the one-pass division by (1 - q^c T)
-against the slice-by-slice division; and on random elements of GL_1 and
+against cross-multiplication, the one-pass division by (1 - q^c T)
+against the slice-by-slice division, the series by synthetic division
+against the binomial expansion, the series numerator against the row pass
+and den_poly against the power expansion; and on random elements of GL_1 and
 GL_2 over seven rings, the block-built arrow systems against the systems
 built one product at a time.
 Derandomized, so a run is reproducible; a failure shrinks to a small graph.
@@ -23,16 +25,17 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
-from quivercount.genfun import a_genfun, r_genfun  # noqa: E402
+from quivercount.genfun import _series_numerator, a_genfun, r_genfun  # noqa: E402
 from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
                                  gl_classes, gl_elements, group_order, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
-from test_genfun import a_genfun_by_subgraphs, same_form  # noqa: E402
+from test_genfun import a_genfun_by_subgraphs, same_form, series_numerator_by_rows  # noqa: E402
 from test_polynomials import divide_by_t_factor_slices  # noqa: E402
-from test_ratfun import add_pairwise, equal_by_cross_multiplication  # noqa: E402
+from test_ratfun import (add_pairwise, den_by_powers, equal_by_cross_multiplication,  # noqa: E402
+                         series_coefficient_by_binomials)
 from test_repenum import (burnside_by_elements, class_tuple_buckets,  # noqa: E402
                           fix_system_by_products, preproj_by_filter)
 from test_toric import depth_function_sum  # noqa: E402
@@ -242,3 +245,50 @@ def test_division_fails_where_the_slice_division_fails(p, c):
             divide_exact_by_t_factor(p, c)
     else:
         assert divide_exact_by_t_factor(p, c) == expected
+
+
+# denominators with repeated factors (1 - q^c T)^m, c in 0..4
+repeated_denominators = st.dictionaries(st.integers(0, 4), st.integers(0, 3), max_size=3)
+
+
+@st.composite
+def series_ratqts(draw):
+    """A reduced RatQT, or one built with reduce=False whose numerator may
+    carry factors of its denominator; the numerator may have a pole at T = 0."""
+    num = QTPoly(draw(st.dictionaries(st.tuples(st.integers(-2, 4), st.integers(-1, 4)),
+                                      st.integers(-3, 3), max_size=5)))
+    den = draw(repeated_denominators)
+    if draw(st.booleans()):
+        return RatQT(num, den)
+    for c in draw(st.lists(st.integers(0, 4), max_size=2)):
+        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
+    return RatQT(num, den, reduce=False)
+
+
+@PROPERTY
+@given(series_ratqts(), st.integers(0, 8))
+def test_series_equals_the_binomial_expansion(f, order):
+    try:
+        expected = [series_coefficient_by_binomials(f, d) for d in range(order + 1)]
+    except ValueError:
+        with pytest.raises(ValueError, match="pole"):
+            f.series(order)
+        return
+    assert f.series(order) == expected
+    assert f.series_coefficient(order) == expected[order]
+
+
+@PROPERTY
+@given(repeated_denominators, st.data())
+def test_series_numerator_equals_the_row_pass(den, data):
+    coeffs = data.draw(st.lists(st.dictionaries(st.integers(-2, 4), st.integers(-3, 3),
+                                                max_size=3).map(QPoly),
+                                min_size=sum(den.values()), max_size=sum(den.values())))
+    assert _series_numerator(coeffs, den) == series_numerator_by_rows(coeffs, den)
+
+
+@PROPERTY
+@given(repeated_denominators)
+def test_den_poly_equals_the_power_expansion(den):
+    f = RatQT(QTPoly.monomial(0, 0), den)
+    assert f.den_poly() == den_by_powers(f)

@@ -26,10 +26,41 @@ def add_pairwise(a, b):
     return RatQT(nums[0] + nums[1], den)
 
 
+def den_by_powers(f):
+    """Oracle for RatQT.den_poly: the product of QTPoly powers it replaced."""
+    out = QTPoly.const(1)
+    for c, m in f.den.items():
+        out = out * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** m
+    return out
+
+
 def equal_by_cross_multiplication(a, b):
     """Oracle for RatQT.__eq__: the cross-multiplication it replaced, with
-    both denominators expanded by den_poly."""
-    return a.num * b.den_poly() == b.num * a.den_poly()
+    both denominators expanded as powers."""
+    return a.num * den_by_powers(b) == b.num * den_by_powers(a)
+
+
+def series_coefficient_by_binomials(f, d):
+    """Oracle for RatQT.series: the coefficient of T^d it replaced, from
+    1/(1 - q^c T)^m = sum_j C(m - 1 + j, j) q^(c j) T^j for each factor,
+    multiplied out and cut after T^d."""
+    if d < 0:
+        raise ValueError("d >= 0 required")
+    if f.num and f.num.val_t() < 0:
+        raise ValueError("numerator has a pole at T = 0")
+    series = {0: QPoly.const(1)}
+    for c, m in f.den.items():
+        product = {}
+        for i, p in series.items():
+            for j in range(d + 1 - i):
+                product[i + j] = product.get(i + j, QPoly()) + p * QPoly.monomial(
+                    c * j, comb(m - 1 + j, j))
+        series = product
+    out = QPoly()
+    for j, p in f.num.t_coefficients().items():
+        if j <= d and (d - j) in series:
+            out = out + p * series[d - j]
+    return out
 
 
 def test_geometric_series():
@@ -90,8 +121,19 @@ def test_invert_vars_simple_pole():
 
 def test_series_rejects_pole_at_origin():
     f = RatQT(QTPoly({(0, -1): 1}), {0: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pole"):
         f.series_coefficient(2)
+    with pytest.raises(ValueError, match="pole"):
+        f.series(2)
+    with pytest.raises(ValueError, match="d >= 0"):
+        RatQT.geometric(0).series_coefficient(-1)
+
+
+def test_series_of_a_numerator_above_the_order():
+    # T^5 / (1 - T)^2 starts at T^5; through T^3 it is zero
+    f = RatQT(_t(0, 5), {0: 2})
+    assert f.series(3) == [QPoly()] * 4
+    assert f.series(6)[5:] == [QPoly.const(1), QPoly.const(2)]
 
 
 def test_t_shift_and_multiplication():
@@ -105,6 +147,7 @@ def test_den_poly_expansion():
     f = RatQT(QTPoly.const(1), {0: 1, 1: 1})
     assert f.den_poly() == (QTPoly.const(1) - _t(0, 1)) * (QTPoly.const(1) - _t(1, 1))
     assert f.den_t_degree() == 2
+    assert RatQT(3).den_poly() == QTPoly.const(1)
 
 
 def test_str_factored_display():

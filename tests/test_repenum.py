@@ -443,6 +443,21 @@ def test_a_count_generator_independence():
     assert a_count(path_quiver(3), ring, (1, 1, 1), generator=alternative) == default
 
 
+def test_a_generator_that_misses_units_fails_before_any_arrow_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    f5 = make_prime_field(5)
+    for count in (a_count, a_preproj):
+        for gen in ((4,), (1,)):    # orders 2 and 1 in F_5^x
+            with pytest.raises(ValueError, match=r"\(%d,\) does not generate" % gen[0]):
+                count(path_quiver(2), f5, (1, 1), generator=gen)
+    assert calls == [] and not hasattr(f5, "_arrow_data")
+    # the two primitive roots 2 and 3 give the default generator's counts
+    for count, quiver, alpha, value in ((a_count, jordan_quiver(), (2,), 5),
+                                        (a_count, banana_quiver(2), (1, 1), 6),
+                                        (a_preproj, path_quiver(2), (1, 1), 2)):
+        assert [count(quiver, f5, alpha, generator=g) for g in (None, (2,), (3,))] == [value] * 3
+
+
 def test_a_count_requires_roots_of_unity():
     with pytest.raises(ValueError):
         a_count(path_quiver(2), F2, (1, 1))     # |alpha| = 2, q - 1 = 1
