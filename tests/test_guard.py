@@ -7,6 +7,7 @@ returns what the default guard returns; and a warm memo changes neither.
 """
 
 import pytest
+from test_multigraph import connected_spanning_subgraphs
 
 from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycle_quiver,
                                   jordan_quiver, path_quiver)
@@ -26,6 +27,8 @@ C3 = cycle_graph(3)
 
 CASES = {
     # subset sums: 2^m terms
+    "connected_spanning_subgraphs": (lambda g: list(connected_spanning_subgraphs(C3, g)), 8,
+                                     "2^3 = 8 subsets"),
     "convolve": (lambda g: convolve(psi_char(1), psi_char(0), g)(C3), 8,
                  "2^3 = 8 convolution terms"),
     "check_recursion": (lambda g: check_recursion(banana_graph(2), g), 4,

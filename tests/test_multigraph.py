@@ -222,7 +222,7 @@ def test_b1_of_contraction_matches_graph_construction():
 
 def test_guard_on_subset_enumeration():
     g = cycle_graph(3)
-    for _ in range(2):      # as in tests/test_guard.py: exactly 2^3 subsets admitted
+    for _ in range(2):      # exactly 2^3 subsets admitted, warm or cold
         with pytest.raises(GuardError, match=r"2\^3 = 8 subsets"):
             list(connected_spanning_subgraphs(g, 7))
         assert list(connected_spanning_subgraphs(g, 8)) == list(connected_spanning_subgraphs(g))
