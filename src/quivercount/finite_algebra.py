@@ -4,9 +4,12 @@ constants.
 Elements are coordinate tuples over F_p.  Four constructors cover every
 ring the counting engines need: prime fields and small extensions,
 truncated polynomial rings k[t]/(t^d), dual numbers R[eps]/(eps^2), and
-the square-zero rings F_q[t_1..t_n]/(t_1..t_n)^2.  Local algebras carry
-their residue field, the projection onto it, and a discrete-log table
-for its multiplicative group.
+the square-zero rings F_q[t_1..t_n]/(t_1..t_n)^2.  A local algebra
+carries its residue field F and lists F's coordinates first: the residue
+map keeps the first F.dim coordinates and the other basis vectors span
+the maximal ideal.  Construction checks this on the structure constants
+alone, O(dim^2) products.  Discrete logs use a table for F's
+multiplicative group.
 """
 
 from itertools import product
@@ -41,8 +44,10 @@ def _is_prime(p):
 class FiniteAlgebra:
     """Commutative F_p-algebra with basis-indexed structure constants."""
 
-    def __init__(self, p, basis_names, table, one, name,
-                 residue_field=None, residue_proj=None, max_ideal_basis=None):
+    # (d, base dim) on a ring built by make_truncated with d >= 2
+    truncation = None
+
+    def __init__(self, p, basis_names, table, one, name, residue_field=None):
         self.p = p
         self.dim = len(basis_names)
         self.basis_names = tuple(basis_names)
@@ -50,8 +55,7 @@ class FiniteAlgebra:
         self.one = tuple(c % p for c in one)
         self.name = name
         self.residue_field = residue_field if residue_field is not None else self
-        self.residue_proj = residue_proj if residue_proj is not None else (lambda x: x)
-        self.max_ideal_basis = tuple(max_ideal_basis or ())
+        self._rd = self.residue_field.dim
         self._units = None
         self._dlog = {}
         self._check_structure()
@@ -82,47 +86,31 @@ class FiniteAlgebra:
                 if any(x) and not modp.is_invertible(self.mul_matrix(x), self.p):
                     raise ValueError("%s has zero divisors; an algebra given without a "
                                      "residue field must be a field" % self.name)
-            if self.max_ideal_basis:
-                raise ValueError("%s is a field; its maximal ideal is zero" % self.name)
         else:
             self._check_residue_map()
 
     def _check_residue_map(self):
-        """The supplied residue map must be a ring map onto a field whose
-        kernel is spanned by max_ideal_basis, a basis of nilpotents; then
-        the algebra is local with that residue field.  O(|R| * dim) steps."""
-        field, proj, dim = self.residue_field, self.residue_proj, self.dim
+        """Projection onto the first rd = residue_field.dim coordinates must
+        be multiplicative on basis pairs, hence a ring map onto the field
+        whose kernel, spanned by the other basis vectors, is an ideal; with
+        those vectors nilpotent the algebra is local with that residue
+        field.  O(dim^2) products."""
+        field, rd, dim = self.residue_field, self._rd, self.dim
 
         def fail(what):
             raise ValueError("residue map of %s: %s" % (self.name, what))
 
-        if not field.is_field or field.p != self.p:
-            fail("the residue field must be a field of characteristic %d" % self.p)
-        basis = [self.basis_vector(i) for i in range(dim)]
-        images = [proj(b) for b in basis]
-        if proj(self.one) != field.one:
-            fail("1 does not map to 1")
-        seen = set()
-        for x in self.elements():
-            image = proj(x)
-            seen.add(image)
-            for b, image_b in zip(basis, images):
-                if proj(self.add(x, b)) != field.add(image, image_b):
-                    fail("not additive")
+        if not field.is_field or field.p != self.p or rd > dim:
+            fail("the residue field must be a field of characteristic %d and "
+                 "dimension at most %d" % (self.p, dim))
+        basis = [self.basis_vector(i)[:rd] for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                if proj(self.table[i][j]) != field.mul(images[i], images[j]):
+                if self.table[i][j][:rd] != field.mul(basis[i], basis[j]):
                     fail("not multiplicative")
-        if len(seen) != field.size():
-            fail("not onto %s" % field.name)
-        ideal = [list(x) for x in self.max_ideal_basis]
-        if len(ideal) != dim - field.dim or modp.rank(ideal, self.p) != len(ideal):
-            fail("max_ideal_basis is not a basis of the kernel")
-        for x in self.max_ideal_basis:
-            if any(proj(x)):
-                fail("max_ideal_basis is not a basis of the kernel")
-            if any(self.power(x, dim)):
-                fail("max_ideal_basis contains a non-nilpotent element")
+        for i in range(rd, dim):
+            if any(self.power(self.basis_vector(i), dim)):
+                fail("kernel vector %s is not nilpotent" % self.basis_names[i])
 
     # -- element arithmetic (coordinate tuples) -----------------------
     def zero(self):
@@ -142,10 +130,6 @@ class FiniteAlgebra:
     def neg(self, x):
         p = self.p
         return tuple((-a) % p for a in x)
-
-    def scale(self, c, x):
-        p = self.p
-        return tuple((c * a) % p for a in x)
 
     def mul(self, x, y):
         p = self.p
@@ -195,16 +179,16 @@ class FiniteAlgebra:
     # -- units and locality ---------------------------------------------
     @property
     def is_field(self):
-        return self.residue_field is self and not self.max_ideal_basis
+        return self.residue_field is self
 
     # Every algebra is local: a field, or given with its residue field.
     is_local = True
 
     def residue(self, x):
-        return self.residue_proj(x)
+        return x[:self._rd]
 
     def is_unit(self, x):
-        return any(self.residue(x))
+        return any(x[:self._rd])
 
     def inverse(self, x):
         sol = modp.solve(self.mul_matrix(x), list(self.one), self.p)
@@ -277,67 +261,39 @@ class FiniteAlgebra:
 def make_prime_field(p):
     if not _is_prime(p):
         raise ValueError("%d is not prime" % p)
-    return FiniteAlgebra(p, ("1",), (((1,),),), (1,), "fq(%d)" % p, max_ideal_basis=())
-
-
-def _poly_divmod(num, den, p):
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    dlead = den[-1]
-    inv = pow(dlead, p - 2, p) if p > 2 else dlead
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    for i in range(len(quot) - 1, -1, -1):
-        if len(rem) < len(den) + i:
-            continue
-        coef = (rem[len(den) + i - 1] * inv) % p
-        quot[i] = coef
-        for j, dc in enumerate(den):
-            rem[i + j] = (rem[i + j] - coef * dc) % p
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_is_irreducible(coeffs, p):
-    """Brute-force factor search at desk scale."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    for ddeg in range(1, deg):
-        for tail in product(range(p), repeat=ddeg):
-            den = list(tail) + [1]
-            _, rem = _poly_divmod(list(coeffs), den, p)
-            if not rem:
-                return False
-    return True
+    return FiniteAlgebra(p, ("1",), (((1,),),), (1,), "fq(%d)" % p)
 
 
 def make_field_ext(p, coeffs):
-    """F_p[x]/(f) for a supplied monic irreducible f (ascending coeffs)."""
+    """F_p[x]/(f) for a supplied monic irreducible f (ascending coeffs); a
+    reducible f gives zero divisors, which the constructor rejects."""
     if not _is_prime(p):
         raise ValueError("%d is not prime" % p)
     coeffs = tuple(c % p for c in coeffs)
-    if not coeffs or coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
     k = len(coeffs) - 1
+    if k < 1 or coeffs[-1] != 1:
+        raise ValueError("polynomial must be monic of degree at least 1")
     if k == 1:
         return make_prime_field(p)
-    if not _poly_is_irreducible(coeffs, p):
-        raise ValueError("polynomial is reducible over F_%d" % p)
-    # basis 1, x, ..., x^(k-1); table entries are x^(i+j) mod f
-    powers = [[0] * k for _ in range(2 * k - 1)]
-    for e in range(2 * k - 1):
-        poly = [0] * e + [1]
-        _, rem = _poly_divmod(poly, list(coeffs), p)
-        rem = rem + [0] * (k - len(rem))
-        powers[e] = rem[:k]
-    table = [[tuple(powers[i + j]) for j in range(k)] for i in range(k)]
+    # basis 1, x, ..., x^(k-1); table entries are x^(i+j) mod f, each power
+    # x times the last with its x^k term replaced by -(f - x^k)
+    powers = [tuple(1 if i == e else 0 for i in range(k)) for e in range(k)]
+    while len(powers) < 2 * k - 1:
+        top = powers[-1]
+        powers.append(tuple((s - top[-1] * c) % p for s, c in zip((0,) + top[:-1], coeffs)))
+    table = [[powers[i + j] for j in range(k)] for i in range(k)]
     names = tuple("x^%d" % i if i > 1 else ("x" if i == 1 else "1") for i in range(k))
     one = tuple(1 if i == 0 else 0 for i in range(k))
     return FiniteAlgebra(p, names, table, one, "fq(%d,%d)" % (p, k))
+
+
+def _builtin_field(p, k):
+    """F_p for k = 1, else F_(p^k) from the built-in polynomial table."""
+    if k == 1:
+        return make_prime_field(p)
+    if (p, k) not in _IRREDUCIBLE:
+        raise ValueError("no built-in polynomial for F_%d^%d; use make_field_ext" % (p, k))
+    return make_field_ext(p, _IRREDUCIBLE[(p, k)])
 
 
 def make_field(q):
@@ -351,11 +307,7 @@ def make_field(q):
                 k += 1
             if m != 1:
                 raise ValueError("%d is not a prime power" % q)
-            if k == 1:
-                return make_prime_field(p)
-            if (p, k) not in _IRREDUCIBLE:
-                raise ValueError("no built-in polynomial for F_%d; use make_field_ext" % q)
-            return make_field_ext(p, _IRREDUCIBLE[(p, k)])
+            return _builtin_field(p, k)
     raise ValueError("%d is not a prime power" % q)
 
 
@@ -363,9 +315,9 @@ def make_field(q):
 
 def _local_ring(base, suffixes, vanishes, name):
     """base (x) span(1, m_1, ..., m_n), the m_a named by suffixes, with
-    m_a m_b = m_(a+b), or 0 when vanishes(a, b).  Local with the residue
-    field of base, read off the first block; its maximal ideal is that of
-    base, then the new monomials."""
+    m_a m_b = m_(a+b), or 0 when vanishes(a, b).  The first block is base,
+    so the residue-field coordinates of base stay first and the ring is
+    local with the residue field of base."""
     bd, blocks = base.dim, len(suffixes) + 1
     dim = bd * blocks
     names = list(base.basis_names)
@@ -380,11 +332,7 @@ def _local_ring(base, suffixes, vanishes, name):
                 cell[(j1 + j2) * bd:(j1 + j2 + 1) * bd] = base.table[i1][i2]
                 table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
     one = tuple(base.one) + (0,) * (dim - bd)
-    ideal = tuple(tuple(x) + (0,) * (dim - bd) for x in base.max_ideal_basis)
-    ideal += tuple(tuple(1 if t == k else 0 for t in range(dim)) for k in range(bd, dim))
-    return FiniteAlgebra(base.p, names, table, one, name, residue_field=base.residue_field,
-                         residue_proj=lambda x: base.residue_proj(tuple(x[:bd])),
-                         max_ideal_basis=ideal)
+    return FiniteAlgebra(base.p, names, table, one, name, residue_field=base.residue_field)
 
 
 def make_truncated(base, d):
@@ -416,15 +364,20 @@ def make_square_zero(base, n):
     return _local_ring(base, suffixes, lambda a, b: a and b, "sqz(%s,%d)" % (base.name, n))
 
 
+def _truncation(alg):
+    if alg.truncation is None:
+        raise ValueError("%s was not built by make_truncated with d >= 2" % alg.name)
+    return alg.truncation
+
+
 def truncated_generator(alg):
     """The nilpotent generator t of a ring built by make_truncated (d >= 2)."""
-    d, bd = alg.truncation
-    return alg.basis_vector(bd)
+    return alg.basis_vector(_truncation(alg)[1])
 
 
 def truncated_valuation(alg, x):
     """t-adic valuation in a make_truncated ring; d for x = 0."""
-    d, bd = alg.truncation
+    d, bd = _truncation(alg)
     for j in range(d):
         if any(x[j * bd:(j + 1) * bd]):
             return j
@@ -433,7 +386,7 @@ def truncated_valuation(alg, x):
 
 def truncated_depth(alg, x):
     """Depth r of a nonzero element: the annihilator of x is (t^r)."""
-    d, _ = alg.truncation
+    d, _ = _truncation(alg)
     v = truncated_valuation(alg, x)
     if v == d:
         raise ValueError("zero has no depth")
@@ -540,18 +493,12 @@ def _parse_ring(text, pos):
         if pos < len(text) and text[pos] == ",":
             k, pos = _parse_int(text, pos + 1)
         pos = _expect(text, pos, ")")
-        if k == 1:
-            return make_prime_field(p), pos
-        if (p, k) not in _IRREDUCIBLE:
-            raise ValueError("no built-in extension F_%d^%d" % (p, k))
-        return make_field_ext(p, _IRREDUCIBLE[(p, k)]), pos
+        return _builtin_field(p, k), pos
     if head == "kd":
         base, pos = _parse_ring(text, pos)
         pos = _expect(text, pos, ",")
         d, pos = _parse_int(text, pos)
         pos = _expect(text, pos, ")")
-        if not base.is_field:
-            raise ValueError("kd(...) requires a field base")
         return make_truncated(base, d), pos
     if head == "eps":
         base, pos = _parse_ring(text, pos)
@@ -561,6 +508,4 @@ def _parse_ring(text, pos):
     pos = _expect(text, pos, ",")
     n, pos = _parse_int(text, pos)
     pos = _expect(text, pos, ")")
-    if not base.is_field:
-        raise ValueError("sqz(...) requires a field base")
     return make_square_zero(base, n), pos

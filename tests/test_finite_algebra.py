@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -60,6 +61,14 @@ def test_truncated_depth_and_valuation():
     assert truncated_depth(k3, t2) == 1
     with pytest.raises(ValueError):
         truncated_depth(k3, k3.zero())
+    # rings not built by make_truncated with d >= 2 have no generator t
+    f2 = make_prime_field(2)
+    for ring in (make_dual_numbers(f2), make_square_zero(f2, 1), make_truncated(f2, 1)):
+        for call in (lambda: truncated_generator(ring), lambda: truncated_valuation(ring, ring.one),
+                     lambda: truncated_depth(ring, ring.one)):
+            with pytest.raises(ValueError, match=re.escape("%s was not built by make_truncated"
+                                                           % ring.name)):
+                call()
 
 
 def test_dual_numbers():
@@ -84,12 +93,9 @@ def test_square_zero_rings():
 
 
 def test_unit_iff_residue_nonzero():
-    for alg in [make_truncated(make_prime_field(2), 3),
-                make_square_zero(make_prime_field(3), 2),
-                make_dual_numbers(make_truncated(make_prime_field(2), 2)),
-                make_dual_numbers(make_truncated(make_prime_field(3), 2)),
-                make_truncated(make_field(4), 2),
-                make_field(4)]:
+    local_rings = [CONSTRUCTORS[case[0]][0](ring_from_spec(case[1]), *case[2:])
+                   for case in LOCAL_RINGS]
+    for alg in local_rings + [make_dual_numbers(make_truncated(make_prime_field(3), 2))]:
         for x in alg.elements():
             by_residue = any(alg.residue(x))
             by_operator = modp.is_invertible(alg.mul_matrix(x), alg.p)
@@ -128,42 +134,37 @@ def test_structure_constant_validation():
 def test_residue_map_validation():
     f2 = make_prime_field(2)
     e1, e2, zero = (1, 0), (0, 1), (0, 0)
-    f2xf2 = ((e1, zero), (zero, e2))
 
-    def build(table, one, **kw):
-        return FiniteAlgebra(2, ("e1", "e2"), table, one, "test", residue_field=f2, **kw)
+    def build(table, one, residue_field=f2, names=("e1", "e2")):
+        return FiniteAlgebra(2, names, table, one, "test", residue_field=residue_field)
 
     # F_2 x F_2 projected onto its first factor: a ring map onto F_2, but
     # its kernel (e2) is idempotent, not nilpotent, so the ring is not local
-    with pytest.raises(ValueError, match="kernel"):
-        build(f2xf2, (1, 1), residue_proj=lambda x: x[:1])
-    with pytest.raises(ValueError, match="nilpotent"):
-        build(f2xf2, (1, 1), residue_proj=lambda x: x[:1], max_ideal_basis=(e2,))
-    # on k_2(F_2) = F_2[t]/(t^2), basis (1, t)
+    with pytest.raises(ValueError, match="kernel vector e2 is not nilpotent"):
+        build(((e1, zero), (zero, e2)), (1, 1))
+    # k_2(F_2) = F_2[t]/(t^2) in basis (1, t): residue coordinate first
     dual = ((e1, e2), (e2, zero))
-    assert build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e2,)).unit_count() == 2
-    with pytest.raises(ValueError, match="1 does not map to 1"):
-        build(dual, (1, 0), residue_proj=lambda x: (0,), max_ideal_basis=(e2,))
-    with pytest.raises(ValueError, match="not additive"):
-        build(dual, (1, 0), residue_proj=lambda x: (x[0] * (1 - x[1]),), max_ideal_basis=(e2,))
+    assert build(dual, (1, 0), names=("1", "t")).unit_count() == 2
+    # the same ring in basis (t, 1): the first coordinate is not a ring map
     with pytest.raises(ValueError, match="not multiplicative"):
-        build(dual, (1, 0), residue_proj=lambda x: ((x[0] + x[1]) % 2,), max_ideal_basis=(e2,))
-    with pytest.raises(ValueError, match="kernel"):
-        build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e1,))
-    with pytest.raises(ValueError, match="kernel"):
-        build(dual, (1, 0), residue_proj=lambda x: x[:1], max_ideal_basis=(e2, e2))
-    k2f2 = make_truncated(f2, 2)
+        build(((zero, e1), (e1, e2)), (0, 1), names=("t", "1"))
     with pytest.raises(ValueError, match="must be a field"):
-        FiniteAlgebra(2, ("1", "t"), dual, (1, 0), "test", residue_field=k2f2,
-                      residue_proj=lambda x: x, max_ideal_basis=())
-    # a field given with a nonzero maximal ideal
-    with pytest.raises(ValueError, match="maximal ideal is zero"):
-        FiniteAlgebra(2, ("1",), (((1,),),), (1,), "F2", max_ideal_basis=((1,),))
-    # a ring map into F_4 that misses most of it
-    f4 = make_field(4)
-    with pytest.raises(ValueError, match="not onto"):
-        FiniteAlgebra(2, ("1", "t"), (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1, 0), "k2F2",
-                      residue_field=f4, residue_proj=lambda x: (x[0], 0), max_ideal_basis=((0, 1),))
+        build(dual, (1, 0), residue_field=make_truncated(f2, 2))
+    # F_4 as the residue field of the 2-dim dual-number table
+    with pytest.raises(ValueError, match="not multiplicative"):
+        build(dual, (1, 0), residue_field=make_field(4))
+
+
+def test_local_ring_is_built_without_listing_its_elements(monkeypatch):
+    f2, f3 = make_prime_field(2), make_prime_field(3)
+
+    def refuse(self):
+        raise AssertionError("%s listed its elements" % self.name)
+
+    monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+    assert make_truncated(f2, 24).unit_count() == 2 ** 23
+    assert make_square_zero(f3, 10).unit_count() == 2 * 3 ** 10
+    assert make_dual_numbers(make_truncated(f2, 12)).unit_count() == 2 ** 23
 
 
 def test_every_builtin_ring_constructs():
@@ -290,11 +291,8 @@ def truncated_by_blocks(base, d):
                         cell[(j1 + j2) * bd + k] = c
                     table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
     one = tuple(base.one) + (0,) * (dim - bd)
-    proj = lambda x: tuple(x[:bd])
-    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
-                  for j in range(1, d) for i in range(bd))
     alg = FiniteAlgebra(base.p, names, table, one, "kd(%s,%d)" % (base.name, d),
-                        residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
+                        residue_field=base)
     alg.truncation = (d, bd)
     return alg
 
@@ -318,12 +316,8 @@ def dual_numbers_by_blocks(ring):
                         cell[(k1 + k2) * rd + k] = c
                     table[k1 * rd + i1][k2 * rd + i2] = tuple(cell)
     one = tuple(ring.one) + (0,) * rd
-    proj = lambda x: ring.residue_proj(tuple(x[:rd]))
-    ideal = tuple(tuple(b) + (0,) * rd for b in ring.max_ideal_basis)
-    ideal += tuple(tuple(1 if t == rd + i else 0 for t in range(dim)) for i in range(rd))
     return FiniteAlgebra(ring.p, names, table, one, "eps(%s)" % ring.name,
-                         residue_field=ring.residue_field, residue_proj=proj,
-                         max_ideal_basis=ideal)
+                         residue_field=ring.residue_field)
 
 
 def square_zero_by_blocks(base, n):
@@ -347,11 +341,8 @@ def square_zero_by_blocks(base, n):
                         cell[(j1 + j2) * bd + k] = c
                     table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
     one = tuple(base.one) + (0,) * (dim - bd)
-    proj = lambda x: tuple(x[:bd])
-    ideal = tuple(tuple(1 if t == j * bd + i else 0 for t in range(dim))
-                  for j in range(1, n + 1) for i in range(bd))
     return FiniteAlgebra(base.p, names, table, one, "sqz(%s,%d)" % (base.name, n),
-                         residue_field=base, residue_proj=proj, max_ideal_basis=ideal)
+                         residue_field=base)
 
 
 CONSTRUCTORS = {"kd": (make_truncated, truncated_by_blocks),
@@ -369,8 +360,8 @@ def test_local_ring_constructors_equal_their_block_loops(case):
     make, oracle = CONSTRUCTORS[case[0]]
     base = ring_from_spec(case[1])
     ring, oracle = make(base, *case[2:]), oracle(base, *case[2:])
-    assert (ring.name, ring.basis_names, ring.table, ring.one, ring.max_ideal_basis) == \
-        (oracle.name, oracle.basis_names, oracle.table, oracle.one, oracle.max_ideal_basis)
+    assert (ring.name, ring.basis_names, ring.table, ring.one) == \
+        (oracle.name, oracle.basis_names, oracle.table, oracle.one)
     assert ring.residue_field is oracle.residue_field
     assert getattr(ring, "truncation", None) == getattr(oracle, "truncation", None)
     assert all(ring.residue(x) == oracle.residue(x) for x in ring.elements())
@@ -385,6 +376,13 @@ def test_ring_spec_parser():
     assert ring_from_spec("eps(sqz(fq(2),2))").size() == 64
     for bad in ["fq(4)", "kd(sqz(fq(2),2),2)", "kd(fq(2),2)x", "zz(3)", "fq(2", "sqz(kd(fq(2),2),1)"]:
         with pytest.raises(ValueError):
+            ring_from_spec(bad)
+    # each message comes from the constructor that refuses the spec
+    for bad, message in [("fq(4,2)", "no built-in polynomial for F_4^2"),
+                         ("fq(5,3)", "no built-in polynomial for F_5^3"),
+                         ("fq(2,0)", "no built-in polynomial for F_2^0"),
+                         ("kd(eps(fq(2)),2)", "truncated polynomial rings require a field base")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
             ring_from_spec(bad)
 
 
