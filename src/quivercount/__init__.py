@@ -8,7 +8,7 @@ algebras by structure constants, and brute-force group-average engines
 that cross-validate every closed form.  All arithmetic is exact.
 """
 
-from .cyclotomic import CycInt, cyclotomic_polynomial
+from .cyclotomic import cyclotomic_polynomial
 from .families import (all_connected_multigraphs, banana_graph, banana_quiver,
                        cycle_graph, cycle_quiver, jordan_quiver, loops_graph,
                        path_graph, path_quiver, point_graph,

@@ -184,13 +184,10 @@ def build_parser():
 
 
 def run(args):
-    if args.verb == "poly":
+    if args.verb in ("poly", "rdpoly"):
         quiver = load_quiver(args.quiver)
-        value = a_d_polynomial(quiver.graph, args.d)
-        _emit(args, str(value), _poly_json(value))
-    elif args.verb == "rdpoly":
-        quiver = load_quiver(args.quiver)
-        value = r_d_polynomial(quiver.graph, args.d)
+        fn = a_d_polynomial if args.verb == "poly" else r_d_polynomial
+        value = fn(quiver.graph, args.d)
         _emit(args, str(value), _poly_json(value))
     elif args.verb == "genfun":
         quiver = load_quiver(args.quiver)
@@ -239,6 +236,8 @@ def run(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "guard", 0) < 0:
+        parser.error("argument --guard: must be non-negative, got %d" % args.guard)
     try:
         return run(args)
     except GuardError as exc:

@@ -1,7 +1,7 @@
-"""Exact arithmetic in Z[zeta_m], reduced modulo the m-th cyclotomic
-polynomial.  Only what the character-weighted orbit counts need: root
-powers, integer linear combinations, and the rational-integer test.
-No floating point anywhere.
+"""Exact values in Z[zeta_m], read from integer coefficients on the
+powers of zeta by one division by the m-th cyclotomic polynomial.  Only
+what the character-weighted orbit counts need: the value of a sum of
+root powers, which must be a rational integer.  No floating point.
 """
 
 from functools import lru_cache
@@ -15,98 +15,31 @@ def cyclotomic_polynomial(m):
         raise ValueError("m >= 1 required")
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
-        if m % d:
-            continue
-        num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+        if m % d == 0:
+            num, rem = _divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(num)
 
 
-def _poly_div_exact(num, den):
-    num = num[:]
-    quot = [0] * (len(num) - len(den) + 1)
+def _divmod(num, den):
+    """Quotient and remainder of num by the monic den, all ascending
+    integer coefficient lists."""
+    num, top = list(num), len(den) - 1
+    quot = [0] * max(len(num) - top, 0)
     for i in range(len(quot) - 1, -1, -1):
-        coef = num[len(den) - 1 + i]
-        if coef % den[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        coef //= den[-1]
-        quot[i] = coef
+        coef = quot[i] = num[i + top]
         for j, dc in enumerate(den):
             num[i + j] -= coef * dc
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
+    return quot, num[:top]
 
 
-@lru_cache(maxsize=None)
-def _power_table(m):
-    """x^j mod Phi_m for j = 0..m-1, as coefficient tuples."""
-    phi = list(cyclotomic_polynomial(m))
-    deg = len(phi) - 1
-    table = []
-    current = [1] + [0] * (deg - 1) if deg > 0 else []
-    for _ in range(m):
-        table.append(tuple(current))
-        nxt = [0] + current[:]
-        if len(nxt) > deg:
-            lead = nxt.pop()
-            if lead:
-                nxt = [a - lead * b for a, b in zip(nxt, phi[:deg])]
-        current = nxt + [0] * (deg - len(nxt))
-    return tuple(table)
-
-
-class CycInt:
-    """An element of Z[x]/(Phi_m): integer coordinates on 1, x, ..,
-    x^(deg Phi_m - 1)."""
-
-    __slots__ = ("m", "coords")
-
-    def __init__(self, m, coords=None):
-        self.m = m
-        deg = len(cyclotomic_polynomial(m)) - 1
-        coords = tuple(coords or ())
-        if len(coords) < deg:
-            coords = coords + (0,) * (deg - len(coords))
-        if len(coords) != deg:
-            raise ValueError("expected %d coordinates" % deg)
-        self.coords = coords
-
-    @classmethod
-    def zero(cls, m):
-        return cls(m)
-
-    @classmethod
-    def root_power(cls, m, e):
-        """zeta_m^e reduced mod Phi_m."""
-        return cls(m, _power_table(m)[e % m])
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValueError("mixed cyclotomic orders")
-        return CycInt(self.m, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return CycInt(self.m, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, k):
-        return CycInt(self.m, tuple(k * a for a in self.coords))
-
-    def __eq__(self, other):
-        return isinstance(other, CycInt) and self.m == other.m and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.m, self.coords))
-
-    def is_rational_integer(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def as_integer(self):
-        if not self.is_rational_integer():
-            raise ArithmeticError("value %r is not a rational integer" % (self.coords,))
-        return self.coords[0] if self.coords else 0
-
-    def __repr__(self):
-        return "CycInt(m=%d, %r)" % (self.m, self.coords)
+def root_sum(coeffs):
+    """sum_e coeffs[e] zeta^e for a primitive m-th root of unity zeta,
+    m = len(coeffs): the remainder of sum_e coeffs[e] x^e mod Phi_m.
+    Raises ArithmeticError unless that value is a rational integer."""
+    rem = _divmod(coeffs, cyclotomic_polynomial(len(coeffs)))[1]
+    if any(rem[1:]):
+        raise ArithmeticError("value %r in Z[zeta_%d] is not a rational integer"
+                              % (tuple(rem), len(coeffs)))
+    return rem[0]

@@ -9,7 +9,7 @@ Kronecker sum gt (x) 1 - 1 (x) gs^T with each entry replaced by its
 multiplication block (ring_tables.mul_block, memoized per element), so
 building it multiplies nothing.  Absolutely indecomposable classes are
 counted the same way with a determinant character weight valued in roots
-of unity, accumulated exactly in Z[zeta].
+of unity: the sum is kept in Z[z]/(z^m - 1) and read once, mod Phi_m.
 
 Preprojective counts use that the moment map mu(x, y) is bilinear in the
 arrows x and their stars y: the fixed points of g in its zero fiber number
@@ -45,7 +45,7 @@ from itertools import product
 from math import prod
 
 from . import modp
-from .cyclotomic import CycInt
+from .cyclotomic import root_sum
 from .finite_algebra import mat_det, mat_inverse, mat_mul
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, mul_block,
@@ -293,9 +293,9 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None, 
     """The finishing step shared by m_count, a_count, m_preproj and
     a_preproj: run the bucketed Burnside sum of `engine` and divide by |G|.
 
-    With `character`, the buckets are weighted by the determinant
-    character of order |alpha| and summed exactly in Z[zeta]; that needs
-    |alpha| | q - 1 (the residue field must contain the roots of unity).
+    With `character`, bucket e weighs the determinant character value
+    zeta^e, zeta of order |alpha|, which must divide q - 1 (the residue
+    field must contain the roots of unity); root_sum reads the sum exactly.
     """
     alpha = _validate_alpha(quiver, alpha)
     char_order = None
@@ -307,14 +307,7 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None, 
         alg.dlog(alg.residue_field.one, generator)     # a bad generator fails here, not mid-sum
     buckets, order = engine(quiver, alg, alpha, char_order=char_order,
                             generator=generator, guard=guard)
-    if char_order is None:
-        value = buckets[0]
-    else:
-        total = CycInt.zero(char_order)
-        for e_val, count in enumerate(buckets):
-            if count:
-                total = total + CycInt.root_power(char_order, e_val).scaled(count)
-        value = total.as_integer()
+    value = root_sum(buckets)
     if value < 0 or value % order:
         raise AssertionError("group average is not a count: %d / %d" % (value, order))
     return value // order

@@ -133,6 +133,12 @@ def test_exit_codes(capsys, monkeypatch):
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(3)",
                  "--rank", "1,1", "--guard", "0"]) == 3
     capsys.readouterr()
+    # a negative guard is a usage error from argparse, not a guard trip
+    with pytest.raises(SystemExit) as err:
+        main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(2)",
+              "--rank", "1,1", "--guard", "-1"])
+    assert err.value.code == 2
+    assert "--guard" in capsys.readouterr().err
     # --guard also bounds the GL scan: GL_2(F_2) visits 2^4 = 16 matrices
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(2)",
                  "--rank", "2,1", "--guard", "10"]) == 3
@@ -159,6 +165,12 @@ def test_exit_codes(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "q_eulerian", inexact)
     assert main(["qeulerian", "--m", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: ArithmeticError")
+    # a character sum that is not a rational integer: i in Z[zeta_4]
+    from quivercount import repenum
+
+    monkeypatch.setattr(repenum, "_burnside", lambda *args, **kwargs: ([0, 1, 0, 0], 1))
+    assert main(["brute-a", "--quiver", "builtin:A2", "--ring", "fq(5)", "--rank", "2,2"]) == 4
     assert capsys.readouterr().err.startswith("internal error: ArithmeticError")
     # usage error from argparse -> SystemExit(2)
     with pytest.raises(SystemExit) as err:

@@ -1,6 +1,8 @@
+from math import gcd
+
 import pytest
 
-from quivercount.cyclotomic import CycInt, cyclotomic_polynomial
+from quivercount.cyclotomic import cyclotomic_polynomial, root_sum
 
 
 def test_cyclotomic_polynomials():
@@ -14,34 +16,60 @@ def test_cyclotomic_polynomials():
 
 def test_root_powers_sum_to_zero():
     for m in range(2, 8):
-        total = CycInt.zero(m)
-        for e in range(m):
-            total = total + CycInt.root_power(m, e)
-        assert total == CycInt.zero(m)
-        assert total.as_integer() == 0
-
-
-def test_root_power_periodicity():
-    for m in range(1, 7):
-        for e in range(2 * m):
-            assert CycInt.root_power(m, e) == CycInt.root_power(m, e % m)
+        assert root_sum([1] * m) == 0
 
 
 def test_rational_integer_detection():
-    z = CycInt.root_power(4, 1)          # i
-    assert not z.is_rational_integer()
     with pytest.raises(ArithmeticError):
-        z.as_integer()
-    w = z + CycInt.root_power(4, 3)      # i + i^3 = 0
-    assert w.as_integer() == 0
-    assert CycInt.root_power(2, 1).scaled(5).as_integer() == -5
-    assert (CycInt.root_power(3, 1) + CycInt.root_power(3, 2)).as_integer() == -1
+        root_sum([0, 1, 0, 0])           # i
+    assert root_sum([0, 1, 0, 1]) == 0   # i + i^3
+    assert root_sum([0, 5]) == -5
+    assert root_sum([0, 1, 1]) == -1
 
 
 def test_linear_operations():
-    a = CycInt.root_power(3, 1).scaled(2)
-    b = CycInt.root_power(3, 2).scaled(2)
-    assert (a + b).as_integer() == -2
-    assert (a - a) == CycInt.zero(3)
-    with pytest.raises(ValueError):
-        a + CycInt.zero(4)
+    assert root_sum([0, 2, 2]) == -2 == 2 * root_sum([0, 1, 1])
+
+
+def test_unit_vector_is_rational_only_at_plus_or_minus_one():
+    # zeta^k is a rational integer iff zeta^k = +-1, i.e. 2k = 0 mod m
+    for m in range(1, 13):
+        for k in range(m):
+            unit = [0] * m
+            unit[k] = 1
+            if 2 * k % m:
+                with pytest.raises(ArithmeticError):
+                    root_sum(unit)
+            else:
+                assert root_sum(unit) == (1 if k == 0 else -1)
+
+
+def mobius(n):
+    """The Moebius function by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def test_gcd_class_sums_are_moebius_sums():
+    # the e with gcd(e, m) = g index the primitive (m/g)-th roots, which
+    # sum to mu(m/g); so weights constant on gcd classes give a Moebius sum
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=m + 1, max_size=m + 1)))
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        m, w = case
+        expected = sum(w[g] * mobius(m // g) for g in range(1, m + 1) if m % g == 0)
+        assert root_sum([w[gcd(e, m)] for e in range(m)]) == expected
+
+    check()

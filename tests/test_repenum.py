@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from quivercount.cyclotomic import CycInt
+from quivercount.cyclotomic import root_sum
 from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
                                   path_quiver)
 from quivercount.finite_algebra import (make_dual_numbers, make_field,
@@ -118,10 +118,7 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
             fix = fix_count(g, quiver, alg, alpha)
         exponent = sum(alg.dlog(alg.residue(mat_det(alg, m))) for m in g) if character else 0
         buckets[exponent % order] += fix
-    total = CycInt.zero(order)
-    for exponent, count in enumerate(buckets):
-        total = total + CycInt.root_power(order, exponent).scaled(count)
-    value, rest = divmod(total.as_integer(), group_order(quiver, alg, alpha))
+    value, rest = divmod(root_sum(buckets), group_order(quiver, alg, alpha))
     assert rest == 0
     return value
 
