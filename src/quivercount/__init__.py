@@ -15,8 +15,7 @@ from .families import (all_connected_multigraphs, banana_graph, banana_quiver,
                        random_connected_multigraph)
 from .finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                              make_field_ext, make_prime_field,
-                             make_square_zero, make_truncated, mat_det,
-                             mat_identity, mat_inverse, mat_mul,
+                             make_square_zero, make_truncated, mat_mul,
                              ring_from_spec, truncated_depth,
                              truncated_generator)
 from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
@@ -29,8 +28,7 @@ from .ratfun import RatQT
 from .repenum import (a_count, a_preproj, counterexample_counts, double_quiver,
                       enumerate_group, fourier_fiber_count,
                       gl_elements, gl_order, group_order, m_count, m_preproj,
-                      moment_map, preproj_orbit_partition, stabilizer_order,
-                      toric_ai_orbit_count, toric_point)
+                      stabilizer_order, toric_ai_orbit_count, toric_point)
 from .toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
                     toric_type_orbit_data)
 

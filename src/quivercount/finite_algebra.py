@@ -395,10 +395,6 @@ def truncated_depth(alg, x):
 
 # -- matrices over an algebra (tuples of rows of coordinate tuples) -----
 
-def mat_identity(alg, n):
-    return tuple(tuple(alg.one if i == j else alg.zero() for j in range(n)) for i in range(n))
-
-
 def mat_mul(alg, a, b):
     if not a or not b:
         return ()
@@ -413,45 +409,6 @@ def mat_mul(alg, a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_det(alg, m):
-    n = len(m)
-    if n == 0:
-        return alg.one
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return alg.sub(alg.mul(m[0][0], m[1][1]), alg.mul(m[0][1], m[1][0]))
-    det = alg.zero()
-    for j in range(n):
-        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
-        term = alg.mul(m[0][j], mat_det(alg, minor))
-        det = alg.add(det, term) if j % 2 == 0 else alg.sub(det, term)
-    return det
-
-
-def mat_inverse(alg, m):
-    """Inverse of a square matrix over the algebra, by adjugate / det."""
-    n = len(m)
-    det = mat_det(alg, m)
-    det_inv = alg.inverse(det)
-    if n == 0:
-        return ()
-    if n == 1:
-        return ((det_inv,),)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(tuple(m[r][c] for c in range(n) if c != i)
-                          for r in range(n) if r != j)
-            cof = mat_det(alg, minor)
-            if (i + j) % 2:
-                cof = alg.neg(cof)
-            row.append(alg.mul(cof, det_inv))
-        adj.append(tuple(row))
-    return tuple(adj)
 
 
 # -- ring-spec parser ----------------------------------------------------

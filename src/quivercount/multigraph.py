@@ -7,6 +7,7 @@ canonically.  Loops and parallel edges are allowed everywhere.
 
 from functools import lru_cache
 from math import comb
+from operator import index
 
 from .polynomials import QTPoly
 
@@ -31,10 +32,18 @@ class Multigraph:
 
     def __init__(self, vertex_count, edges):
         """edges: iterable of (edge_id, u, v) with 1 <= u, v <= vertex_count."""
-        self.n = int(vertex_count)
+        # operator.index refuses a float or a string, which int() would
+        # truncate or parse
+        try:
+            self.n = index(vertex_count)
+        except TypeError:
+            raise ValueError("vertex count %r is not an integer" % (vertex_count,)) from None
         if self.n < 0:
             raise ValueError("vertex_count must be >= 0")
-        self.edges = tuple((int(e), int(u), int(v)) for e, u, v in edges)
+        try:
+            self.edges = tuple((index(e), index(u), index(v)) for e, u, v in edges)
+        except TypeError as exc:
+            raise ValueError("edge ids and endpoints must be integers: %s" % exc) from None
         self._by_id = {}
         for e, u, v in self.edges:
             if e in self._by_id:

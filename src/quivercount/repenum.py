@@ -18,7 +18,10 @@ rank per point of the smaller half and the other half never listed.  The
 columns mu(x, b) over a basis b of the other half are F_p-combinations of
 the mu(B_i, b) over a basis B_i of the listed half: one moment map per
 basis pair, not per point.  An independent orbit-partition engine
-provides the oracle for the rank-one (toric) counts.
+provides the oracle for the rank-one (toric) counts; the oracles for the
+engines here (the loop over every group element, the loop over class
+tuples, the zero-fiber filter and the orbit partition of the whole fiber)
+are in tests/oracles.py.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
@@ -36,24 +39,32 @@ fixed-point counts on pairs of classes), summed out one vertex at a time,
 cheapest first.  Each algebra solves one table per pair of ranks, and
 every arrow of those ranks reads it.  The preprojective count does not
 split over arrows and enters as one factor on all vertices.  The GL scan,
-the class partition, the zero-fiber filter and the toric oracle compute
-on element indices through one set of |R| x |R| tables per algebra.
+the class partition, the determinant character (on the residue field),
+the zero-fiber filter and the toric oracle compute on element indices
+through one set of |R| x |R| tables per algebra.
 Exact and deterministic.
 """
 
 from itertools import product
 from math import prod
+from operator import index
 
 from . import modp
 from .cyclotomic import root_sum
-from .finite_algebra import mat_det, mat_inverse, mat_mul
+from .finite_algebra import mat_mul
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, mul_block,
                           scaling_orbits, vanishing_points)
 
 
 def _validate_alpha(quiver, alpha):
-    alpha = tuple(int(a) for a in alpha)
+    ranks = []
+    for a in alpha:
+        try:
+            ranks.append(index(a))      # a float or a string is refused, not truncated
+        except TypeError:
+            raise ValueError("rank %r is not an integer" % (a,)) from None
+    alpha = tuple(ranks)
     if len(alpha) != quiver.n:
         raise ValueError("rank vector length %d != vertex count %d" % (len(alpha), quiver.n))
     if any(a < 0 for a in alpha) or not any(alpha):
@@ -170,11 +181,11 @@ def _vertex_lists(quiver, alg, alpha, guard):
 
 
 def _det_residue_dlog(alg, m, generator=None):
-    field = alg.residue_field
     if m == ():
         return 0
-    res = tuple(tuple(alg.residue(entry) for entry in row) for row in m)
-    return alg.dlog(mat_det(field, res), generator)
+    t = index_tables(alg.residue_field)
+    flat = tuple(t.index[alg.residue(entry)] for row in m for entry in row)
+    return alg.dlog(t.ring[t.det(flat, len(m))], generator)
 
 
 def _arrow_table(alg, rows, cols, guard):
@@ -355,19 +366,6 @@ def _moment_blocks(alg, alpha, arrows, star, x):
     return blocks
 
 
-def moment_map(quiver, alg, alpha, x):
-    """Vertex-wise value of sum over arrows of M_a M_a* - M_a* M_a for a
-    representation x of the double quiver (dict arrow id -> matrix)."""
-    alpha = _validate_alpha(quiver, alpha)
-    _, star = double_quiver(quiver)
-    arrows = quiver.arrows()
-    for e, s, t in arrows:
-        ma = x[e]
-        if len(ma) != alpha[t - 1] or (ma and len(ma[0]) != alpha[s - 1]):
-            raise ValueError("arrow %d matrix has the wrong shape" % e)
-    return tuple(tuple(map(tuple, block)) for block in _moment_blocks(alg, alpha, arrows, star, x))
-
-
 def _whole_zero_fiber(quiver, alg, alpha, guard):
     """The points of the whole doubled representation space, one matrix
     per arrow of the double quiver in the order of its arrows(), on which
@@ -456,30 +454,6 @@ def a_preproj(quiver, alg, alpha, guard=GUARD, generator=None):
     with the same determinant-character weight as a_count."""
     return _group_average(_preproj_buckets, quiver, alg, alpha, character=True,
                           generator=generator, guard=guard)
-
-
-def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
-    """Direct-partition fallback for the preprojective class count: list
-    the zero-fiber points, then sweep each unvisited one with the whole
-    group.  Only viable for tiny spaces; must agree with m_preproj."""
-    alpha = _validate_alpha(quiver, alpha)
-    darrows = double_quiver(quiver)[0].arrows()
-    points = _whole_zero_fiber(quiver, alg, alpha, guard)
-    elements = enumerate_group(quiver, alg, alpha, guard)
-    fiber = list(points)
-
-    group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g]) for g in elements]
-    orbits = 0
-    visited = set()
-    for point in fiber:
-        if point in visited:
-            continue
-        orbits += 1
-        for g, inverses in group:
-            image = tuple(mat_mul(alg, mat_mul(alg, g[t - 1], x), inverses[s - 1])
-                          for x, (e, s, t) in zip(point, darrows))
-            visited.add(image)
-    return orbits
 
 
 # -- Fourier fiber count ----------------------------------------------------

@@ -1,0 +1,561 @@
+"""Independent oracles: each function here recomputes a value of the
+library by another route, so that a test can compare the engine with it.
+
+The redundancy is the cross-check.  An oracle keeps the slower or more
+literal computation the engine replaced (pairwise additions, the loop
+over every group element, the whole zero fiber, the sum over every depth
+function) and shares no shortcut with the engine it checks.  The test
+modules import their oracles, and the helpers they share, from here and
+never from each other (tests/test_source.py holds them to that).
+"""
+
+from collections import Counter
+from itertools import combinations_with_replacement, product
+from math import comb, prod
+
+from quivercount.cyclotomic import root_sum
+from quivercount.families import _canonical_form
+from quivercount.finite_algebra import FiniteAlgebra, mat_mul
+from quivercount.genfun import r_genfun
+from quivercount.modp import nullspace_basis
+from quivercount.multigraph import GUARD, Multigraph, charge
+from quivercount.polynomials import QPoly, QTPoly
+from quivercount.ratfun import RatQT
+from quivercount.repenum import (_det_residue_dlog, _fix_system, _group_average,
+                                 _moment_blocks, _validate_alpha, _vector_to_matrix,
+                                 _vertex_lists, _whole_zero_fiber, double_quiver,
+                                 enumerate_group, fix_nullity, group_order)
+from quivercount.ring_tables import vanishing_points
+from quivercount.toric import check_depth_function
+
+
+# -- multigraphs -------------------------------------------------------
+
+def all_connected_multigraphs_by_scan(max_edges):
+    """Oracle: every edge multiset on 1..n in lexicographic order, keeping
+    the first connected labeling met of each isomorphism class."""
+    found = {}
+    for e in range(0, max_edges + 1):
+        for n in range(1, e + 2):
+            pair_types = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+            for combo in combinations_with_replacement(pair_types, e):
+                g = Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(combo)])
+                if not g.is_connected():
+                    continue
+                key = _canonical_form(n, combo)
+                if key not in found:
+                    found[key] = g
+    return tuple(found.values())
+
+
+def connected_spanning_subgraphs(graph, guard=GUARD):
+    """Yield the edge subsets whose spanning subgraph is connected, in
+    binary counting order over the sorted ids; 2^m subsets charged up front."""
+    ids = sorted(graph.edge_ids())
+    m = len(ids)
+    charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
+    for mask in range(1 << m):
+        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
+        if graph.spanning_connected(subset):
+            yield subset
+
+
+# -- Laurent polynomials and rational functions ------------------------
+
+def divide_by_t_factor_slices(p, c):
+    """Oracle for divide_exact_by_t_factor: the slice-by-slice QPoly
+    division it replaced, on the input shifted to T-valuation 0."""
+    if not p:
+        return QTPoly(vars=p.vars)
+    vt = p.val_t()
+    work = p.shift(0, -vt) if vt else p
+    slices = work.t_coefficients()
+    top = max(slices)
+    qc = QPoly.monomial(c)
+    out = {}
+    prev = QPoly()
+    for j in range(0, top):
+        hj = slices.get(j, QPoly()) + qc * prev
+        if hj:
+            out[j] = hj
+        prev = hj
+    if slices.get(top, QPoly()) + qc * prev != QPoly():
+        raise ValueError("division by (1 - q^%d*T) is not exact" % c)
+    quot = {}
+    for j, poly in out.items():
+        for i, cc in poly.coeffs.items():
+            quot[(i, j + (vt or 0))] = cc
+    return QTPoly(quot, p.vars)
+
+
+def add_pairwise(a, b):
+    """Oracle for RatQT.sum: the pairwise addition it replaced, which
+    expands each missing factor as a QTPoly power and reduces the result."""
+    a, b = (x if isinstance(x, RatQT) else RatQT(x) for x in (a, b))
+    den = {c: max(a.den.get(c, 0), b.den.get(c, 0)) for c in set(a.den) | set(b.den)}
+    nums = []
+    for f in (a, b):
+        num = f.num
+        for c, m in den.items():
+            extra = m - f.den.get(c, 0)
+            if extra:
+                num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** extra
+        nums.append(num)
+    return RatQT(nums[0] + nums[1], den)
+
+
+def den_by_powers(f):
+    """Oracle for RatQT.den_poly: the product of QTPoly powers it replaced."""
+    out = QTPoly.const(1)
+    for c, m in f.den.items():
+        out = out * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** m
+    return out
+
+
+def equal_by_cross_multiplication(a, b):
+    """Oracle for RatQT.__eq__: the cross-multiplication it replaced, with
+    both denominators expanded as powers."""
+    return a.num * den_by_powers(b) == b.num * den_by_powers(a)
+
+
+def series_coefficient_by_binomials(f, d):
+    """Oracle for RatQT.series: the coefficient of T^d it replaced, from
+    1/(1 - q^c T)^m = sum_j C(m - 1 + j, j) q^(c j) T^j for each factor,
+    multiplied out and cut after T^d."""
+    if d < 0:
+        raise ValueError("d >= 0 required")
+    if f.num and f.num.val_t() < 0:
+        raise ValueError("numerator has a pole at T = 0")
+    series = {0: QPoly.const(1)}
+    for c, m in f.den.items():
+        product = {}
+        for i, p in series.items():
+            for j in range(d + 1 - i):
+                product[i + j] = product.get(i + j, QPoly()) + p * QPoly.monomial(
+                    c * j, comb(m - 1 + j, j))
+        series = product
+    out = QPoly()
+    for j, p in f.num.t_coefficients().items():
+        if j <= d and (d - j) in series:
+            out = out + p * series[d - j]
+    return out
+
+
+# -- depth functions and generating functions --------------------------
+
+def delta(gamma, r, d):
+    """sum over k = 1..d-1 of b1(gamma) - b1(gamma_k), where gamma_k
+    contracts the edges of depth > k."""
+    if not gamma.is_connected():
+        raise ValueError("gamma must be connected")
+    check_depth_function(gamma, r, d)
+    b1 = gamma.b1()
+    total = 0
+    for k in range(1, d):
+        deep = frozenset(e for e, value in r.items() if value > k)
+        total += b1 - gamma.b1_of_contraction(deep)
+    return total
+
+
+def depth_function_sum(gamma, d):
+    """R_d by its definition, q^delta summed over all d^|E| depth functions,
+    with b1 of each contraction looked up in a table over the edge subsets."""
+    if d == 0:
+        return QPoly.const(1 if gamma.edge_count() == 0 else 0)
+    ids = sorted(gamma.edge_ids())
+    m = len(ids)
+    table = {}
+    for mask in range(1 << m):
+        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
+        table[subset] = gamma.b1_of_contraction(subset)
+    b1 = gamma.b1()
+    counts = Counter()
+    for values in product(range(1, d + 1), repeat=m):
+        exp = 0
+        for k in range(1, d):
+            exp += b1 - table[frozenset(ids[i] for i in range(m) if values[i] > k)]
+        counts[exp] += 1
+    return QPoly(counts)
+
+
+def weighted_depth_function_sum(graph, d):
+    """A_d as (q-1)^b1 * depth_function_sum over connected spanning subgraphs."""
+    qm1 = QPoly({1: 1, 0: -1})
+    total = QPoly()
+    for subset in connected_spanning_subgraphs(graph):
+        sub = graph.spanning_subgraph(subset)
+        total = total + qm1 ** sub.b1() * depth_function_sum(sub, d)
+    return total
+
+
+def a_genfun_by_subgraphs(graph):
+    """Oracle for a_genfun: the sum over connected spanning subgraphs of
+    (q-1)^b1 times their filtration sum R, one RatQT addition each."""
+    qm1 = QPoly({1: 1, 0: -1})
+    total = RatQT(0)
+    for subset in connected_spanning_subgraphs(graph):
+        sub = graph.spanning_subgraph(subset)
+        total = total + r_genfun(sub) * qm1 ** sub.b1()
+    return total
+
+
+def series_numerator_by_rows(coeffs, den):
+    """Oracle for _series_numerator: the row-wise pass it replaced, each
+    factor (1 - q^c T) applied to the rows of T-coefficients top down."""
+    rows = [dict(c.coeffs) for c in coeffs]
+    for c in Counter(den).elements():
+        for d in range(len(rows) - 1, 0, -1):
+            row = rows[d]
+            for e, v in rows[d - 1].items():
+                row[e + c] = row.get(e + c, 0) - v
+    return QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()})
+
+
+def same_form(f, g):
+    """The same reduced numerator and denominator, so the same text and JSON."""
+    return f.num.coeffs == g.num.coeffs and f.den == g.den
+
+
+# -- roots of unity ----------------------------------------------------
+
+def mobius(n):
+    """The Moebius function by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+# -- finite algebras and matrices over them ----------------------------
+
+def mat_identity(alg, n):
+    """The n x n identity matrix over alg."""
+    return tuple(tuple(alg.one if i == j else alg.zero() for j in range(n)) for i in range(n))
+
+
+def mat_det(alg, m):
+    """Determinant of a matrix of coordinate tuples by cofactor expansion
+    through FiniteAlgebra arithmetic: the oracle for the index-table
+    determinant (ring_tables.IndexTables.det) behind the GL scan and the
+    determinant character."""
+    n = len(m)
+    if n == 0:
+        return alg.one
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return alg.sub(alg.mul(m[0][0], m[1][1]), alg.mul(m[0][1], m[1][0]))
+    det = alg.zero()
+    for j in range(n):
+        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
+        term = alg.mul(m[0][j], mat_det(alg, minor))
+        det = alg.add(det, term) if j % 2 == 0 else alg.sub(det, term)
+    return det
+
+
+def mat_inverse(alg, m):
+    """Inverse of a square matrix over the algebra, by adjugate / det."""
+    n = len(m)
+    det = mat_det(alg, m)
+    det_inv = alg.inverse(det)
+    if n == 0:
+        return ()
+    if n == 1:
+        return ((det_inv,),)
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = tuple(tuple(m[r][c] for c in range(n) if c != i)
+                          for r in range(n) if r != j)
+            cof = mat_det(alg, minor)
+            if (i + j) % 2:
+                cof = alg.neg(cof)
+            row.append(alg.mul(cof, det_inv))
+        adj.append(tuple(row))
+    return tuple(adj)
+
+
+def _block_name(base_name, suffix):
+    return base_name if suffix == "" else (suffix if base_name == "1" else base_name + "*" + suffix)
+
+
+def truncated_by_blocks(base, d):
+    """Oracle for make_truncated: the constructor with its own block loop."""
+    if d == 1:
+        return base
+    bd = base.dim
+    dim = bd * d
+    names = []
+    for j in range(d):
+        suffix = "" if j == 0 else ("t" if j == 1 else "t^%d" % j)
+        names.extend(_block_name(b, suffix) for b in base.basis_names)
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for j1 in range(d):
+        for i1 in range(bd):
+            for j2 in range(d):
+                for i2 in range(bd):
+                    if j1 + j2 >= d:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(base.table[i1][i2]):
+                        cell[(j1 + j2) * bd + k] = c
+                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
+    one = tuple(base.one) + (0,) * (dim - bd)
+    alg = FiniteAlgebra(base.p, names, table, one, "kd(%s,%d)" % (base.name, d),
+                        residue_field=base)
+    alg.truncation = (d, bd)
+    return alg
+
+
+def dual_numbers_by_blocks(ring):
+    """Oracle for make_dual_numbers: the constructor with its own block loop."""
+    rd = ring.dim
+    dim = 2 * rd
+    names = [n for n in ring.basis_names]
+    names += [_block_name(n, "e") for n in ring.basis_names]
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for k1 in range(2):
+        for i1 in range(rd):
+            for k2 in range(2):
+                for i2 in range(rd):
+                    if k1 + k2 >= 2:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(ring.table[i1][i2]):
+                        cell[(k1 + k2) * rd + k] = c
+                    table[k1 * rd + i1][k2 * rd + i2] = tuple(cell)
+    one = tuple(ring.one) + (0,) * rd
+    return FiniteAlgebra(ring.p, names, table, one, "eps(%s)" % ring.name,
+                         residue_field=ring.residue_field)
+
+
+def square_zero_by_blocks(base, n):
+    """Oracle for make_square_zero: the constructor with its own block loop."""
+    bd = base.dim
+    dim = bd * (n + 1)
+    names = []
+    for j in range(n + 1):
+        suffix = "" if j == 0 else "t%d" % j
+        names.extend(_block_name(b, suffix) for b in base.basis_names)
+    zero = (0,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for j1 in range(n + 1):
+        for i1 in range(bd):
+            for j2 in range(n + 1):
+                for i2 in range(bd):
+                    if j1 and j2:
+                        continue
+                    cell = [0] * dim
+                    for k, c in enumerate(base.table[i1][i2]):
+                        cell[(j1 + j2) * bd + k] = c
+                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
+    one = tuple(base.one) + (0,) * (dim - bd)
+    return FiniteAlgebra(base.p, names, table, one, "sqz(%s,%d)" % (base.name, n),
+                         residue_field=base)
+
+
+# -- group averages and the preprojective counts -----------------------
+
+def all_matrices(alg, rows, cols):
+    if rows == 0 or cols == 0:
+        yield ()
+        return
+    for entries in product(list(alg.elements()), repeat=rows * cols):
+        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def fix_system_by_products(alg, gt, gs, rows, cols):
+    """The equation matrix of X -> gt X - X gs built one coefficient at a
+    time through FiniteAlgebra.mul: the oracle for _fix_system, which
+    reads the same entries off memoized multiplication blocks."""
+    dim, p = alg.dim, alg.p
+    n_unknowns = rows * cols * dim
+    columns = []
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(dim):
+                bk = alg.basis_vector(k)
+                col = [0] * n_unknowns
+                for a in range(rows):
+                    val = alg.mul(gt[a][i], bk)
+                    base = (a * cols + j) * dim
+                    for t, vt in enumerate(val):
+                        if vt:
+                            col[base + t] = (col[base + t] + vt) % p
+                for c in range(cols):
+                    val = alg.mul(bk, gs[j][c])
+                    base = (i * cols + c) * dim
+                    for t, vt in enumerate(val):
+                        if vt:
+                            col[base + t] = (col[base + t] - vt) % p
+                columns.append(col)
+    return [[columns[c][r] for c in range(n_unknowns)] for r in range(n_unknowns)]
+
+
+def fix_count(g, quiver, alg, alpha):
+    """Cardinality of the fixed space of g acting on the representation
+    space; the per-arrow systems are independent, so this is a product of
+    p-powers of nullities."""
+    alpha = _validate_alpha(quiver, alpha)
+    total = 1
+    for e, s, t in quiver.arrows():
+        total *= alg.p ** fix_nullity(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+    return total
+
+
+def fix_space_points(alg, basis, rows, cols):
+    """All rows x cols matrices in the span of basis, the nullspace vectors
+    of the system gt X = X gs, in product order of the coefficients."""
+    if rows == 0 or cols == 0:
+        return [()]
+    n = rows * cols * alg.dim
+    points = []
+    for coeffs in product(range(alg.p), repeat=len(basis)):
+        vec = [0] * n
+        for cf, bvec in zip(coeffs, basis):
+            if cf:
+                for idx, bv in enumerate(bvec):
+                    vec[idx] += cf * bv
+        points.append(_vector_to_matrix(alg, vec, rows, cols))
+    return points
+
+
+def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
+    """The group average over every element g of G = prod GL_{alpha_v}(alg),
+    one fixed-point count per element: the oracle for the class sums of
+    m_count and a_count (character=True), and of m_preproj and a_preproj
+    (preproj=True), which count the points of the whole zero fiber of the
+    moment map that g fixes."""
+    alpha = tuple(alpha)
+    order = sum(alpha) if character else 1
+    if preproj:
+        darrows = double_quiver(quiver)[0].arrows()
+        points = [dict(zip([e for e, _, _ in darrows], combo)) for combo in
+                  product(*[list(all_matrices(alg, alpha[t - 1], alpha[s - 1]))
+                            for _, s, t in darrows])]
+        fiber = [x for x in points
+                 if not any(any(entry) for block in moment_map(quiver, alg, alpha, x)
+                            for row in block for entry in row)]
+    buckets = [0] * order
+    for g in enumerate_group(quiver, alg, alpha):
+        if preproj:
+            fix = sum(1 for x in fiber
+                      if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
+                             for e, s, t in darrows))
+        else:
+            fix = fix_count(g, quiver, alg, alpha)
+        exponent = sum(alg.dlog(alg.residue(mat_det(alg, m))) for m in g) if character else 0
+        buckets[exponent % order] += fix
+    value, rest = divmod(root_sum(buckets), group_order(quiver, alg, alpha))
+    assert rest == 0
+    return value
+
+
+def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
+                        guard=GUARD, fix_values=None):
+    """The Burnside sum as one loop over the product of the per-vertex
+    class lists: per tuple of class representatives, the product of the
+    arrows' fixed-point counts (or fix_values) times the class sizes, in
+    the bucket of its determinant character exponent.  The oracle for the
+    contraction of _burnside; returns (buckets, |G|) like it."""
+    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard)
+    m = char_order or 1
+    buckets = [0] * m
+    solved = {}
+
+    def fixed(gt, gs, rows, cols):
+        if (gt, gs, rows, cols) not in solved:
+            solved[gt, gs, rows, cols] = alg.p ** fix_nullity(alg, gt, gs, rows, cols)
+        return solved[gt, gs, rows, cols]
+
+    for combo in product(*[range(len(lst)) for lst in reps]):
+        g = tuple(lst[c] for lst, c in zip(reps, combo))
+        if fix_values is None:
+            fix = prod(fixed(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+                       for _, s, t in quiver.arrows())
+        else:
+            fix = fix_values(g)
+        exponent = sum(_det_residue_dlog(alg, h, generator) for h in g) if char_order else 0
+        buckets[exponent % m] += fix * prod(lst[c] for lst, c in zip(sizes, combo))
+    return buckets, order
+
+
+def preproj_by_filter(quiver, alg, alpha, character=False):
+    """m_preproj (a_preproj with character=True) by filtering: per tuple
+    of class representatives g, in the class-tuple loop, list every point
+    of V^g x V*^g and keep those on which the moment map vanishes.  The
+    oracle for the rank sums of the engine and for their contraction."""
+    alpha = tuple(alpha)
+    dq, star = double_quiver(quiver)
+    darrows = dq.arrows()
+    # entry (i, j) of mu at v: sum_h a[i][h] a*[h][j] over the arrows a into
+    # v, minus the same with a* first over the arrows out of v, each product
+    # as (slot, flat index, slot, flat index, negated)
+    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
+    equations = {}
+    for e, s, t in quiver.arrows():
+        for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
+            n, k = alpha[v - 1], alpha[w - 1]
+            for i, j, h in product(range(n), range(n), range(k)):
+                equations.setdefault((v, i, j), []).append(
+                    (slot[left], i * k + h, slot[right], h * n + j, negated))
+    sums = list(equations.values())
+
+    def points(gt, gs, rows, cols):
+        basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
+        return fix_space_points(alg, basis, rows, cols)
+
+    def fix_values(g):
+        per_arrow = [points(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
+                     for _, s, t in darrows]
+        return sum(1 for _ in vanishing_points(alg, per_arrow, sums))
+
+    def engine(quiver, alg, alpha, **kwargs):
+        return class_tuple_buckets(quiver, alg, alpha, fix_values=fix_values, **kwargs)
+
+    return _group_average(engine, quiver, alg, alpha, character=character)
+
+
+def moment_map(quiver, alg, alpha, x):
+    """Vertex-wise value of sum over arrows of M_a M_a* - M_a* M_a for a
+    representation x of the double quiver (dict arrow id -> matrix)."""
+    alpha = _validate_alpha(quiver, alpha)
+    _, star = double_quiver(quiver)
+    arrows = quiver.arrows()
+    for e, s, t in arrows:
+        ma = x[e]
+        if len(ma) != alpha[t - 1] or (ma and len(ma[0]) != alpha[s - 1]):
+            raise ValueError("arrow %d matrix has the wrong shape" % e)
+    return tuple(tuple(map(tuple, block)) for block in _moment_blocks(alg, alpha, arrows, star, x))
+
+
+def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
+    """Direct-partition fallback for the preprojective class count: list
+    the zero-fiber points, then sweep each unvisited one with the whole
+    group.  Only viable for tiny spaces; must agree with m_preproj."""
+    alpha = _validate_alpha(quiver, alpha)
+    darrows = double_quiver(quiver)[0].arrows()
+    points = _whole_zero_fiber(quiver, alg, alpha, guard)
+    elements = enumerate_group(quiver, alg, alpha, guard)
+    fiber = list(points)
+
+    group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g]) for g in elements]
+    orbits = 0
+    visited = set()
+    for point in fiber:
+        if point in visited:
+            continue
+        orbits += 1
+        for g, inverses in group:
+            image = tuple(mat_mul(alg, mat_mul(alg, g[t - 1], x), inverses[s - 1])
+                          for x, (e, s, t) in zip(point, darrows))
+            visited.add(image)
+    return orbits

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from quivercount.cyclotomic import cyclotomic_polynomial, root_sum
+from oracles import mobius
 
 
 def test_cyclotomic_polynomials():
@@ -42,19 +43,6 @@ def test_unit_vector_is_rational_only_at_plus_or_minus_one():
                     root_sum(unit)
             else:
                 assert root_sum(unit) == (1 if k == 0 else -1)
-
-
-def mobius(n):
-    """The Moebius function by trial division."""
-    sign, p = 1, 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return sign
 
 
 def test_gcd_class_sums_are_moebius_sums():

@@ -7,11 +7,12 @@ from quivercount import modp
 from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         make_field, make_field_ext,
                                         make_prime_field, make_square_zero,
-                                        make_truncated, mat_det, mat_identity,
-                                        mat_mul, ring_from_spec, truncated_depth,
-                                        truncated_generator,
+                                        make_truncated, mat_mul, ring_from_spec,
+                                        truncated_depth, truncated_generator,
                                         truncated_valuation)
 from quivercount.multigraph import GuardError
+from oracles import (dual_numbers_by_blocks, mat_det, mat_identity, mat_inverse,
+                     square_zero_by_blocks, truncated_by_blocks)
 
 
 def test_prime_field_basics():
@@ -209,7 +210,6 @@ def test_matrix_helpers():
 
 
 def test_matrix_inverse():
-    from quivercount.finite_algebra import mat_inverse
     for alg in [make_truncated(make_prime_field(2), 2), make_prime_field(5)]:
         elems = list(alg.elements())
         ident = mat_identity(alg, 2)
@@ -262,87 +262,6 @@ def test_dlog_rejects_a_generator_that_misses_units():
                 f5.dlog(x, generator=gen)
     assert [f5.dlog(x, generator=(2,)) for x in ((1,), (2,), (4,), (3,))] == [0, 1, 2, 3]
     assert [f5.dlog(x, generator=(3,)) for x in ((1,), (3,), (4,), (2,))] == [0, 1, 2, 3]
-
-
-def _block_name(base_name, suffix):
-    return base_name if suffix == "" else (suffix if base_name == "1" else base_name + "*" + suffix)
-
-
-def truncated_by_blocks(base, d):
-    """Oracle for make_truncated: the constructor with its own block loop."""
-    if d == 1:
-        return base
-    bd = base.dim
-    dim = bd * d
-    names = []
-    for j in range(d):
-        suffix = "" if j == 0 else ("t" if j == 1 else "t^%d" % j)
-        names.extend(_block_name(b, suffix) for b in base.basis_names)
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for j1 in range(d):
-        for i1 in range(bd):
-            for j2 in range(d):
-                for i2 in range(bd):
-                    if j1 + j2 >= d:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(base.table[i1][i2]):
-                        cell[(j1 + j2) * bd + k] = c
-                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
-    one = tuple(base.one) + (0,) * (dim - bd)
-    alg = FiniteAlgebra(base.p, names, table, one, "kd(%s,%d)" % (base.name, d),
-                        residue_field=base)
-    alg.truncation = (d, bd)
-    return alg
-
-
-def dual_numbers_by_blocks(ring):
-    """Oracle for make_dual_numbers: the constructor with its own block loop."""
-    rd = ring.dim
-    dim = 2 * rd
-    names = [n for n in ring.basis_names]
-    names += [_block_name(n, "e") for n in ring.basis_names]
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for k1 in range(2):
-        for i1 in range(rd):
-            for k2 in range(2):
-                for i2 in range(rd):
-                    if k1 + k2 >= 2:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(ring.table[i1][i2]):
-                        cell[(k1 + k2) * rd + k] = c
-                    table[k1 * rd + i1][k2 * rd + i2] = tuple(cell)
-    one = tuple(ring.one) + (0,) * rd
-    return FiniteAlgebra(ring.p, names, table, one, "eps(%s)" % ring.name,
-                         residue_field=ring.residue_field)
-
-
-def square_zero_by_blocks(base, n):
-    """Oracle for make_square_zero: the constructor with its own block loop."""
-    bd = base.dim
-    dim = bd * (n + 1)
-    names = []
-    for j in range(n + 1):
-        suffix = "" if j == 0 else "t%d" % j
-        names.extend(_block_name(b, suffix) for b in base.basis_names)
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for j1 in range(n + 1):
-        for i1 in range(bd):
-            for j2 in range(n + 1):
-                for i2 in range(bd):
-                    if j1 and j2:
-                        continue
-                    cell = [0] * dim
-                    for k, c in enumerate(base.table[i1][i2]):
-                        cell[(j1 + j2) * bd + k] = c
-                    table[j1 * bd + i1][j2 * bd + i2] = tuple(cell)
-    one = tuple(base.one) + (0,) * (dim - bd)
-    return FiniteAlgebra(base.p, names, table, one, "sqz(%s,%d)" % (base.name, n),
-                         residue_field=base)
 
 
 CONSTRUCTORS = {"kd": (make_truncated, truncated_by_blocks),

@@ -1,5 +1,4 @@
 import time
-from collections import Counter
 
 import pytest
 
@@ -14,30 +13,7 @@ from quivercount.multigraph import GuardError, Multigraph, strict_filtrations
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.toric import r_d_polynomial
-from test_multigraph import connected_spanning_subgraphs
-
-
-def a_genfun_by_subgraphs(graph):
-    """Oracle for a_genfun: the sum over connected spanning subgraphs of
-    (q-1)^b1 times their filtration sum R, one RatQT addition each."""
-    qm1 = QPoly({1: 1, 0: -1})
-    total = RatQT(0)
-    for subset in connected_spanning_subgraphs(graph):
-        sub = graph.spanning_subgraph(subset)
-        total = total + r_genfun(sub) * qm1 ** sub.b1()
-    return total
-
-
-def series_numerator_by_rows(coeffs, den):
-    """Oracle for _series_numerator: the row-wise pass it replaced, each
-    factor (1 - q^c T) applied to the rows of T-coefficients top down."""
-    rows = [dict(c.coeffs) for c in coeffs]
-    for c in Counter(den).elements():
-        for d in range(len(rows) - 1, 0, -1):
-            row = rows[d]
-            for e, v in rows[d - 1].items():
-                row[e + c] = row.get(e + c, 0) - v
-    return QTPoly({(e, d): v for d, row in enumerate(rows) for e, v in row.items()})
+from oracles import a_genfun_by_subgraphs, same_form
 
 
 def t_pochhammer(m):
@@ -46,11 +22,6 @@ def t_pochhammer(m):
     for i in range(m):
         out = out * (QTPoly.const(1) - QTPoly.monomial(i, 1))
     return out
-
-
-def same_form(f, g):
-    """The same reduced numerator and denominator, so the same text and JSON."""
-    return f.num.coeffs == g.num.coeffs and f.den == g.den
 
 
 def test_cvector_examples():

@@ -7,19 +7,19 @@ returns what the default guard returns; and a warm memo changes neither.
 """
 
 import pytest
-from test_multigraph import connected_spanning_subgraphs
 
 from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycle_quiver,
                                   jordan_quiver, path_quiver)
-from quivercount.finite_algebra import make_prime_field, make_truncated, mat_identity
+from quivercount.finite_algebra import make_prime_field, make_truncated
 from quivercount.genfun import (a_genfun, check_duality, check_recursion, convolve, psi_char,
                                 q_eulerian, r_d_via_convolution, r_genfun)
 from quivercount.multigraph import GUARD, GuardError, strict_filtrations
 from quivercount.repenum import (a_count, a_preproj, counterexample_counts, enumerate_group,
                                  fourier_fiber_count, gl_classes, gl_elements, gl_order,
-                                 group_order, m_count, m_preproj, preproj_orbit_partition,
-                                 stabilizer_order, toric_ai_orbit_count)
+                                 group_order, m_count, m_preproj, stabilizer_order,
+                                 toric_ai_orbit_count)
 from quivercount.toric import a_d_polynomial, r_d_on_components, r_d_polynomial
+from oracles import connected_spanning_subgraphs, mat_identity, preproj_orbit_partition
 
 F2, F3, F5 = make_prime_field(2), make_prime_field(3), make_prime_field(5)
 K2F2, K3F2 = make_truncated(F2, 2), make_truncated(F2, 3)

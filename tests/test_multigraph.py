@@ -1,34 +1,16 @@
 import os
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
 
 from quivercount import verify
-from quivercount.families import (_canonical_form, all_connected_multigraphs,
-                                  banana_graph, cycle_graph, loops_graph,
-                                  path_graph, point_graph)
-from quivercount.multigraph import (GUARD, GuardError, Multigraph, Quiver, charge,
-                                    strict_filtrations)
+from quivercount.families import (all_connected_multigraphs, banana_graph, cycle_graph,
+                                  loops_graph, path_graph, point_graph)
+from quivercount.multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from quivercount.polynomials import QTPoly
+from oracles import all_connected_multigraphs_by_scan, connected_spanning_subgraphs
 
 ORDERED_BELL = [1, 1, 3, 13, 75, 541]
-
-
-def all_connected_multigraphs_by_scan(max_edges):
-    """Oracle: every edge multiset on 1..n in lexicographic order, keeping
-    the first connected labeling met of each isomorphism class."""
-    found = {}
-    for e in range(0, max_edges + 1):
-        for n in range(1, e + 2):
-            pair_types = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
-            for combo in combinations_with_replacement(pair_types, e):
-                g = Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(combo)])
-                if not g.is_connected():
-                    continue
-                key = _canonical_form(n, combo)
-                if key not in found:
-                    found[key] = g
-    return tuple(found.values())
 
 
 def _labelled(graphs):
@@ -116,18 +98,6 @@ def test_spanning_subgraph_examples():
     assert g.n == 3 and g.edge_count() == 0
     with pytest.raises(ValueError):
         c3.spanning_subgraph([7])
-
-
-def connected_spanning_subgraphs(graph, guard=GUARD):
-    """Yield the edge subsets whose spanning subgraph is connected, in
-    binary counting order over the sorted ids; 2^m subsets charged up front."""
-    ids = sorted(graph.edge_ids())
-    m = len(ids)
-    charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
-    for mask in range(1 << m):
-        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
-        if graph.spanning_connected(subset):
-            yield subset
 
 
 def test_connected_spanning_subgraphs():

@@ -89,32 +89,6 @@ def test_division_handles_laurent_input():
     assert divide_exact_by_t_factor(p, 1) == QTPoly({(0, -2): 1, (1, 0): 2})
 
 
-def divide_by_t_factor_slices(p, c):
-    """Oracle for divide_exact_by_t_factor: the slice-by-slice QPoly
-    division it replaced, on the input shifted to T-valuation 0."""
-    if not p:
-        return QTPoly(vars=p.vars)
-    vt = p.val_t()
-    work = p.shift(0, -vt) if vt else p
-    slices = work.t_coefficients()
-    top = max(slices)
-    qc = QPoly.monomial(c)
-    out = {}
-    prev = QPoly()
-    for j in range(0, top):
-        hj = slices.get(j, QPoly()) + qc * prev
-        if hj:
-            out[j] = hj
-        prev = hj
-    if slices.get(top, QPoly()) + qc * prev != QPoly():
-        raise ValueError("division by (1 - q^%d*T) is not exact" % c)
-    quot = {}
-    for j, poly in out.items():
-        for i, cc in poly.coeffs.items():
-            quot[(i, j + (vt or 0))] = cc
-    return QTPoly(quot, p.vars)
-
-
 def test_division_of_zero_and_of_a_monomial():
     assert divide_exact_by_t_factor(QTPoly(), 3) == QTPoly()
     with pytest.raises(ValueError, match="not exact"):

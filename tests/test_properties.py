@@ -26,19 +26,20 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
 from quivercount.genfun import _series_numerator, a_genfun, r_genfun  # noqa: E402
-from quivercount.multigraph import Multigraph, Quiver  # noqa: E402
+from quivercount.multigraph import Quiver  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
                                  gl_classes, gl_elements, group_order, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
-from test_genfun import a_genfun_by_subgraphs, same_form, series_numerator_by_rows  # noqa: E402
-from test_polynomials import divide_by_t_factor_slices  # noqa: E402
-from test_ratfun import (add_pairwise, den_by_powers, equal_by_cross_multiplication,  # noqa: E402
-                         series_coefficient_by_binomials)
-from test_repenum import (burnside_by_elements, class_tuple_buckets,  # noqa: E402
-                          fix_system_by_products, preproj_by_filter)
-from test_toric import depth_function_sum  # noqa: E402
+from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
+                     class_tuple_buckets, den_by_powers, depth_function_sum,
+                     divide_by_t_factor_slices, equal_by_cross_multiplication,
+                     fix_system_by_products, preproj_by_filter, same_form,
+                     series_coefficient_by_binomials, series_numerator_by_rows)
+from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
+                        ratqts, repeated_denominators, series_ratqts, small_quivers,
+                        sum_terms, t_factor_exponents)
 
 F2, F3 = make_prime_field(2), make_prime_field(3)
 RINGS = (F2, F3, make_truncated(F2, 2))
@@ -49,20 +50,6 @@ SYSTEM_RINGS = (F2, make_field(4), make_prime_field(5), make_truncated(F3, 2),
                 make_truncated(F2, 3), make_dual_numbers(F3), make_square_zero(F2, 2))
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
-
-
-@st.composite
-def connected_multigraphs(draw, max_edges):
-    """A random spanning tree plus random extra edges (loops and parallel
-    edges allowed), in shuffled order under distinct random edge ids."""
-    n = draw(st.integers(1, min(max_edges + 1, 5)))
-    pairs = [(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)]
-    vertex = st.integers(1, n)
-    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(pairs)))
-    pairs = draw(st.permutations(pairs))
-    ids = draw(st.lists(st.integers(1, 99), min_size=len(pairs), max_size=len(pairs),
-                        unique=True))
-    return Multigraph(n, [(e, u, v) for e, (u, v) in zip(ids, pairs)])
 
 
 @PROPERTY
@@ -83,14 +70,6 @@ def test_filtration_sum_coefficients_equal_r_d(graph):
 @given(connected_multigraphs(6))
 def test_a_genfun_equals_the_subgraph_sum_oracle(graph):
     assert same_form(a_genfun(graph), a_genfun_by_subgraphs(graph))
-
-
-@st.composite
-def small_quivers(draw):
-    """A quiver with at most 3 vertices and 3 arrows, loops allowed."""
-    n = draw(st.integers(1, 3))
-    vertex = st.integers(1, n)
-    return Quiver.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=3)))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -115,18 +94,6 @@ def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data)
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_preproj(quiver, ring, alpha) == \
             preproj_by_filter(quiver, ring, alpha, character=True)
-
-
-@st.composite
-def quivers_with_ranks(draw):
-    """A quiver with at most 4 vertices and 6 arrows, half of them built
-    on the oriented cycle through every vertex (loops and parallel arrows
-    allowed), and a rank vector with entries 0..2."""
-    n = draw(st.integers(1, 4))
-    vertex = st.integers(1, n)
-    arrows = [(v, v % n + 1) for v in range(1, n + 1)] if draw(st.booleans()) else []
-    arrows += draw(st.lists(st.tuples(vertex, vertex), max_size=6 - len(arrows)))
-    return Quiver.from_edges(n, arrows), draw(st.tuples(*[st.integers(0, 2)] * n))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -164,32 +131,6 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
     assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(ring, gt, gs, rows, cols)
 
 
-# Laurent polynomials in (q, T) with small exponents, negative T ones included
-laurent_qt = st.dictionaries(st.tuples(st.integers(-2, 4), st.integers(-2, 3)),
-                             st.integers(-3, 3), max_size=5).map(QTPoly)
-t_factor_exponents = st.integers(0, 3)
-denominators = st.dictionaries(t_factor_exponents, st.integers(0, 2), max_size=3)
-
-
-@st.composite
-def sum_terms(draw):
-    """An int, a QPoly, a QTPoly, a reduced RatQT, or a RatQT built with
-    reduce=False, whose numerator may carry a factor of its denominator."""
-    kind = draw(st.sampled_from(("int", "qpoly", "qtpoly", "reduced", "unreduced")))
-    if kind == "int":
-        return draw(st.integers(-4, 4))
-    if kind == "qpoly":
-        return QPoly(draw(st.dictionaries(st.integers(-2, 3), st.integers(-3, 3), max_size=3)))
-    num, den = draw(laurent_qt), draw(denominators)
-    if kind == "qtpoly":
-        return num
-    if kind == "reduced":
-        return RatQT(num, den)
-    for c in draw(st.lists(t_factor_exponents, max_size=2)):
-        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
-    return RatQT(num, den, reduce=False)
-
-
 @PROPERTY
 @given(st.lists(sum_terms(), max_size=6))
 def test_sum_equals_the_pairwise_fold(terms):
@@ -197,18 +138,6 @@ def test_sum_equals_the_pairwise_fold(terms):
     expected = reduce(add_pairwise, terms, RatQT(0))
     assert total.num.coeffs == expected.num.coeffs
     assert total.den == expected.den
-
-
-@st.composite
-def ratqts(draw):
-    """A reduced RatQT, or one built with reduce=False whose numerator may
-    carry a factor of its denominator."""
-    num, den = draw(laurent_qt), draw(denominators)
-    if draw(st.booleans()):
-        return RatQT(num, den)
-    for c in draw(st.lists(t_factor_exponents, max_size=2)):
-        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
-    return RatQT(num, den, reduce=False)
 
 
 @PROPERTY
@@ -245,24 +174,6 @@ def test_division_fails_where_the_slice_division_fails(p, c):
             divide_exact_by_t_factor(p, c)
     else:
         assert divide_exact_by_t_factor(p, c) == expected
-
-
-# denominators with repeated factors (1 - q^c T)^m, c in 0..4
-repeated_denominators = st.dictionaries(st.integers(0, 4), st.integers(0, 3), max_size=3)
-
-
-@st.composite
-def series_ratqts(draw):
-    """A reduced RatQT, or one built with reduce=False whose numerator may
-    carry factors of its denominator; the numerator may have a pole at T = 0."""
-    num = QTPoly(draw(st.dictionaries(st.tuples(st.integers(-2, 4), st.integers(-1, 4)),
-                                      st.integers(-3, 3), max_size=5)))
-    den = draw(repeated_denominators)
-    if draw(st.booleans()):
-        return RatQT(num, den)
-    for c in draw(st.lists(st.integers(0, 4), max_size=2)):
-        num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1))
-    return RatQT(num, den, reduce=False)
 
 
 @PROPERTY

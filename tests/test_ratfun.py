@@ -4,63 +4,11 @@ import pytest
 
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
+from oracles import add_pairwise
 
 
 def _t(i, j, c=1):
     return QTPoly.monomial(i, j, c)
-
-
-def add_pairwise(a, b):
-    """Oracle for RatQT.sum: the pairwise addition it replaced, which
-    expands each missing factor as a QTPoly power and reduces the result."""
-    a, b = (x if isinstance(x, RatQT) else RatQT(x) for x in (a, b))
-    den = {c: max(a.den.get(c, 0), b.den.get(c, 0)) for c in set(a.den) | set(b.den)}
-    nums = []
-    for f in (a, b):
-        num = f.num
-        for c, m in den.items():
-            extra = m - f.den.get(c, 0)
-            if extra:
-                num = num * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** extra
-        nums.append(num)
-    return RatQT(nums[0] + nums[1], den)
-
-
-def den_by_powers(f):
-    """Oracle for RatQT.den_poly: the product of QTPoly powers it replaced."""
-    out = QTPoly.const(1)
-    for c, m in f.den.items():
-        out = out * (QTPoly.const(1) - QTPoly.monomial(c, 1)) ** m
-    return out
-
-
-def equal_by_cross_multiplication(a, b):
-    """Oracle for RatQT.__eq__: the cross-multiplication it replaced, with
-    both denominators expanded as powers."""
-    return a.num * den_by_powers(b) == b.num * den_by_powers(a)
-
-
-def series_coefficient_by_binomials(f, d):
-    """Oracle for RatQT.series: the coefficient of T^d it replaced, from
-    1/(1 - q^c T)^m = sum_j C(m - 1 + j, j) q^(c j) T^j for each factor,
-    multiplied out and cut after T^d."""
-    if d < 0:
-        raise ValueError("d >= 0 required")
-    if f.num and f.num.val_t() < 0:
-        raise ValueError("numerator has a pole at T = 0")
-    series = {0: QPoly.const(1)}
-    for c, m in f.den.items():
-        product = {}
-        for i, p in series.items():
-            for j in range(d + 1 - i):
-                product[i + j] = product.get(i + j, QPoly()) + p * QPoly.monomial(
-                    c * j, comb(m - 1 + j, j))
-        series = product
-    out = QPoly()
-    for j, p in f.num.t_coefficients().items():
-        if j <= d and (d - j) in series:
-            out = out + p * series[d - j]
-    return out
 
 
 def test_geometric_series():

@@ -1,196 +1,25 @@
-from itertools import product
 from math import prod
 
 import pytest
 
-from quivercount.cyclotomic import root_sum
 from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
                                   path_quiver)
 from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
-                                        make_truncated, mat_det, mat_identity,
-                                        mat_inverse, mat_mul, truncated_generator)
-from quivercount.modp import nullspace_basis
-from quivercount.multigraph import GUARD, GuardError, Quiver
-from quivercount.repenum import (_burnside, _det_residue_dlog, _fix_system, _group_average,
-                                 _validate_alpha, _vector_to_matrix, _vertex_lists,
-                                 _whole_zero_fiber, a_count, a_preproj, counterexample_counts,
-                                 double_quiver, enumerate_group, fix_nullity,
-                                 fourier_fiber_count, gl_classes, gl_elements,
-                                 gl_order, group_order, m_count, m_preproj,
-                                 moment_map, preproj_orbit_partition,
-                                 stabilizer_order, toric_ai_orbit_count,
-                                 toric_point)
-from quivercount.ring_tables import vanishing_points
+                                        make_truncated, mat_mul, truncated_generator)
+from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
+from quivercount.repenum import (_burnside, _whole_zero_fiber, a_count, a_preproj,
+                                 counterexample_counts, double_quiver, enumerate_group,
+                                 fourier_fiber_count, gl_classes, gl_elements, gl_order,
+                                 group_order, m_count, m_preproj, stabilizer_order,
+                                 toric_ai_orbit_count, toric_point)
+from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets, fix_count,
+                     mat_det, mat_identity, mat_inverse, moment_map, preproj_by_filter,
+                     preproj_orbit_partition)
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
 K2F2 = make_truncated(F2, 2)
-
-
-def _matrices(alg, rows, cols):
-    if rows == 0 or cols == 0:
-        yield ()
-        return
-    for entries in product(list(alg.elements()), repeat=rows * cols):
-        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
-
-
-def fix_system_by_products(alg, gt, gs, rows, cols):
-    """The equation matrix of X -> gt X - X gs built one coefficient at a
-    time through FiniteAlgebra.mul: the oracle for _fix_system, which
-    reads the same entries off memoized multiplication blocks."""
-    dim, p = alg.dim, alg.p
-    n_unknowns = rows * cols * dim
-    columns = []
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(dim):
-                bk = alg.basis_vector(k)
-                col = [0] * n_unknowns
-                for a in range(rows):
-                    val = alg.mul(gt[a][i], bk)
-                    base = (a * cols + j) * dim
-                    for t, vt in enumerate(val):
-                        if vt:
-                            col[base + t] = (col[base + t] + vt) % p
-                for c in range(cols):
-                    val = alg.mul(bk, gs[j][c])
-                    base = (i * cols + c) * dim
-                    for t, vt in enumerate(val):
-                        if vt:
-                            col[base + t] = (col[base + t] - vt) % p
-                columns.append(col)
-    return [[columns[c][r] for c in range(n_unknowns)] for r in range(n_unknowns)]
-
-
-def fix_count(g, quiver, alg, alpha):
-    """Cardinality of the fixed space of g acting on the representation
-    space; the per-arrow systems are independent, so this is a product of
-    p-powers of nullities."""
-    alpha = _validate_alpha(quiver, alpha)
-    total = 1
-    for e, s, t in quiver.arrows():
-        total *= alg.p ** fix_nullity(alg, g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
-    return total
-
-
-def fix_space_points(alg, basis, rows, cols):
-    """All rows x cols matrices in the span of basis, the nullspace vectors
-    of the system gt X = X gs, in product order of the coefficients."""
-    if rows == 0 or cols == 0:
-        return [()]
-    n = rows * cols * alg.dim
-    points = []
-    for coeffs in product(range(alg.p), repeat=len(basis)):
-        vec = [0] * n
-        for cf, bvec in zip(coeffs, basis):
-            if cf:
-                for idx, bv in enumerate(bvec):
-                    vec[idx] += cf * bv
-        points.append(_vector_to_matrix(alg, vec, rows, cols))
-    return points
-
-
-def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
-    """The group average over every element g of G = prod GL_{alpha_v}(alg),
-    one fixed-point count per element: the oracle for the class sums of
-    m_count and a_count (character=True), and of m_preproj and a_preproj
-    (preproj=True), which count the points of the whole zero fiber of the
-    moment map that g fixes."""
-    alpha = tuple(alpha)
-    order = sum(alpha) if character else 1
-    if preproj:
-        darrows = double_quiver(quiver)[0].arrows()
-        points = [dict(zip([e for e, _, _ in darrows], combo)) for combo in
-                  product(*[list(_matrices(alg, alpha[t - 1], alpha[s - 1]))
-                            for _, s, t in darrows])]
-        fiber = [x for x in points
-                 if not any(any(entry) for block in moment_map(quiver, alg, alpha, x)
-                            for row in block for entry in row)]
-    buckets = [0] * order
-    for g in enumerate_group(quiver, alg, alpha):
-        if preproj:
-            fix = sum(1 for x in fiber
-                      if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
-                             for e, s, t in darrows))
-        else:
-            fix = fix_count(g, quiver, alg, alpha)
-        exponent = sum(alg.dlog(alg.residue(mat_det(alg, m))) for m in g) if character else 0
-        buckets[exponent % order] += fix
-    value, rest = divmod(root_sum(buckets), group_order(quiver, alg, alpha))
-    assert rest == 0
-    return value
-
-
-def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
-                        guard=GUARD, fix_values=None):
-    """The Burnside sum as one loop over the product of the per-vertex
-    class lists: per tuple of class representatives, the product of the
-    arrows' fixed-point counts (or fix_values) times the class sizes, in
-    the bucket of its determinant character exponent.  The oracle for the
-    contraction of _burnside; returns (buckets, |G|) like it."""
-    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard)
-    m = char_order or 1
-    buckets = [0] * m
-    solved = {}
-
-    def fixed(gt, gs, rows, cols):
-        if (gt, gs, rows, cols) not in solved:
-            solved[gt, gs, rows, cols] = alg.p ** fix_nullity(alg, gt, gs, rows, cols)
-        return solved[gt, gs, rows, cols]
-
-    for combo in product(*[range(len(lst)) for lst in reps]):
-        g = tuple(lst[c] for lst, c in zip(reps, combo))
-        if fix_values is None:
-            fix = prod(fixed(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
-                       for _, s, t in quiver.arrows())
-        else:
-            fix = fix_values(g)
-        exponent = sum(_det_residue_dlog(alg, h, generator) for h in g) if char_order else 0
-        buckets[exponent % m] += fix * prod(lst[c] for lst, c in zip(sizes, combo))
-    return buckets, order
-
-
-def burnside_by_class_tuples(quiver, alg, alpha, character=False):
-    """m_count (a_count with character=True) by the class-tuple loop."""
-    return _group_average(class_tuple_buckets, quiver, alg, alpha, character=character)
-
-
-def preproj_by_filter(quiver, alg, alpha, character=False):
-    """m_preproj (a_preproj with character=True) by filtering: per tuple
-    of class representatives g, in the class-tuple loop, list every point
-    of V^g x V*^g and keep those on which the moment map vanishes.  The
-    oracle for the rank sums of the engine and for their contraction."""
-    alpha = tuple(alpha)
-    dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    # entry (i, j) of mu at v: sum_h a[i][h] a*[h][j] over the arrows a into
-    # v, minus the same with a* first over the arrows out of v, each product
-    # as (slot, flat index, slot, flat index, negated)
-    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
-    equations = {}
-    for e, s, t in quiver.arrows():
-        for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
-            n, k = alpha[v - 1], alpha[w - 1]
-            for i, j, h in product(range(n), range(n), range(k)):
-                equations.setdefault((v, i, j), []).append(
-                    (slot[left], i * k + h, slot[right], h * n + j, negated))
-    sums = list(equations.values())
-
-    def points(gt, gs, rows, cols):
-        basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
-        return fix_space_points(alg, basis, rows, cols)
-
-    def fix_values(g):
-        per_arrow = [points(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1])
-                     for _, s, t in darrows]
-        return sum(1 for _ in vanishing_points(alg, per_arrow, sums))
-
-    def engine(quiver, alg, alpha, **kwargs):
-        return class_tuple_buckets(quiver, alg, alpha, fix_values=fix_values, **kwargs)
-
-    return _group_average(engine, quiver, alg, alpha, character=character)
 
 
 def test_group_orders():
@@ -213,7 +42,7 @@ def test_gl_order_of_truncated_rings():
 
 def test_gl_elements_equal_the_determinant_filter():
     ring = make_truncated(F2, 2)
-    assert gl_elements(ring, 2) == [m for m in _matrices(ring, 2, 2)
+    assert gl_elements(ring, 2) == [m for m in all_matrices(ring, 2, 2)
                                     if ring.is_unit(mat_det(ring, m))]
 
 
@@ -480,6 +309,18 @@ def test_rank_vector_validation():
         m_count(path_quiver(2), F2, (1,))
     with pytest.raises(ValueError):
         m_count(path_quiver(2), F2, (1, -1))
+
+
+def test_non_integer_ranks_and_sizes_are_refused():
+    # int() would truncate 1.5 and 2.9 and parse "1"; each is refused by name
+    with pytest.raises(ValueError, match="rank 1.5 is not an integer"):
+        m_count(path_quiver(2), F3, (1.5, 1))
+    with pytest.raises(ValueError, match="rank '1' is not an integer"):
+        m_count(path_quiver(2), F3, ("1", 1))
+    with pytest.raises(ValueError, match="vertex count 2.9 is not an integer"):
+        Multigraph(2.9, [(1, 1, 2)])
+    with pytest.raises(ValueError, match="edge ids and endpoints must be integers"):
+        Multigraph(2, [(1, 1, 2.0)])
 
 
 def test_moment_map_examples():

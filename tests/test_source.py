@@ -1,16 +1,29 @@
-"""Source-level rules for the library itself."""
+"""Source-level rules for the library and for its test modules."""
 
 import ast
 import pathlib
 import sys
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quivercount"
+TESTS = pathlib.Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "quivercount"
+
+
+def _parsed(files):
+    assert files
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in files]
 
 
 def _parsed_sources():
-    files = sorted(SOURCE.glob("*.py"))
-    assert files
-    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in files]
+    return _parsed(sorted(SOURCE.glob("*.py")))
+
+
+def _absolute_imports(tree):
+    """(line, module) for every absolute import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
 
 
 def test_no_assert_statements():
@@ -24,17 +37,19 @@ def test_no_assert_statements():
 
 
 def test_runtime_imports_are_stdlib():
-    found = []
-    for name, tree in _parsed_sources():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += ["%s:%d %s" % (name, node.lineno, module) for module in modules
-                      if module.partition(".")[0] not in sys.stdlib_module_names]
+    found = ["%s:%d %s" % (name, line, module) for name, tree in _parsed_sources()
+             for line, module in _absolute_imports(tree)
+             if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_test_modules_import_no_test_module():
+    # The oracles live in tests/oracles.py and the hypothesis strategies in
+    # tests/strategies.py, so no test module runs another's module-level
+    # code (or its importorskip) to borrow a helper.
+    files = sorted(TESTS.glob("test_*.py")) + [TESTS / "oracles.py", TESTS / "strategies.py"]
+    found = ["%s:%d %s" % (name, line, module) for name, tree in _parsed(files)
+             for line, module in _absolute_imports(tree) if module.startswith("test_")]
     assert found == []
 
 
@@ -72,4 +87,4 @@ def test_src_line_budget():
     # ROADMAP aim 2: the same behaviour from the least code, which shows as
     # fewer lines in src/.  Lower the budget as src/ shrinks; never raise it.
     total = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
-    assert total <= 3766, total
+    assert total <= 3704, total

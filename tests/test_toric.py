@@ -1,60 +1,13 @@
-from collections import Counter
-from itertools import product
-
 import pytest
 
 from quivercount.families import (all_connected_multigraphs, banana_graph,
                                   cycle_graph, loops_graph, path_graph)
 from quivercount.multigraph import GuardError, Multigraph
 from quivercount.polynomials import QPoly
-from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, check_depth_function,
-                               r_d_polynomial, toric_type_orbit_data)
-from test_multigraph import connected_spanning_subgraphs
-
-
-def delta(gamma, r, d):
-    """sum over k = 1..d-1 of b1(gamma) - b1(gamma_k), where gamma_k
-    contracts the edges of depth > k."""
-    if not gamma.is_connected():
-        raise ValueError("gamma must be connected")
-    check_depth_function(gamma, r, d)
-    b1 = gamma.b1()
-    total = 0
-    for k in range(1, d):
-        deep = frozenset(e for e, value in r.items() if value > k)
-        total += b1 - gamma.b1_of_contraction(deep)
-    return total
-
-
-def depth_function_sum(gamma, d):
-    """R_d by its definition, q^delta summed over all d^|E| depth functions,
-    with b1 of each contraction looked up in a table over the edge subsets."""
-    if d == 0:
-        return QPoly.const(1 if gamma.edge_count() == 0 else 0)
-    ids = sorted(gamma.edge_ids())
-    m = len(ids)
-    table = {}
-    for mask in range(1 << m):
-        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
-        table[subset] = gamma.b1_of_contraction(subset)
-    b1 = gamma.b1()
-    counts = Counter()
-    for values in product(range(1, d + 1), repeat=m):
-        exp = 0
-        for k in range(1, d):
-            exp += b1 - table[frozenset(ids[i] for i in range(m) if values[i] > k)]
-        counts[exp] += 1
-    return QPoly(counts)
-
-
-def weighted_depth_function_sum(graph, d):
-    """A_d as (q-1)^b1 * depth_function_sum over connected spanning subgraphs."""
-    qm1 = QPoly({1: 1, 0: -1})
-    total = QPoly()
-    for subset in connected_spanning_subgraphs(graph):
-        sub = graph.spanning_subgraph(subset)
-        total = total + qm1 ** sub.b1() * depth_function_sum(sub, d)
-    return total
+from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
+                               toric_type_orbit_data)
+from oracles import (connected_spanning_subgraphs, delta, depth_function_sum,
+                     weighted_depth_function_sum)
 
 
 def test_transforms_match_the_depth_function_sum():
