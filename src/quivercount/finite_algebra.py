@@ -226,10 +226,13 @@ class FiniteAlgebra:
     def dlog(self, x, generator=None):
         """Discrete log of a nonzero residue-field element to the base
         generator (default primitive_element()), from a table memoized per
-        generator; ValueError if the generator's powers do not reach all
-        q - 1 units of the residue field."""
+        generator; ValueError if the generator is not a residue-field
+        element (rd coordinates in 0..p-1) or its powers miss a unit."""
         key = None if generator is None else tuple(generator)
         if key not in self._dlog:
+            field = self.residue_field
+            if key is not None and (len(key) != field.dim or not set(key) <= set(range(self.p))):
+                raise ValueError("%r is not an element of %s" % (generator, field.name))
             table = self._log_table(self.primitive_element() if key is None else key)
             if table is None:
                 raise ValueError("%r does not generate the units of %s"

@@ -2,14 +2,14 @@
 commutative algebras.
 
 Isomorphism classes are counted by averaging fixed points over the base
-change group (a product of GL's over the algebra); fixed-point counts
-come from nullspace dimensions over F_p, never from scanning the
-representation space.  The F_p system of X -> gt X - X gs is the
-Kronecker sum gt (x) 1 - 1 (x) gs^T with each entry replaced by its
-multiplication block (ring_tables.mul_block, memoized per element), so
-building it multiplies nothing.  Absolutely indecomposable classes are
-counted the same way with a determinant character weight valued in roots
-of unity: the sum is kept in Z[z]/(z^m - 1) and read once, mod Phi_m.
+change group (a product of GL's over the algebra); a fixed-point count
+is a kernel size, never a scan of the representation space.  Over a
+chain ring (a field or k_d) the kernel of X -> gt X - X gs comes from
+Smith elimination of its N x N system over the ring; over other rings
+each entry becomes its multiplication block and the F_p system is
+ranked.  Absolutely indecomposable classes are counted the same way with
+a determinant character weight valued in roots of unity: the sum is kept
+in Z[z]/(z^m - 1) and read once, mod Phi_m.
 
 Preprojective counts use that the moment map mu(x, y) is bilinear in the
 arrows x and their stars y: the fixed points of g in its zero fiber number
@@ -53,8 +53,8 @@ from . import modp
 from .cyclotomic import root_sum
 from .finite_algebra import mat_mul
 from .multigraph import GUARD, Multigraph, Quiver, charge
-from .ring_tables import (conjugacy_classes, index_tables, invertible_matrices, mul_block,
-                          scaling_orbits, vanishing_points)
+from .ring_tables import (arrow_system, chain_nullity, conjugacy_classes, index_tables,
+                          invertible_matrices, mul_block, scaling_orbits, vanishing_points)
 
 
 def _validate_alpha(quiver, alpha):
@@ -134,32 +134,27 @@ def enumerate_group(quiver, alg, alpha, guard=GUARD):
 # -- fixed points by nullspace -------------------------------------------
 
 def _fix_system(alg, gt, gs, rows, cols):
-    """Equation matrix over F_p of X -> gt X - X gs on rows x cols matrices
-    over alg: row r is one coordinate of the image, columns index the
-    unknown coordinates of X.  It is the Kronecker sum gt (x) 1 - 1 (x) gs^T
-    with each entry replaced by its multiplication block."""
-    dim, p = alg.dim, alg.p
-    n = rows * cols * dim
-    left = [[mul_block(alg, x) for x in row] for row in gt]
-    right = [[mul_block(alg, x) for x in row] for row in gs]
-    matrix = [[0] * n for _ in range(n)]
-    for i, j, k in product(range(rows), range(cols), range(dim)):
-        col = (i * cols + j) * dim + k
-        for a in range(rows):
-            base = (a * cols + j) * dim
-            for t, v in left[a][i][k]:
-                matrix[base + t][col] = (matrix[base + t][col] + v) % p
-        for c in range(cols):
-            base = (i * cols + c) * dim
-            for t, v in right[j][c][k]:
-                matrix[base + t][col] = (matrix[base + t][col] - v) % p
+    """Equation matrix over F_p of X -> gt X - X gs on rows x cols matrices:
+    arrow_system with entry (r, c) replaced by its multiplication block, in
+    rows r * dim .. r * dim + dim - 1 and the same columns of c."""
+    dim, ring = alg.dim, index_tables(alg).ring
+    system = arrow_system(alg, gt, gs, rows, cols)
+    matrix = [[0] * (len(system) * dim) for _ in range(len(system) * dim)]
+    for r, row in enumerate(system):
+        for c, x in enumerate(row):
+            for k, column in enumerate(mul_block(alg, ring[x])):
+                for s, v in column:
+                    matrix[r * dim + s][c * dim + k] = v
     return matrix
 
 
 def fix_nullity(alg, gt, gs, rows, cols):
-    """F_p-dimension of {X : gt X = X gs} on rows x cols matrices."""
+    """F_p-dimension of {X : gt X = X gs} on rows x cols matrices: over a
+    chain ring by elimination over the ring, elsewhere by F_p rank."""
     if rows == 0 or cols == 0:
         return 0
+    if alg.is_field or alg.truncation:
+        return chain_nullity(alg, arrow_system(alg, gt, gs, rows, cols))
     return rows * cols * alg.dim - modp.rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
 
 

@@ -7,10 +7,12 @@ The GL scan, the conjugacy-class partition, the zero-fiber filter of the
 moment map and the scaling orbits of the toric oracle run on these
 indices.
 
-Multiplication by a fixed element is F_p-linear; its block, the dim
-columns x * b_k read off the structure constants, is kept per distinct
-element, so the F_p systems of the arrow solves and the scaling orbits of
-the counterexample multiply nothing.
+The arrow solve X -> gt X - X gs is one N x N system over the algebra,
+as element indices.  Over a chain ring every ideal is (t^v), so its kernel
+size comes from elimination over the ring itself.  Elsewhere each entry
+becomes its multiplication block, the dim columns x * b_k kept per
+distinct element, and the F_p system is ranked; the scaling orbits of the
+counterexample read the same blocks.
 """
 
 from collections import Counter
@@ -75,6 +77,69 @@ def mul_block(alg, x):
             columns.append(tuple((t, v % p) for t, v in enumerate(column) if v % p))
         block = blocks[x] = tuple(columns)
     return block
+
+
+def arrow_system(alg, gt, gs, rows, cols):
+    """X -> gt X - X gs on rows x cols matrices as an N x N matrix over alg,
+    N = rows * cols, entries as element indices: row a * cols + c is entry
+    (a, c) of the image, column i * cols + j entry (i, j) of X.  It is the
+    Kronecker sum gt (x) 1 - 1 (x) gs^T."""
+    t = index_tables(alg)
+    left = [[t.index[x] for x in row] for row in gt]
+    minus = [[t.neg[t.index[x]] for x in column] for column in zip(*gs)]
+    system = []
+    for a, c in product(range(rows), range(cols)):
+        row = [t.zero] * (rows * cols)
+        row[a * cols:(a + 1) * cols] = minus[c]
+        row[c::cols] = left[a]
+        row[a * cols + c] = t.add[left[a][a]][minus[c][c]]
+        system.append(row)
+    return system
+
+
+def chain_nullity(alg, system):
+    """F_p-dimension of the kernel of a square system of element indices
+    over a chain ring, a field or alg.truncation = (d, bd), by Smith
+    elimination.  A pivot u t^v of least valuation clears its column by row
+    operations with the quotients b / t^v (index // q^v, a shift down by v
+    blocks, q = p^bd); column operations would clear its row without
+    changing |ker|, so its row and column are dropped.  A pivot adds
+    ann(t^v), of F_p-dimension bd v, and a column left zero bd d."""
+    t = index_tables(alg)
+    data = getattr(alg, "_chain_data", None)
+    if data is None:
+        d, bd = alg.truncation or (1, alg.dim)
+        q = alg.p ** bd
+        # index 0 is zero; a valuation counts the zero blocks below the first nonzero one
+        val = [d] + [next(v for v in range(d) if e % q ** (v + 1)) for e in range(1, len(t.ring))]
+        minus_inverse = [t.mul[t.neg[row.index(t.one)]] if unit else None
+                         for row, unit in zip(t.mul, t.is_unit)]
+        data = alg._chain_data = (d, bd, q, val, minus_inverse)
+    d, bd, q, val, minus_inverse = data
+    add, mul = t.add, t.mul
+    rows, total = [list(row) for row in system], 0
+    while rows:
+        v, r, c = d, 0, 0
+        for i, row in enumerate(rows):      # least valuation, stopping at the first unit
+            for j, x in enumerate(row):
+                if val[x] < v:
+                    v, r, c = val[x], i, j
+                    if not v:
+                        break
+            if not v:
+                break
+        if v == d:
+            return bd * (total + d * len(rows))
+        total += v
+        pivot, shift = rows.pop(r), q ** v
+        by = minus_inverse[pivot.pop(c) // shift]
+        pivot = [by[x] for x in pivot]      # the pivot entry is now -t^v
+        for k, row in enumerate(rows):
+            b = row.pop(c)
+            if b:
+                by = mul[b // shift]
+                rows[k] = [add[x][by[y]] for x, y in zip(row, pivot)]
+    return bd * total
 
 
 def invertible_matrices(alg, n):

@@ -46,26 +46,16 @@ def check_polynomial_identities():
     checks = []
     checks.append(("A_2 of the triangle is q^2 + 6q + 5",
                    a_d_polynomial(cycle_graph(3), 2) == _qp({2: 1, 1: 6, 0: 5})))
-    ok = True
-    for n in range(1, 6):
-        for d in range(1, 5):
-            if a_d_polynomial(cycle_graph(n), d) != a_d_cyclic_closed_form(n, d):
-                ok = False
-    checks.append(("cycle closed form matches the subgraph sum, n <= 5, d <= 4", ok))
-    ok = True
-    for d in range(1, 7):
-        expected = QPoly({d: 1, 0: 1, **{k: 2 for k in range(1, d)}})
-        if a_d_polynomial(banana_graph(2), d) != expected:
-            ok = False
-        if a_d_cyclic_closed_form(2, d) != expected:
-            ok = False
-    checks.append(("double edge: A_d = q^d + 2q^(d-1) + ... + 2q + 1, d <= 6", ok))
-    ok = True
-    for m in range(0, 4):
-        for d in range(1, 5):
-            if a_d_polynomial(loops_graph(m), d) != QPoly.monomial(d * m):
-                ok = False
-    checks.append(("loop bouquets: A_d = q^(dm), m <= 3, d <= 4", ok))
+    checks.append(("cycle closed form matches the subgraph sum, n <= 5, d <= 4",
+                   all(a_d_polynomial(cycle_graph(n), d) == a_d_cyclic_closed_form(n, d)
+                       for n in range(1, 6) for d in range(1, 5))))
+    checks.append(("double edge: A_d = q^d + 2q^(d-1) + ... + 2q + 1, d <= 6",
+                   all(a_d_polynomial(banana_graph(2), d) == a_d_cyclic_closed_form(2, d)
+                       == QPoly({d: 1, 0: 1, **{k: 2 for k in range(1, d)}})
+                       for d in range(1, 7))))
+    checks.append(("loop bouquets: A_d = q^(dm), m <= 3, d <= 4",
+                   all(a_d_polynomial(loops_graph(m), d) == QPoly.monomial(d * m)
+                       for m in range(0, 4) for d in range(1, 5))))
     return checks
 
 
@@ -113,28 +103,18 @@ _QEULERIAN = {
 
 def check_genfun_tables():
     checks = []
-    ok_r = ok_a = True
-    for label, g, expected_r, expected_a in _table_rows():
-        if r_genfun(g) != expected_r:
-            ok_r = False
-        if a_genfun(g) != expected_a:
-            ok_a = False
-    checks.append(("series table: all six R rows", ok_r))
-    checks.append(("series table: all six A rows", ok_a))
+    rows = _table_rows()
+    checks.append(("series table: all six R rows", all(r_genfun(g) == r for _, g, r, _ in rows)))
+    checks.append(("series table: all six A rows", all(a_genfun(g) == a for _, g, _, a in rows)))
     checks.append(("A(triangle) = ((2q+1)T^2 + (q+2)T) / ((1-T)^2 (1-qT))",
                    a_genfun(cycle_graph(3)) ==
                    _rat([(1, 2, 2), (0, 2, 1), (1, 1, 1), (0, 1, 2)], {0: 2, 1: 1})))
-    ok = True
-    for n, triples in _CYCLE_NUMERATORS.items():
-        num = _qt(triples).shift(0, 1)
-        if a_genfun(cycle_graph(n)) != RatQT(num, {0: n - 1, 1: 1}):
-            ok = False
-    checks.append(("cycle numerator table, n = 2..6", ok))
-    ok = True
-    for m, triples in _QEULERIAN.items():
-        if q_eulerian(m) != _qt(triples):
-            ok = False
-    checks.append(("q-Eulerian numerators F_1..F_4", ok))
+    checks.append(("cycle numerator table, n = 2..6",
+                   all(a_genfun(cycle_graph(n))
+                       == RatQT(_qt(triples).shift(0, 1), {0: n - 1, 1: 1})
+                       for n, triples in _CYCLE_NUMERATORS.items())))
+    checks.append(("q-Eulerian numerators F_1..F_4",
+                   all(q_eulerian(m) == _qt(triples) for m, triples in _QEULERIAN.items())))
     checks.append(("T^2 coefficient of A(triangle) is q^2 + 6q + 5",
                    a_genfun(cycle_graph(3)).series_coefficient(2) == _qp({2: 1, 1: 6, 0: 5})))
     checks.append(("T^2 coefficient of R(double edge) is q + 3",
@@ -148,18 +128,13 @@ def check_genfun_tables():
 # -- duality -----------------------------------------------------------------
 
 def check_duality_battery(max_edges=4):
-    checks = []
     graphs = all_connected_multigraphs(max_edges)
-    ok_a = all(check_duality(g, "A") for g in graphs)
-    ok_r = all(check_duality(g, "R") for g in graphs)
-    checks.append(("inversion identity, A form, all connected graphs <= %d edges" % max_edges, ok_a))
-    checks.append(("inversion identity, R form, all connected graphs <= %d edges" % max_edges, ok_r))
-    ok = True
-    for n in range(2, 6):
-        f = a_genfun(cycle_graph(n))
-        if f.invert_vars() != ((-1) ** (n % 2)) * f:
-            ok = False
-    checks.append(("cycle inversion sign (-1)^n, n = 2..5", ok))
+    label = "inversion identity, %s form, all connected graphs <= %d edges"
+    checks = [(label % (form, max_edges), all(check_duality(g, form) for g in graphs))
+              for form in "AR"]
+    checks.append(("cycle inversion sign (-1)^n, n = 2..5",
+                   all((f := a_genfun(cycle_graph(n))).invert_vars() == ((-1) ** (n % 2)) * f
+                       for n in range(2, 6))))
     return checks
 
 
@@ -174,19 +149,12 @@ def check_recursion_battery(max_edges=4):
 def check_hopf(max_edges=4):
     checks = []
     graphs = all_connected_multigraphs(max_edges)
-    ok = True
-    for d in range(0, 5):
-        step = convolve(psi_char(d), r_d_char(d))
-        for g in graphs:
-            if step(g) != r_d_polynomial(g, d + 1):
-                ok = False
-    checks.append(("R_(d+1) equals psi(q^d) * R_d, d <= 4", ok))
-    ok = True
-    for d in range(1, 5):
-        for g in graphs:
-            if r_d_via_convolution(g, d) != r_d_polynomial(g, d):
-                ok = False
-    checks.append(("R_d as an iterated psi convolution, d <= 4", ok))
+    checks.append(("R_(d+1) equals psi(q^d) * R_d, d <= 4",
+                   all(step(g) == r_d_polynomial(g, d + 1) for d in range(0, 5)
+                       for step in [convolve(psi_char(d), r_d_char(d))] for g in graphs)))
+    checks.append(("R_d as an iterated psi convolution, d <= 4",
+                   all(r_d_via_convolution(g, d) == r_d_polynomial(g, d)
+                       for d in range(1, 5) for g in graphs)))
     inv = convolve(psi_inverse_char(1), psi_char(1))
     ok = all(inv(g) == QPoly.const(epsilon_value(g)) for g in graphs)
     checks.append(("signed psi is the convolution inverse of psi", ok))
@@ -276,16 +244,10 @@ def check_toric_oracle():
     quivers = [("A2", path_quiver(2)), ("path3", path_quiver(3)),
                ("C2", banana_quiver(2)), ("C3", cycle_quiver(3)),
                ("S1", jordan_quiver(1)), ("S2", jordan_quiver(2))]
-    checks = []
-    ok = True
-    for q, d in [(2, 2), (3, 2), (2, 3)]:
-        ring = make_truncated(make_prime_field(q), d)
-        for label, quiver in quivers:
-            expected = a_d_polynomial(quiver.graph, d)(q)
-            got = toric_ai_orbit_count(quiver, ring)
-            if got != expected:
-                ok = False
-    checks.append(("orbit partition matches A_d at q for six quivers, three (q, d)", ok))
+    checks = [("orbit partition matches A_d at q for six quivers, three (q, d)",
+               all(a_d_polynomial(quiver.graph, d)(q) == toric_ai_orbit_count(quiver, ring)
+                   for q, d in [(2, 2), (3, 2), (2, 3)]
+                   for ring in [make_truncated(make_prime_field(q), d)] for _, quiver in quivers))]
     ring = make_truncated(make_prime_field(2), 2)
     checks.append(("triangle over k_2(F_2) has 21 classes",
                    toric_ai_orbit_count(cycle_quiver(3), ring) == 21))
@@ -312,17 +274,12 @@ def _orbit_table_rows():
 
 
 def check_orbit_table():
-    checks = []
-    ok = True
-    total = QPoly()
-    for g, r, mult, stab, reps, orbits in _orbit_table_rows():
-        got = toric_type_orbit_data(g, r, 2)
-        if got != (stab, reps, orbits):
-            ok = False
-        total = total + orbits * mult
-    checks.append(("all seven depth-type rows for the triangle at d = 2", ok))
-    checks.append(("row multiplicities resum to q^2 + 6q + 5",
-                   total == _qp({2: 1, 1: 6, 0: 5})))
+    rows = _orbit_table_rows()
+    total = sum((orbits * mult for _, _, mult, _, _, orbits in rows), QPoly())
+    checks = [("all seven depth-type rows for the triangle at d = 2",
+               all(toric_type_orbit_data(g, r, 2) == (stab, reps, orbits)
+                   for g, r, _, stab, reps, orbits in rows)),
+              ("row multiplicities resum to q^2 + 6q + 5", total == _qp({2: 1, 1: 6, 0: 5}))]
     ring = make_truncated(make_prime_field(2), 2)
     quiver = cycle_quiver(3)
     ones = toric_point(quiver, {e: ring.one for e in (1, 2, 3)})
@@ -352,17 +309,10 @@ def _m_orientation_grid():
 
 
 def check_orientation():
-    checks = []
-    ok = True
-    for quiver, ring, ranks in _m_orientation_grid():
-        for alpha in ranks:
-            values = {m_count(variant, ring, alpha)
-                      for variant in quiver.all_orientations()}
-            if len(values) != 1:
-                ok = False
-    checks.append(("class counts agree across all orientations (three quivers, four rings)", ok))
-
-    ok = True
+    checks = [("class counts agree across all orientations (three quivers, four rings)",
+               all(len({m_count(variant, ring, alpha)
+                        for variant in quiver.all_orientations()}) == 1
+                   for quiver, ring, ranks in _m_orientation_grid() for alpha in ranks))]
     f3 = make_prime_field(3)
     k2f3 = make_truncated(f3, 2)
     a_grid = [
@@ -373,12 +323,10 @@ def check_orientation():
         (path_quiver(3), make_truncated(make_field(4), 2), (1, 1, 1)),
         (path_quiver(3), make_truncated(make_prime_field(7), 2), (1, 1, 1)),
     ]
-    for quiver, ring, alpha in a_grid:
-        values = {a_count(variant, ring, alpha)
-                  for variant in quiver.all_orientations()}
-        if len(values) != 1:
-            ok = False
-    checks.append(("absolutely indecomposable counts agree across orientations", ok))
+    checks.append(("absolutely indecomposable counts agree across orientations",
+                   all(len({a_count(variant, ring, alpha)
+                            for variant in quiver.all_orientations()}) == 1
+                       for quiver, ring, alpha in a_grid)))
     return checks
 
 
@@ -396,13 +344,10 @@ def check_preprojective():
         ("A2 over k_2(F_2)", path_quiver(2), k2f2, (1, 1)),
         ("A3 over F_2", path_quiver(3), f2, (1, 1, 1)),
     ]
-    ok = True
-    for label, quiver, ring, alpha in m_grid:
-        lhs = m_preproj(quiver, ring, alpha)
-        rhs = m_count(quiver, make_dual_numbers(ring), alpha)
-        if lhs != rhs:
-            ok = False
-    checks.append(("preprojective class count equals the dual-number count (5 cases)", ok))
+    checks.append(("preprojective class count equals the dual-number count (5 cases)",
+                   all(m_preproj(quiver, ring, alpha)
+                       == m_count(quiver, make_dual_numbers(ring), alpha)
+                       for _, quiver, ring, alpha in m_grid)))
 
     lhs = a_preproj(path_quiver(2), f3, (1, 1))
     rhs = a_count(path_quiver(2), make_dual_numbers(f3), (1, 1))
@@ -437,31 +382,20 @@ def check_fourier():
 # -- the non-self-dual counterexample ---------------------------------------------
 
 def check_counterexample():
-    checks = []
-    ok = True
-    for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]:
-        a, b = counterexample_counts(n, q)
-        if b - a != (q ** n - 1) * (q ** (n - 1) - 1):
-            ok = False
-        if (a == b) != (n == 1):
-            ok = False
-    checks.append(("defect formula at (n, q) in {1,2} x {2,3}", ok))
-    checks.append(("(n, q) = (2, 2) gives (15, 18)",
-                   counterexample_counts(2, 2) == (15, 18)))
-    return checks
+    ok = all(b - a == (q ** n - 1) * (q ** (n - 1) - 1) and (a == b) == (n == 1)
+             for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]
+             for a, b in [counterexample_counts(n, q)])
+    return [("defect formula at (n, q) in {1,2} x {2,3}", ok),
+            ("(n, q) = (2, 2) gives (15, 18)", counterexample_counts(2, 2) == (15, 18))]
 
 
 # -- small count tables ------------------------------------------------------------
 
 def check_count_tables():
-    checks = []
     f3 = make_prime_field(3)
-    ok = True
-    for d in range(1, 4):
-        ring = make_truncated(f3, d)
-        if a_count(path_quiver(2), ring, (1, 1)) != d:
-            ok = False
-    checks.append(("A2 over k_d(F_3): d classes of rank (1,1), d = 1..3", ok))
+    checks = [("A2 over k_d(F_3): d classes of rank (1,1), d = 1..3",
+               all(a_count(path_quiver(2), make_truncated(f3, d), (1, 1)) == d
+                   for d in range(1, 4)))]
     checks.append(("A3 over k_2(F_4): 4 classes of rank (1,1,1)",
                    a_count(path_quiver(3), make_truncated(make_field(4), 2), (1, 1, 1)) == 4))
     checks.append(("A3 over k_2(F_7): 4 classes of rank (1,1,1)",

@@ -17,7 +17,7 @@ from quivercount.cyclotomic import root_sum
 from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra, mat_mul
 from quivercount.genfun import r_genfun
-from quivercount.modp import nullspace_basis
+from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
@@ -398,6 +398,12 @@ def fix_system_by_products(alg, gt, gs, rows, cols):
                             col[base + t] = (col[base + t] - vt) % p
                 columns.append(col)
     return [[columns[c][r] for c in range(n_unknowns)] for r in range(n_unknowns)]
+
+
+def fix_nullity_by_rank(alg, gt, gs, rows, cols):
+    """F_p-dimension of {X : gt X = X gs} as the nullity of the whole F_p
+    system: the oracle for fix_nullity's elimination over a chain ring."""
+    return rows * cols * alg.dim - rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
 
 
 def fix_count(g, quiver, alg, alpha):

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -11,6 +12,7 @@ from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         truncated_depth, truncated_generator,
                                         truncated_valuation)
 from quivercount.multigraph import GuardError
+from quivercount.ring_tables import index_tables
 from oracles import (dual_numbers_by_blocks, mat_det, mat_identity, mat_inverse,
                      square_zero_by_blocks, truncated_by_blocks)
 
@@ -207,6 +209,23 @@ def test_matrix_helpers():
     assert mat_det(alg, ident) == alg.one
     with pytest.raises(ValueError):
         matrix_is_invertible(alg, ((alg.one,), (alg.zero(),)))
+
+
+def test_three_by_three_determinants():
+    # the oracle's cofactor branch (n >= 3) against IndexTables.det, the
+    # sign of a transposition and the product rule det(AB) = det(A) det(B)
+    rng = random.Random(3)
+    for alg in (make_prime_field(3), make_truncated(make_prime_field(2), 2)):
+        t, elems = index_tables(alg), list(alg.elements())
+        zero, one = alg.zero(), alg.one
+        swap = ((zero, one, zero), (one, zero, zero), (zero, zero, one))
+        assert mat_det(alg, swap) == alg.neg(one)
+        matrices = [tuple(tuple(rng.choice(elems) for _ in range(3)) for _ in range(3))
+                    for _ in range(100)]
+        for m in matrices:
+            assert mat_det(alg, m) == t.ring[t.det(tuple(t.index[x] for row in m for x in row), 3)]
+        for a, b in zip(matrices, matrices[1:]):
+            assert mat_det(alg, mat_mul(alg, a, b)) == alg.mul(mat_det(alg, a), mat_det(alg, b))
 
 
 def test_matrix_inverse():

@@ -12,7 +12,8 @@ against the slice-by-slice division, the series by synthetic division
 against the binomial expansion, the series numerator against the row pass
 and den_poly against the power expansion; and on random elements of GL_1 and
 GL_2 over seven rings, the block-built arrow systems against the systems
-built one product at a time.
+built one product at a time; and on arbitrary matrices over every chain
+ring of the tests, the elimination over the ring against the F_p rank.
 Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
 
@@ -30,12 +31,13 @@ from quivercount.multigraph import Quiver  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
-                                 gl_classes, gl_elements, group_order, m_count, m_preproj)
+                                 fix_nullity, gl_classes, gl_elements, group_order, m_count,
+                                 m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
                      class_tuple_buckets, den_by_powers, depth_function_sum,
                      divide_by_t_factor_slices, equal_by_cross_multiplication,
-                     fix_system_by_products, preproj_by_filter, same_form,
+                     fix_nullity_by_rank, fix_system_by_products, preproj_by_filter, same_form,
                      series_coefficient_by_binomials, series_numerator_by_rows)
 from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
                         ratqts, repeated_denominators, series_ratqts, small_quivers,
@@ -48,6 +50,10 @@ GRADED_RINGS = (F3, make_field(4), make_prime_field(5), make_truncated(F2, 2),
 # fields, chain rings, the dual numbers F_3[eps] and the non-Frobenius sqz(F_2, 2)
 SYSTEM_RINGS = (F2, make_field(4), make_prime_field(5), make_truncated(F3, 2),
                 make_truncated(F2, 3), make_dual_numbers(F3), make_square_zero(F2, 2))
+# every chain ring of the tests: the fields F_2..F_7 and k_d over a field
+CHAIN_RINGS = (F2, F3, make_field(4), make_prime_field(5), make_prime_field(7),
+               make_truncated(F2, 2), make_truncated(F3, 2), make_truncated(F2, 3),
+               make_truncated(make_field(4), 2), make_truncated(make_prime_field(5), 2))
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -129,6 +135,29 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
     gt = targets[t % len(targets)]
     gs = gt if loop else sources[s % len(sources)]
     assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(ring, gt, gs, rows, cols)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(CHAIN_RINGS), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.data())
+def test_chain_ring_elimination_equals_the_f_p_rank(ring, rows, cols, loop, data):
+    # arbitrary matrices, singular ones included, with non-units drawn as
+    # often as units so that pivots of every valuation and zero columns
+    # occur; a loop arrow solves gt X = X gt on square matrices
+    elements = list(ring.elements())
+    entries = st.sampled_from(elements) | st.sampled_from([x for x in elements
+                                                           if not ring.is_unit(x)])
+
+    def matrix(n):
+        flat = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+    if loop:
+        cols = rows
+    gt = matrix(rows)
+    gs = gt if loop else matrix(cols)
+    assert fix_nullity(ring, gt, gs, rows, cols) == \
+        fix_nullity_by_rank(ring, gt, gs, rows, cols)
 
 
 @PROPERTY

@@ -97,17 +97,21 @@ def test_loop_arrow_solves_once_per_class(monkeypatch):
     assert len(calls) == 24
 
 
-def _count_solves(monkeypatch):
-    from quivercount import repenum
+def _count_calls(monkeypatch, module, name):
     calls = []
-    original = repenum.fix_nullity
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(repenum, "fix_nullity", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _count_solves(monkeypatch):
+    from quivercount import repenum
+    return _count_calls(monkeypatch, repenum, "fix_nullity")
 
 
 def test_one_arrow_table_per_algebra_and_ranks(monkeypatch):
@@ -125,6 +129,38 @@ def test_one_arrow_table_per_algebra_and_ranks(monkeypatch):
     # another algebra object, even an equal one, keeps its own tables
     assert a_count(a3, make_truncated(make_prime_field(7), 2), (1, 1, 1)) == 4
     assert len(calls) == 2 * 1764
+
+
+def test_chain_rings_solve_arrow_tables_without_an_f_p_rank(monkeypatch):
+    from quivercount import modp
+    # built first: a field's construction checks rank its multiplication matrices
+    k2f3, f5, k3f2 = make_truncated(F3, 2), make_prime_field(5), make_truncated(F2, 3)
+    k2f4 = make_truncated(make_field(4), 2)
+    dual, sqz = make_dual_numbers(K2F2), make_square_zero(F2, 2)
+    calls = _count_calls(monkeypatch, modp, "rank")
+    # fields and k_d eliminate over the ring itself
+    assert m_count(path_quiver(2), k2f3, (1, 2)) == 3
+    assert m_count(jordan_quiver(), f5, (2,)) == 30
+    assert m_count(banana_quiver(2), k3f2, (1, 1)) == 22
+    assert a_count(path_quiver(3), k2f4, (1, 1, 1)) == 4
+    assert calls == []
+    # the dual numbers over k_2(F_2) and sqz(F_2, 2) are not chain rings
+    assert m_count(path_quiver(2), dual, (1, 1)) == 6
+    solved = len(calls)
+    assert solved > 0
+    assert m_count(path_quiver(2), sqz, (1, 1)) == 5
+    assert len(calls) > solved
+
+
+def test_a_generator_outside_the_residue_field_is_refused():
+    f5, k2f4 = make_prime_field(5), make_truncated(make_field(4), 2)
+    # a coordinate out of 0..p-1, or the wrong number of them, is not an alias
+    cases = [(f5, path_quiver(2), (1, 1), gen) for gen in ((2, 5), (7,), (-3,), (2, 0), ())]
+    cases += [(k2f4, path_quiver(3), (1, 1, 1), gen) for gen in ((1,), (0, 1, 0, 0))]
+    for ring, quiver, alpha, gen in cases:
+        with pytest.raises(ValueError, match="is not an element of"):
+            a_count(quiver, ring, alpha, generator=gen)
+    assert a_count(path_quiver(2), f5, (1, 1), generator=(2,)) == 1
 
 
 def test_guards_trip_before_any_arrow_table(monkeypatch):
