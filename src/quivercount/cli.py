@@ -39,8 +39,8 @@ def parse_quiver(text):
         if parts[0] == "vertices":
             if vertices is not None:
                 raise ParseError("line %d: duplicate vertices directive" % lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("line %d: expected `vertices N`" % lineno)
+            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                raise ParseError("line %d: expected `vertices N` with N >= 1" % lineno)
             vertices = int(parts[1])
         elif parts[0] == "edge":
             if vertices is None:

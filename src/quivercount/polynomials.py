@@ -1,7 +1,9 @@
 """Exact integer polynomial arithmetic.
 
-Two coefficient-map classes: QPoly, a Laurent polynomial in a single
-variable q, and QTPoly, a (Laurent) polynomial in two variables.  All
+Two coefficient-map classes on one core: QPoly, a Laurent polynomial in a
+single variable q, and QTPoly, a (Laurent) polynomial in two variables.
+_Laurent writes once what they share; each class fixes its exponent type
+(an int, or a (q, T) pair), its variable names and its product loop.  All
 coefficients are Python ints, so nothing ever overflows or rounds.
 Products of factors (1 - q^c T) meet them in one pass each way:
 times_t_factors multiplies by shift-and-subtract, divide_by_t_factor
@@ -11,34 +13,103 @@ divides by synthetic division, exactly or as a power series.
 from fractions import Fraction
 
 
-def _strip(coeffs):
-    return {e: c for e, c in coeffs.items() if c != 0}
+class _Laurent:
+    """Integer Laurent polynomial stored as {exponent: coefficient}.
 
-
-def _power(base, n, one):
-    """base^n by repeated squaring, for n >= 0."""
-    if n < 0:
-        raise ValueError("negative power of a polynomial")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-
-
-class QPoly:
-    """Integer Laurent polynomial in q, stored as {exponent: coefficient}."""
+    A subclass sets _ZERO, the exponent of the constant term, and
+    _powers(e), the pairs (variable, power) of the monomial at exponent e;
+    its __mul__ multiplies two polynomials of its own kind.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _strip(dict(coeffs or {}))
+        self.coeffs = {e: c for e, c in dict(coeffs or {}).items() if c != 0}
+
+    def _like(self, coeffs):
+        """A polynomial of self's kind and variables."""
+        return type(self)(coeffs)
 
     @classmethod
     def const(cls, c):
-        return cls({0: c})
+        return cls({cls._ZERO: c})
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._like({self._ZERO: other})
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        # a constant equals the int it holds, so it must hash as that int
+        if self.coeffs.keys() <= {self._ZERO}:
+            return hash(self.coeffs.get(self._ZERO, 0))
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self._like({self._ZERO: other})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scaled(self, k):
+        return self._like({e: c * k for e, c in self.coeffs.items()})
+
+    def __pow__(self, n):
+        """self^n by repeated squaring, for n >= 0."""
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result, base = self._like({self._ZERO: 1}), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def as_dict(self):
+        return {",".join(str(k) for _, k in self._powers(e)): c
+                for e, c in sorted(self.coeffs.items(), reverse=True)}
+
+    def _sorted_keys(self):
+        return sorted(self.coeffs, reverse=True)
+
+    def __str__(self):
+        parts = []
+        for e in self._sorted_keys():
+            c = self.coeffs[e]
+            factors = [str(abs(c))] if abs(c) != 1 or e == self._ZERO else []
+            factors += [v if k == 1 else "%s^%d" % (v, k) for v, k in self._powers(e) if k]
+            sign = "-" if c < 0 else "+"
+            body = "*".join(factors)
+            parts.append("%s %s" % (sign, body) if parts else (body if c > 0 else "-" + body))
+        return " ".join(parts) or "0"
+
+    __repr__ = __str__
+
+
+class QPoly(_Laurent):
+    """Integer Laurent polynomial in q, stored as {exponent: coefficient}."""
+
+    __slots__ = ()
+    _ZERO = 0
 
     @classmethod
     def q(cls):
@@ -48,43 +119,12 @@ class QPoly:
     def monomial(cls, exp, c=1):
         return cls({exp: c})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _powers(self, e):
+        return (("q", e),)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self.coeffs.items()})
+            return self._scaled(other)
         if not isinstance(other, QPoly):
             return NotImplemented
         out = {}
@@ -95,9 +135,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _power(self, n, QPoly.const(1))
 
     def degree(self):
         """Largest exponent; None for the zero polynomial."""
@@ -121,43 +158,23 @@ class QPoly:
             return int(total)
         return total
 
-    def as_dict(self):
-        return {str(e): c for e, c in sorted(self.coeffs.items(), reverse=True)}
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if e == 0:
-                body = str(a)
-            else:
-                var = "q" if e == 1 else "q^%d" % e
-                body = var if a == 1 else "%d*%s" % (a, var)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append("%s %s" % (sign, body))
-        return " ".join(parts)
-
-    __repr__ = __str__
-
-
-class QTPoly:
+class QTPoly(_Laurent):
     """Integer Laurent polynomial in two variables, default (q, T).
 
     Stored as {(q_exp, t_exp): coefficient}; exponents may be negative,
     which the rational-function substitutions need.
     """
 
-    __slots__ = ("coeffs", "vars")
+    __slots__ = ("vars",)
+    _ZERO = (0, 0)
 
     def __init__(self, coeffs=None, vars=("q", "T")):
-        self.coeffs = _strip(dict(coeffs or {}))
+        super().__init__(coeffs)
         self.vars = vars
+
+    def _like(self, coeffs):
+        return QTPoly(coeffs, self.vars)
 
     @classmethod
     def const(cls, c, vars=("q", "T")):
@@ -171,43 +188,17 @@ class QTPoly:
     def from_qpoly(cls, p, t_exp=0, vars=("q", "T")):
         return cls({(e, t_exp): c for e, c in p.coeffs.items()}, vars)
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _powers(self, e):
+        return zip(self.vars, e)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = QTPoly.const(other, self.vars)
-        return isinstance(other, QTPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QTPoly.const(other, self.vars)
-        if not isinstance(other, QTPoly):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QTPoly(out, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QTPoly({e: -c for e, c in self.coeffs.items()}, self.vars)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QTPoly.const(other, self.vars)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _sorted_keys(self):
+        if self.vars == ("q", "T"):
+            return sorted(self.coeffs, key=lambda e: (e[1], e[0]), reverse=True)
+        return sorted(self.coeffs, reverse=True)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QTPoly({e: c * other for e, c in self.coeffs.items()}, self.vars)
+            return self._scaled(other)
         if isinstance(other, QPoly):
             other = QTPoly.from_qpoly(other, vars=self.vars)
         if not isinstance(other, QTPoly):
@@ -220,9 +211,6 @@ class QTPoly:
         return QTPoly(out, self.vars)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _power(self, n, QTPoly.const(1, self.vars))
 
     def deg_t(self):
         return max(j for _, j in self.coeffs) if self.coeffs else None
@@ -243,14 +231,14 @@ class QTPoly:
 
     def subs_t_scale(self, k):
         """Substitute T -> q^k * T."""
-        return QTPoly({(i + k * j, j): c for (i, j), c in self.coeffs.items()}, self.vars)
+        return self._like({(i + k * j, j): c for (i, j), c in self.coeffs.items()})
 
     def invert_vars(self):
         """Substitute (q, T) -> (1/q, 1/T); stays Laurent."""
-        return QTPoly({(-i, -j): c for (i, j), c in self.coeffs.items()}, self.vars)
+        return self._like({(-i, -j): c for (i, j), c in self.coeffs.items()})
 
     def shift(self, dq, dt):
-        return QTPoly({(i + dq, j + dt): c for (i, j), c in self.coeffs.items()}, self.vars)
+        return self._like({(i + dq, j + dt): c for (i, j), c in self.coeffs.items()})
 
     def evaluate(self, x, y):
         """Evaluate with x, y ints or QPoly; exponents must be >= 0."""
@@ -262,39 +250,6 @@ class QTPoly:
             yv = y if isinstance(y, QPoly) else QPoly.const(y)
             total = total + (xv ** i) * (yv ** j) * c
         return total
-
-    def as_dict(self):
-        return {"%d,%d" % e: c for e, c in sorted(self.coeffs.items(), reverse=True)}
-
-    def _sorted_keys(self):
-        if self.vars == ("q", "T"):
-            return sorted(self.coeffs, key=lambda e: (e[1], e[0]), reverse=True)
-        return sorted(self.coeffs, reverse=True)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        v1, v2 = self.vars
-        parts = []
-        for (i, j) in self._sorted_keys():
-            c = self.coeffs[(i, j)]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            factors = []
-            if a != 1 or (i == 0 and j == 0):
-                factors.append(str(a))
-            if i != 0:
-                factors.append(v1 if i == 1 else "%s^%d" % (v1, i))
-            if j != 0:
-                factors.append(v2 if j == 1 else "%s^%d" % (v2, j))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append("%s %s" % (sign, body))
-        return " ".join(parts)
-
-    __repr__ = __str__
 
 
 def _t_slices(p):

@@ -67,10 +67,9 @@ class RatQT:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, QPoly, QTPoly)):
-            other = RatQT(other)
-        if not isinstance(other, RatQT):
-            return NotImplemented
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
         den = Counter(self.den) | Counter(other.den)
         return QTPoly(_times_factors(self, den)) == QTPoly(_times_factors(other, den))
 
@@ -93,9 +92,8 @@ class RatQT:
         return cls(QTPoly(total), den)
 
     def __add__(self, other):
-        if not isinstance(other, (int, QPoly, QTPoly, RatQT)):
-            return NotImplemented
-        return RatQT.sum((self, other))
+        other = _lift(other)
+        return other if other is NotImplemented else RatQT.sum((self, other))
 
     __radd__ = __add__
 
@@ -103,20 +101,20 @@ class RatQT:
         return RatQT(-self.num, dict(self.den), reduce=False)
 
     def __sub__(self, other):
-        if isinstance(other, (int, QPoly, QTPoly)):
-            other = RatQT(other)
-        return self + (-other)
+        other = _lift(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, QPoly, QTPoly)):
-            # a nonzero q-only factor is prime to every (1 - q^c T)
-            return RatQT(self.num * other, dict(self.den), reduce=isinstance(other, QTPoly))
-        den = {c: self.den.get(c, 0) + other.den.get(c, 0)
-               for c in set(self.den) | set(other.den)}
-        return RatQT(self.num * other.num, den)
+        lifted = _lift(other)
+        if lifted is NotImplemented:
+            return lifted
+        if lifted is other:
+            return RatQT(self.num * other.num, Counter(self.den) + Counter(other.den))
+        # a nonzero q-only factor is prime to every (1 - q^c T)
+        return RatQT(self.num * other, dict(self.den), reduce=isinstance(other, QTPoly))
 
     __rmul__ = __mul__
 
@@ -187,6 +185,14 @@ class RatQT:
         return "(%s) / %s" % (num, "*".join(parts))
 
     __repr__ = __str__
+
+
+def _lift(other):
+    """other as a RatQT if it is an int, QPoly, QTPoly or RatQT, else
+    NotImplemented, so that an operator hands any other type back."""
+    if isinstance(other, (int, QPoly, QTPoly)):
+        return RatQT(other, reduce=False)
+    return other if isinstance(other, RatQT) else NotImplemented
 
 
 def _times_factors(f, den):

@@ -15,7 +15,7 @@ transforms over it (_r_d_table), not from the depth functions one by one.
 
 from collections import deque
 
-from .multigraph import GUARD, Multigraph, charge
+from .multigraph import GUARD, charge
 from .polynomials import QPoly
 
 
@@ -39,13 +39,20 @@ def r_d_polynomial(gamma, d, guard=GUARD):
     """
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
+    return r_d_on_components(gamma, d, guard)
+
+
+def r_d_on_components(g, d, guard=GUARD):
+    """R_d extended multiplicatively to arbitrary multigraphs: the product
+    of R_d over the components.  b1 adds over components, so the transform
+    over all of g gives that product; d = 0 returns 1 iff g has no edge."""
     if d < 0:
         raise ValueError("d >= 0 required")
     if d == 0:
-        return QPoly.const(1 if gamma.edge_count() == 0 else 0)
+        return QPoly.const(1 if g.edge_count() == 0 else 0)
     if d == 1:
         return QPoly.const(1)
-    _, h = deque(_r_d_table(gamma, d, guard), maxlen=1).pop()
+    _, h = deque(_r_d_table(g, d, guard), maxlen=1).pop()
     return QPoly(h[-1])
 
 
@@ -80,21 +87,6 @@ def _r_d_table(graph, d, guard):
                         for e, c in h[mask ^ bit].items():
                             target[e] = target.get(e, 0) + c
         yield b1, h
-
-
-def r_d_on_components(g, d, guard=GUARD):
-    """R_d extended multiplicatively to arbitrary multigraphs."""
-    labels = g.component_labels()
-    out = QPoly.const(1)
-    for rep in sorted(set(labels.values())):
-        verts = sorted(v for v, r in labels.items() if r == rep)
-        relabel = {v: i + 1 for i, v in enumerate(verts)}
-        edges = [(e, relabel[u], relabel[v]) for e, u, v in g.edges if u in relabel]
-        comp = Multigraph(len(verts), edges)
-        out = out * r_d_polynomial(comp, d, guard)
-        if not out:
-            return out
-    return out
 
 
 def a_d_polynomial(graph, d, guard=GUARD):

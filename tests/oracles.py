@@ -26,7 +26,7 @@ from quivercount.repenum import (_det_residue_dlog, _fix_system, _group_average,
                                  _vertex_lists, _whole_zero_fiber, double_quiver,
                                  enumerate_group, fix_nullity, group_order)
 from quivercount.ring_tables import vanishing_points
-from quivercount.toric import check_depth_function
+from quivercount.toric import check_depth_function, r_d_polynomial
 
 
 # -- multigraphs -------------------------------------------------------
@@ -176,6 +176,19 @@ def depth_function_sum(gamma, d):
             exp += b1 - table[frozenset(ids[i] for i in range(m) if values[i] > k)]
         counts[exp] += 1
     return QPoly(counts)
+
+
+def r_d_by_components(g, d):
+    """R_d of an arbitrary multigraph as the product of r_d_polynomial over
+    its components, each relabelled onto 1..n as a graph of its own."""
+    labels = g.component_labels()
+    out = QPoly.const(1)
+    for rep in sorted(set(labels.values())):
+        verts = sorted(v for v, r in labels.items() if r == rep)
+        relabel = {v: i + 1 for i, v in enumerate(verts)}
+        edges = [(e, relabel[u], relabel[v]) for e, u, v in g.edges if u in relabel]
+        out = out * r_d_polynomial(Multigraph(len(verts), edges), d)
+    return out
 
 
 def weighted_depth_function_sum(graph, d):

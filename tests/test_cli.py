@@ -28,6 +28,8 @@ def test_parse_quiver_errors():
         parse_quiver("vertices 2\nvertices 3\n")
     with pytest.raises(ParseError):
         parse_quiver("")
+    with pytest.raises(ParseError, match="line 2: .*N >= 1"):
+        parse_quiver("# empty\nvertices 0\n")
 
 
 def test_round_trip():
@@ -116,12 +118,18 @@ def test_qeulerian_and_counterexample(capsys):
     assert json.loads(capsys.readouterr().out) == {"A": "15", "B": "18", "difference": "3"}
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     # parse error -> 2
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(4)", "--rank", "1,1"]) == 2
     capsys.readouterr()
     assert main(["poly", "--quiver", "builtin:Q9", "-d", "1"]) == 2
     capsys.readouterr()
+    empty = tmp_path / "empty.quiver"
+    empty.write_text("vertices 0\n")
+    for verb, *rest in (["poly", "-d", "2"], ["rdpoly", "-d", "3"], ["tutte"], ["genfun"],
+                        ["series", "--order", "2"]):
+        assert main([verb, "--quiver", str(empty)] + rest) == 2
+        assert "line 1" in capsys.readouterr().err
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "kd(fq(2),2)",
                  "--rank", "1,2"]) == 0
     capsys.readouterr()

@@ -38,6 +38,14 @@ def test_qpoly_str():
     assert QPoly({2: 1, 0: 5}).as_dict() == {"2": 1, "0": 5}
 
 
+def test_constants_hash_as_the_ints_they_equal():
+    for cls in (QPoly, QTPoly):
+        for k in (0, 3, -2):
+            assert cls.const(k) == k and hash(cls.const(k)) == hash(k)
+        assert len({cls.const(3), 3}) == 1 and len({cls(), 0}) == 1
+    assert QPoly.const(3) != QTPoly.const(3)
+
+
 def test_qtpoly_arithmetic_and_substitutions():
     t = QTPoly.monomial(0, 1)
     q = QTPoly.monomial(1, 0)

@@ -227,6 +227,23 @@ def test_series_numerator_equals_the_row_pass(den, data):
     assert _series_numerator(coeffs, den) == series_numerator_by_rows(coeffs, den)
 
 
+# q-only polynomials: the T^0 slice of a Laurent polynomial in (q, T)
+qpolys = laurent_qt.map(lambda p: p.t_coefficient(0))
+
+
+@PROPERTY
+@given(qpolys, qpolys, st.integers(0, 3))
+def test_qpoly_and_qtpoly_share_one_arithmetic(a, b, n):
+    lift = QTPoly.from_qpoly
+    assert lift(a + b) == lift(a) + lift(b) and lift(a - b) == lift(a) - lift(b)
+    assert lift(a * b) == lift(a) * lift(b) and lift(a ** n) == lift(a) ** n
+    assert str(a) == str(lift(a)) and lift(a).as_dict() == \
+        {"%s,0" % e: c for e, c in a.as_dict().items()}
+    if a.coeffs.keys() <= {0}:
+        k = a.coeffs.get(0, 0)
+        assert a == k == lift(a) and hash(a) == hash(k) == hash(lift(a))
+
+
 @PROPERTY
 @given(repeated_denominators)
 def test_den_poly_equals_the_power_expansion(den):

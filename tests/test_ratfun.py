@@ -137,6 +137,15 @@ def test_scalar_product_keeps_the_reduced_form():
     assert not (f * 0) and (f * 0).den == {}
 
 
+def test_a_float_operand_is_a_type_error():
+    f = RatQT(1)
+    for op in (lambda: f * 1.5, lambda: 1.5 * f, lambda: f + 1.5, lambda: 1.5 + f,
+               lambda: f - 1.5, lambda: 1.5 - f):
+        with pytest.raises(TypeError):
+            op()
+    assert (f == 1.5) is False and (f != 1.5) is True
+
+
 def test_series_rejects_a_negative_order():
     with pytest.raises(ValueError, match="order"):
         RatQT.geometric(0).series(-1)

@@ -4,10 +4,10 @@ from quivercount.families import (all_connected_multigraphs, banana_graph,
                                   cycle_graph, loops_graph, path_graph)
 from quivercount.multigraph import GuardError, Multigraph
 from quivercount.polynomials import QPoly
-from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
-                               toric_type_orbit_data)
+from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_on_components,
+                               r_d_polynomial, toric_type_orbit_data)
 from oracles import (connected_spanning_subgraphs, delta, depth_function_sum,
-                     weighted_depth_function_sum)
+                     r_d_by_components, weighted_depth_function_sum)
 
 
 def test_transforms_match_the_depth_function_sum():
@@ -15,6 +15,19 @@ def test_transforms_match_the_depth_function_sum():
         for d in range(0, 5):
             assert r_d_polynomial(g, d) == depth_function_sum(g, d)
             assert a_d_polynomial(g, d) == weighted_depth_function_sum(g, d)
+
+
+def test_r_d_on_components_is_the_product_over_components():
+    # disjoint unions of two connected multigraphs and an isolated vertex;
+    # the transform over the whole graph must equal the per-component product
+    for g in all_connected_multigraphs(3):
+        for h in all_connected_multigraphs(2):
+            union = Multigraph(g.n + h.n + 1, list(g.edges) +
+                               [(e + 10, u + g.n, v + g.n) for e, u, v in h.edges])
+            for d in range(0, 5):
+                assert r_d_on_components(union, d) == r_d_by_components(union, d)
+    with pytest.raises(ValueError, match="d >= 0"):
+        r_d_on_components(union, -1)
 
 
 def test_r_d_of_the_eight_cycle():
