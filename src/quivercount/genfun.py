@@ -37,25 +37,23 @@ def cvector_of_filtration(gamma, chain):
     c_i = b1(gamma) - b1(Lambda_i) where Lambda_i contracts everything
     outside F_{i-1}.
 
-    That difference is b1(gamma[U_i]) for U_i = E - F_{i-1}, the union of
-    blocks i..l, so one union-find adds the blocks from last to first.
-    Its last step spans gamma, whose rank |E| - c_1 is n - 1 exactly when
-    gamma is connected.
+    That difference is b1(gamma[E - F_{i-1}]), read from a memo on gamma
+    that one union-find fills per missing F.  strict_filtrations shares its
+    F_i between chains, and a frozenset keeps its hash, so a read is one
+    dictionary lookup.  c_1 = b1(gamma), and |E| - c_1 = n - 1 iff gamma is connected.
     """
-    ids = frozenset(gamma.edge_ids())
-    prev = frozenset()
-    blocks = []
-    for step in chain:
-        if not (prev < step <= ids):
+    prev, cs = frozenset(), [0]
+    for step in map(frozenset, chain):      # a frozenset maps to itself
+        if not prev < step:
             raise ValueError("not a strict filtration of the edge set")
-        blocks.append(step - prev)
+        cs.append(gamma._b1_outside(prev))
         prev = step
-    if prev != ids:
+    # every F_i lies in F_l, so F_l = E keeps the whole chain inside E
+    if len(prev) != len(gamma.edges) or not prev.issuperset(gamma._by_id):
         raise ValueError("filtration must end at the full edge set")
-    cs = gamma.b1_of_unions(reversed(blocks))
-    if gamma.n > 1 and len(ids) - (cs[-1] if cs else 0) != gamma.n - 1:
+    if gamma.n > 1 and len(prev) - gamma._b1_outside(frozenset()) != gamma.n - 1:
         raise ValueError("gamma must be connected")
-    return (0,) + tuple(reversed(cs))
+    return tuple(cs)
 
 
 def r_of_cvector(c):
@@ -77,6 +75,7 @@ def r_genfun(gamma, guard=GUARD):
     weights = Counter()
     for chain in strict_filtrations(gamma.edge_ids(), guard):
         weights[cvector_of_filtration(gamma, chain)] += 1
+    gamma._outside_b1 = None    # so that a cached graph does not keep this walk's sets
     return RatQT.sum(weights[c] * r_of_cvector(c) for c in sorted(weights))
 
 

@@ -28,7 +28,7 @@ def charge(count, guard, what):
 
 
 class Multigraph:
-    __slots__ = ("n", "edges", "_by_id")
+    __slots__ = ("n", "edges", "_by_id", "_outside_b1")
 
     def __init__(self, vertex_count, edges):
         """edges: iterable of (edge_id, u, v) with 1 <= u, v <= vertex_count."""
@@ -51,6 +51,7 @@ class Multigraph:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError("edge %d has endpoint outside 1..%d" % (e, self.n))
             self._by_id[e] = (u, v)
+        self._outside_b1 = None     # created by the first _b1_outside
 
     def edge_ids(self):
         return tuple(e for e, _, _ in self.edges)
@@ -117,17 +118,10 @@ class Multigraph:
         return Multigraph(len(reps), new_edges)
 
     def b1_of_contraction(self, a):
-        """b1(self / a) without building the contracted graph.
-
-        Once the edges of a are merged, every other edge either joins two
-        components of the contraction or closes a cycle in it, so b1 is
-        the number of edges outside a minus the merges they make.
-        """
+        """b1(self / a) = b1(self) - b1(self[a]), without building either:
+        contracting a lowers the rank by that of a and drops its edges."""
         a = self._check_subset(a)
-        parent = list(range(self.n + 1))
-        _merge(parent, (self._by_id[e] for e in a))
-        kept = [(u, v) for e, u, v in self.edges if e not in a]
-        return len(kept) - _merge(parent, kept)
+        return self._b1_outside(frozenset()) - self._b1_outside(frozenset(self._by_id) - a)
 
     def subset_b1(self, ids):
         """b1 of the spanning subgraph on every subset of the edge ids,
@@ -143,34 +137,25 @@ class Multigraph:
             table.append(len(pairs) - _merge(list(range(self.n + 1)), pairs))
         return table
 
-    def b1_of_unions(self, blocks):
-        """b1 of the spanning subgraphs on blocks[0], blocks[0] | blocks[1],
-        ..., from one union-find: edges added so far minus merges made.
-        The blocks must be disjoint sets of edge ids."""
-        parent = list(range(self.n + 1))
-        by_id = self._by_id
-        edges = merges = 0
-        out = []
-        for block in blocks:
-            try:
-                pairs = [by_id[e] for e in block]
-            except KeyError as exc:
-                raise ValueError("unknown edge id %r" % exc.args) from None
-            edges += len(pairs)
-            merges += _merge(parent, pairs)
-            out.append(edges - merges)
-        return out
+    def _b1_outside(self, f):
+        """b1 of the spanning subgraph on the edges outside the frozenset f,
+        memoized per f on the graph and filled on a miss by one union-find."""
+        memo = self._outside_b1 = self._outside_b1 or {}
+        b1 = memo.get(f)
+        if b1 is None:
+            pairs = [(u, v) for e, u, v in self.edges if e not in f]
+            b1 = memo[f] = len(pairs) - _merge(list(range(self.n + 1)), pairs)
+        return b1
 
     def spanning_connected(self, a):
         """True iff the spanning subgraph on edge subset a is connected."""
-        parent = list(range(self.n + 1))
-        return _merge(parent, (self._by_id[e] for e in a)) == self.n - 1
+        return _merge(list(range(self.n + 1)), (self._by_id[e] for e in a)) == self.n - 1
 
     def bridge_count(self):
         """Number of edges whose deletion disconnects their component."""
-        base = self.component_count()
-        return sum(1 for e, u, v in self.edges
-                   if u != v and self.delete_edges([e]).component_count() > base)
+        # deleting any other edge, a loop included, lowers b1 by one
+        b1 = self._b1_outside(frozenset())
+        return sum(1 for e in self._by_id if self._b1_outside(frozenset([e])) == b1)
 
     def spanning_tree_count(self):
         """Number of spanning trees by an exact reduced-Laplacian determinant.
@@ -283,26 +268,29 @@ def strict_filtrations(edge_ids, guard=GUARD):
     cumulative frozensets (F_1, ..., F_l) with F_l the full set.
 
     Equivalently all ordered set partitions; for |E| = m there are
-    Fubini(m) of them, charged before the first is listed.  The empty set
-    yields one empty chain.
+    Fubini(m) of them, charged before the first is listed.  The chains are
+    walked as bitmasks, each F_i taken from one list of the 2^m cumulative
+    sets.  The empty set yields one empty chain.
     """
     ids = tuple(sorted(edge_ids))
     chains = _fubini(len(ids))
     charge(chains, guard, "Fubini(%d) = %d strict filtrations" % (len(ids), chains))
 
-    def rec(remaining, prefix_union):
-        if not remaining:
-            yield ()
-            return
-        m = len(remaining)
-        for mask in range(1, 1 << m):
-            block = tuple(remaining[i] for i in range(m) if mask >> i & 1)
-            cumulative = prefix_union | frozenset(block)
-            rest = tuple(x for x in remaining if x not in cumulative)
-            for tail in rec(rest, cumulative):
-                yield (cumulative,) + tail
+    def walk():
+        sets = [frozenset()]
+        for e in ids:
+            sets += [s | {e} for s in sets]
+        stack = [(0, ())]
+        while stack:
+            done, chain = stack.pop()
+            rest = block = (len(sets) - 1) ^ done
+            if not rest:
+                yield chain
+            while block:
+                stack.append((done | block, chain + (sets[done | block],)))
+                block = (block - 1) & rest
 
-    return rec(ids, frozenset())
+    return walk()
 
 
 @lru_cache(maxsize=None)

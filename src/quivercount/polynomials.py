@@ -40,6 +40,8 @@ class _Laurent:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self._like({self._ZERO: other})
+        elif not isinstance(other, _Laurent):
+            return NotImplemented   # so that a RatQT, say, is asked in turn
         return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self):

@@ -82,7 +82,7 @@ class RatQT:
         multiplied up to the least common denominator by one
         shift-and-subtract pass per missing factor, and the total is
         reduced once."""
-        terms = [t if isinstance(t, RatQT) else cls(t) for t in terms]
+        terms = [_lift(t, strict=True) for t in terms]
         den = Counter()
         for t in terms:
             den |= Counter(t.den)
@@ -187,11 +187,14 @@ class RatQT:
     __repr__ = __str__
 
 
-def _lift(other):
+def _lift(other, strict=False):
     """other as a RatQT if it is an int, QPoly, QTPoly or RatQT, else
-    NotImplemented, so that an operator hands any other type back."""
+    NotImplemented, so that an operator hands any other type back, or with
+    strict a TypeError naming the type."""
     if isinstance(other, (int, QPoly, QTPoly)):
         return RatQT(other, reduce=False)
+    if strict and not isinstance(other, RatQT):
+        raise TypeError("cannot lift a %s to a RatQT" % type(other).__name__)
     return other if isinstance(other, RatQT) else NotImplemented
 
 

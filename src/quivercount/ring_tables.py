@@ -29,8 +29,16 @@ class IndexTables:
     def __init__(self, alg):
         self.ring = ring = list(alg.elements())
         self.index = index = {x: i for i, x in enumerate(ring)}
-        self.add = [[index[alg.add(x, y)] for y in ring] for x in ring]
-        self.mul = [[index[alg.mul(x, y)] for y in ring] for x in ring]
+        self.add = add = [[index[alg.add(x, y)] for y in ring] for x in ring]
+        # b_k * y from the structure constants, then x * y by linearity in x:
+        # index i > 0 counts in base p (digit k the coordinate on b_k), so x
+        # is the element at i - p^k plus b_k for its lowest nonzero digit k
+        by_basis = [[index[tuple(sum(c[t] * yj for c, yj in zip(row, y)) % alg.p
+                                 for t in range(alg.dim))] for y in ring] for row in alg.table]
+        self.mul = [[0] * len(ring)]
+        for i in range(1, len(ring)):
+            k = next(k for k in range(alg.dim) if i % alg.p ** (k + 1))
+            self.mul.append([add[a][b] for a, b in zip(self.mul[i - alg.p ** k], by_basis[k])])
         self.neg = [index[alg.neg(x)] for x in ring]
         self.is_unit = [alg.is_unit(x) for x in ring]
         self.zero, self.one = index[alg.zero()], index[alg.one]

@@ -18,7 +18,7 @@ from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra, mat_mul
 from quivercount.genfun import r_genfun
 from quivercount.modp import nullspace_basis, rank
-from quivercount.multigraph import GUARD, Multigraph, charge
+from quivercount.multigraph import GUARD, Multigraph, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.repenum import (_det_residue_dlog, _fix_system, _group_average,
@@ -210,6 +210,63 @@ def a_genfun_by_subgraphs(graph):
         sub = graph.spanning_subgraph(subset)
         total = total + r_genfun(sub) * qm1 ** sub.b1()
     return total
+
+
+def strict_filtrations_by_recursion(edge_ids):
+    """Oracle for strict_filtrations: the recursive generator it replaced,
+    which picks each next block among the nonempty subsets of the edges
+    left and rebuilds the cumulative frozenset of every prefix."""
+    ids = tuple(sorted(edge_ids))
+
+    def rec(remaining, prefix_union):
+        if not remaining:
+            yield ()
+            return
+        m = len(remaining)
+        for mask in range(1, 1 << m):
+            block = tuple(remaining[i] for i in range(m) if mask >> i & 1)
+            cumulative = prefix_union | frozenset(block)
+            rest = tuple(x for x in remaining if x not in cumulative)
+            for tail in rec(rest, cumulative):
+                yield (cumulative,) + tail
+
+    return rec(ids, frozenset())
+
+
+def b1_of_unions(gamma, blocks):
+    """b1 of the spanning subgraphs on blocks[0], blocks[0] | blocks[1],
+    ..., from one union-find: edges added so far minus merges made.
+    The blocks must be disjoint sets of edge ids."""
+    parent = list(range(gamma.n + 1))
+    edges = merges = 0
+    out = []
+    for block in blocks:
+        pairs = [gamma.endpoints(e) for e in block]
+        edges += len(pairs)
+        merges += _merge(parent, pairs)
+        out.append(edges - merges)
+    return out
+
+
+def cvector_by_unions(gamma, chain):
+    """Oracle for cvector_of_filtration: c_i = b1(gamma[E - F_{i-1}]) from
+    one union-find per chain, which adds the blocks from last to first;
+    its last step spans gamma, whose rank |E| - c_1 is n - 1 exactly when
+    gamma is connected."""
+    ids = frozenset(gamma.edge_ids())
+    prev = frozenset()
+    blocks = []
+    for step in chain:
+        if not (prev < step <= ids):
+            raise ValueError("not a strict filtration of the edge set")
+        blocks.append(step - prev)
+        prev = step
+    if prev != ids:
+        raise ValueError("filtration must end at the full edge set")
+    cs = b1_of_unions(gamma, reversed(blocks))
+    if gamma.n > 1 and len(ids) - (cs[-1] if cs else 0) != gamma.n - 1:
+        raise ValueError("gamma must be connected")
+    return (0,) + tuple(reversed(cs))
 
 
 def series_numerator_by_rows(coeffs, den):

@@ -12,7 +12,7 @@ from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         truncated_depth, truncated_generator,
                                         truncated_valuation)
 from quivercount.multigraph import GuardError
-from quivercount.ring_tables import index_tables
+from quivercount.ring_tables import IndexTables, index_tables
 from oracles import (dual_numbers_by_blocks, mat_det, mat_identity, mat_inverse,
                      square_zero_by_blocks, truncated_by_blocks)
 
@@ -329,3 +329,21 @@ def test_element_enumeration_order():
     elems = list(alg.elements())
     assert len(elems) == 4 and len(set(elems)) == 4
     assert all(alg.element_index(x) == i for i, x in enumerate(elems))
+
+
+# every ring the tests build, up to 125 elements so that the |R|^2
+# products against FiniteAlgebra.mul stay quick
+TABLE_RINGS = [alg for alg in
+               [CONSTRUCTORS[case[0]][0](ring_from_spec(case[1]), *case[2:]) for case in LOCAL_RINGS]
+               + [ring_from_spec(spec) for spec in FIELD_SPECS + ("kd(fq(2,2),2)", "eps(kd(fq(2),2))",
+                                                                 "eps(eps(fq(2)))", "sqz(fq(3),2)")]
+               if alg.size() <= 125]
+
+
+@pytest.mark.parametrize("alg", TABLE_RINGS, ids=lambda alg: alg.name)
+def test_index_tables_products_equal_the_algebra_product(alg):
+    # the table is filled by linearity; every entry against FiniteAlgebra.mul
+    t = IndexTables(alg)
+    assert t.ring == list(alg.elements())
+    for x, row in zip(t.ring, t.mul):
+        assert [t.ring[i] for i in row] == [alg.mul(x, y) for y in t.ring]

@@ -51,6 +51,16 @@ def test_cvector_matches_the_definition():
             assert cvector_of_filtration(g, chain) == expected
 
 
+def test_one_chain_of_a_large_bouquet_reads_no_subset_table():
+    # 2^40 subsets: the c-vector of one chain must touch only its own sets
+    bouquet = loops_graph(40)
+    ids = frozenset(bouquet.edge_ids())
+    start = time.perf_counter()
+    assert cvector_of_filtration(bouquet, (ids,)) == (0, 40)
+    assert cvector_of_filtration(bouquet, (frozenset([1]), ids)) == (0, 40, 39)
+    assert time.perf_counter() - start < 1
+
+
 def test_r_of_cvector_examples():
     assert r_of_cvector((0,)) == RatQT(QTPoly.const(1), {0: 1})
     assert r_of_cvector((0, 3)) == RatQT(QTPoly.monomial(0, 1), {0: 1, 3: 1})

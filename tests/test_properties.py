@@ -1,7 +1,9 @@
 """Property tests on random connected multigraphs with loops and parallel
 edges: the subset transforms against the depth-function sum, the
-filtration sum R(T) against the transforms coefficient by coefficient, and
-A(T) from the transform against the sum over connected spanning subgraphs; and
+filtration sum R(T) against the transforms coefficient by coefficient, its
+mask-walk chains and memoized c-vectors against the recursive generator and
+one union-find per chain, and A(T) from the transform against the sum over
+connected spanning subgraphs; and
 on random small quivers, the conjugacy-class sums of m_count and a_count
 against the loop over every group element, their contraction along the
 quiver against the loop over class tuples, and the rank sums of m_preproj
@@ -26,8 +28,9 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
-from quivercount.genfun import _series_numerator, a_genfun, r_genfun  # noqa: E402
-from quivercount.multigraph import Quiver  # noqa: E402
+from quivercount.genfun import (_series_numerator, a_genfun,  # noqa: E402
+                                cvector_of_filtration, r_genfun)
+from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
@@ -35,10 +38,11 @@ from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # 
                                  m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
-                     class_tuple_buckets, den_by_powers, depth_function_sum,
+                     class_tuple_buckets, cvector_by_unions, den_by_powers, depth_function_sum,
                      divide_by_t_factor_slices, equal_by_cross_multiplication,
                      fix_nullity_by_rank, fix_system_by_products, preproj_by_filter, same_form,
-                     series_coefficient_by_binomials, series_numerator_by_rows)
+                     series_coefficient_by_binomials, series_numerator_by_rows,
+                     strict_filtrations_by_recursion)
 from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
                         ratqts, repeated_denominators, series_ratqts, small_quivers,
                         sum_terms, t_factor_exponents)
@@ -70,6 +74,17 @@ def test_filtration_sum_coefficients_equal_r_d(graph):
     f = r_genfun(graph)
     for d in range(4):
         assert f.series_coefficient(d) == r_d_polynomial(graph, d)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(connected_multigraphs(6))
+def test_mask_walk_and_memo_equal_the_recursion_and_union_find(graph):
+    chains = list(strict_filtrations(graph.edge_ids()))
+    expected = list(strict_filtrations_by_recursion(graph.edge_ids()))
+    assert len(chains) == len(set(chains)) == len(expected) == _fubini(graph.edge_count())
+    assert set(chains) == set(expected)
+    for chain in chains:
+        assert cvector_of_filtration(graph, chain) == cvector_by_unions(graph, chain)
 
 
 @PROPERTY

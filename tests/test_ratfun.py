@@ -146,6 +146,32 @@ def test_a_float_operand_is_a_type_error():
     assert (f == 1.5) is False and (f != 1.5) is True
 
 
+def test_sum_names_a_term_it_cannot_lift():
+    for terms, name in (([RatQT(1), 1.5], "float"), (["q", QPoly.q()], "str"),
+                        ([2, QTPoly.const(1), None], "NoneType")):
+        with pytest.raises(TypeError, match=name):
+            RatQT.sum(terms)
+        with pytest.raises(TypeError, match=name):
+            RatQT.sum(iter(terms))
+
+
+def test_polynomials_and_ratqts_compare_equal_both_ways():
+    for poly in (QPoly.const(1), QTPoly.const(1)):
+        assert poly == RatQT(1) and RatQT(1) == poly
+        assert not poly != RatQT(1) and not RatQT(1) != poly
+        assert poly != RatQT(2) and RatQT(2) != poly
+    f = RatQT(QTPoly.monomial(1, 0) + 1)
+    assert QPoly({1: 1, 0: 1}) == f and f == QPoly({1: 1, 0: 1})
+    assert QTPoly({(1, 0): 1, (0, 0): 1}) == f == QTPoly({(1, 0): 1, (0, 0): 1})
+    # a polynomial with a pole at T = 1 is not equal to its numerator
+    g = RatQT.geometric(0)
+    assert QTPoly.const(1) != g and g != QTPoly.const(1)
+    # the two polynomial kinds and a string stay unequal in both directions
+    assert QPoly.const(1) != QTPoly.const(1) and QTPoly.const(1) != QPoly.const(1)
+    assert QPoly.const(1) != "1" and "1" != QPoly.const(1)
+    assert QTPoly.const(1) != "1" and "1" != QTPoly.const(1)
+
+
 def test_series_rejects_a_negative_order():
     with pytest.raises(ValueError, match="order"):
         RatQT.geometric(0).series(-1)
