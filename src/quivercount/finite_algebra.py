@@ -57,7 +57,7 @@ class FiniteAlgebra:
         self.residue_field = residue_field if residue_field is not None else self
         self._rd = self.residue_field.dim
         self._units = None
-        self._dlog = {}
+        self._dlog = None
         self._check_structure()
 
     # -- construction-time sanity -------------------------------------
@@ -181,9 +181,8 @@ class FiniteAlgebra:
     def is_field(self):
         return self.residue_field is self
 
-    # Every algebra is local: a field, or given with its residue field.
-    is_local = True
-
+    # Every algebra is local, a field or given with its residue field, so
+    # x is a unit exactly when its residue is nonzero.
     def residue(self, x):
         return x[:self._rd]
 
@@ -223,22 +222,12 @@ class FiniteAlgebra:
                 return x
         raise ArithmeticError("no generator found; residue is not a field?")
 
-    def dlog(self, x, generator=None):
+    def dlog(self, x):
         """Discrete log of a nonzero residue-field element to the base
-        generator (default primitive_element()), from a table memoized per
-        generator; ValueError if the generator is not a residue-field
-        element (rd coordinates in 0..p-1) or its powers miss a unit."""
-        key = None if generator is None else tuple(generator)
-        if key not in self._dlog:
-            field = self.residue_field
-            if key is not None and (len(key) != field.dim or not set(key) <= set(range(self.p))):
-                raise ValueError("%r is not an element of %s" % (generator, field.name))
-            table = self._log_table(self.primitive_element() if key is None else key)
-            if table is None:
-                raise ValueError("%r does not generate the units of %s"
-                                 % (generator, self.residue_field.name))
-            self._dlog[key] = table
-        return self._dlog[key][x]
+        primitive_element(), from one memoized table."""
+        if self._dlog is None:
+            self._dlog = self._log_table(self.primitive_element())
+        return self._dlog[x]
 
     # -- Frobenius forms -------------------------------------------------
     def find_frobenius_form(self, guard=GUARD):

@@ -187,8 +187,8 @@ class QTPoly(_Laurent):
         return cls({(i, j): c}, vars)
 
     @classmethod
-    def from_qpoly(cls, p, t_exp=0, vars=("q", "T")):
-        return cls({(e, t_exp): c for e, c in p.coeffs.items()}, vars)
+    def from_qpoly(cls, p, vars=("q", "T")):
+        return cls({(e, 0): c for e, c in p.coeffs.items()}, vars)
 
     def _powers(self, e):
         return zip(self.vars, e)

@@ -16,6 +16,7 @@ time, by synthetic division cut after the wanted order (RatQT.series).
 """
 
 from collections import Counter
+from operator import index
 
 from .polynomials import (QPoly, QTPoly, divide_by_t_factor, divide_exact_by_t_factor,
                           times_t_factors)
@@ -32,7 +33,10 @@ class RatQT:
         if isinstance(num, QPoly):
             num = QTPoly.from_qpoly(num)
         self.num = num
-        self.den = {int(c): int(m) for c, m in (den or {}).items() if m}
+        try:    # operator.index refuses a float or a string, which int() would take
+            self.den = {index(c): index(m) for c, m in (den or {}).items() if m}
+        except TypeError:
+            raise ValueError("denominator entries must be integers: %r" % (den,)) from None
         if any(m < 0 for m in self.den.values()):
             raise ValueError("negative denominator multiplicity")
         if not self.num:
@@ -72,9 +76,6 @@ class RatQT:
             return other
         den = Counter(self.den) | Counter(other.den)
         return QTPoly(_times_factors(self, den)) == QTPoly(_times_factors(other, den))
-
-    def __hash__(self):
-        raise TypeError("RatQT is not hashable")
 
     @classmethod
     def sum(cls, terms):
@@ -173,8 +174,7 @@ class RatQT:
         if not self.den:
             return num
         parts = []
-        for c in sorted(self.den):
-            m = self.den[c]
+        for c, m in sorted(self.den.items()):
             if c == 0:
                 base = "(1-T)"
             elif c == 1:

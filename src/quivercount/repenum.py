@@ -175,12 +175,12 @@ def _vertex_lists(quiver, alg, alpha, guard):
             [[size for _, size in c] for c in classes], order)
 
 
-def _det_residue_dlog(alg, m, generator=None):
+def _det_residue_dlog(alg, m):
     if m == ():
         return 0
     t = index_tables(alg.residue_field)
     flat = tuple(t.index[alg.residue(entry)] for row in m for entry in row)
-    return alg.dlog(t.ring[t.det(flat, len(m))], generator)
+    return alg.dlog(t.ring[t.det(flat, len(m))])
 
 
 def _arrow_table(alg, rows, cols, guard):
@@ -267,8 +267,7 @@ def _contract(factors, counts, m, guard):
     return total
 
 
-def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD,
-              fix_values=None):
+def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None):
     """The fixed-point counts summed over tuples of conjugacy classes,
     weighted by class size and graded by the determinant character
     exponent mod m = char_order (or 1): a contraction of one factor per
@@ -280,7 +279,7 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD,
     reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard)
     m, factors = char_order or 1, []
     for v, (lst, weights) in enumerate(zip(reps, sizes)):
-        exponents = [_det_residue_dlog(alg, g, generator) % m if char_order else 0 for g in lst]
+        exponents = [_det_residue_dlog(alg, g) % m if char_order else 0 for g in lst]
         factors.append(((v,), [[size * (e == i) for i in range(m)]
                                for e, size in zip(exponents, weights)]))
     if fix_values is not None:
@@ -295,7 +294,7 @@ def _burnside(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD,
     return _contract(factors, [len(lst) for lst in reps], m, guard), order
 
 
-def _group_average(engine, quiver, alg, alpha, character=False, generator=None, guard=GUARD):
+def _group_average(engine, quiver, alg, alpha, character=False, guard=GUARD):
     """The finishing step shared by m_count, a_count, m_preproj and
     a_preproj: run the bucketed Burnside sum of `engine` and divide by |G|.
 
@@ -310,9 +309,7 @@ def _group_average(engine, quiver, alg, alpha, character=False, generator=None, 
         q = alg.residue_field.size()
         if (q - 1) % char_order:
             raise ValueError("|alpha| = %d does not divide q - 1 = %d" % (char_order, q - 1))
-        alg.dlog(alg.residue_field.one, generator)     # a bad generator fails here, not mid-sum
-    buckets, order = engine(quiver, alg, alpha, char_order=char_order,
-                            generator=generator, guard=guard)
+    buckets, order = engine(quiver, alg, alpha, char_order=char_order, guard=guard)
     value = root_sum(buckets)
     if value < 0 or value % order:
         raise AssertionError("group average is not a count: %d / %d" % (value, order))
@@ -324,15 +321,16 @@ def m_count(quiver, alg, alpha, guard=GUARD):
     return _group_average(_burnside, quiver, alg, alpha, guard=guard)
 
 
-def a_count(quiver, alg, alpha, guard=GUARD, generator=None):
+def a_count(quiver, alg, alpha, guard=GUARD):
     """Number of isomorphism classes of absolutely indecomposable
     representations, by the determinant-character weighted group average.
 
     Requires alg local split with residue field F_q and |alpha| | q - 1
-    (the residue field must contain the needed roots of unity).
+    (the residue field must contain the needed roots of unity).  The
+    character takes logs to the base alg.primitive_element(); the count
+    does not depend on that primitive root (the oracle tests check it).
     """
-    return _group_average(_burnside, quiver, alg, alpha, character=True,
-                          generator=generator, guard=guard)
+    return _group_average(_burnside, quiver, alg, alpha, character=True, guard=guard)
 
 
 # -- double quiver, moment map, preprojective counts -----------------------
@@ -385,7 +383,7 @@ def _whole_zero_fiber(quiver, alg, alpha, guard):
             for combo in vanishing_points(alg, per_arrow, list(sums.values())))
 
 
-def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None, guard=GUARD):
+def _preproj_buckets(quiver, alg, alpha, char_order=None, guard=GUARD):
     """The Burnside sum of zero-fiber fixed counts.  For a tuple g the
     fixed space of the doubled quiver is V^g x V*^g (the arrows, then their
     stars), and mu(x, y) is F_p-bilinear; so the count is the sum over x in
@@ -433,8 +431,8 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, generator=None, guard=
         return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))
                    for combo in product(*per_arrow))
 
-    return _burnside(quiver, alg, alpha, char_order=char_order, generator=generator,
-                     guard=guard, fix_values=fix_values)
+    return _burnside(quiver, alg, alpha, char_order=char_order, guard=guard,
+                     fix_values=fix_values)
 
 
 def m_preproj(quiver, alg, alpha, guard=GUARD):
@@ -444,11 +442,11 @@ def m_preproj(quiver, alg, alpha, guard=GUARD):
     return _group_average(_preproj_buckets, quiver, alg, alpha, guard=guard)
 
 
-def a_preproj(quiver, alg, alpha, guard=GUARD, generator=None):
+def a_preproj(quiver, alg, alpha, guard=GUARD):
     """Absolutely indecomposable classes in the moment map's zero fiber,
-    with the same determinant-character weight as a_count."""
-    return _group_average(_preproj_buckets, quiver, alg, alpha, character=True,
-                          generator=generator, guard=guard)
+    with a_count's determinant-character weight (and its independence of
+    the primitive root)."""
+    return _group_average(_preproj_buckets, quiver, alg, alpha, character=True, guard=guard)
 
 
 # -- Fourier fiber count ----------------------------------------------------
@@ -488,14 +486,12 @@ def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
 
 # -- toric oracle and stabilizers -------------------------------------------
 
-def toric_ai_orbit_count(quiver, alg, connected_only=True, guard=GUARD):
-    """Orbit count of rank-one representations by direct partition of the
-    whole representation space under the unit-tuple action; counts only
-    orbits with connected (spanning) support when the flag is set.
-    Points are tuples of element indices (ring_tables.scaling_orbits).
-
-    Independent of the group-average engine by construction.
-    """
+def toric_ai_orbit_count(quiver, alg, guard=GUARD):
+    """Orbit count of rank-one representations with connected (spanning)
+    support, by direct partition of the whole representation space under
+    the unit-tuple action.  Points are tuples of element indices
+    (ring_tables.scaling_orbits).  Independent of the group-average
+    engine by construction."""
     arrows = quiver.arrows()
     points = alg.size() ** len(arrows)
     charge(points, guard, "|R|^%d = %d points" % (len(arrows), points))
@@ -508,7 +504,7 @@ def toric_ai_orbit_count(quiver, alg, connected_only=True, guard=GUARD):
     scalings = {tuple(tab.mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
                 for g in product(units, repeat=quiver.n)}
     return sum(1 for point in scaling_orbits(alg, len(arrows), scalings)
-               if not connected_only or quiver.graph.spanning_connected(
+               if quiver.graph.spanning_connected(
                    frozenset(e for x, (e, _, _) in zip(point, arrows) if x != tab.zero)))
 
 
@@ -548,7 +544,13 @@ def counterexample_counts(n, q, guard=GUARD):
     field = make_field(q)
     ring = make_square_zero(field, n)
     doubled = make_dual_numbers(ring)
-    charge(doubled.size(), guard, "%d elements of the doubled ring" % doubled.size())
+    s = sum(q ** i for i in range(n))
+    closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s
+    closed_b = 3 + (q - 1) * s * s + 2 * s
+    # one unit image per (orbit, unit), which covers the |R| elements listed
+    images = closed_a * doubled.unit_count()
+    charge(images, guard, "%d orbits x %d units = %d unit images"
+           % (closed_a, doubled.unit_count(), images))
 
     visited = bytearray(doubled.size())
     units = doubled.units()
@@ -566,9 +568,6 @@ def counterexample_counts(n, q, guard=GUARD):
                     image[t] += uk * v
             visited[doubled.element_index([c % p for c in image])] = 1
 
-    s = sum(q ** i for i in range(n))
-    closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s
-    closed_b = 3 + (q - 1) * s * s + 2 * s
     if a_value != closed_a:
         raise AssertionError("scaling orbit count %d != closed form %d" % (a_value, closed_a))
 

@@ -140,13 +140,12 @@ def a_d_cyclic_closed_form(n, d):
     return QPoly(coeffs)
 
 
-def toric_type_orbit_data(gamma, r, d, q=None):
-    """Stabilizer order, representation count and orbit count for the
-    combinatorial type (gamma, r) at depth d.
+def toric_type_orbit_data(gamma, r, d):
+    """Stabilizer order, representation count and orbit count, as
+    polynomials in q, for the combinatorial type (gamma, r) at depth d.
 
-    With q = None the three values are returned as polynomials in q;
-    with an explicit prime power they are exact integers and the orbit
-    count is asserted to divide out evenly.
+    Every call checks the orbit-stabilizer identity
+    reps * stab = orbits * |G|, |G| = (q^(d-1) (q-1))^n, as polynomials.
     """
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
@@ -179,14 +178,7 @@ def toric_type_orbit_data(gamma, r, d, q=None):
     stab = QPoly.monomial(dtilde + d - 1) * qm1
     reps = qm1 ** m * QPoly.monomial(sum(r[e] - 1 for e in ids))
     orbits = qm1 ** b1 * QPoly.monomial(delta_simplified)
-    if q is None:
-        return stab, reps, orbits
-    stab_v, reps_v = stab(q), reps(q)
-    group = (q ** (d - 1) * (q - 1)) ** n
-    if (reps_v * stab_v) % group:
-        raise AssertionError("orbit count is not integral; inconsistent type data")
-    orbits_v = reps_v * stab_v // group
-    if orbits_v != orbits(q):
-        raise ArithmeticError("orbit count %d != q^delta (q-1)^b1 = %d at q = %d"
-                              % (orbits_v, orbits(q), q))
-    return stab_v, reps_v, orbits_v
+    group = (QPoly.monomial(d - 1) * qm1) ** n
+    if reps * stab != orbits * group:
+        raise ArithmeticError("reps * stab != orbits * (q^(d-1) (q-1))^n; inconsistent type data")
+    return stab, reps, orbits

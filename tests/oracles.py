@@ -21,10 +21,9 @@ from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
-from quivercount.repenum import (_det_residue_dlog, _fix_system, _group_average,
-                                 _moment_blocks, _validate_alpha, _vector_to_matrix,
-                                 _vertex_lists, _whole_zero_fiber, double_quiver,
-                                 enumerate_group, fix_nullity, group_order)
+from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _validate_alpha,
+                                 _vector_to_matrix, _vertex_lists, _whole_zero_fiber,
+                                 double_quiver, enumerate_group, fix_nullity, group_order)
 from quivercount.ring_tables import vanishing_points
 from quivercount.toric import check_depth_function, r_d_polynomial
 
@@ -535,15 +534,41 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
     return value
 
 
+def residue_logs(alg, root):
+    """{root^k: k} over the residue field of alg when root is a primitive
+    root of it, else None: a discrete-log table built apart from
+    FiniteAlgebra.dlog."""
+    field = alg.residue_field
+    table, value = {}, field.one
+    while value not in table:
+        table[value] = len(table)
+        value = field.mul(value, root)
+    return table if value == field.one and len(table) == field.size() - 1 else None
+
+
+def primitive_roots(alg):
+    """Every primitive root of the residue field of alg."""
+    return [x for x in alg.residue_field.elements() if residue_logs(alg, x) is not None]
+
+
 def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
                         guard=GUARD, fix_values=None):
     """The Burnside sum as one loop over the product of the per-vertex
     class lists: per tuple of class representatives, the product of the
     arrows' fixed-point counts (or fix_values) times the class sizes, in
     the bucket of its determinant character exponent.  The oracle for the
-    contraction of _burnside; returns (buckets, |G|) like it."""
+    contraction of _burnside; returns (buckets, |G|) like it.  The
+    exponent is the log of the residue of each cofactor determinant to
+    the base generator, a primitive root (default primitive_element()),
+    read from residue_logs."""
     reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard)
     m = char_order or 1
+    exponents = [[0] * len(lst) for lst in reps]
+    if char_order:
+        logs = residue_logs(alg, alg.primitive_element() if generator is None else generator)
+        if logs is None:
+            raise ValueError("%r is not a primitive root" % (generator,))
+        exponents = [[logs[alg.residue(mat_det(alg, h))] for h in lst] for lst in reps]
     buckets = [0] * m
     solved = {}
 
@@ -559,16 +584,17 @@ def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
                        for _, s, t in quiver.arrows())
         else:
             fix = fix_values(g)
-        exponent = sum(_det_residue_dlog(alg, h, generator) for h in g) if char_order else 0
+        exponent = sum(e[c] for e, c in zip(exponents, combo))
         buckets[exponent % m] += fix * prod(lst[c] for lst, c in zip(sizes, combo))
     return buckets, order
 
 
-def preproj_by_filter(quiver, alg, alpha, character=False):
+def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
     """m_preproj (a_preproj with character=True) by filtering: per tuple
     of class representatives g, in the class-tuple loop, list every point
     of V^g x V*^g and keep those on which the moment map vanishes.  The
-    oracle for the rank sums of the engine and for their contraction."""
+    oracle for the rank sums of the engine and for their contraction;
+    generator is class_tuple_buckets' primitive root."""
     alpha = tuple(alpha)
     dq, star = double_quiver(quiver)
     darrows = dq.arrows()
@@ -595,7 +621,8 @@ def preproj_by_filter(quiver, alg, alpha, character=False):
         return sum(1 for _ in vanishing_points(alg, per_arrow, sums))
 
     def engine(quiver, alg, alpha, **kwargs):
-        return class_tuple_buckets(quiver, alg, alpha, fix_values=fix_values, **kwargs)
+        return class_tuple_buckets(quiver, alg, alpha, generator=generator,
+                                   fix_values=fix_values, **kwargs)
 
     return _group_average(engine, quiver, alg, alpha, character=character)
 

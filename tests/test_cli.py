@@ -118,6 +118,15 @@ def test_qeulerian_and_counterexample(capsys):
     assert json.loads(capsys.readouterr().out) == {"A": "15", "B": "18", "difference": "3"}
 
 
+def test_counterexample_guard_trips_before_the_orbit_loop(capsys):
+    # A_6(2) = 2145 orbits x 8192 units of sqz(F_2, 6)[eps], above the default guard
+    start = time.perf_counter()
+    assert main(["counterexample", "--n", "6", "--q", "2"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "guard exceeded" in err and str(2145 * 8192) in err
+
+
 def test_exit_codes(capsys, monkeypatch, tmp_path):
     # parse error -> 2
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(4)", "--rank", "1,1"]) == 2
@@ -190,6 +199,75 @@ def test_verify_verb(capsys):
     assert main(["verify", "fourier"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+# The 57 labels `verify all` prints, in order: a check renamed, dropped or
+# reordered changes this transcript.
+VERIFY_ALL_LABELS = [
+    "inversion identity, A form, all connected graphs <= 4 edges",
+    "inversion identity, R form, all connected graphs <= 4 edges",
+    "cycle inversion sign (-1)^n, n = 2..5",
+    "one-step recursion for R, all connected graphs <= 4 edges",
+    "R_(d+1) equals psi(q^d) * R_d, d <= 4",
+    "R_d as an iterated psi convolution, d <= 4",
+    "signed psi is the convolution inverse of psi",
+    "(1 * 1)(Gamma) counts the 2^#E edge subsets",
+    "binomial series identity for loop bouquets, m <= 4",
+    "A_1 equals the Tutte polynomial at (1, q)",
+    "R_2 equals the Tutte polynomial at (2, q+1)",
+    "deletion-contraction defect of the double edge",
+    "defect series: T^2 coefficient vanishes",
+    "defect series: T^3 coefficient is 2q + 1",
+    "defect series: T^4 coefficient is 2q^2 + 4q + 2",
+    "class counts agree across all orientations (three quivers, four rings)",
+    "absolutely indecomposable counts agree across orientations",
+    "preprojective class count equals the dual-number count (5 cases)",
+    "A2 over F_3: absolutely indecomposable sides agree and equal 2",
+    "A3 over F_4: absolutely indecomposable sides agree and equal 4",
+    "A2 over F_2: zero fiber has 3 points",
+    "A2 over k_2(F_2): zero fiber has 8 points",
+    "Jordan loop over F_2: zero fiber is everything (4)",
+    "Jordan loop over F_3: zero fiber is everything (9)",
+    "A_2 of the triangle is q^2 + 6q + 5",
+    "cycle closed form matches the subgraph sum, n <= 5, d <= 4",
+    "double edge: A_d = q^d + 2q^(d-1) + ... + 2q + 1, d <= 6",
+    "loop bouquets: A_d = q^(dm), m <= 3, d <= 4",
+    "series table: all six R rows",
+    "series table: all six A rows",
+    "A(triangle) = ((2q+1)T^2 + (q+2)T) / ((1-T)^2 (1-qT))",
+    "cycle numerator table, n = 2..6",
+    "q-Eulerian numerators F_1..F_4",
+    "T^2 coefficient of A(triangle) is q^2 + 6q + 5",
+    "T^2 coefficient of R(double edge) is q + 3",
+    "coefficients of 1/(1-T) are all 1",
+    "all seven depth-type rows for the triangle at d = 2",
+    "row multiplicities resum to q^2 + 6q + 5",
+    "stabilizer of the all-units point at q = 2 is q(q-1) = 2",
+    "stabilizer of the all-t point at q = 2 is q^3(q-1) = 8",
+    "A2 over k_d(F_3): d classes of rank (1,1), d = 1..3",
+    "A3 over k_2(F_4): 4 classes of rank (1,1,1)",
+    "A3 over k_2(F_7): 4 classes of rank (1,1,1)",
+    "A3 over k_2(F_3): 2 classes of rank (1,1,0)",
+    "defect formula at (n, q) in {1,2} x {2,3}",
+    "(n, q) = (2, 2) gives (15, 18)",
+    "A_d degree d*b1, leading coefficient d^bridges (monic when bridgeless)",
+    "A_d at q = 1 counts spanning trees times d^(n-1)",
+    "R_d non-negative, degree (d-1)*b1, leading coefficient d^bridges",
+    "R numerator T-degree below denominator T-degree",
+    "orbit partition matches A_d at q for six quivers, three (q, d)",
+    "triangle over k_2(F_2) has 21 classes",
+    "truncated rings k_d(F_2), d <= 3, admit a non-degenerate form",
+    "dual numbers F_2[eps] admit a non-degenerate form",
+    "k_2(F_2)[eps] admits a non-degenerate form",
+    "square-zero ring with 2 generators admits none",
+    "square-zero ring with 3 generators admits none",
+]
+
+
+def test_verify_all_transcript(capsys):
+    assert main(["verify", "all"]) == 0
+    expected = ["PASS  " + label for label in VERIFY_ALL_LABELS] + ["57 checks, 0 failed"]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_genfun_a_guard_trips_before_any_table(capsys):

@@ -86,8 +86,9 @@ CASES = {
                              64, "|R|^3 = 64 points"),
     "toric_ai_orbit_count_units": (lambda g: toric_ai_orbit_count(path_quiver(2), K3F2, guard=g),
                                    16, "|R^x|^2 = 16 unit tuples"),
-    "counterexample_counts": (lambda g: counterexample_counts(1, 2, g), 16,
-                              "16 elements of the doubled ring"),
+    # one unit image per (orbit, unit): A_1(2) = 6 orbits x 8 units
+    "counterexample_counts": (lambda g: counterexample_counts(1, 2, g), 48,
+                              "6 orbits x 8 units = 48 unit images"),
 }
 
 

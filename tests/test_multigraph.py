@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from quivercount import verify
 from quivercount.families import (all_connected_multigraphs, banana_graph, cycle_graph,
                                   loops_graph, path_graph, point_graph)
 from quivercount.multigraph import GuardError, Multigraph, Quiver, strict_filtrations
@@ -49,11 +48,6 @@ def test_class_counts_at_six_edges():
 def test_edge_bound_must_be_a_non_negative_int(bad):
     with pytest.raises(ValueError):
         all_connected_multigraphs(bad)
-
-
-def test_battery_rejects_a_negative_edge_bound():
-    with pytest.raises(ValueError):
-        verify.check_tutte(max_edges=-1)
 
 
 def test_b1_examples():

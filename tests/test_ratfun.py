@@ -146,6 +146,14 @@ def test_a_float_operand_is_a_type_error():
     assert (f == 1.5) is False and (f != 1.5) is True
 
 
+def test_denominator_exponents_must_be_integers():
+    # a float or a string is refused, not truncated or parsed
+    for den in ({0.5: 1}, {1: 1.7}, {"2": 1}, {1: "1"}):
+        with pytest.raises(ValueError, match="integers"):
+            RatQT(1, den)
+    assert RatQT(1, {1: 2}) == RatQT.geometric(1) * RatQT.geometric(1)
+
+
 def test_sum_names_a_term_it_cannot_lift():
     for terms, name in (([RatQT(1), 1.5], "float"), (["q", QPoly.q()], "str"),
                         ([2, QTPoly.const(1), None], "NoneType")):

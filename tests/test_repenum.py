@@ -1,3 +1,4 @@
+from functools import partial
 from math import prod
 
 import pytest
@@ -8,14 +9,14 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_mul, truncated_generator)
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
-from quivercount.repenum import (_burnside, _whole_zero_fiber, a_count, a_preproj,
-                                 counterexample_counts, double_quiver, enumerate_group,
-                                 fourier_fiber_count, gl_classes, gl_elements, gl_order,
-                                 group_order, m_count, m_preproj, stabilizer_order,
+from quivercount.repenum import (_burnside, _group_average, _whole_zero_fiber, a_count,
+                                 a_preproj, counterexample_counts, double_quiver,
+                                 enumerate_group, fourier_fiber_count, gl_classes, gl_elements,
+                                 gl_order, group_order, m_count, m_preproj, stabilizer_order,
                                  toric_ai_orbit_count, toric_point)
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets, fix_count,
                      mat_det, mat_identity, mat_inverse, moment_map, preproj_by_filter,
-                     preproj_orbit_partition)
+                     preproj_orbit_partition, primitive_roots)
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -152,17 +153,6 @@ def test_chain_rings_solve_arrow_tables_without_an_f_p_rank(monkeypatch):
     assert len(calls) > solved
 
 
-def test_a_generator_outside_the_residue_field_is_refused():
-    f5, k2f4 = make_prime_field(5), make_truncated(make_field(4), 2)
-    # a coordinate out of 0..p-1, or the wrong number of them, is not an alias
-    cases = [(f5, path_quiver(2), (1, 1), gen) for gen in ((2, 5), (7,), (-3,), (2, 0), ())]
-    cases += [(k2f4, path_quiver(3), (1, 1, 1), gen) for gen in ((1,), (0, 1, 0, 0))]
-    for ring, quiver, alpha, gen in cases:
-        with pytest.raises(ValueError, match="is not an element of"):
-            a_count(quiver, ring, alpha, generator=gen)
-    assert a_count(path_quiver(2), f5, (1, 1), generator=(2,)) == 1
-
-
 def test_guards_trip_before_any_arrow_table(monkeypatch):
     calls = _count_solves(monkeypatch)
     cases = [
@@ -288,36 +278,22 @@ def test_a_count_values():
 
 
 def test_a_count_generator_independence():
-    ring = make_truncated(make_field(4), 2)
-    default = a_count(path_quiver(3), ring, (1, 1, 1))
-    field = ring.residue_field
-    gens = [x for x in field.elements() if any(x)]
-    alternative = None
-    for x in gens:
-        value, k = x, 1
-        while value != field.one:
-            value = field.mul(value, x)
-            k += 1
-        if k == field.size() - 1 and x != ring.primitive_element():
-            alternative = x
-            break
-    assert alternative is not None
-    assert a_count(path_quiver(3), ring, (1, 1, 1), generator=alternative) == default
-
-
-def test_a_generator_that_misses_units_fails_before_any_arrow_solve(monkeypatch):
-    calls = _count_solves(monkeypatch)
-    f5 = make_prime_field(5)
-    for count in (a_count, a_preproj):
-        for gen in ((4,), (1,)):    # orders 2 and 1 in F_5^x
-            with pytest.raises(ValueError, match=r"\(%d,\) does not generate" % gen[0]):
-                count(path_quiver(2), f5, (1, 1), generator=gen)
-    assert calls == [] and not hasattr(f5, "_arrow_data")
-    # the two primitive roots 2 and 3 give the default generator's counts
-    for count, quiver, alpha, value in ((a_count, jordan_quiver(), (2,), 5),
-                                        (a_count, banana_quiver(2), (1, 1), 6),
-                                        (a_preproj, path_quiver(2), (1, 1), 2)):
-        assert [count(quiver, f5, alpha, generator=g) for g in (None, (2,), (3,))] == [value] * 3
+    # the count does not depend on the primitive root behind the character:
+    # the oracle's own log table reproduces it with every one
+    f5, k2f4 = make_prime_field(5), make_truncated(make_field(4), 2)
+    assert primitive_roots(f5) == [(2,), (3,)] and len(primitive_roots(k2f4)) == 2
+    for count, quiver, ring, alpha, value in ((a_count, jordan_quiver(), f5, (2,), 5),
+                                              (a_count, banana_quiver(2), f5, (1, 1), 6),
+                                              (a_preproj, path_quiver(2), f5, (1, 1), 2),
+                                              (a_count, path_quiver(3), k2f4, (1, 1, 1), 4)):
+        assert count(quiver, ring, alpha) == value
+        for root in primitive_roots(ring):
+            if count is a_preproj:
+                oracle = preproj_by_filter(quiver, ring, alpha, character=True, generator=root)
+            else:
+                oracle = _group_average(partial(class_tuple_buckets, generator=root),
+                                        quiver, ring, alpha, character=True)
+            assert oracle == value
 
 
 def test_a_count_requires_roots_of_unity():
@@ -485,8 +461,8 @@ def test_toric_orbit_counts():
     for q, d in [(2, 2), (3, 2), (2, 3)]:
         ring = make_truncated(make_prime_field(q), d)
         assert toric_ai_orbit_count(path_quiver(2), ring) == d
-    # without the connectivity filter every class is counted
-    assert toric_ai_orbit_count(path_quiver(2), K2F2, connected_only=False) == 3
+    # every class, connected support or not, is m_count at rank (1, 1)
+    assert m_count(path_quiver(2), K2F2, (1, 1)) == 3
     with pytest.raises(GuardError):
         toric_ai_orbit_count(cycle_quiver(3), K2F2, guard=10)
 
