@@ -296,6 +296,22 @@ def test_a_count_generator_independence():
             assert oracle == value
 
 
+def test_a_generator_that_misses_units_fails_before_any_arrow_solve(monkeypatch):
+    import oracles
+    calls = _count_calls(monkeypatch, oracles, "fix_nullity")
+    f5 = make_prime_field(5)
+    a_oracle = partial(class_tuple_buckets, char_order=2)
+    for count in (a_oracle, partial(preproj_by_filter, character=True)):
+        for gen in ((4,), (1,)):    # orders 2 and 1 in F_5^x
+            with pytest.raises(ValueError, match=r"\(%d,\) is not a primitive root" % gen[0]):
+                count(path_quiver(2), f5, (1, 1), generator=gen)
+    assert calls == [] and not hasattr(f5, "_arrow_data")
+    # the two primitive roots 2 and 3 give the default generator's buckets
+    assert a_oracle(path_quiver(2), f5, (1, 1), generator=(2,)) \
+        == a_oracle(path_quiver(2), f5, (1, 1), generator=(3,)) \
+        == a_oracle(path_quiver(2), f5, (1, 1))
+
+
 def test_a_count_requires_roots_of_unity():
     with pytest.raises(ValueError):
         a_count(path_quiver(2), F2, (1, 1))     # |alpha| = 2, q - 1 = 1
