@@ -8,10 +8,11 @@ contraction; the depth-count polynomials R_d arise as iterated
 convolutions of the cycle-counting character psi(q^k): Gamma -> q^(k b1).
 """
 
-from quivercount import (QPoly, banana_graph, convolve, cycle_graph,
-                         epsilon_char, loops_graph, path_graph, psi_char,
+from quivercount import (GraphChar, QPoly, banana_graph, convolve, cycle_graph,
+                         loops_graph, path_graph, psi_char,
                          psi_inverse_char, r_d_polynomial,
                          r_d_via_convolution, r_genfun)
+from quivercount.genfun import epsilon_value
 
 tri = cycle_graph(3)
 
@@ -32,7 +33,7 @@ print("The convolution inverse of psi(q) is its edge-signed twin:")
 inv = convolve(psi_inverse_char(1), psi_char(1))
 for g in [tri, banana_graph(2), loops_graph(2)]:
     print("  on %-40s -> %s" % (g, inv(g)))
-    assert inv(g) == epsilon_char()(g)
+    assert inv(g) == GraphChar("eps", epsilon_value)(g)
 print("  (1 on the point class, 0 elsewhere: the counit.)")
 print()
 

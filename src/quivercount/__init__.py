@@ -16,18 +16,17 @@ from .families import (all_connected_multigraphs, banana_graph, banana_quiver,
 from .finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                              make_field_ext, make_prime_field,
                              make_square_zero, make_truncated, mat_mul,
-                             ring_from_spec, truncated_depth,
-                             truncated_generator)
+                             ring_from_spec, truncated_generator)
 from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
-                     convolve, cvector_of_filtration, epsilon1_char,
-                     epsilon_char, psi_char, psi_inverse_char, q_eulerian,
-                     r_d_char, r_d_via_convolution, r_genfun, r_of_cvector)
+                     convolve, cvector_of_filtration, psi_char,
+                     psi_inverse_char, q_eulerian, r_d_char,
+                     r_d_via_convolution, r_genfun, r_of_cvector)
+from .gl import enumerate_group, gl_elements, gl_order, group_order
 from .multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT
 from .repenum import (a_count, a_preproj, counterexample_counts, double_quiver,
-                      enumerate_group, fourier_fiber_count,
-                      gl_elements, gl_order, group_order, m_count, m_preproj,
+                      fourier_fiber_count, m_count, m_preproj,
                       stabilizer_order, toric_ai_orbit_count, toric_point)
 from .toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
                     toric_type_orbit_data)

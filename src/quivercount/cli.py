@@ -58,12 +58,6 @@ def parse_quiver(text):
     return Quiver.from_edges(vertices, arrows)
 
 
-def format_quiver(quiver):
-    lines = ["vertices %d" % quiver.n]
-    lines += ["edge %d %d" % (s, t) for _, s, t in quiver.arrows()]
-    return "\n".join(lines) + "\n"
-
-
 def _builtin_quiver(name):
     body = name.split(":", 1)[1]
     if body.startswith("Sm:"):

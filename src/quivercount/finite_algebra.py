@@ -356,33 +356,11 @@ def make_square_zero(base, n):
     return _local_ring(base, suffixes, lambda a, b: a and b, "sqz(%s,%d)" % (base.name, n))
 
 
-def _truncation(alg):
-    if alg.truncation is None:
-        raise ValueError("%s was not built by make_truncated with d >= 2" % alg.name)
-    return alg.truncation
-
-
 def truncated_generator(alg):
     """The nilpotent generator t of a ring built by make_truncated (d >= 2)."""
-    return alg.basis_vector(_truncation(alg)[1])
-
-
-def truncated_valuation(alg, x):
-    """t-adic valuation in a make_truncated ring; d for x = 0."""
-    d, bd = _truncation(alg)
-    for j in range(d):
-        if any(x[j * bd:(j + 1) * bd]):
-            return j
-    return d
-
-
-def truncated_depth(alg, x):
-    """Depth r of a nonzero element: the annihilator of x is (t^r)."""
-    d, _ = _truncation(alg)
-    v = truncated_valuation(alg, x)
-    if v == d:
-        raise ValueError("zero has no depth")
-    return d - v
+    if alg.truncation is None:
+        raise ValueError("%s was not built by make_truncated with d >= 2" % alg.name)
+    return alg.basis_vector(alg.truncation[1])
 
 
 # -- matrices over an algebra (tuples of rows of coordinate tuples) -----

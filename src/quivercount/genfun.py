@@ -107,8 +107,10 @@ def a_genfun(graph, guard=GUARD):
 class GraphChar:
     """A multiplicative graph invariant valued in Laurent polynomials in q.
 
-    Memoized on the exact labeled graph; correctness never depends on the
-    memo, which only avoids recomputing repeated subgraph evaluations.
+    Memoized on the graph's canonical_key(), which forgets the edge ids:
+    the memo assumes the values do not depend on them, as they do not for
+    a graph invariant or any convolution of invariants.  It only avoids
+    recomputing repeated subgraph evaluations.
     """
 
     __slots__ = ("name", "fn", "_memo")
@@ -119,7 +121,7 @@ class GraphChar:
         self._memo = {}
 
     def __call__(self, g):
-        key = g.labeled_key()
+        key = g.canonical_key()
         hit = self._memo.get(key)
         if hit is None:
             hit = self.fn(g)
@@ -130,14 +132,6 @@ class GraphChar:
 
     def __repr__(self):
         return "GraphChar(%s)" % self.name
-
-
-def epsilon_char():
-    return GraphChar("eps", epsilon_value)
-
-
-def epsilon1_char():
-    return GraphChar("eps1", epsilon1_value)
 
 
 def psi_char(k=1):

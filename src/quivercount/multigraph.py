@@ -185,9 +185,6 @@ class Multigraph:
     def canonical_key(self):
         return (self.n, tuple(sorted((min(u, v), max(u, v)) for _, u, v in self.edges)))
 
-    def labeled_key(self):
-        return (self.n, tuple(sorted((e, min(u, v), max(u, v)) for e, u, v in self.edges)))
-
     def tutte(self):
         """Tutte polynomial (variables x, y) by deletion-contraction."""
         if not self.is_connected():

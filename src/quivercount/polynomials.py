@@ -220,13 +220,6 @@ class QTPoly(_Laurent):
     def val_t(self):
         return min(j for _, j in self.coeffs) if self.coeffs else None
 
-    def deg_q(self):
-        return max(i for i, _ in self.coeffs) if self.coeffs else None
-
-    def t_coefficient(self, j):
-        """Coefficient of T^j as a QPoly in q."""
-        return QPoly({i: c for (i, jj), c in self.coeffs.items() if jj == j})
-
     def t_coefficients(self):
         """Map t_exp -> QPoly, covering all nonzero T-slices."""
         return {j: QPoly(d) for j, d in _t_slices(self).items()}

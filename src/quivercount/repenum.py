@@ -27,10 +27,8 @@ Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
 count and the determinant character are unchanged when each vertex factor
 is conjugated.  So the Burnside sum runs over tuples of conjugacy-class
-representatives, each weighted by the product of its class sizes.  The
-classes of GL_n(R) come from one union-find per algebra and n, memoized
-with the GL scan; each of its parts lies inside one class, so the sum is
-exact even where the parts were finer than the classes.
+representatives (gl.gl_classes), each weighted by the product of its
+class sizes.
 
 The fixed-point count is a product over the arrows, so the sum over class
 tuples is a contraction along the quiver: a factor per vertex (class size
@@ -38,41 +36,24 @@ times z^(character exponent), in Z[z]/(z^m - 1)) and one per arrow (its
 fixed-point counts on pairs of classes), summed out one vertex at a time,
 cheapest first.  Each algebra solves one table per pair of ranks, and
 every arrow of those ranks reads it.  The preprojective count does not
-split over arrows and enters as one factor on all vertices.  The GL scan,
-the class partition, the determinant character (on the residue field),
-the zero-fiber filter and the toric oracle compute on element indices
-through one set of |R| x |R| tables per algebra.
+split over arrows and enters as one factor on all vertices.  The
+determinant character (on the residue field), the zero-fiber filter and
+the toric oracle compute on element indices through one set of |R| x |R|
+tables per algebra.
 Exact and deterministic.
 """
 
 from itertools import product
 from math import prod
-from operator import index
 
 from . import modp
 from .cyclotomic import root_sum
 from .finite_algebra import mat_mul
+from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
-from .ring_tables import (arrow_system, chain_nullity, conjugacy_classes, index_tables,
-                          invertible_matrices, mul_block, scaling_orbits, vanishing_points)
+from .ring_tables import (arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits,
+                          vanishing_points)
 
-
-def _validate_alpha(quiver, alpha):
-    ranks = []
-    for a in alpha:
-        try:
-            ranks.append(index(a))      # a float or a string is refused, not truncated
-        except TypeError:
-            raise ValueError("rank %r is not an integer" % (a,)) from None
-    alpha = tuple(ranks)
-    if len(alpha) != quiver.n:
-        raise ValueError("rank vector length %d != vertex count %d" % (len(alpha), quiver.n))
-    if any(a < 0 for a in alpha) or not any(alpha):
-        raise ValueError("rank vector needs non-negative entries, at least one positive")
-    return alpha
-
-
-# -- GL enumeration ------------------------------------------------------
 
 def _all_matrices(alg, rows, cols):
     """Every rows x cols matrix over alg, in a fixed order (a generator)."""
@@ -81,54 +62,6 @@ def _all_matrices(alg, rows, cols):
         return
     for entries in product(list(alg.elements()), repeat=rows * cols):
         yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
-
-
-def _gl_table(alg, size, guard=GUARD):
-    """The memo entry [every invertible size x size matrix in a fixed
-    order, its conjugacy classes or None until first asked for]; one scan
-    per algebra and size, kept in the algebra's _gl_data dict.  It charges
-    the |alg|^(size^2) matrices the scan visits, cached or not."""
-    matrices = alg.size() ** (size * size)
-    charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
-    cache = getattr(alg, "_gl_data", None)
-    if cache is None:
-        cache = alg._gl_data = {}
-    if size not in cache:
-        cache[size] = [invertible_matrices(alg, size), None]
-    return cache[size]
-
-
-def gl_order(alg, size, guard=GUARD):
-    """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
-    return len(_gl_table(alg, size, guard)[0])
-
-
-def gl_elements(alg, size, guard=GUARD):
-    """Every invertible size x size matrix, deterministic order (memoized)."""
-    return _gl_table(alg, size, guard)[0]
-
-
-def gl_classes(alg, size, guard=GUARD):
-    """The conjugacy classes of GL_size(alg) as (first element in the
-    order of gl_elements, class size) pairs, in that order (memoized)."""
-    entry = _gl_table(alg, size, guard)
-    if entry[1] is None:
-        entry[1] = conjugacy_classes(alg, size, entry[0])
-    return entry[1]
-
-
-def group_order(quiver, alg, alpha, guard=GUARD):
-    alpha = _validate_alpha(quiver, alpha)
-    return prod(gl_order(alg, a, guard) for a in alpha)
-
-
-def enumerate_group(quiver, alg, alpha, guard=GUARD):
-    """Yield every element of the product of GL's, one tuple per element;
-    charges the GL scans and the |G| elements listed."""
-    alpha = _validate_alpha(quiver, alpha)
-    order = group_order(quiver, alg, alpha, guard)
-    charge(order, guard, "|G| = %d group elements" % order)
-    return product(*[gl_elements(alg, a, guard) for a in alpha])
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -166,13 +99,13 @@ def _vector_to_matrix(alg, vec, rows, cols):
 
 # -- the weighted group average ------------------------------------------
 
-def _vertex_lists(quiver, alg, alpha, guard):
+def _vertex_lists(alg, alpha, guard):
     """Per-vertex conjugacy-class representatives, their class sizes, and
-    |G|."""
-    order = group_order(quiver, alg, alpha, guard)
+    |G|, the product over the vertices of their class-size sums (the
+    classes partition each GL)."""
     classes = [gl_classes(alg, a, guard) for a in alpha]
-    return ([[rep for rep, _ in c] for c in classes],
-            [[size for _, size in c] for c in classes], order)
+    sizes = [[size for _, size in c] for c in classes]
+    return [[rep for rep, _ in c] for c in classes], sizes, prod(map(sum, sizes))
 
 
 def _det_residue_dlog(alg, m):
@@ -188,7 +121,7 @@ def _arrow_table(alg, rows, cols, guard):
     GL_rows and gs of GL_cols, as one flat list over the class index pairs
     (ct, cs) in product order; for a loop, cols None, the diagonal gt = gs
     only.  Memoized on the algebra as _arrow_data, apart from the scans in
-    _gl_data, so every arrow of these ranks reads one table in any quiver
+    the GL memo, so every arrow of these ranks reads one table in any quiver
     and orientation; its solves are charged, memoized or not.  Each entry
     is its own solve: none is copied from the transposed pair, since that
     symmetry is the orientation theorem the checks test."""
@@ -276,7 +209,7 @@ def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None)
     its count for a tuple of class representatives instead, as one factor
     on all vertices, charged one entry per tuple.  Returns (buckets, |G|)."""
     alpha = _validate_alpha(quiver, alpha)
-    reps, sizes, order = _vertex_lists(quiver, alg, alpha, guard)
+    reps, sizes, order = _vertex_lists(alg, alpha, guard)
     m, factors = char_order or 1, []
     for v, (lst, weights) in enumerate(zip(reps, sizes)):
         exponents = [_det_residue_dlog(alg, g) % m if char_order else 0 for g in lst]

@@ -3,9 +3,9 @@ its arithmetic element by element.
 
 Elements are numbered 0..|R|-1 in the order of elements(); sums, products
 and negatives are looked up in |R| x |R| tables built once per algebra.
-The GL scan, the conjugacy-class partition, the zero-fiber filter of the
-moment map and the scaling orbits of the toric oracle run on these
-indices.
+The zero-fiber filter of the moment map and the scaling orbits of the
+toric oracle run on these indices, as do the GL scan and the class
+partition in gl.py.
 
 The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel
@@ -15,10 +15,7 @@ distinct element, and the F_p system is ranked; the scaling orbits of the
 counterexample read the same blocks.
 """
 
-from collections import Counter
-from itertools import permutations, product
-
-from .multigraph import _find, _merge
+from itertools import product
 
 
 class IndexTables:
@@ -29,16 +26,24 @@ class IndexTables:
     def __init__(self, alg):
         self.ring = ring = list(alg.elements())
         self.index = index = {x: i for i, x in enumerate(ring)}
-        self.add = add = [[index[alg.add(x, y)] for y in ring] for x in ring]
-        # b_k * y from the structure constants, then x * y by linearity in x:
-        # index i > 0 counts in base p (digit k the coordinate on b_k), so x
-        # is the element at i - p^k plus b_k for its lowest nonzero digit k
-        by_basis = [[index[tuple(sum(c[t] * yj for c, yj in zip(row, y)) % alg.p
+        # Index i counts in base p, digit k the coordinate on b_k, so for
+        # i > 0 and its lowest nonzero digit k, x_i is x_(i - p^k) plus b_k.
+        # Adding b_k is the index permutation j -> j + p^k, or
+        # j - (p - 1) p^k where digit k of j is p - 1; x_i + y and x_i * y
+        # follow from row i - p^k by linearity in x.
+        p, size = alg.p, len(ring)
+        plus_basis = [[j - (p - 1) * p ** k if j // p ** k % p == p - 1 else j + p ** k
+                       for j in range(size)] for k in range(alg.dim)]
+        # b_k * y from the structure constants
+        by_basis = [[index[tuple(sum(c[t] * yj for c, yj in zip(row, y)) % p
                                  for t in range(alg.dim))] for y in ring] for row in alg.table]
-        self.mul = [[0] * len(ring)]
-        for i in range(1, len(ring)):
-            k = next(k for k in range(alg.dim) if i % alg.p ** (k + 1))
-            self.mul.append([add[a][b] for a, b in zip(self.mul[i - alg.p ** k], by_basis[k])])
+        lowest = [next(k for k in range(alg.dim) if i % p ** (k + 1)) for i in range(1, size)]
+        self.add = add = [list(range(size))]
+        for i, k in enumerate(lowest, 1):
+            add.append([plus_basis[k][j] for j in add[i - p ** k]])
+        self.mul = mul = [[0] * size]
+        for i, k in enumerate(lowest, 1):
+            mul.append([add[a][b] for a, b in zip(mul[i - p ** k], by_basis[k])])
         self.neg = [index[alg.neg(x)] for x in ring]
         self.is_unit = [alg.is_unit(x) for x in ring]
         self.zero, self.one = index[alg.zero()], index[alg.one]
@@ -148,94 +153,6 @@ def chain_nullity(alg, system):
                 by = mul[b // shift]
                 rows[k] = [add[x][by[y]] for x, y in zip(row, pivot)]
     return bd * total
-
-
-def invertible_matrices(alg, n):
-    """Every invertible n x n matrix over alg, in the order of
-    product(elements(), repeat=n*n).  The determinant is linear in the last
-    row, so each head (the first n - 1 rows) gives its signed cofactors
-    once, and the determinants of all |R|^n completions come from one
-    table pass per column."""
-    if n == 0:
-        return [()]
-    t = index_tables(alg)
-    k = len(t.ring)
-    rows = list(product(range(k), repeat=n))
-    row_elements = [tuple(t.ring[i] for i in row) for row in rows]
-    out = []
-    for head in product(range(len(rows)), repeat=n - 1):
-        flat = tuple(i for h in head for i in rows[h])
-        dets = [t.zero]
-        for j in range(n):
-            minor = tuple(flat[r * n + c] for r in range(n - 1) for c in range(n) if c != j)
-            cofactor = t.det(minor, n - 1)
-            by = t.mul[cofactor if (n - 1 + j) % 2 == 0 else t.neg[cofactor]]
-            dets = [t.add[d][by[x]] for d in dets for x in range(k)]
-        prefix = tuple(row_elements[h] for h in head)
-        out.extend(prefix + (row_elements[r],) for r, d in enumerate(dets) if t.is_unit[d])
-    return out
-
-
-def conjugacy_classes(alg, n, elements):
-    """Union-find over `elements`, all of GL_n(alg), joining each g with
-    s g s^-1 for every generator s: E_ij(1) = 1 + e_ij, and diag(u, 1, ...,
-    1) for u in a generating set of the units.  Each part lies in one
-    conjugacy class whatever the s, so a sum over parts weighted by their
-    sizes is exact.  Over a local ring the s generate GL_n, so the parts
-    are the classes: they give every E_ij(u) with u a unit, each r is a
-    unit or 1 + r is, so E_ij(r) = E_ij(1 + r) E_ij(-1), and E_n(R) =
-    SL_n(R).  Matrices are conjugated as flat tuples of element indices
-    through |R| x |R| index tables."""
-    if n < 2:       # GL_0 and GL_1 are abelian
-        return [(m, 1) for m in elements]
-    t = index_tables(alg)
-    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
-
-    def powers(u):
-        out, x = [one], u
-        while x != one:
-            out.append(x)
-            x = mul[x][u]
-        return out
-
-    # Largest order first, so a cyclic R^x needs one generator; R^x is
-    # abelian, so the subgroup <H, u> is H<u>.
-    unit_gens, reached = [], {one}
-    units = (u for u, unit in enumerate(t.is_unit) if unit)
-    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
-        if u not in reached:
-            unit_gens.append(ring[u])
-            reached = {mul[x][y] for x in reached for y in powers(u)}
-
-    def times(x):
-        return mul[index[x]]
-
-    # Each conjugation g -> s g s^-1 as steps m[a] += c * m[b], in order:
-    # for 1 + e_ij, row i += row j, then column j -= column i; for
-    # diag(u, 1, ..., 1), row 0 *= u, then column 0 *= u^-1, each entry
-    # scaled as m[a] += (u - 1) * m[a].
-    plus, minus = mul[one], mul[t.neg[one]]
-    conjugations = [[(i * n + k, j * n + k, plus) for k in range(n)]
-                    + [(k * n + j, k * n + i, minus) for k in range(n)]
-                    for i, j in permutations(range(n), 2)]
-    for u in unit_gens:
-        u_minus_1, u_inv_minus_1 = alg.sub(u, alg.one), alg.sub(alg.inverse(u), alg.one)
-        conjugations.append([(k, k, times(u_minus_1)) for k in range(n)]
-                            + [(k * n, k * n, times(u_inv_minus_1)) for k in range(n)])
-
-    def conjugates(g):
-        for steps in conjugations:
-            m = list(g)
-            for target, source, by in steps:
-                m[target] = add[m[target]][by[m[source]]]
-            yield tuple(m)
-
-    flat = [tuple(index[x] for row in m for x in row) for m in elements]
-    position = {g: k for k, g in enumerate(flat)}
-    parent = list(range(len(flat)))
-    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
-    sizes = Counter(_find(parent, k) for k in range(len(flat)))
-    return [(elements[root], count) for root, count in sorted(sizes.items())]
 
 
 def vanishing_points(alg, matrices, sums):

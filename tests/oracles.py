@@ -17,13 +17,13 @@ from quivercount.cyclotomic import root_sum
 from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra, mat_mul
 from quivercount.genfun import r_genfun
+from quivercount.gl import _validate_alpha, enumerate_group, group_order
 from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
-from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _validate_alpha,
-                                 _vector_to_matrix, _vertex_lists, _whole_zero_fiber,
-                                 double_quiver, enumerate_group, fix_nullity, group_order)
+from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _vector_to_matrix,
+                                 _vertex_lists, _whole_zero_fiber, double_quiver, fix_nullity)
 from quivercount.ring_tables import vanishing_points
 from quivercount.toric import check_depth_function, r_d_polynomial
 
@@ -561,7 +561,7 @@ def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
     exponent is the log of the residue of each cofactor determinant to
     the base generator, a primitive root (default primitive_element()),
     read from residue_logs."""
-    reps, sizes, order = _vertex_lists(quiver, alg, tuple(alpha), guard)
+    reps, sizes, order = _vertex_lists(alg, _validate_alpha(quiver, alpha), guard)
     m = char_order or 1
     exponents = [[0] * len(lst) for lst in reps]
     if char_order:

@@ -9,8 +9,7 @@ from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         make_field, make_field_ext,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_mul, ring_from_spec,
-                                        truncated_depth, truncated_generator,
-                                        truncated_valuation)
+                                        truncated_generator)
 from quivercount.multigraph import GuardError
 from quivercount.ring_tables import IndexTables, index_tables
 from oracles import (dual_numbers_by_blocks, mat_det, mat_identity, mat_inverse,
@@ -52,26 +51,17 @@ def test_truncated_ring():
         make_truncated(make_truncated(make_prime_field(2), 2), 2)
 
 
-def test_truncated_depth_and_valuation():
+def test_truncated_generator():
     k3 = make_truncated(make_prime_field(2), 3)
     t = truncated_generator(k3)
     t2 = k3.mul(t, t)
-    assert truncated_valuation(k3, k3.one) == 0
-    assert truncated_valuation(k3, t) == 1
-    assert truncated_valuation(k3, k3.zero()) == 3
-    assert truncated_depth(k3, k3.one) == 3
-    assert truncated_depth(k3, t) == 2
-    assert truncated_depth(k3, t2) == 1
-    with pytest.raises(ValueError):
-        truncated_depth(k3, k3.zero())
+    assert k3.zero() not in (t, t2) and k3.mul(t, t2) == k3.zero()
     # rings not built by make_truncated with d >= 2 have no generator t
     f2 = make_prime_field(2)
     for ring in (make_dual_numbers(f2), make_square_zero(f2, 1), make_truncated(f2, 1)):
-        for call in (lambda: truncated_generator(ring), lambda: truncated_valuation(ring, ring.one),
-                     lambda: truncated_depth(ring, ring.one)):
-            with pytest.raises(ValueError, match=re.escape("%s was not built by make_truncated"
-                                                           % ring.name)):
-                call()
+        with pytest.raises(ValueError, match=re.escape("%s was not built by make_truncated"
+                                                       % ring.name)):
+            truncated_generator(ring)
 
 
 def test_dual_numbers():
@@ -331,8 +321,10 @@ TABLE_RINGS = [alg for alg in
 
 @pytest.mark.parametrize("alg", TABLE_RINGS, ids=lambda alg: alg.name)
 def test_index_tables_products_equal_the_algebra_product(alg):
-    # the table is filled by linearity; every entry against FiniteAlgebra.mul
+    # the tables are filled by linearity; every entry against FiniteAlgebra.mul
+    # and FiniteAlgebra.add
     t = IndexTables(alg)
     assert t.ring == list(alg.elements())
-    for x, row in zip(t.ring, t.mul):
+    for x, row, sums in zip(t.ring, t.mul, t.add):
         assert [t.ring[i] for i in row] == [alg.mul(x, y) for y in t.ring]
+        assert [t.ring[i] for i in sums] == [alg.add(x, y) for y in t.ring]

@@ -4,9 +4,9 @@ import pytest
 
 from quivercount.families import (all_connected_multigraphs, banana_graph, cycle_graph,
                                   loops_graph, path_graph, point_graph)
-from quivercount.genfun import (_series_numerator, a_genfun, check_duality, check_recursion,
-                                convolve, cvector_of_filtration, epsilon1_char,
-                                epsilon_char, eulerian_numbers, psi_char,
+from quivercount.genfun import (GraphChar, _series_numerator, a_genfun, check_duality,
+                                check_recursion, convolve, cvector_of_filtration,
+                                epsilon1_value, epsilon_value, eulerian_numbers, psi_char,
                                 psi_inverse_char, q_eulerian, r_d_char,
                                 r_d_via_convolution, r_genfun, r_of_cvector)
 from quivercount.multigraph import GuardError, Multigraph, strict_filtrations
@@ -103,10 +103,11 @@ def test_convolution_examples():
     assert convolve(psi_inverse_char(1), psi_char(1))(c3) == QPoly()
     assert convolve(psi_inverse_char(1), psi_char(1))(point_graph()) == QPoly.const(1)
     # epsilon is the unit of convolution
-    for char in [psi_char(1), r_d_char(2), epsilon1_char()]:
+    eps = GraphChar("eps", epsilon_value)
+    for char in [psi_char(1), r_d_char(2), GraphChar("eps1", epsilon1_value)]:
         for g in [c3, banana_graph(2), loops_graph(2)]:
-            assert convolve(epsilon_char(), char)(g) == char(g)
-            assert convolve(char, epsilon_char())(g) == char(g)
+            assert convolve(eps, char)(g) == char(g)
+            assert convolve(char, eps)(g) == char(g)
 
 
 def test_convolution_associativity():
@@ -120,9 +121,10 @@ def test_convolution_associativity():
 def test_iterated_loop_join_count():
     # the k-fold convolution of the all-loops indicator distributes the m
     # loops over k ordered layers: value k^m on a bouquet, 0 elsewhere
-    char = epsilon1_char()
+    eps1 = GraphChar("eps1", epsilon1_value)
+    char = eps1
     for _ in range(3):
-        char = convolve(char, epsilon1_char())
+        char = convolve(char, eps1)
     for m in range(0, 4):
         assert char(loops_graph(m)) == QPoly.const(4 ** m)
     assert char(path_graph(2)) == QPoly()

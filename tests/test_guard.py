@@ -13,11 +13,10 @@ from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycl
 from quivercount.finite_algebra import make_prime_field, make_truncated
 from quivercount.genfun import (a_genfun, check_duality, check_recursion, convolve, psi_char,
                                 q_eulerian, r_d_via_convolution, r_genfun)
+from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
 from quivercount.multigraph import GUARD, GuardError, strict_filtrations
-from quivercount.repenum import (a_count, a_preproj, counterexample_counts, enumerate_group,
-                                 fourier_fiber_count, gl_classes, gl_elements, gl_order,
-                                 group_order, m_count, m_preproj, stabilizer_order,
-                                 toric_ai_orbit_count)
+from quivercount.repenum import (a_count, a_preproj, counterexample_counts, fourier_fiber_count,
+                                 m_count, m_preproj, stabilizer_order, toric_ai_orbit_count)
 from quivercount.toric import a_d_polynomial, r_d_on_components, r_d_polynomial
 from oracles import connected_spanning_subgraphs, mat_identity, preproj_orbit_partition
 

@@ -16,6 +16,11 @@ def _labelled(graphs):
     return [(g.n, g.edges) for g in graphs]
 
 
+def _labeled_key(g):
+    """The vertex count and the sorted (id, end, end) triples of the edges."""
+    return g.n, sorted((e, min(u, v), max(u, v)) for e, u, v in g.edges)
+
+
 def test_enumeration_equals_the_multiset_scan():
     for k in range(5):
         assert _labelled(all_connected_multigraphs(k)) == \
@@ -87,7 +92,7 @@ def test_spanning_subgraph_examples():
     c3 = cycle_graph(3)
     g = c3.spanning_subgraph([1])
     assert g.n == 3 and g.edge_count() == 1 and g.b1() == 0
-    assert c3.spanning_subgraph([1, 2, 3]).labeled_key() == c3.labeled_key()
+    assert _labeled_key(c3.spanning_subgraph([1, 2, 3])) == _labeled_key(c3)
     g = c3.spanning_subgraph([])
     assert g.n == 3 and g.edge_count() == 0
     with pytest.raises(ValueError):
@@ -173,7 +178,7 @@ def test_contract_composition_on_disjoint_subsets():
             b = frozenset(rest[i] for i in range(len(rest)) if mask_b >> i & 1)
             lhs = g.contract(a | b)
             rhs = g.contract(a).contract(b)
-            assert lhs.n == rhs.n and lhs.labeled_key() == rhs.labeled_key()
+            assert lhs.n == rhs.n and _labeled_key(lhs) == _labeled_key(rhs)
 
 
 def test_b1_of_contraction_matches_graph_construction():
@@ -199,7 +204,7 @@ def test_quiver_orientations():
     assert q.arrows() == ((1, 1, 2), (2, 2, 3), (3, 3, 1))
     flipped = q.flip([2])
     assert flipped.arrows()[1] == (2, 3, 2)
-    assert flipped.graph.labeled_key() == q.graph.labeled_key()
+    assert _labeled_key(flipped.graph) == _labeled_key(q.graph)
     assert len(list(q.all_orientations())) == 8
     loop = Quiver.from_edges(1, [(1, 1)])
     assert len(list(loop.all_orientations())) == 1

@@ -30,12 +30,12 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: 
                                         make_prime_field, make_square_zero, make_truncated)
 from quivercount.genfun import (_series_numerator, a_genfun,  # noqa: E402
                                 cvector_of_filtration, r_genfun)
+from quivercount.gl import gl_classes, gl_elements, group_order  # noqa: E402
 from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
-                                 fix_nullity, gl_classes, gl_elements, group_order, m_count,
-                                 m_preproj)
+                                 fix_nullity, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
                      class_tuple_buckets, cvector_by_unions, den_by_powers, depth_function_sum,
@@ -243,7 +243,7 @@ def test_series_numerator_equals_the_row_pass(den, data):
 
 
 # q-only polynomials: the T^0 slice of a Laurent polynomial in (q, T)
-qpolys = laurent_qt.map(lambda p: p.t_coefficient(0))
+qpolys = laurent_qt.map(lambda p: p.t_coefficients().get(0, QPoly()))
 
 
 @PROPERTY

@@ -8,11 +8,11 @@ from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
 from quivercount.finite_algebra import (make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_mul, truncated_generator)
+from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
 from quivercount.repenum import (_burnside, _group_average, _whole_zero_fiber, a_count,
                                  a_preproj, counterexample_counts, double_quiver,
-                                 enumerate_group, fourier_fiber_count, gl_classes, gl_elements,
-                                 gl_order, group_order, m_count, m_preproj, stabilizer_order,
+                                 fourier_fiber_count, m_count, m_preproj, stabilizer_order,
                                  toric_ai_orbit_count, toric_point)
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets, fix_count,
                      mat_det, mat_identity, mat_inverse, moment_map, preproj_by_filter,

@@ -57,10 +57,11 @@ def test_no_module_outgrows_the_largest():
     # Without cached bytecode every interpreter compiles the package from
     # source, and the benchmark's peak_rss_mb follows the size of the
     # largest module (the FOUND line on peak_rss_mb in CHANGES.md).  So no
-    # module may grow past repenum.py's 652 lines; a growth fails here,
-    # naming the module, instead of at the benchmark gate.
+    # module may grow past 652 lines; a growth fails here, naming the
+    # module, instead of at the benchmark gate.
     lengths = {path.name: len(path.read_text().splitlines()) for path in SOURCE.glob("*.py")}
     assert {name: n for name, n in lengths.items() if n > 652} == {}
+
 
 def test_one_guard():
     # One guard mechanism: multigraph.charge is the only code that raises
@@ -83,8 +84,31 @@ def test_one_guard():
     assert raises == [] and names == []
 
 
+def test_one_gl_module():
+    # One GL enumeration: gl.py alone scans and partitions GL_n(R) and keeps
+    # the _gl_data memo on each algebra.  No other module defines or calls
+    # the scan, the partition or the memo lookup, or names the memo.
+    scan = {"invertible_matrices", "conjugacy_classes", "_gl_table"}
+    defined, found = set(), []
+    for name, tree in _parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                used = node.name
+                if name == "gl.py":
+                    defined.add(used)
+            elif isinstance(node, ast.Call):
+                used = ast.unparse(node.func).rpartition(".")[2]
+            else:
+                continue
+            if used in scan and name != "gl.py":
+                found.append("%s:%d %s" % (name, node.lineno, used))
+    found += [path.name for path in SOURCE.glob("*.py")
+              if path.name != "gl.py" and "_gl_data" in path.read_text()]
+    assert scan <= defined and found == []
+
+
 def test_src_line_budget():
     # ROADMAP aim 2: the same behaviour from the least code, which shows as
     # fewer lines in src/.  Lower the budget as src/ shrinks; never raise it.
     total = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
-    assert total <= 3632, total
+    assert total <= 3604, total
