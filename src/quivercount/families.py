@@ -22,8 +22,6 @@ def cycle_graph(n):
     """C_n: vertices 1..n, edge i -- i+1 (mod n).  C_1 is a single loop."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n == 1:
-        return Multigraph(1, [(1, 1, 1)])
     return Multigraph(n, [(i, i, i % n + 1) for i in range(1, n + 1)])
 
 
@@ -54,8 +52,6 @@ def point_graph():
 
 def cycle_quiver(n):
     g = cycle_graph(n)
-    if n == 1:
-        return Quiver(g, {1: (1, 1)})
     return Quiver(g, {i: (i, i % n + 1) for i in range(1, n + 1)})
 
 
@@ -132,11 +128,7 @@ def random_connected_multigraph(rng, max_edges=5):
     while True:
         e = rng.randint(1, max_edges)
         n = rng.randint(1, e + 1)
-        edges = []
-        for i in range(e):
-            u = rng.randint(1, n)
-            v = rng.randint(1, n)
-            edges.append((i + 1, min(u, v), max(u, v)))
+        edges = [(i + 1, *sorted((rng.randint(1, n), rng.randint(1, n)))) for i in range(e)]
         g = Multigraph(n, edges)
         if g.is_connected():
             return g

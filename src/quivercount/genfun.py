@@ -8,16 +8,17 @@ come from the steps of toric._r_d_table over a known denominator.  Both
 satisfy an inversion identity under (q, T) -> (1/q, 1/T), verified here by
 exact substitution.
 
-Characters are functions on multigraphs, multiplicative over disjoint
-union and one-point join, with convolution
-(f * g)(Gamma) = sum over edge subsets A of f(Gamma[A]) * g(Gamma/A).
+Characters are functions on multigraphs, multiplicative over disjoint union
+and one-point join, with convolution (f * g)(Gamma) = sum over edge subsets
+A of f(Gamma[A]) * g(Gamma/A), summed over intervals of Gamma's subset lattice.
 """
 
 from collections import Counter
+from functools import cached_property
 from math import comb
 
 from .multigraph import GUARD, charge, strict_filtrations
-from .polynomials import QPoly, QTPoly, times_t_factors
+from .polynomials import QPoly, QTPoly, _integer, times_t_factors
 from .ratfun import RatQT
 from .toric import _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
 
@@ -72,9 +73,8 @@ def r_genfun(gamma, guard=GUARD):
     number Fubini(|E|) strict_filtrations charges up front."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
-    weights = Counter()
-    for chain in strict_filtrations(gamma.edge_ids(), guard):
-        weights[cvector_of_filtration(gamma, chain)] += 1
+    weights = Counter(cvector_of_filtration(gamma, chain)
+                      for chain in strict_filtrations(gamma.edge_ids(), guard))
     gamma._outside_b1 = None    # so that a cached graph does not keep this walk's sets
     return RatQT.sum(weights[c] * r_of_cvector(c) for c in sorted(weights))
 
@@ -113,12 +113,13 @@ class GraphChar:
     recomputing repeated subgraph evaluations.
     """
 
-    __slots__ = ("name", "fn", "_memo")
+    __slots__ = ("name", "fn", "_memo", "_on_interval")
 
     def __init__(self, name, fn):
         self.name = name
         self.fn = fn
         self._memo = {}
+        self._on_interval = None    # set by psi and convolutions, see _interval
 
     def __call__(self, g):
         key = g.canonical_key()
@@ -133,17 +134,31 @@ class GraphChar:
     def __repr__(self):
         return "GraphChar(%s)" % self.name
 
+    def _interval(self, lattice, lo, hi):
+        """The value on the minor Gamma[hi]/lo of a _Lattice, built if need be."""
+        if self._on_interval is not None:
+            return self._on_interval(lattice, lo, hi)
+        return self(lattice._minor(lo, hi))
+
+
+def _psi(name, k, sign):
+    """Gamma -> sign^#E * q^(k * b1(Gamma)); on the interval [lo, hi] of a
+    lattice #E = |hi - lo| and b1 = b1(hi) - b1(lo), with no minor built."""
+    k = _integer(k, "psi exponent")
+    char = GraphChar(name % k, lambda g: QPoly.monomial(k * g.b1(), sign ** (g.edge_count() % 2)))
+    char._on_interval = lambda lattice, lo, hi: QPoly.monomial(
+        k * (lattice.b1[hi] - lattice.b1[lo]), sign ** ((hi ^ lo).bit_count() % 2))
+    return char
+
 
 def psi_char(k=1):
     """Gamma -> q^(k * b1(Gamma)); k may be negative (Laurent values)."""
-    return GraphChar("psi(q^%d)" % k, lambda g: QPoly.monomial(k * g.b1()))
+    return _psi("psi(q^%d)", k, 1)
 
 
 def psi_inverse_char(k=1):
     """Gamma -> (-1)^#E * q^(k * b1); the convolution inverse of psi."""
-    return GraphChar(
-        "(-1)^E*psi(q^%d)" % k,
-        lambda g: QPoly.monomial(k * g.b1(), (-1) ** (g.edge_count() % 2)))
+    return _psi("(-1)^E*psi(q^%d)", k, -1)
 
 
 def r_d_char(d):
@@ -151,19 +166,53 @@ def r_d_char(d):
     return GraphChar("R_%d" % d, lambda g: r_d_on_components(g, d))
 
 
-def convolve(f, g, guard=GUARD):
-    """(f * g)(Gamma) = sum over A of f(Gamma[A]) * g(Gamma/A)."""
-    def evaluate(graph):
-        ids = sorted(graph.edge_ids())
-        charge(1 << len(ids), guard,
-               "2^%d = %d convolution terms" % (len(ids), 1 << len(ids)))
-        total = QPoly()
-        for mask in range(1 << len(ids)):
-            a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-            total = total + f(graph.spanning_subgraph(a)) * g(graph.contract(a))
-        return total
+class _Lattice:
+    """The edge subsets of one graph as bitmasks over its sorted ids, lo <= hi
+    standing for the minor Gamma[hi]/lo; memo lives for one evaluation."""
 
-    return GraphChar("(%s*%s)" % (f.name, g.name), evaluate)
+    def __init__(self, graph):
+        self.graph, self.ids, self.memo = graph, sorted(graph.edge_ids()), {}
+        self.top = (1 << len(self.ids)) - 1
+
+    @cached_property
+    def b1(self):       # first read after the top interval has charged its terms
+        return self.graph.subset_b1(self.ids)
+
+    def _minor(self, lo, hi):
+        g = self.graph if hi == self.top else self.graph.spanning_subgraph(self._edges(hi))
+        return g.contract(self._edges(lo)) if lo else g
+
+    def _edges(self, mask):
+        return [e for i, e in enumerate(self.ids) if mask >> i & 1]
+
+
+def convolve(f, g, guard=GUARD):
+    """(f * g)(Gamma) = sum over A of f(Gamma[A]) * g(Gamma/A): the value on
+    the top interval of Gamma's lattice, where (f * g)([lo, hi]) is the sum
+    over lo <= c <= hi of f([lo, c]) * g([c, hi]), charged as 2^k terms for
+    the k edges of hi - lo and memoized per interval."""
+    if not (isinstance(f, GraphChar) and isinstance(g, GraphChar)):
+        raise TypeError("convolve needs two GraphChar operands, got %r and %r" % (f, g))
+
+    def interval(lattice, lo, hi):
+        value = lattice.memo.get((interval, lo, hi))
+        if value is None:
+            free = hi ^ lo
+            k = free.bit_count()
+            charge(1 << k, guard, "2^%d = %d convolution terms" % (k, 1 << k))
+            value, c = QPoly(), hi
+            while True:
+                value = value + f._interval(lattice, lo, c) * g._interval(lattice, c, hi)
+                if c == lo:
+                    break
+                c = lo | ((c ^ lo) - 1) & free      # the next c, down to lo
+            lattice.memo[interval, lo, hi] = value
+        return value
+
+    char = GraphChar("(%s*%s)" % (f.name, g.name),
+                     lambda graph: interval(_Lattice(graph), 0, (1 << graph.edge_count()) - 1))
+    char._on_interval = interval
+    return char
 
 
 def r_d_via_convolution(gamma, d, guard=GUARD):
@@ -187,15 +236,13 @@ def check_recursion(gamma, guard=GUARD):
     R(gamma/A, q, q^b1(gamma[A]) T), exactly as rational functions."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
-    ids = sorted(gamma.edge_ids())
-    charge(1 << len(ids), guard, "2^%d = %d recursion terms" % (len(ids), 1 << len(ids)))
+    lattice = _Lattice(gamma)
+    top = lattice.top
+    charge(top + 1, guard, "2^%d = %d recursion terms" % (len(lattice.ids), top + 1))
     lhs = r_genfun(gamma, guard)
-    terms = [epsilon_value(gamma)]
-    for mask in range(1 << len(ids)):
-        a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        scale = gamma.spanning_subgraph(a).b1()
-        terms.append(r_genfun(gamma.contract(a), guard).subs_t_scale(scale).t_shift(1))
-    return lhs == RatQT.sum(terms)
+    terms = [r_genfun(lattice._minor(a, top), guard).subs_t_scale(lattice.b1[a]).t_shift(1)
+             for a in range(top + 1)]
+    return lhs == RatQT.sum([epsilon_value(gamma)] + terms)
 
 
 def check_duality(g, which, guard=GUARD):
@@ -238,23 +285,15 @@ def eulerian_numbers(n):
         raise ValueError("n >= 1 required")
     row = [1]
     for size in range(2, n + 1):
-        prev = row
-        row = [0] * size
-        for j in range(size):
-            left = prev[j - 1] if 0 <= j - 1 < len(prev) else 0
-            here = prev[j] if j < len(prev) else 0
-            row[j] = (size - j) * left + (j + 1) * here
-    return row[:n]
+        padded = [0] + row + [0]
+        row = [(size - j) * padded[j] + (j + 1) * padded[j + 1] for j in range(size)]
+    return row
 
 
 def binomial_qseries_identity(m):
     """Check sum_{i=0}^m C(m,i) (q-1)^i F_i(q,T)/(T)_{i+1} = q^m/(1-q^m T)
     with the i = 0 term read as 1/(1-T)."""
     qm1 = QPoly({1: 1, 0: -1})
-    total = RatQT(QTPoly.const(1), {0: 1})
-    for i in range(1, m + 1):
-        f_i = q_eulerian(i)
-        term = RatQT(f_i * (qm1 ** i * comb(m, i)), Counter(range(i + 1)))
-        total = total + term
-    rhs = RatQT(QTPoly.monomial(m, 0), {m: 1})
-    return total == rhs
+    terms = [RatQT(q_eulerian(i) * (qm1 ** i * comb(m, i)), Counter(range(i + 1)))
+             for i in range(1, m + 1)]
+    return RatQT.sum([RatQT.geometric(0)] + terms) == RatQT(QTPoly.monomial(m, 0), {m: 1})

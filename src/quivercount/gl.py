@@ -10,20 +10,14 @@ algebra's _gl_data dict.
 from collections import Counter
 from itertools import permutations, product
 from math import prod
-from operator import index
 
 from .multigraph import GUARD, _find, _merge, charge
+from .polynomials import _integer
 from .ring_tables import index_tables
 
 
 def _validate_alpha(quiver, alpha):
-    ranks = []
-    for a in alpha:
-        try:
-            ranks.append(index(a))      # a float or a string is refused, not truncated
-        except TypeError:
-            raise ValueError("rank %r is not an integer" % (a,)) from None
-    alpha = tuple(ranks)
+    alpha = tuple(_integer(a, "rank") for a in alpha)
     if len(alpha) != quiver.n:
         raise ValueError("rank vector length %d != vertex count %d" % (len(alpha), quiver.n))
     if any(a < 0 for a in alpha) or not any(alpha):

@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import comb
 from operator import index
 
-from .polynomials import QTPoly
+from .polynomials import QTPoly, _integer
 
 GUARD = 1 << 24
 
@@ -32,12 +32,7 @@ class Multigraph:
 
     def __init__(self, vertex_count, edges):
         """edges: iterable of (edge_id, u, v) with 1 <= u, v <= vertex_count."""
-        # operator.index refuses a float or a string, which int() would
-        # truncate or parse
-        try:
-            self.n = index(vertex_count)
-        except TypeError:
-            raise ValueError("vertex count %r is not an integer" % (vertex_count,)) from None
+        self.n = _integer(vertex_count, "vertex count")
         if self.n < 0:
             raise ValueError("vertex_count must be >= 0")
         try:
@@ -76,14 +71,8 @@ class Multigraph:
                 raise ValueError("unknown edge id %r" % (e,))
         return a
 
-    def component_labels(self):
-        """Map vertex -> smallest vertex in its connected component."""
-        parent = list(range(self.n + 1))
-        _merge(parent, ((u, v) for _, u, v in self.edges))
-        return {v: _find(parent, v) for v in range(1, self.n + 1)}
-
     def component_count(self):
-        return len(set(self.component_labels().values()))
+        return self.n - _merge(list(range(self.n + 1)), ((u, v) for _, u, v in self.edges))
 
     def is_connected(self):
         return self.n <= 1 or self.component_count() == 1
@@ -96,10 +85,6 @@ class Multigraph:
         """Keep all vertices, restrict edges to the subset a."""
         a = self._check_subset(a)
         return Multigraph(self.n, [t for t in self.edges if t[0] in a])
-
-    def delete_edges(self, a):
-        a = self._check_subset(a)
-        return Multigraph(self.n, [t for t in self.edges if t[0] not in a])
 
     def contract(self, a):
         """Contract every edge in a; loops in a are deleted without merging.
@@ -130,12 +115,9 @@ class Multigraph:
         Equals b1(self) - b1_of_contraction(subset); each entry costs one
         union-find pass over at most len(ids) edges.
         """
-        ends = [self.endpoints(e) for e in ids]
-        table = []
-        for mask in range(1 << len(ids)):
-            pairs = [ends[i] for i in range(len(ends)) if mask >> i & 1]
-            table.append(len(pairs) - _merge(list(range(self.n + 1)), pairs))
-        return table
+        ends = list(enumerate(self.endpoints(e) for e in ids))
+        subsets = ([p for i, p in ends if mask >> i & 1] for mask in range(1 << len(ids)))
+        return [len(pairs) - _merge(list(range(self.n + 1)), pairs) for pairs in subsets]
 
     def _b1_outside(self, f):
         """b1 of the spanning subgraph on the edges outside the frozenset f,
@@ -250,9 +232,9 @@ def _tutte_key(key):
     if not g.edges:
         return QTPoly.const(1, vars=("x", "y"))
     eid, u, v = g.edges[0]
+    deleted = g.spanning_subgraph(g.edge_ids()[1:])
     if u == v:
-        return QTPoly.monomial(0, 1, vars=("x", "y")) * _tutte_key(g.delete_edges([eid]).canonical_key())
-    deleted = g.delete_edges([eid])
+        return QTPoly.monomial(0, 1, vars=("x", "y")) * _tutte_key(deleted.canonical_key())
     if deleted.component_count() > g.component_count():
         # bridge
         return QTPoly.monomial(1, 0, vars=("x", "y")) * _tutte_key(g.contract([eid]).canonical_key())

@@ -11,6 +11,16 @@ divides by synthetic division, exactly or as a power series.
 """
 
 from fractions import Fraction
+from operator import index
+
+
+def _integer(x, what):
+    """x as an int, or ValueError naming it by what: operator.index refuses
+    a float or a string, which int() would truncate or parse."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError("%s %r is not an integer" % (what, x)) from None
 
 
 class _Laurent:
@@ -119,7 +129,7 @@ class QPoly(_Laurent):
 
     @classmethod
     def monomial(cls, exp, c=1):
-        return cls({exp: c})
+        return cls({_integer(exp, "exponent"): c})
 
     def _powers(self, e):
         return (("q", e),)
@@ -141,9 +151,6 @@ class QPoly(_Laurent):
     def degree(self):
         """Largest exponent; None for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else None
-
-    def valuation(self):
-        return min(self.coeffs) if self.coeffs else None
 
     def leading_coefficient(self):
         return self.coeffs[self.degree()] if self.coeffs else 0
@@ -184,7 +191,7 @@ class QTPoly(_Laurent):
 
     @classmethod
     def monomial(cls, i, j, c=1, vars=("q", "T")):
-        return cls({(i, j): c}, vars)
+        return cls({(_integer(i, "exponent"), _integer(j, "exponent")): c}, vars)
 
     @classmethod
     def from_qpoly(cls, p, vars=("q", "T")):

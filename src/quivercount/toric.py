@@ -151,14 +151,9 @@ def toric_type_orbit_data(gamma, r, d):
         raise ValueError("gamma must be connected")
     check_depth_function(gamma, r, d)
     ids = sorted(gamma.edge_ids())
-    n = gamma.n
-    b1 = gamma.b1()
-    m = len(ids)
+    n, b1 = gamma.n, gamma.b1()
 
-    dtilde = 0
-    delta_simplified = 0
-    delta_unsimplified = 0
-    prev_size = 0
+    dtilde = delta_simplified = delta_unsimplified = prev_size = 0
     for k in range(1, d + 1):
         shallow = [e for e in ids if r[e] <= k]
         delta_unsimplified += (k - 1) * (len(shallow) - prev_size)
@@ -176,7 +171,7 @@ def toric_type_orbit_data(gamma, r, d):
 
     qm1 = QPoly({1: 1, 0: -1})
     stab = QPoly.monomial(dtilde + d - 1) * qm1
-    reps = qm1 ** m * QPoly.monomial(sum(r[e] - 1 for e in ids))
+    reps = qm1 ** len(ids) * QPoly.monomial(sum(r[e] - 1 for e in ids))
     orbits = qm1 ** b1 * QPoly.monomial(delta_simplified)
     group = (QPoly.monomial(d - 1) * qm1) ** n
     if reps * stab != orbits * group:

@@ -28,10 +28,6 @@ from .toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_polynomial,
                     toric_type_orbit_data)
 
 
-def _qp(pairs):
-    return QPoly(dict(pairs))
-
-
 def _qt(triples):
     return QTPoly({(i, j): c for i, j, c in triples})
 
@@ -45,7 +41,7 @@ def _rat(triples, den):
 def check_polynomial_identities():
     checks = []
     checks.append(("A_2 of the triangle is q^2 + 6q + 5",
-                   a_d_polynomial(cycle_graph(3), 2) == _qp({2: 1, 1: 6, 0: 5})))
+                   a_d_polynomial(cycle_graph(3), 2) == QPoly({2: 1, 1: 6, 0: 5})))
     checks.append(("cycle closed form matches the subgraph sum, n <= 5, d <= 4",
                    all(a_d_polynomial(cycle_graph(n), d) == a_d_cyclic_closed_form(n, d)
                        for n in range(1, 6) for d in range(1, 5))))
@@ -116,9 +112,9 @@ def check_genfun_tables():
     checks.append(("q-Eulerian numerators F_1..F_4",
                    all(q_eulerian(m) == _qt(triples) for m, triples in _QEULERIAN.items())))
     checks.append(("T^2 coefficient of A(triangle) is q^2 + 6q + 5",
-                   a_genfun(cycle_graph(3)).series_coefficient(2) == _qp({2: 1, 1: 6, 0: 5})))
+                   a_genfun(cycle_graph(3)).series_coefficient(2) == QPoly({2: 1, 1: 6, 0: 5})))
     checks.append(("T^2 coefficient of R(double edge) is q + 3",
-                   r_genfun(banana_graph(2)).series_coefficient(2) == _qp({1: 1, 0: 3})))
+                   r_genfun(banana_graph(2)).series_coefficient(2) == QPoly({1: 1, 0: 3})))
     checks.append(("coefficients of 1/(1-T) are all 1",
                    all(RatQT.geometric(0).series_coefficient(d) == QPoly.const(1)
                        for d in range(6))))
@@ -180,9 +176,9 @@ def check_tutte():
     checks.append(("defect series: T^2 coefficient vanishes",
                    diff.series_coefficient(2) == QPoly()))
     checks.append(("defect series: T^3 coefficient is 2q + 1",
-                   diff.series_coefficient(3) == _qp({1: 2, 0: 1})))
+                   diff.series_coefficient(3) == QPoly({1: 2, 0: 1})))
     checks.append(("defect series: T^4 coefficient is 2q^2 + 4q + 2",
-                   diff.series_coefficient(4) == _qp({2: 2, 1: 4, 0: 2})))
+                   diff.series_coefficient(4) == QPoly({2: 2, 1: 4, 0: 2})))
     return checks
 
 
@@ -257,7 +253,7 @@ def check_toric_oracle():
 def _orbit_table_rows():
     tri = cycle_graph(3)
     two = tri.spanning_subgraph([1, 2])
-    qm1 = _qp({1: 1, 0: -1})
+    qm1 = QPoly({1: 1, 0: -1})
     q = QPoly.q()
     rows = [
         (tri, {1: 2, 2: 2, 3: 2}, 1, q * qm1, q ** 3 * qm1 ** 3, q * qm1),
@@ -277,7 +273,7 @@ def check_orbit_table():
     checks = [("all seven depth-type rows for the triangle at d = 2",
                all(toric_type_orbit_data(g, r, 2) == (stab, reps, orbits)
                    for g, r, _, stab, reps, orbits in rows)),
-              ("row multiplicities resum to q^2 + 6q + 5", total == _qp({2: 1, 1: 6, 0: 5}))]
+              ("row multiplicities resum to q^2 + 6q + 5", total == QPoly({2: 1, 1: 6, 0: 5}))]
     ring = make_truncated(make_prime_field(2), 2)
     quiver = cycle_quiver(3)
     ones = toric_point(quiver, {e: ring.one for e in (1, 2, 3)})
@@ -444,15 +440,8 @@ EXTRA = [check_structural, check_toric_oracle, check_frobenius]
 
 def run_suite(name, slow=False):
     """Run a named suite; returns a list of (label, passed)."""
-    if name == "all":
-        fns = []
-        seen = set()
-        for group in SUITES.values():
-            for fn in group:
-                if fn not in seen:
-                    seen.add(fn)
-                    fns.append(fn)
-        fns.extend(EXTRA)
+    if name == "all":       # every suite's checks once each, in suite order, then EXTRA
+        fns = list(dict.fromkeys(fn for group in SUITES.values() for fn in group)) + EXTRA
     else:
         fns = SUITES[name]
     results = []

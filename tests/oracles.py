@@ -16,10 +16,10 @@ from math import comb, prod
 from quivercount.cyclotomic import root_sum
 from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra, mat_mul
-from quivercount.genfun import r_genfun
+from quivercount.genfun import GraphChar, r_genfun
 from quivercount.gl import _validate_alpha, enumerate_group, group_order
 from quivercount.modp import nullspace_basis, rank
-from quivercount.multigraph import GUARD, Multigraph, _merge, charge
+from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _vector_to_matrix,
@@ -180,7 +180,9 @@ def depth_function_sum(gamma, d):
 def r_d_by_components(g, d):
     """R_d of an arbitrary multigraph as the product of r_d_polynomial over
     its components, each relabelled onto 1..n as a graph of its own."""
-    labels = g.component_labels()
+    parent = list(range(g.n + 1))
+    _merge(parent, ((u, v) for _, u, v in g.edges))
+    labels = {v: _find(parent, v) for v in range(1, g.n + 1)}
     out = QPoly.const(1)
     for rep in sorted(set(labels.values())):
         verts = sorted(v for v, r in labels.items() if r == rep)
@@ -188,6 +190,21 @@ def r_d_by_components(g, d):
         edges = [(e, relabel[u], relabel[v]) for e, u, v in g.edges if u in relabel]
         out = out * r_d_polynomial(Multigraph(len(verts), edges), d)
     return out
+
+
+def convolve_by_minors(f, g):
+    """Oracle: (f * g)(Gamma) = sum over edge subsets A of f(Gamma[A]) *
+    g(Gamma/A), each minor built as a graph and each factor called on it,
+    so that no value is read from a b1 table."""
+    def evaluate(graph):
+        ids = sorted(graph.edge_ids())
+        total = QPoly()
+        for mask in range(1 << len(ids)):
+            a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+            total = total + f(graph.spanning_subgraph(a)) * g(graph.contract(a))
+        return total
+
+    return GraphChar("(%s*%s)" % (f.name, g.name), evaluate)
 
 
 def weighted_depth_function_sum(graph, d):

@@ -138,6 +138,40 @@ def test_r_d_via_convolution_examples():
     assert r_d_via_convolution(banana_graph(2), 3) == expected
 
 
+def test_psi_convolutions_build_no_minor(monkeypatch):
+    # psi and psi^-1 read #E and b1 of every interval from one subset_b1
+    # table, so neither convolution nor r_d_via_convolution builds a graph
+    built = []
+    for name in ("contract", "spanning_subgraph"):
+        original = getattr(Multigraph, name)
+        monkeypatch.setattr(Multigraph, name,
+                            lambda self, a, name=name, original=original:
+                            built.append(name) or original(self, a))
+    g = Multigraph(3, [(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 1)])
+    assert r_d_via_convolution(g, 4) == r_d_polynomial(g, 4)
+    assert convolve(psi_inverse_char(1), psi_char(1))(g) == QPoly()
+    assert built == []
+    assert convolve(r_d_char(2), psi_char(1))(g) and built    # a built-minor factor
+
+
+def test_psi_char_refuses_a_non_integer_exponent():
+    # psi(q^0.5) would print as psi(q^0) and evaluate to q^0 silently
+    with pytest.raises(ValueError, match="psi exponent 0.5 is not an integer"):
+        psi_char(0.5)
+
+
+def test_psi_inverse_char_refuses_a_non_integer_exponent():
+    with pytest.raises(ValueError, match="psi exponent '1' is not an integer"):
+        psi_inverse_char("1")
+
+
+def test_convolve_refuses_an_operand_that_is_not_a_character():
+    # refused when the convolution is built, not when it is first evaluated
+    for f, g in ((psi_char(1), 3), (epsilon_value, psi_char(1))):
+        with pytest.raises(TypeError, match="GraphChar operands"):
+            convolve(f, g)
+
+
 def test_recursion_examples():
     assert check_recursion(point_graph())
     assert check_recursion(banana_graph(2))

