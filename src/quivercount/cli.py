@@ -151,20 +151,12 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = subs.add_parser("brute-m", help="isomorphism classes by group average")
-    _add_common(p, brute=True)
-
-    p = subs.add_parser("brute-a", help="absolutely indecomposable classes")
-    _add_common(p, brute=True)
-
-    p = subs.add_parser("brute-preproj-m", help="preprojective classes")
-    _add_common(p, brute=True)
-
-    p = subs.add_parser("brute-preproj-a", help="absolutely indecomposable preprojective classes")
-    _add_common(p, brute=True)
-
-    p = subs.add_parser("fourier", help="zero-fiber cardinality, two ways")
-    _add_common(p, brute=True)
+    for verb, text in (("brute-m", "isomorphism classes by group average"),
+                       ("brute-a", "absolutely indecomposable classes"),
+                       ("brute-preproj-m", "preprojective classes"),
+                       ("brute-preproj-a", "absolutely indecomposable preprojective classes"),
+                       ("fourier", "zero-fiber cardinality, two ways")):
+        _add_common(subs.add_parser(verb, help=text), brute=True)
 
     p = subs.add_parser("counterexample", help="self-duality failure counts over square-zero rings")
     p.add_argument("--n", type=int, required=True)
@@ -178,18 +170,16 @@ def build_parser():
 
 
 def run(args):
+    quiver = load_quiver(args.quiver) if "quiver" in vars(args) else None
     if args.verb in ("poly", "rdpoly"):
-        quiver = load_quiver(args.quiver)
         fn = a_d_polynomial if args.verb == "poly" else r_d_polynomial
         value = fn(quiver.graph, args.d)
         _emit(args, str(value), _poly_json(value))
     elif args.verb == "genfun":
-        quiver = load_quiver(args.quiver)
         fn = a_genfun if args.which == "A" else r_genfun
         value = fn(quiver.graph)
         _emit(args, str(value), _ratfun_json(value))
     elif args.verb == "series":
-        quiver = load_quiver(args.quiver)
         fn = a_genfun if args.which == "A" else r_genfun
         coeffs = fn(quiver.graph).series(args.order)
         if args.format == "json":
@@ -198,14 +188,12 @@ def run(args):
             for d, c in enumerate(coeffs):
                 print("T^%d: %s" % (d, c))
     elif args.verb == "tutte":
-        quiver = load_quiver(args.quiver)
         value = quiver.graph.tutte()
         _emit(args, str(value), _poly_json(value))
     elif args.verb == "qeulerian":
         value = q_eulerian(args.m)
         _emit(args, str(value), _poly_json(value))
     elif args.verb in ("brute-m", "brute-a", "brute-preproj-m", "brute-preproj-a", "fourier"):
-        quiver = load_quiver(args.quiver)
         ring = ring_from_spec(args.ring)
         alpha = _parse_rank(args.rank, quiver)
         fn = {"brute-m": m_count, "brute-a": a_count, "brute-preproj-m": m_preproj,

@@ -51,23 +51,19 @@ def point_graph():
 
 
 def cycle_quiver(n):
-    g = cycle_graph(n)
-    return Quiver(g, {i: (i, i % n + 1) for i in range(1, n + 1)})
+    return Quiver(cycle_graph(n), {i: (i, i % n + 1) for i in range(1, n + 1)})
 
 
 def path_quiver(n):
-    g = path_graph(n)
-    return Quiver(g, {i: (i, i + 1) for i in range(1, n)})
+    return Quiver(path_graph(n), {i: (i, i + 1) for i in range(1, n)})
 
 
 def jordan_quiver(m=1):
-    g = loops_graph(m)
-    return Quiver(g, {i: (1, 1) for i in range(1, m + 1)})
+    return Quiver(loops_graph(m), {i: (1, 1) for i in range(1, m + 1)})
 
 
 def banana_quiver(m):
-    g = banana_graph(m)
-    return Quiver(g, {i: (1, 2) for i in range(1, m + 1)})
+    return Quiver(banana_graph(m), {i: (1, 2) for i in range(1, m + 1)})
 
 
 def _canonical_form(n, pairs):
@@ -78,14 +74,9 @@ def _canonical_form(n, pairs):
     A scan over every edge multiset on 1..n in lexicographic order meets
     each class first at this labeling, so the representatives built from
     the keys, in key order, are the ones such a scan keeps."""
-    best = None
-    for perm in permutations(range(1, n + 1)):
-        p = (0,) + perm
-        key = tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
-                           for u, v in pairs))
-        if best is None or key < best:
-            best = key
-    return (n, best)
+    return (n, min(tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
+                                for u, v in pairs))
+                   for p in ((0,) + perm for perm in permutations(range(1, n + 1)))))
 
 
 @lru_cache(maxsize=None)

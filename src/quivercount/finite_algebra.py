@@ -12,7 +12,9 @@ alone, O(dim^2) products.  Discrete logs use a table for F's
 multiplicative group.
 """
 
+from functools import reduce
 from itertools import product
+from math import isqrt
 
 from . import modp
 from .multigraph import GUARD, charge
@@ -31,14 +33,7 @@ _IRREDUCIBLE = {
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class FiniteAlgebra:
@@ -62,23 +57,15 @@ class FiniteAlgebra:
 
     # -- construction-time sanity -------------------------------------
     def _check_structure(self):
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError("structure constants are not commutative")
-        basis = [self.basis_vector(i) for i in range(dim)]
-        for i in range(dim):
-            if self.mul(self.one, basis[i]) != basis[i]:
-                raise ValueError("supplied unit is not a unit element")
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.table[i][j]
-                for k in range(dim):
-                    left = self.mul(ij, basis[k])
-                    right = self.mul(basis[i], self.table[j][k])
-                    if left != right:
-                        raise ValueError("structure constants are not associative")
+        table, basis = self.table, [self.basis_vector(i) for i in range(self.dim)]
+        pairs = list(product(range(self.dim), repeat=2))
+        if any(table[i][j] != table[j][i] for i, j in pairs):
+            raise ValueError("structure constants are not commutative")
+        if any(self.mul(self.one, b) != b for b in basis):
+            raise ValueError("supplied unit is not a unit element")
+        if any(self.mul(table[i][j], b) != self.mul(basis[i], table[j][k])
+               for i, j in pairs for k, b in enumerate(basis)):
+            raise ValueError("structure constants are not associative")
         # Without a residue field the algebra is its own residue field, so
         # it must be a field: every nonzero element acts invertibly.
         if self.residue_field is self:
@@ -94,7 +81,9 @@ class FiniteAlgebra:
         be multiplicative on basis pairs, hence a ring map onto the field
         whose kernel, spanned by the other basis vectors, is an ideal; with
         those vectors nilpotent the algebra is local with that residue
-        field.  O(dim^2) products."""
+        field.  The classes of GL_n lift from the residue field through
+        x -> (x, 0, ..., 0), so that must be a ring map too: O(rd^2) more
+        products.  O(dim^2) products in all."""
         field, rd, dim = self.residue_field, self._rd, self.dim
 
         def fail(what):
@@ -111,6 +100,10 @@ class FiniteAlgebra:
         for i in range(rd, dim):
             if any(self.power(self.basis_vector(i), dim)):
                 fail("kernel vector %s is not nilpotent" % self.basis_names[i])
+        pad = (0,) * (dim - rd)
+        if self.one != field.one + pad or any(self.table[i][j] != field.table[i][j] + pad
+                                              for i in range(rd) for j in range(rd)):
+            fail("x -> (x, 0) does not embed the residue field")
 
     # -- element arithmetic (coordinate tuples) -----------------------
     def zero(self):
@@ -289,18 +282,13 @@ def _builtin_field(p, k):
 
 
 def make_field(q):
-    """The field of size q = p^k via the built-in polynomial table."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return _builtin_field(p, k)
-    raise ValueError("%d is not a prime power" % q)
+    """The field of size q = p^k via the built-in polynomial table; p is
+    the least divisor of q above 1, so a prime."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), 0)
+    k = next((k for k in range(1, q) if p ** k >= q), 1)
+    if p < 2 or p ** k != q:
+        raise ValueError("%d is not a prime power" % q)
+    return _builtin_field(p, k)
 
 
 # -- local algebra constructors ----------------------------------------
@@ -368,17 +356,8 @@ def truncated_generator(alg):
 def mat_mul(alg, a, b):
     if not a or not b:
         return ()
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = alg.zero()
-            for k in range(inner):
-                acc = alg.add(acc, alg.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(reduce(alg.add, map(alg.mul, row, column), alg.zero())
+                       for column in zip(*b)) for row in a)
 
 
 # -- ring-spec parser ----------------------------------------------------
@@ -421,18 +400,10 @@ def _parse_ring(text, pos):
             k, pos = _parse_int(text, pos + 1)
         pos = _expect(text, pos, ")")
         return _builtin_field(p, k), pos
-    if head == "kd":
-        base, pos = _parse_ring(text, pos)
-        pos = _expect(text, pos, ",")
-        d, pos = _parse_int(text, pos)
-        pos = _expect(text, pos, ")")
-        return make_truncated(base, d), pos
+    base, pos = _parse_ring(text, pos)
     if head == "eps":
-        base, pos = _parse_ring(text, pos)
         pos = _expect(text, pos, ")")
         return make_dual_numbers(base), pos
-    base, pos = _parse_ring(text, pos)
-    pos = _expect(text, pos, ",")
-    n, pos = _parse_int(text, pos)
+    n, pos = _parse_int(text, _expect(text, pos, ","))      # kd(base,d) or sqz(base,n)
     pos = _expect(text, pos, ")")
-    return make_square_zero(base, n), pos
+    return (make_truncated if head == "kd" else make_square_zero)(base, n), pos

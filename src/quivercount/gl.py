@@ -1,10 +1,13 @@
 """GL_n(R) over a finite commutative algebra R, and the base change group
 G = prod_v GL_{alpha_v}(R) of a quiver at a rank vector alpha.
 
-The one module that lists or partitions GL_n(R): the scan of the
-invertible matrices and the union-find of their conjugacy classes, both
-on element indices (ring_tables) and memoized per algebra and n in the
-algebra's _gl_data dict.
+The one module that lists or partitions GL_n(R), on element indices
+(ring_tables), memoized in the algebra's _gl_data dict.  Over a field
+the invertible matrices are scanned and their conjugacy classes joined by
+union-find.  Over a local ring R with residue field k the classes are
+lifted: GL_n(R) maps onto GL_n(k) with kernel K = 1 + M_n(m), so each
+class lies over one class of GL_n(k) and meets the fibre over its
+representative in one orbit of the preimage of the centralizer.
 """
 
 from collections import Counter
@@ -51,100 +54,169 @@ def invertible_matrices(alg, n):
     return out
 
 
-def conjugacy_classes(alg, n, elements):
-    """Union-find over `elements`, all of GL_n(alg), joining each g with
-    s g s^-1 for every generator s: E_ij(1) = 1 + e_ij, and diag(u, 1, ...,
-    1) for u in a generating set of the units.  Each part lies in one
-    conjugacy class whatever the s, so a sum over parts weighted by their
-    sizes is exact.  Over a local ring the s generate GL_n, so the parts
-    are the classes: they give every E_ij(u) with u a unit, each r is a
-    unit or 1 + r is, so E_ij(r) = E_ij(1 + r) E_ij(-1), and E_n(R) =
-    SL_n(R).  Matrices are conjugated as flat tuples of element indices
-    through |R| x |R| index tables."""
-    if n < 2:       # GL_0 and GL_1 are abelian
-        return [(m, 1) for m in elements]
+def _times(t, a, b, n):
+    """The product of two n x n matrices given as flat tuples of indices."""
+    out = []
+    for r, c in product(range(0, n * n, n), range(n)):
+        acc = t.zero
+        for k in range(n):
+            acc = t.add[acc][t.mul[a[r + k]][b[k * n + c]]]
+        out.append(acc)
+    return tuple(out)
+
+
+def _flatten(t, m):
+    return tuple(t.index[x] for row in m for x in row)
+
+
+def _conjugation_steps(alg, n, entries, units, positions):
+    """Conjugations g -> s g s^-1 of flat index tuples, each as steps
+    m[a] += c * m[b] in order: for s = 1 + x e_ij, x in entries, row i +=
+    x row j, then column j -= x column i; for s = 1 + (u - 1) e_ii, u in
+    units and i in positions, row i *= u, then column i *= u^-1."""
     t = index_tables(alg)
-    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
+    steps = []
+    for x in entries:
+        plus, minus = t.mul[t.index[x]], t.mul[t.neg[t.index[x]]]
+        steps += [[(i * n + k, j * n + k, plus) for k in range(n)]
+                  + [(k * n + j, k * n + i, minus) for k in range(n)]
+                  for i, j in permutations(range(n), 2)]
+    for u in units:
+        up, down = (t.mul[t.index[alg.sub(v, alg.one)]] for v in (u, alg.inverse(u)))
+        steps += [[(i * n + k, i * n + k, up) for k in range(n)]
+                  + [(k * n + i, k * n + i, down) for k in range(n)] for i in positions]
+    return steps
 
-    def powers(u):
-        out, x = [one], u
-        while x != one:
-            out.append(x)
-            x = mul[x][u]
-        return out
 
-    # Largest order first, so a cyclic R^x needs one generator; R^x is
-    # abelian, so the subgroup <H, u> is H<u>.
-    unit_gens, reached = [], {one}
-    units = (u for u, unit in enumerate(t.is_unit) if unit)
-    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
-        if u not in reached:
-            unit_gens.append(ring[u])
-            reached = {mul[x][y] for x in reached for y in powers(u)}
-
-    def times(x):
-        return mul[index[x]]
-
-    # Each conjugation g -> s g s^-1 as steps m[a] += c * m[b], in order:
-    # for 1 + e_ij, row i += row j, then column j -= column i; for
-    # diag(u, 1, ..., 1), row 0 *= u, then column 0 *= u^-1, each entry
-    # scaled as m[a] += (u - 1) * m[a].
-    plus, minus = mul[one], mul[t.neg[one]]
-    conjugations = [[(i * n + k, j * n + k, plus) for k in range(n)]
-                    + [(k * n + j, k * n + i, minus) for k in range(n)]
-                    for i, j in permutations(range(n), 2)]
-    for u in unit_gens:
-        u_minus_1, u_inv_minus_1 = alg.sub(u, alg.one), alg.sub(alg.inverse(u), alg.one)
-        conjugations.append([(k, k, times(u_minus_1)) for k in range(n)]
-                            + [(k * n, k * n, times(u_inv_minus_1)) for k in range(n)])
-
+def _orbit_parts(t, n, points, steps, lifts=()):
+    """Union-find over points, flat index tuples, joining each with its
+    conjugates by the steps, then each root so far with h g h^-1 for the
+    (h, h^-1) in lifts, which must normalize the group of the steps.
+    Returns (index of the first point, size) per part, in order.  A part
+    lies in one class whatever the generators, so weighted sums are exact."""
     def conjugates(g):
-        for steps in conjugations:
+        for conjugation in steps:
             m = list(g)
-            for target, source, by in steps:
-                m[target] = add[m[target]][by[m[source]]]
+            for target, source, by in conjugation:
+                m[target] = t.add[m[target]][by[m[source]]]
             yield tuple(m)
 
-    flat = [tuple(index[x] for row in m for x in row) for m in elements]
-    position = {g: k for k, g in enumerate(flat)}
-    parent = list(range(len(flat)))
-    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
-    sizes = Counter(_find(parent, k) for k in range(len(flat)))
-    return [(elements[root], count) for root, count in sorted(sizes.items())]
+    position = {g: k for k, g in enumerate(points)}
+    parent = list(range(len(points)))
+    _merge(parent, ((k, position[h]) for k, g in enumerate(points) for h in conjugates(g)))
+    roots = [k for k, root in enumerate(parent) if k == root]
+    _merge(parent, ((k, position[_times(t, _times(t, h, points[k], n), h_inv, n)])
+                    for k in roots for h, h_inv in lifts))
+    return sorted(Counter(_find(parent, k) for k in range(len(points))).items())
+
+
+def conjugacy_classes(alg, n, elements):
+    """The classes of GL_n over a field alg, or of an abelian GL_n (n < 2),
+    as (first of `elements`, all of GL_n(alg), in the class, class size),
+    in that order.  The generators E_ij(1) = 1 + e_ij and diag(u, 1, ...,
+    1), u the primitive element, give GL_n: conjugating E_ij(1) by powers
+    of the diagonal gives every E_0j(c) and E_i0(c), their commutators
+    every E_ij(c), so SL_n, and u every determinant."""
+    if n < 2:
+        return [(m, 1) for m in elements]
+    t = index_tables(alg)
+    steps = _conjugation_steps(alg, n, [alg.one], [alg.primitive_element()], [0])
+    parts = _orbit_parts(t, n, [_flatten(t, m) for m in elements], steps)
+    return [(elements[k], size) for k, size in parts]
+
+
+def _lifted_classes(alg, n, residue_classes, guard):
+    """The classes of GL_n(alg), alg local but not a field, lifted from
+    those of GL_n(k), k the residue field: (first point of a part, size).
+    The fibre g0 + M_n(m) over g0, embedded through the first coordinates,
+    is joined by K = 1 + M_n(m): row reduction leaves a diagonal in 1 + m,
+    so K is generated by 1 + b e_ij, b in the basis of m, and 1 + y e_ii,
+    i < n - 1 as scalars act trivially, y in the nonzero products of basis
+    vectors; these span each m^j, so the 1 + y generate 1 + m layer by
+    layer.  Lifts of the centralizer's generators then join K-orbits: the
+    commuting elements of GL_n(k), in order, kept when outside the group
+    of those kept, until it has |GL_n(k)| / size0 elements.  A part of s
+    points is a class of size0 * s."""
+    field, t = alg.residue_field, index_tables(alg)
+    tk, pad = index_tables(field), (0,) * (alg.dim - field.dim)
+    elements = [_flatten(tk, h) for h in gl_elements(field, n, guard)]
+    one = tuple(tk.one if i == j else tk.zero for i in range(n) for j in range(n))
+    basis = [alg.basis_vector(i) for i in range(field.dim, alg.dim)]
+    products = list(basis)
+    for x in products:
+        for y in (alg.mul(x, b) for b in basis):
+            if any(y) and y not in products:
+                products.append(y)
+    steps = _conjugation_steps(alg, n, basis, [alg.add(alg.one, y) for y in products],
+                               range(n - 1))
+    ideal = [x for x, unit in enumerate(t.is_unit) if not unit]
+    out = []
+    for g0, size0 in residue_classes:
+        g0, gens, group, lifts = _flatten(tk, g0), [], {one}, []
+        for h in elements:
+            if len(group) == len(elements) // size0:
+                break
+            if h not in group and _times(tk, h, g0, n) == _times(tk, g0, h, n):
+                gens.append(h)
+                group, new = {one}, {one}
+                while new:
+                    new = {_times(tk, x, s, n) for x in new for s in gens} - group
+                    group |= new
+        for h in gens:
+            x, inverse = h, one         # h^-1 is the power of h just before 1
+            while x != one:
+                inverse, x = x, _times(tk, x, h, n)
+            lifts.append([tuple(t.index[tk.ring[x] + pad] for x in y) for y in (h, inverse)])
+        base = [t.index[tk.ring[x] + pad] for x in g0]
+        fibre = [tuple(t.add[b][x] for b, x in zip(base, xs))
+                 for xs in product(ideal, repeat=n * n)]
+        out += [(tuple(tuple(t.ring[x] for x in fibre[k][r:r + n]) for r in range(0, n * n, n)),
+                 size0 * size) for k, size in _orbit_parts(t, n, fibre, steps, lifts)]
+    return out
+
+
+def _memo(alg, key, build):
+    """build() once per algebra and key, kept in the algebra's _gl_data."""
+    cache = alg.__dict__.setdefault("_gl_data", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _gl_table(alg, size, guard=GUARD):
-    """The memo entry [every invertible size x size matrix in a fixed
-    order, its conjugacy classes or None until first asked for]; one scan
-    per algebra and size, kept in the algebra's _gl_data dict.  It charges
-    the |alg|^(size^2) matrices the scan visits, cached or not."""
+    """Every invertible size x size matrix in a fixed order, memoized; it
+    charges the |alg|^(size^2) matrices the scan visits, cached or not."""
     matrices = alg.size() ** (size * size)
     charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
-    cache = getattr(alg, "_gl_data", None)
-    if cache is None:
-        cache = alg._gl_data = {}
-    if size not in cache:
-        cache[size] = [invertible_matrices(alg, size), None]
-    return cache[size]
+    return _memo(alg, size, lambda: invertible_matrices(alg, size))
 
 
 def gl_order(alg, size, guard=GUARD):
     """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
-    return len(_gl_table(alg, size, guard)[0])
+    return len(_gl_table(alg, size, guard))
 
 
 def gl_elements(alg, size, guard=GUARD):
     """Every invertible size x size matrix, deterministic order (memoized)."""
-    return _gl_table(alg, size, guard)[0]
+    return _gl_table(alg, size, guard)
 
 
 def gl_classes(alg, size, guard=GUARD):
-    """The conjugacy classes of GL_size(alg) as (first element in the
-    order of gl_elements, class size) pairs, in that order (memoized)."""
-    entry = _gl_table(alg, size, guard)
-    if entry[1] is None:
-        entry[1] = conjugacy_classes(alg, size, entry[0])
-    return entry[1]
+    """The conjugacy classes of GL_size(alg) as (representative, class
+    size) pairs (memoized).  Over a field, or for size < 2, from the scan,
+    each the first of its class in the order of gl_elements.  Over a local
+    ring lifted from the residue field k, charging the fibre points
+    #classes(GL_size(k)) x |m|^(size^2), cached or not; as |m| >= |k| they
+    bound the centralizer search too."""
+    if alg.is_field or size < 2:
+        elements = _gl_table(alg, size, guard)
+        return _memo(alg, ("classes", size), lambda: conjugacy_classes(alg, size, elements))
+    residue = gl_classes(alg.residue_field, size, guard)
+    fibre = (alg.size() // alg.residue_field.size()) ** (size * size)
+    points = len(residue) * fibre
+    charge(points, guard, "GL_%d over %s: %d x %d = %d fibre points"
+           % (size, alg.name, len(residue), fibre, points))
+    return _memo(alg, ("classes", size), lambda: _lifted_classes(alg, size, residue, guard))
 
 
 def group_order(quiver, alg, alpha, guard=GUARD):

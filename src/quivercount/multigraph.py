@@ -145,24 +145,14 @@ class Multigraph:
         Loops are ignored; parallel edges count with multiplicity.
         Returns 0 when disconnected, 1 for a single vertex.
         """
-        if self.n == 0:
-            return 0
-        if self.n == 1:
-            return 1
-        size = self.n - 1
-        lap = [[0] * size for _ in range(size)]
+        if self.n <= 1:
+            return self.n
+        lap = [[0] * (self.n + 1) for _ in range(self.n + 1)]
         for _, u, v in self.edges:
-            if u == v:
-                continue
-            iu, iv = u - 2, v - 2
-            if u > 1:
-                lap[iu][iu] += 1
-            if v > 1:
-                lap[iv][iv] += 1
-            if u > 1 and v > 1:
-                lap[iu][iv] -= 1
-                lap[iv][iu] -= 1
-        return _bareiss_det(lap)
+            if u != v:
+                for a, b, d in ((u, u, 1), (v, v, 1), (u, v, -1), (v, u, -1)):
+                    lap[a][b] += d
+        return _bareiss_det([row[2:] for row in lap[2:]])   # vertex 1 deleted
 
     def canonical_key(self):
         return (self.n, tuple(sorted((min(u, v), max(u, v)) for _, u, v in self.edges)))

@@ -175,12 +175,7 @@ class RatQT:
             return num
         parts = []
         for c, m in sorted(self.den.items()):
-            if c == 0:
-                base = "(1-T)"
-            elif c == 1:
-                base = "(1-q*T)"
-            else:
-                base = "(1-q^%d*T)" % c
+            base = "(1-T)" if c == 0 else "(1-q*T)" if c == 1 else "(1-q^%d*T)" % c
             parts.append(base if m == 1 else "%s^%d" % (base, m))
         return "(%s) / %s" % (num, "*".join(parts))
 

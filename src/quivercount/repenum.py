@@ -400,13 +400,9 @@ def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
 
     # additive average side
     v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
-    per_vertex = [_all_matrices(alg, a, a) for a in alpha]
-    acc = 0
-    for x in product(*per_vertex):
-        kernel = 1
-        for e, s, t in arrows:
-            kernel *= p ** fix_nullity(alg, x[t - 1], x[s - 1], alpha[t - 1], alpha[s - 1])
-        acc += v_size * kernel
+    acc = sum(v_size * prod(p ** fix_nullity(alg, x[t - 1], x[s - 1], alpha[t - 1], alpha[s - 1])
+                            for _, s, t in arrows)
+              for x in product(*[_all_matrices(alg, a, a) for a in alpha]))
     if acc % lie_total:
         raise AssertionError("additive average is not integral")
     averaged = acc // lie_total
@@ -445,13 +441,9 @@ def stabilizer_order(x, quiver, alg, alpha, guard=GUARD):
     """Order of the stabilizer of a representation point x (dict arrow
     id -> matrix), by filtering the full group enumeration."""
     alpha = _validate_alpha(quiver, alpha)
-    arrows = quiver.arrows()
-    count = 0
-    for g in enumerate_group(quiver, alg, alpha, guard):
-        if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
-               for e, s, t in arrows):
-            count += 1
-    return count
+    return sum(1 for g in enumerate_group(quiver, alg, alpha, guard)
+               if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
+                      for e, s, t in quiver.arrows()))
 
 
 def toric_point(quiver, values):

@@ -4,8 +4,8 @@ its arithmetic element by element.
 Elements are numbered 0..|R|-1 in the order of elements(); sums, products
 and negatives are looked up in |R| x |R| tables built once per algebra.
 The zero-fiber filter of the moment map and the scaling orbits of the
-toric oracle run on these indices, as do the GL scan and the class
-partition in gl.py.
+toric oracle run on these indices, as do the GL scan, the class
+partition and its lift in gl.py.
 
 The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel

@@ -10,21 +10,21 @@ never from each other (tests/test_source.py holds them to that).
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, prod
 
 from quivercount.cyclotomic import root_sum
 from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra, mat_mul
 from quivercount.genfun import GraphChar, r_genfun
-from quivercount.gl import _validate_alpha, enumerate_group, group_order
+from quivercount.gl import _validate_alpha, enumerate_group, gl_elements, group_order
 from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _vector_to_matrix,
                                  _vertex_lists, _whole_zero_fiber, double_quiver, fix_nullity)
-from quivercount.ring_tables import vanishing_points
+from quivercount.ring_tables import index_tables, vanishing_points
 from quivercount.toric import check_depth_function, r_d_polynomial
 
 
@@ -365,6 +365,62 @@ def mat_inverse(alg, m):
             row.append(alg.mul(cof, det_inv))
         adj.append(tuple(row))
     return tuple(adj)
+
+
+def conjugacy_classes_by_partition(alg, n):
+    """The conjugacy class of every element of GL_n(alg), alg local, as
+    {element: first element of its class in the order of gl_elements}:
+    union-find over the whole group, joining each g with s g s^-1 for every
+    generator s, E_ij(1) = 1 + e_ij and diag(u, 1, ..., 1) for u in a
+    generating set of the units found greedily.  The oracle for the classes
+    that gl.gl_classes lifts from the residue field.  These s generate
+    GL_n(alg): they give every E_ij(u), u a unit, each r is a unit or 1 + r
+    is, so E_ij(r) = E_ij(1 + r) E_ij(-1), and E_n(R) = SL_n(R)."""
+    elements = gl_elements(alg, n)
+    t = index_tables(alg)
+    ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
+
+    def powers(u):
+        out, x = [one], u
+        while x != one:
+            out.append(x)
+            x = mul[x][u]
+        return out
+
+    # Largest order first, so a cyclic R^x needs one generator; R^x is
+    # abelian, so the subgroup <H, u> is H<u>.
+    unit_gens, reached = [], {one}
+    units = (u for u, unit in enumerate(t.is_unit) if unit)
+    for u in sorted(units, key=lambda u: len(powers(u)), reverse=True):
+        if u not in reached:
+            unit_gens.append(ring[u])
+            reached = {mul[x][y] for x in reached for y in powers(u)}
+
+    # Each conjugation as steps m[a] += c * m[b], in order: for 1 + e_ij,
+    # row i += row j, then column j -= column i; for diag(u, 1, ..., 1),
+    # row 0 *= u, then column 0 *= u^-1, each entry as m[a] += (u - 1) m[a].
+    plus, minus = mul[one], mul[t.neg[one]]
+    conjugations = [[(i * n + k, j * n + k, plus) for k in range(n)]
+                    + [(k * n + j, k * n + i, minus) for k in range(n)]
+                    for i, j in permutations(range(n), 2)]
+    for u in unit_gens:
+        up = mul[index[alg.sub(u, alg.one)]]
+        down = mul[index[alg.sub(alg.inverse(u), alg.one)]]
+        conjugations.append([(k, k, up) for k in range(n)]
+                            + [(k * n, k * n, down) for k in range(n)])
+
+    def conjugates(g):
+        for steps in conjugations:
+            m = list(g)
+            for target, source, by in steps:
+                m[target] = add[m[target]][by[m[source]]]
+            yield tuple(m)
+
+    flat = [tuple(index[x] for row in m for x in row) for m in elements]
+    position = {g: k for k, g in enumerate(flat)}
+    parent = list(range(len(flat)))
+    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
+    return {m: elements[_find(parent, k)] for k, m in enumerate(elements)}
 
 
 def _block_name(base_name, suffix):

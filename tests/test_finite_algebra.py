@@ -146,6 +146,12 @@ def test_residue_map_validation():
     # F_4 as the residue field of the 2-dim dual-number table
     with pytest.raises(ValueError, match="not multiplicative"):
         build(dual, (1, 0), residue_field=make_field(4))
+    # k_2(F_2) in basis (1 + t, t): the projection is a ring map onto F_2
+    # with a nilpotent kernel, but x -> (x, 0) sends 1 to 1 + t, which is
+    # not the unit, so the residue field does not embed and the classes of
+    # GL_n could not lift from it; refused with ValueError, not an assert
+    with pytest.raises(ValueError, match="does not embed the residue field"):
+        build((((1, 1), e2), (e2, zero)), (1, 1), names=("1+t", "t"))
 
 
 def test_local_ring_is_built_without_listing_its_elements(monkeypatch):

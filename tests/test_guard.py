@@ -52,6 +52,10 @@ CASES = {
     "gl_order": (lambda g: gl_order(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
     "gl_elements": (lambda g: gl_elements(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
     "gl_classes": (lambda g: gl_classes(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
+    # GL classes lifted from the residue field: #classes(GL_n(k)) x |m|^(n^2)
+    # fibre points, after the residue field's scan
+    "gl_classes_lifted": (lambda g: gl_classes(K2F2, 2, g), 48,
+                          "GL_2 over kd(fq(2),2): 3 x 16 = 48 fibre points"),
     "group_order": (lambda g: group_order(path_quiver(2), F2, (2, 1), g), 16,
                     "GL_2 over fq(2): 16 matrices"),
     "m_count_gl_scan": (lambda g: m_count(path_quiver(2), F2, (2, 1), g), 16,

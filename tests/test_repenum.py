@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 from math import prod
 
@@ -5,16 +6,17 @@ import pytest
 
 from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
                                   path_quiver)
-from quivercount.finite_algebra import (make_dual_numbers, make_field,
+from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, mat_mul, truncated_generator)
 from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
 from quivercount.repenum import (_burnside, _group_average, _whole_zero_fiber, a_count,
                                  a_preproj, counterexample_counts, double_quiver,
-                                 fourier_fiber_count, m_count, m_preproj, stabilizer_order,
-                                 toric_ai_orbit_count, toric_point)
-from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets, fix_count,
+                                 fix_nullity, fourier_fiber_count, m_count, m_preproj,
+                                 stabilizer_order, toric_ai_orbit_count, toric_point)
+from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
+                     conjugacy_classes_by_partition, fix_count,
                      mat_det, mat_identity, mat_inverse, moment_map, preproj_by_filter,
                      preproj_orbit_partition, primitive_roots)
 
@@ -210,18 +212,64 @@ def test_class_equation():
 
 
 def test_classes_are_the_conjugation_orbits():
+    # The classes are the orbits: each representative's orbit under every
+    # element of GL_2 has the reported size, the orbits are pairwise
+    # distinct, and together they cover GL_2.  No representative is pinned:
+    # a class lifted from the residue field is named by a point of its fibre.
     for ring in (F3, K2F2):
         elements = gl_elements(ring, 2)
         inverses = [mat_inverse(ring, h) for h in elements]
-        orbits, seen = [], set()
-        for g in elements:
-            if g not in seen:
-                orbit = {mat_mul(ring, mat_mul(ring, h, g), h_inv)
-                         for h, h_inv in zip(elements, inverses)}
-                seen |= orbit
-                orbits.append((g, len(orbit)))
-        # the union-find parts refine the orbits; as many parts means equal
-        assert gl_classes(ring, 2) == orbits
+        classes = gl_classes(ring, 2)
+        orbits = [frozenset(mat_mul(ring, mat_mul(ring, h, g), h_inv)
+                            for h, h_inv in zip(elements, inverses)) for g, _ in classes]
+        assert [len(orbit) for orbit in orbits] == [size for _, size in classes]
+        assert len(set(orbits)) == len(orbits)
+        assert frozenset().union(*orbits) == frozenset(elements)
+
+
+def _skew_basis_ring():
+    """F_2[x, y]/(x^2, y^2) in the basis 1, x, y, w = x + y + xy: the 1 + b
+    for b in the basis of m generate only 4 of the 8 units 1 + m, as
+    1 + w = (1 + x)(1 + y); 1 + xy comes from the product x * y."""
+    e = [tuple(int(i == k) for k in range(4)) for i in range(4)]
+    zero, xy = (0,) * 4, (0, 1, 1, 1)
+    table = [e, [e[1], zero, xy, xy], [e[2], xy, zero, xy], [e[3], xy, xy, zero]]
+    return FiniteAlgebra(2, ("1", "x", "y", "w"), table, e[0], "skew", residue_field=F2)
+
+
+# Every local ring the tests build, at rank 2, and GL_3(k_2(F_2)); a ring
+# whose basis of m does not follow the powers of m; the fields F_2 and F_3
+# at rank 3 check the primitive-element generators.
+LIFTED = [(make_truncated(F2, 2), 2), (make_truncated(F3, 2), 2),
+          (make_truncated(make_field(4), 2), 2), (make_truncated(F2, 3), 2),
+          (make_truncated(F3, 3), 2), (make_dual_numbers(F3), 2),
+          (make_dual_numbers(make_truncated(F2, 2)), 2), (make_square_zero(F2, 2), 2),
+          (make_truncated(F2, 2), 3), (_skew_basis_ring(), 2), (F2, 3), (F3, 3)]
+
+
+@pytest.mark.parametrize("ring, n", LIFTED, ids=["%s-%d" % (r.name, n) for r, n in LIFTED])
+def test_lifted_classes_equal_the_whole_group_partition(ring, n):
+    partition = conjugacy_classes_by_partition(ring, n)
+    oracle = Counter(partition.values())
+    classes = gl_classes(ring, n)
+    assert len(classes) == len(oracle)
+    assert sorted(size for _, size in classes) == sorted(oracle.values())
+
+    def weighted(pairs):
+        return sum(size * ring.p ** fix_nullity(ring, g, g, n, n) for g, size in pairs)
+
+    assert weighted(classes) == weighted(oracle.items())
+    # each representative lies in its own class of the partition, of its size
+    assert len({partition[g] for g, _ in classes}) == len(classes)
+    assert all(oracle[partition[g]] == size for g, size in classes)
+
+
+def test_lifted_classes_never_scan_the_ring(monkeypatch):
+    from quivercount import gl
+    scanned = _count_calls(monkeypatch, gl, "invertible_matrices")
+    f3 = make_prime_field(3)
+    assert len(gl_classes(make_truncated(f3, 2), 2)) == 78
+    assert scanned == [(f3, 2)]
 
 
 def test_class_sums_match_the_element_loop():
