@@ -14,23 +14,14 @@ A of f(Gamma[A]) * g(Gamma/A), summed over intervals of Gamma's subset lattice.
 """
 
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 from .multigraph import GUARD, charge, strict_filtrations
-from .polynomials import QPoly, QTPoly, _integer, times_t_factors
+from .polynomials import QPoly, QTPoly, _integer, _times_into, times_t_factors, unpack
 from .ratfun import RatQT
-from .toric import _a_of_step, _r_d_table, r_d_on_components, r_d_polynomial
-
-
-def epsilon_value(g):
-    """Counit: 1 iff the graph has no edges (the class of the point)."""
-    return 1 if g.edge_count() == 0 else 0
-
-
-def epsilon1_value(g):
-    """1 iff every edge is a loop (the class of the one-vertex graphs S_m)."""
-    return 1 if all(g.is_loop(e) for e in g.edge_ids()) else 0
+from .toric import (_a_of_step, _r_d_table, epsilon1_value, epsilon_value, r_d_on_components,
+                    r_d_polynomial)
 
 
 def cvector_of_filtration(gamma, chain):
@@ -142,12 +133,12 @@ class GraphChar:
 
 
 def _psi(name, k, sign):
-    """Gamma -> sign^#E * q^(k * b1(Gamma)); on the interval [lo, hi] of a
-    lattice #E = |hi - lo| and b1 = b1(hi) - b1(lo), with no minor built."""
+    """Gamma -> sign^#E * q^(k * b1(Gamma)), built once per (b1, #E mod 2); on
+    [lo, hi] of a lattice #E = |hi - lo|, b1 = b1(hi) - b1(lo), no minor built."""
     k = _integer(k, "psi exponent")
-    char = GraphChar(name % k, lambda g: QPoly.monomial(k * g.b1(), sign ** (g.edge_count() % 2)))
-    char._on_interval = lambda lattice, lo, hi: QPoly.monomial(
-        k * (lattice.b1[hi] - lattice.b1[lo]), sign ** ((hi ^ lo).bit_count() % 2))
+    mono = cache(lambda b1, odd: QPoly.monomial(k * b1, sign ** odd))
+    char = GraphChar(name % k, lambda g: mono(g.b1(), g.edge_count() & 1))
+    char._on_interval = lambda lat, lo, hi: mono(lat.b1[hi] - lat.b1[lo], (hi ^ lo).bit_count() & 1)
     return char
 
 
@@ -190,7 +181,7 @@ def convolve(f, g, guard=GUARD):
     """(f * g)(Gamma) = sum over A of f(Gamma[A]) * g(Gamma/A): the value on
     the top interval of Gamma's lattice, where (f * g)([lo, hi]) is the sum
     over lo <= c <= hi of f([lo, c]) * g([c, hi]), charged as 2^k terms for
-    the k edges of hi - lo and memoized per interval."""
+    the k edges of hi - lo, summed into one coefficient map, memoized."""
     if not (isinstance(f, GraphChar) and isinstance(g, GraphChar)):
         raise TypeError("convolve needs two GraphChar operands, got %r and %r" % (f, g))
 
@@ -200,13 +191,13 @@ def convolve(f, g, guard=GUARD):
             free = hi ^ lo
             k = free.bit_count()
             charge(1 << k, guard, "2^%d = %d convolution terms" % (k, 1 << k))
-            value, c = QPoly(), hi
+            acc, c = {}, hi
             while True:
-                value = value + f._interval(lattice, lo, c) * g._interval(lattice, c, hi)
+                _times_into(acc, f._interval(lattice, lo, c), g._interval(lattice, c, hi))
                 if c == lo:
                     break
                 c = lo | ((c ^ lo) - 1) & free      # the next c, down to lo
-            lattice.memo[interval, lo, hi] = value
+            value = lattice.memo[interval, lo, hi] = QPoly(acc)
         return value
 
     char = GraphChar("(%s*%s)" % (f.name, g.name),
@@ -218,7 +209,7 @@ def convolve(f, g, guard=GUARD):
 def r_d_via_convolution(gamma, d, guard=GUARD):
     """R_d computed as the convolution psi(q^(d-1)) * ... * psi(q^0);
     asserted equal to the direct depth-function sum."""
-    if d < 1:
+    if (d := _integer(d, "depth d")) < 1:
         raise ValueError("d >= 1 required")
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
@@ -271,10 +262,11 @@ def q_eulerian(m, guard=GUARD):
     R(S_m, q, T) = T F_m(q, T) / (T)_{m+1}: T F_m is the numerator of R(S_m)
     over that known denominator, built from R_0 = 0 and R_1..R_m with
     a_genfun's guard unit."""
-    if m < 1:
+    if (m := _integer(m, "m")) < 1:
         raise ValueError("m >= 1 required")
     from .families import loops_graph
-    coeffs = [QPoly()] + [QPoly(h[-1]) for _, h in _r_d_table(loops_graph(m), m, guard)]
+    steps = _r_d_table(loops_graph(m), m, guard)
+    coeffs = [QPoly()] + [QPoly(unpack(h[-1], w)) for _, h, w in steps]
     return _series_numerator(coeffs, dict.fromkeys(range(m + 1), 1)).shift(0, -1)
 
 

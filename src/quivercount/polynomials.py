@@ -23,6 +23,21 @@ def _integer(x, what):
         raise ValueError("%s %r is not an integer" % (what, x)) from None
 
 
+def _times_into(acc, x, y):
+    """acc plus the product of the QPoly x and y, as {exponent: coefficient}."""
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return acc
+
+
+def unpack(x, width):
+    """{exponent: coefficient} of a polynomial Kronecker-packed in the int
+    x >= 0: coefficient e in bits e*width up to (e+1)*width."""
+    low = (1 << width) - 1
+    return {e // width: x >> e & low for e in range(0, x.bit_length(), width)}
+
+
 class _Laurent:
     """Integer Laurent polynomial stored as {exponent: coefficient}.
 
@@ -139,12 +154,7 @@ class QPoly(_Laurent):
             return self._scaled(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+        return QPoly(_times_into({}, self, other))
 
     __rmul__ = __mul__
 

@@ -51,6 +51,7 @@ from .cyclotomic import root_sum
 from .finite_algebra import mat_mul
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
+from .polynomials import unpack
 from .ring_tables import (arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits,
                           vanishing_points)
 
@@ -142,33 +143,24 @@ def _arrow_table(alg, rows, cols, guard):
     return cache[rows, cols]
 
 
-def _times(x, y, m):
-    """x * y in Z[z]/(z^m - 1), x a list of m coefficients, y one too or
-    an integer."""
-    if isinstance(y, int):
-        return [a * y for a in x]
-    out = [0] * m
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                out[(i + j) % m] += a * b
-    return out
-
-
-def _contract(factors, counts, m, guard):
+def _contract(factors, counts, m, width, guard):
     """The sum over every tuple of class indices of the product of the
-    factors, in Z[z]/(z^m - 1).  A factor is (scope, table): a tuple of
-    vertices and a flat list of values of _times over their class indices
-    in product order.  Vertices are eliminated cheapest first, so a tree
-    goes leaves first: each step multiplies the factors on one vertex,
-    sums out its classes and leaves one factor on their other vertices;
-    the step is charged its terms, the classes of v and its neighbours."""
+    factors, in Z[z]/(z^m - 1), as its value at z = 2^width: an int mod
+    2^(width*m) - 1.  A factor is (scope, table): a tuple of vertices and a
+    flat list of such ints over their class indices in product order.  The
+    caller reads the sum by width-bit coefficients, so they must lie below
+    2^(width-1); all are >= 0, so the product over the factors of each
+    table's coefficient sum bounds them.  Vertices are eliminated cheapest
+    first, so a tree goes leaves first: each step multiplies the factors on
+    one vertex, sums out its classes and leaves one factor on their other
+    vertices; the step is charged its terms, the classes of v and its neighbours."""
+    modulus = (1 << width * m) - 1
+
     def cost(v):
         """Classes of v and of its neighbours in the factors left."""
         return prod(counts[u] for u in {v}.union(*(s for s, _ in factors if v in s))), v
 
-    unit = [1] + [0] * (m - 1)
-    total, left = unit, set(range(len(counts)))
+    total, left = 1, set(range(len(counts)))
     while left:
         terms, v = min(map(cost, left))
         charge(terms, guard, "%d terms in one contraction step" % terms)
@@ -185,18 +177,13 @@ def _contract(factors, counts, m, guard):
         table = []
         for key in product(*[range(counts[u]) for u in scope]):
             starts = [sum(c * st for c, st in zip(key, strides)) for _, strides, _ in reads]
-            entry = [0] * m
-            for values in zip(*[t[start:start + step * counts[v]:step]
-                                for (t, _, step), start in zip(reads, starts)]):
-                value = unit
-                for x in values:
-                    value = _times(value, x, m)
-                entry = [a + b for a, b in zip(entry, value)]
-            table.append(entry)
+            columns = [t[start:start + step * counts[v]:step]
+                       for (t, _, step), start in zip(reads, starts)]
+            table.append(sum(map(prod, zip(*columns))) % modulus)
         if scope:
             factors.append((scope, table))
         else:
-            total = _times(total, table[0], m)
+            total = total * table[0] % modulus
     return total
 
 
@@ -211,10 +198,6 @@ def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None)
     alpha = _validate_alpha(quiver, alpha)
     reps, sizes, order = _vertex_lists(alg, alpha, guard)
     m, factors = char_order or 1, []
-    for v, (lst, weights) in enumerate(zip(reps, sizes)):
-        exponents = [_det_residue_dlog(alg, g) % m if char_order else 0 for g in lst]
-        factors.append(((v,), [[size * (e == i) for i in range(m)]
-                               for e, size in zip(exponents, weights)]))
     if fix_values is not None:
         tuples = prod(map(len, reps))
         charge(tuples, guard, "%d class tuples in the preprojective factor" % tuples)
@@ -224,7 +207,13 @@ def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None)
             loop = s == t
             factors.append(((t - 1,) if loop else (t - 1, s - 1),
                             _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1], guard)))
-    return _contract(factors, [len(lst) for lst in reps], m, guard), order
+    # a vertex table's coefficients sum to |GL_alpha_v|, and those sizes multiply to |G|
+    width = (order * prod(sum(t) for _, t in factors)).bit_length() + 1
+    for v, (lst, weights) in enumerate(zip(reps, sizes)):
+        exponents = [_det_residue_dlog(alg, g) % m if char_order else 0 for g in lst]
+        factors.append(((v,), [size << width * e for e, size in zip(exponents, weights)]))
+    buckets = unpack(_contract(factors, [len(lst) for lst in reps], m, width, guard), width)
+    return [buckets.get(e, 0) for e in range(m)], order
 
 
 def _group_average(engine, quiver, alg, alpha, character=False, guard=GUARD):

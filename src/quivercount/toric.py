@@ -14,9 +14,20 @@ transforms over it (_r_d_table), not from the depth functions one by one.
 """
 
 from collections import deque
+from operator import add
 
 from .multigraph import GUARD, charge
-from .polynomials import QPoly
+from .polynomials import QPoly, _integer, unpack
+
+
+def epsilon_value(g):
+    """Counit: 1 iff the graph has no edges (the class of the point)."""
+    return 1 if g.edge_count() == 0 else 0
+
+
+def epsilon1_value(g):
+    """1 iff every edge is a loop (the class of the one-vertex graphs S_m)."""
+    return 1 if all(g.is_loop(e) for e in g.edge_ids()) else 0
 
 
 def check_depth_function(gamma, r, d):
@@ -46,20 +57,20 @@ def r_d_on_components(g, d, guard=GUARD):
     """R_d extended multiplicatively to arbitrary multigraphs: the product
     of R_d over the components.  b1 adds over components, so the transform
     over all of g gives that product; d = 0 returns 1 iff g has no edge."""
-    if d < 0:
+    if (d := _integer(d, "depth d")) < 0:
         raise ValueError("d >= 0 required")
     if d == 0:
-        return QPoly.const(1 if g.edge_count() == 0 else 0)
+        return QPoly.const(epsilon_value(g))
     if d == 1:
         return QPoly.const(1)
-    _, h = deque(_r_d_table(g, d, guard), maxlen=1).pop()
-    return QPoly(h[-1])
+    _, h, width = deque(_r_d_table(g, d, guard), maxlen=1).pop()
+    return QPoly(unpack(h[-1], width))
 
 
 def _r_d_table(graph, d, guard):
-    """Yield the transform steps j = 0..d-1 as pairs (b1, h_j): b1 of the
-    spanning subgraph on every edge subset and h_j(U) = R_{j+1}(U) as
-    {exp: coeff}, both lists indexed by bitmask over the sorted edge ids.
+    """Yield the steps j = 0..d-1 as (b1, h_j, width), lists by bitmask over
+    the sorted edge ids, left unchanged later: b1(U) of the spanning subgraph
+    on U and h_j(U) = R_{j+1}(U), packed width bits per coefficient (unpack).
 
     A depth function on U is a chain U = S_0 > S_1 > ... > S_{d-1} (S_k the
     edges of depth > k, not necessarily strict) and contributes
@@ -69,24 +80,25 @@ def _r_d_table(graph, d, guard):
     Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast
     subset convolution" (STOC 2007).  The b1 table alone costs as much as
     one transform, so the guard counts max(d-1, 1) transforms, up front.
+    Width: the coefficients of h_j(U) are >= 0 and sum to (j+1)^|U|, so a
+    sum of h_j over any masks (as _a_of_step takes) has coefficients at most
+    (j+2)^m <= (d+1)^m <= 2^(m * bitlen(d)) < 2^width; q^b1(S) is a shift.
     """
     ids = sorted(graph.edge_ids())
     m = len(ids)
     steps = max(d - 1, 1) * m << m
     charge(steps, guard, "(d-1) * |E| * 2^|E| = %d transform steps" % steps)
     b1 = graph.subset_b1(ids)
-    h = [{0: 1} for _ in b1]
+    width = m * d.bit_length() + 1
+    h = [1] * len(b1)
     for j in range(d):
         if j:
-            h = [{e + b: c for e, c in poly.items()} for b, poly in zip(b1, h)]
+            h = [x << width * b for x, b in zip(h, b1)]
             for i in range(m):
                 bit = 1 << i
-                for base in range(0, 1 << m, bit << 1):
-                    for mask in range(base + bit, base + (bit << 1)):
-                        target = h[mask]
-                        for e, c in h[mask ^ bit].items():
-                            target[e] = target.get(e, 0) + c
-        yield b1, h
+                for base in range(bit, 1 << m, bit << 1):
+                    h[base:base + bit] = map(add, h[base:base + bit], h[base - bit:base])
+        yield b1, h, width
 
 
 def a_d_polynomial(graph, d, guard=GUARD):
@@ -101,27 +113,24 @@ def a_d_polynomial(graph, d, guard=GUARD):
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    if d < 0:
+    if (d := _integer(d, "depth d")) < 0:
         raise ValueError("d >= 0 required")
     if d == 0:
-        all_loops = all(graph.is_loop(e) for e in graph.edge_ids())
-        return QPoly.const(1 if all_loops else 0)
+        return QPoly.const(epsilon1_value(graph))
     return _a_of_step(graph.n, *deque(_r_d_table(graph, d, guard), maxlen=1).pop())
 
 
-def _a_of_step(n, b1, h):
+def _a_of_step(n, b1, h, width):
     """sum of (q-1)^b1(S) h(S) over the connected spanning S, those of rank
-    |S| - b1(S) = n - 1; those of equal b1 share the factor (q-1)^b1."""
-    by_b1 = {}
-    for mask, (b, poly) in enumerate(zip(b1, h)):
+    |S| - b1(S) = n - 1, for a step (b1, h, width) of _r_d_table: the packed
+    h(S) of equal b1 sum to P_b, and the P_b enter by Horner's rule in q-1."""
+    by_b1 = [0] * (max(b1) + 1)
+    for mask, (b, x) in enumerate(zip(b1, h)):
         if mask.bit_count() - b == n - 1:
-            acc = by_b1.setdefault(b, {})
-            for e, c in poly.items():
-                acc[e] = acc.get(e, 0) + c
-    qm1 = QPoly({1: 1, 0: -1})
-    total = QPoly()
-    for b in sorted(by_b1):
-        total = total + qm1 ** b * QPoly(by_b1[b])
+            by_b1[b] += x
+    qm1, total = QPoly({1: 1, 0: -1}), QPoly()
+    for x in reversed(by_b1):
+        total = total * qm1 + QPoly(unpack(x, width))
     return total
 
 
@@ -130,7 +139,7 @@ def a_d_cyclic_closed_form(n, d):
     q^d + sum_{k=1}^{d-1} [(d-k+1)^n - 2(d-k)^n + (d-k-1)^n] q^k
         + [-d^n + (d-1)^n + n d^(n-1)].
     """
-    if n < 1 or d < 1:
+    if (n := _integer(n, "cycle length n")) < 1 or (d := _integer(d, "depth d")) < 1:
         raise ValueError("n >= 1 and d >= 1 required")
     coeffs = {d: 1}
     for k in range(1, d):

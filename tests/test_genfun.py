@@ -154,6 +154,22 @@ def test_psi_convolutions_build_no_minor(monkeypatch):
     assert convolve(r_d_char(2), psi_char(1))(g) and built    # a built-minor factor
 
 
+def test_lattice_sums_build_no_polynomial_per_term(monkeypatch):
+    # the transform keeps one packed int per edge subset, and a convolution
+    # interval sums its terms into one coefficient map, reading psi values
+    # built once per (b1, parity)
+    built = []
+    init = QPoly.__init__
+    monkeypatch.setattr(QPoly, "__init__",
+                        lambda self, coeffs=None: built.append(1) or init(self, coeffs))
+    r_d_polynomial(cycle_graph(8), 5)
+    assert len(built) == 1          # R_5 itself, not one per subset of 2^8
+    built.clear()
+    g = Multigraph(3, [(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 1)])
+    assert convolve(psi_char(1), psi_char(0))(g) == QPoly({2: 1, 1: 8, 0: 7})    # R_2(g)
+    assert len(built) < 2 ** 4      # fewer than the terms of the top interval
+
+
 def test_psi_char_refuses_a_non_integer_exponent():
     # psi(q^0.5) would print as psi(q^0) and evaluate to q^0 silently
     with pytest.raises(ValueError, match="psi exponent 0.5 is not an integer"):
@@ -193,8 +209,9 @@ def test_q_eulerian_values():
     assert q_eulerian(1) == QTPoly.const(1)
     assert q_eulerian(2) == QTPoly({(1, 1): 1, (0, 0): 1})
     assert q_eulerian(3) == QTPoly({(3, 2): 1, (2, 1): 2, (1, 1): 2, (0, 0): 1})
-    # specializing q = 1 recovers the classical Eulerian numbers
-    for m in range(1, 5):
+    # specializing q = 1 recovers the classical Eulerian numbers; m = 7, 8
+    # sit on both sides of the packed width step at d = 2^3
+    for m in (1, 2, 3, 4, 7, 8):
         at_one = q_eulerian(m).evaluate(QPoly.const(1), QPoly.q())
         assert at_one == QPoly({j: c for j, c in enumerate(eulerian_numbers(m))})
 

@@ -183,11 +183,13 @@ def test_contraction_buckets_equal_the_class_tuple_loop():
         (jordan_quiver(2), F3, (2,)),                   # two loops on one vertex
         (path_quiver(3), k2f3, (1, 0, 2)),              # a zero rank cuts the path
         (Quiver.from_edges(3, [(1, 2)]), f5, (1, 2, 2)),  # an isolated vertex
+        (banana_quiver(28), f5, (1, 2)),                # buckets past 2^64, the slot width
     ]
     for quiver, ring, alpha in cases:
         for char_order in (None, 2, 3, 4):
             assert _burnside(quiver, ring, alpha, char_order=char_order) == \
                 class_tuple_buckets(quiver, ring, alpha, char_order=char_order)
+    assert sum(_burnside(banana_quiver(28), f5, (1, 2))[0]) > 2 ** 64
 
 
 def test_gl2_of_a_field_has_q_squared_minus_one_classes():

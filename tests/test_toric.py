@@ -2,6 +2,7 @@ import pytest
 
 from quivercount.families import (all_connected_multigraphs, banana_graph,
                                   cycle_graph, loops_graph, path_graph)
+from quivercount.genfun import q_eulerian, r_d_via_convolution
 from quivercount.multigraph import GuardError, Multigraph
 from quivercount.polynomials import QPoly
 from quivercount.toric import (a_d_cyclic_closed_form, a_d_polynomial, r_d_on_components,
@@ -37,6 +38,37 @@ def test_r_d_of_the_eight_cycle():
     qm1 = QPoly({1: 1, 0: -1})
     r_8 = r_d_polynomial(cycle_graph(8), 8)
     assert qm1 * r_8 + QPoly.const(8 * 8 ** 7) == a_d_cyclic_closed_form(8, 8)
+
+
+# depths on both sides of 2^k, where bitlen(d), and with it the packed
+# coefficient width of the transform, changes
+BOUNDARY_DEPTHS = (1, 2, 3, 4, 5, 7, 8, 9)
+
+
+def test_packed_width_boundaries():
+    for n in range(1, 9):
+        for d in BOUNDARY_DEPTHS:
+            assert a_d_polynomial(cycle_graph(n), d) == a_d_cyclic_closed_form(n, d)
+    # a tree puts all d^m depth functions in its one coefficient
+    for m in range(0, 9):
+        for d in BOUNDARY_DEPTHS:
+            assert r_d_polynomial(path_graph(m + 1), d) == QPoly.const(d ** m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: r_d_polynomial(cycle_graph(3), 2.5), "depth d 2.5"),
+    (lambda: a_d_polynomial(cycle_graph(3), 2.5), "depth d 2.5"),
+    (lambda: r_d_via_convolution(cycle_graph(3), 2.5), "depth d 2.5"),
+    (lambda: q_eulerian(2.5), "m 2.5"),
+    (lambda: a_d_cyclic_closed_form(3, 2.5), "depth d 2.5"),
+    (lambda: a_d_cyclic_closed_form(2.5, 3), "cycle length n 2.5"),
+], ids=["r_d_polynomial", "a_d_polynomial", "r_d_via_convolution", "q_eulerian",
+        "a_d_cyclic_closed_form_d", "a_d_cyclic_closed_form_n"])
+def test_a_non_integer_depth_is_refused_at_entry(call, message):
+    # refused before the transform reads d.bit_length() or the closed form
+    # computes float powers
+    with pytest.raises(ValueError, match=message + " is not an integer"):
+        call()
 
 
 def test_delta_examples():
