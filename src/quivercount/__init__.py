@@ -15,8 +15,8 @@ from .families import (all_connected_multigraphs, banana_graph, banana_quiver,
                        random_connected_multigraph)
 from .finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                              make_field_ext, make_prime_field,
-                             make_square_zero, make_truncated, mat_mul,
-                             ring_from_spec, truncated_generator)
+                             make_square_zero, make_truncated, ring_from_spec,
+                             truncated_generator)
 from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
                      convolve, cvector_of_filtration, psi_char,
                      psi_inverse_char, q_eulerian, r_d_char,

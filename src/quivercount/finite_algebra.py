@@ -12,7 +12,6 @@ alone, O(dim^2) products.  Discrete logs use a table for F's
 multiplicative group.
 """
 
-from functools import reduce
 from itertools import product
 from math import isqrt
 
@@ -349,15 +348,6 @@ def truncated_generator(alg):
     if alg.truncation is None:
         raise ValueError("%s was not built by make_truncated with d >= 2" % alg.name)
     return alg.basis_vector(alg.truncation[1])
-
-
-# -- matrices over an algebra (tuples of rows of coordinate tuples) -----
-
-def mat_mul(alg, a, b):
-    if not a or not b:
-        return ()
-    return tuple(tuple(reduce(alg.add, map(alg.mul, row, column), alg.zero())
-                       for column in zip(*b)) for row in a)
 
 
 # -- ring-spec parser ----------------------------------------------------

@@ -20,8 +20,8 @@ from math import comb
 from .multigraph import GUARD, charge, strict_filtrations
 from .polynomials import QPoly, QTPoly, _integer, _times_into, times_t_factors, unpack
 from .ratfun import RatQT
-from .toric import (_a_of_step, _r_d_table, epsilon1_value, epsilon_value, r_d_on_components,
-                    r_d_polynomial)
+from .toric import (_a_of_step, _r_d_table, _spanning_by_b1, epsilon1_value, epsilon_value,
+                    r_d_on_components, r_d_polynomial)
 
 
 def cvector_of_filtration(gamma, chain):
@@ -89,8 +89,10 @@ def a_genfun(graph, guard=GUARD):
     if not graph.is_connected():
         raise ValueError("graph must be connected")
     n, b1 = graph.n, graph.b1()
-    steps = _r_d_table(graph, n * (b1 + 1) - 1, guard)
-    coeffs = [QPoly.const(epsilon1_value(graph))] + [_a_of_step(n, *step) for step in steps]
+    coeffs, groups = [QPoly.const(epsilon1_value(graph))], None
+    for b1s, h, width in _r_d_table(graph, n * (b1 + 1) - 1, guard):
+        groups = groups or _spanning_by_b1(n, b1s)
+        coeffs.append(_a_of_step(groups, h, width))
     den = dict.fromkeys(range(b1 + 1), n)
     return RatQT(_series_numerator(coeffs, den), den)
 

@@ -1,13 +1,15 @@
 """GL_n(R) over a finite commutative algebra R, and the base change group
 G = prod_v GL_{alpha_v}(R) of a quiver at a rank vector alpha.
 
-The one module that lists or partitions GL_n(R), on element indices
-(ring_tables), memoized in the algebra's _gl_data dict.  Over a field
-the invertible matrices are scanned and their conjugacy classes joined by
-union-find.  Over a local ring R with residue field k the classes are
-lifted: GL_n(R) maps onto GL_n(k) with kernel K = 1 + M_n(m), so each
-class lies over one class of GL_n(k) and meets the fibre over its
-representative in one orbit of the preimage of the centralizer.
+The one module that lists or partitions GL_n(R), memoized in the
+algebra's _gl_data dict; a matrix, in and out, is a row-major flat tuple
+of element indices (ring_tables).  Over a field the invertible matrices
+are scanned and their conjugacy classes joined by union-find.  Over a
+local ring R with residue field k the classes are lifted: GL_n(R) maps
+onto GL_n(k) with kernel K = 1 + M_n(m), so each class lies over one
+class of GL_n(k) and meets the fibre over its representative in one orbit
+of the preimage of the centralizer.  A matrix over k has the indices of
+its embedding in M_n(R), so the lift reads GL_n(k) as it is.
 """
 
 from collections import Counter
@@ -16,7 +18,7 @@ from math import prod
 
 from .multigraph import GUARD, _find, _merge, charge
 from .polynomials import _integer
-from .ring_tables import index_tables
+from .ring_tables import index_tables, times
 
 
 def _validate_alpha(quiver, alpha):
@@ -29,17 +31,16 @@ def _validate_alpha(quiver, alpha):
 
 
 def invertible_matrices(alg, n):
-    """Every invertible n x n matrix over alg, in the order of
-    product(elements(), repeat=n*n).  The determinant is linear in the last
-    row, so each head (the first n - 1 rows) gives its signed cofactors
-    once, and the determinants of all |R|^n completions come from one
-    table pass per column."""
+    """Every invertible n x n matrix over alg as a flat index tuple, in
+    the order of product(elements(), repeat=n*n).  The determinant is
+    linear in the last row, so each head (the first n - 1 rows) gives its
+    signed cofactors once, and the determinants of all |R|^n completions
+    come from one table pass per column."""
     if n == 0:
         return [()]
     t = index_tables(alg)
     k = len(t.ring)
     rows = list(product(range(k), repeat=n))
-    row_elements = [tuple(t.ring[i] for i in row) for row in rows]
     out = []
     for head in product(range(len(rows)), repeat=n - 1):
         flat = tuple(i for h in head for i in rows[h])
@@ -49,40 +50,23 @@ def invertible_matrices(alg, n):
             cofactor = t.det(minor, n - 1)
             by = t.mul[cofactor if (n - 1 + j) % 2 == 0 else t.neg[cofactor]]
             dets = [t.add[d][by[x]] for d in dets for x in range(k)]
-        prefix = tuple(row_elements[h] for h in head)
-        out.extend(prefix + (row_elements[r],) for r, d in enumerate(dets) if t.is_unit[d])
+        out.extend(flat + rows[r] for r, d in enumerate(dets) if t.is_unit[d])
     return out
 
 
-def _times(t, a, b, n):
-    """The product of two n x n matrices given as flat tuples of indices."""
-    out = []
-    for r, c in product(range(0, n * n, n), range(n)):
-        acc = t.zero
-        for k in range(n):
-            acc = t.add[acc][t.mul[a[r + k]][b[k * n + c]]]
-        out.append(acc)
-    return tuple(out)
-
-
-def _flatten(t, m):
-    return tuple(t.index[x] for row in m for x in row)
-
-
-def _conjugation_steps(alg, n, entries, units, positions):
+def _conjugation_steps(t, n, entries, units, positions):
     """Conjugations g -> s g s^-1 of flat index tuples, each as steps
     m[a] += c * m[b] in order: for s = 1 + x e_ij, x in entries, row i +=
     x row j, then column j -= x column i; for s = 1 + (u - 1) e_ii, u in
-    units and i in positions, row i *= u, then column i *= u^-1."""
-    t = index_tables(alg)
+    units and i in positions, row i *= u, then column i *= u^-1 (indices)."""
     steps = []
     for x in entries:
-        plus, minus = t.mul[t.index[x]], t.mul[t.neg[t.index[x]]]
+        plus, minus = t.mul[x], t.mul[t.neg[x]]
         steps += [[(i * n + k, j * n + k, plus) for k in range(n)]
                   + [(k * n + j, k * n + i, minus) for k in range(n)]
                   for i, j in permutations(range(n), 2)]
     for u in units:
-        up, down = (t.mul[t.index[alg.sub(v, alg.one)]] for v in (u, alg.inverse(u)))
+        up, down = (t.mul[t.add[v][t.neg[t.one]]] for v in (u, t.inverse[u]))
         steps += [[(i * n + k, i * n + k, up) for k in range(n)]
                   + [(k * n + i, k * n + i, down) for k in range(n)] for i in positions]
     return steps
@@ -105,7 +89,7 @@ def _orbit_parts(t, n, points, steps, lifts=()):
     parent = list(range(len(points)))
     _merge(parent, ((k, position[h]) for k, g in enumerate(points) for h in conjugates(g)))
     roots = [k for k, root in enumerate(parent) if k == root]
-    _merge(parent, ((k, position[_times(t, _times(t, h, points[k], n), h_inv, n)])
+    _merge(parent, ((k, position[times(t, times(t, h, points[k], n, n, n), h_inv, n, n, n)])
                     for k in roots for h, h_inv in lifts))
     return sorted(Counter(_find(parent, k) for k in range(len(points))).items())
 
@@ -120,15 +104,14 @@ def conjugacy_classes(alg, n, elements):
     if n < 2:
         return [(m, 1) for m in elements]
     t = index_tables(alg)
-    steps = _conjugation_steps(alg, n, [alg.one], [alg.primitive_element()], [0])
-    parts = _orbit_parts(t, n, [_flatten(t, m) for m in elements], steps)
-    return [(elements[k], size) for k, size in parts]
+    steps = _conjugation_steps(t, n, [t.one], [t.index[alg.primitive_element()]], [0])
+    return [(elements[k], size) for k, size in _orbit_parts(t, n, elements, steps)]
 
 
 def _lifted_classes(alg, n, residue_classes, guard):
     """The classes of GL_n(alg), alg local but not a field, lifted from
     those of GL_n(k), k the residue field: (first point of a part, size).
-    The fibre g0 + M_n(m) over g0, embedded through the first coordinates,
+    The fibre g0 + M_n(m) over g0, whose indices are those of g0 in k,
     is joined by K = 1 + M_n(m): row reduction leaves a diagonal in 1 + m,
     so K is generated by 1 + b e_ij, b in the basis of m, and 1 + y e_ii,
     i < n - 1 as scalars act trivially, y in the nonzero products of basis
@@ -137,41 +120,35 @@ def _lifted_classes(alg, n, residue_classes, guard):
     commuting elements of GL_n(k), in order, kept when outside the group
     of those kept, until it has |GL_n(k)| / size0 elements.  A part of s
     points is a class of size0 * s."""
-    field, t = alg.residue_field, index_tables(alg)
-    tk, pad = index_tables(field), (0,) * (alg.dim - field.dim)
-    elements = [_flatten(tk, h) for h in gl_elements(field, n, guard)]
-    one = tuple(tk.one if i == j else tk.zero for i in range(n) for j in range(n))
-    basis = [alg.basis_vector(i) for i in range(field.dim, alg.dim)]
+    t, elements = index_tables(alg), gl_elements(alg.residue_field, n, guard)
+    one = tuple(t.one if i == j else t.zero for i in range(n) for j in range(n))
+    basis = [t.index[alg.basis_vector(i)] for i in range(alg.residue_field.dim, alg.dim)]
     products = list(basis)
     for x in products:
-        for y in (alg.mul(x, b) for b in basis):
-            if any(y) and y not in products:
+        for y in (t.mul[x][b] for b in basis):
+            if y != t.zero and y not in products:
                 products.append(y)
-    steps = _conjugation_steps(alg, n, basis, [alg.add(alg.one, y) for y in products],
-                               range(n - 1))
+    steps = _conjugation_steps(t, n, basis, [t.add[t.one][y] for y in products], range(n - 1))
     ideal = [x for x, unit in enumerate(t.is_unit) if not unit]
     out = []
     for g0, size0 in residue_classes:
-        g0, gens, group, lifts = _flatten(tk, g0), [], {one}, []
+        gens, group, lifts = [], {one}, []
         for h in elements:
             if len(group) == len(elements) // size0:
                 break
-            if h not in group and _times(tk, h, g0, n) == _times(tk, g0, h, n):
+            if h not in group and times(t, h, g0, n, n, n) == times(t, g0, h, n, n, n):
                 gens.append(h)
                 group, new = {one}, {one}
                 while new:
-                    new = {_times(tk, x, s, n) for x in new for s in gens} - group
+                    new = {times(t, x, s, n, n, n) for x in new for s in gens} - group
                     group |= new
         for h in gens:
             x, inverse = h, one         # h^-1 is the power of h just before 1
             while x != one:
-                inverse, x = x, _times(tk, x, h, n)
-            lifts.append([tuple(t.index[tk.ring[x] + pad] for x in y) for y in (h, inverse)])
-        base = [t.index[tk.ring[x] + pad] for x in g0]
-        fibre = [tuple(t.add[b][x] for b, x in zip(base, xs))
-                 for xs in product(ideal, repeat=n * n)]
-        out += [(tuple(tuple(t.ring[x] for x in fibre[k][r:r + n]) for r in range(0, n * n, n)),
-                 size0 * size) for k, size in _orbit_parts(t, n, fibre, steps, lifts)]
+                inverse, x = x, times(t, x, h, n, n, n)
+            lifts.append((h, inverse))
+        fibre = [tuple(t.add[b][x] for b, x in zip(g0, xs)) for xs in product(ideal, repeat=n * n)]
+        out += [(fibre[k], size0 * size) for k, size in _orbit_parts(t, n, fibre, steps, lifts)]
     return out
 
 
@@ -197,17 +174,18 @@ def gl_order(alg, size, guard=GUARD):
 
 
 def gl_elements(alg, size, guard=GUARD):
-    """Every invertible size x size matrix, deterministic order (memoized)."""
+    """Every invertible size x size matrix as a row-major flat tuple of
+    element indices, deterministic order (memoized)."""
     return _gl_table(alg, size, guard)
 
 
 def gl_classes(alg, size, guard=GUARD):
     """The conjugacy classes of GL_size(alg) as (representative, class
-    size) pairs (memoized).  Over a field, or for size < 2, from the scan,
-    each the first of its class in the order of gl_elements.  Over a local
-    ring lifted from the residue field k, charging the fibre points
-    #classes(GL_size(k)) x |m|^(size^2), cached or not; as |m| >= |k| they
-    bound the centralizer search too."""
+    size) pairs (memoized), each representative a flat index tuple.  Over
+    a field, or for size < 2, from the scan, each the first of its class in
+    the order of gl_elements.  Over a local ring lifted from the residue
+    field k, charging the fibre points #classes(GL_size(k)) x |m|^(size^2),
+    cached or not; as |m| >= |k| they bound the centralizer search too."""
     if alg.is_field or size < 2:
         elements = _gl_table(alg, size, guard)
         return _memo(alg, ("classes", size), lambda: conjugacy_classes(alg, size, elements))
@@ -225,8 +203,8 @@ def group_order(quiver, alg, alpha, guard=GUARD):
 
 
 def enumerate_group(quiver, alg, alpha, guard=GUARD):
-    """Yield every element of the product of GL's, one tuple per element;
-    charges the GL scans and the |G| elements listed."""
+    """Yield every element of the product of GL's, a tuple of flat index
+    tuples, one per vertex; charges the GL scans and the |G| elements listed."""
     alpha = _validate_alpha(quiver, alpha)
     order = group_order(quiver, alg, alpha, guard)
     charge(order, guard, "|G| = %d group elements" % order)

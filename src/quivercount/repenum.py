@@ -36,10 +36,12 @@ times z^(character exponent), in Z[z]/(z^m - 1)) and one per arrow (its
 fixed-point counts on pairs of classes), summed out one vertex at a time,
 cheapest first.  Each algebra solves one table per pair of ranks, and
 every arrow of those ranks reads it.  The preprojective count does not
-split over arrows and enters as one factor on all vertices.  The
-determinant character (on the residue field), the zero-fiber filter and
-the toric oracle compute on element indices through one set of |R| x |R|
-tables per algebra.
+split over arrows and enters as one factor on all vertices.  A matrix is
+a row-major flat tuple of element indices, as gl.py lists them: the arrow
+solves, the determinant character (det over R, then its residue), the
+moment map, the zero-fiber filter and the toric oracle compute on one set
+of |R| x |R| tables per algebra (ring_tables).  Only stabilizer_order
+takes coordinate matrices, converted once at entry.
 Exact and deterministic.
 """
 
@@ -48,21 +50,11 @@ from math import prod
 
 from . import modp
 from .cyclotomic import root_sum
-from .finite_algebra import mat_mul
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import unpack
 from .ring_tables import (arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits,
-                          vanishing_points)
-
-
-def _all_matrices(alg, rows, cols):
-    """Every rows x cols matrix over alg, in a fixed order (a generator)."""
-    if rows == 0 or cols == 0:
-        yield ()
-        return
-    for entries in product(list(alg.elements()), repeat=rows * cols):
-        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+                          times, vanishing_points)
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -92,12 +84,6 @@ def fix_nullity(alg, gt, gs, rows, cols):
     return rows * cols * alg.dim - modp.rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
 
 
-def _vector_to_matrix(alg, vec, rows, cols):
-    dim = alg.dim
-    return tuple(tuple(tuple(vec[(i * cols + j) * dim + k] % alg.p for k in range(dim))
-                       for j in range(cols)) for i in range(rows))
-
-
 # -- the weighted group average ------------------------------------------
 
 def _vertex_lists(alg, alpha, guard):
@@ -107,14 +93,6 @@ def _vertex_lists(alg, alpha, guard):
     classes = [gl_classes(alg, a, guard) for a in alpha]
     sizes = [[size for _, size in c] for c in classes]
     return [[rep for rep, _ in c] for c in classes], sizes, prod(map(sum, sizes))
-
-
-def _det_residue_dlog(alg, m):
-    if m == ():
-        return 0
-    t = index_tables(alg.residue_field)
-    flat = tuple(t.index[alg.residue(entry)] for row in m for entry in row)
-    return alg.dlog(t.ring[t.det(flat, len(m))])
 
 
 def _arrow_table(alg, rows, cols, guard):
@@ -130,9 +108,7 @@ def _arrow_table(alg, rows, cols, guard):
     sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard)]
     solves = len(targets) if cols is None else len(targets) * len(sources)
     charge(solves, guard, "%d arrow solves" % solves)
-    cache = getattr(alg, "_arrow_data", None)
-    if cache is None:
-        cache = alg._arrow_data = {}
+    cache = alg.__dict__.setdefault("_arrow_data", {})
     if (rows, cols) not in cache:
         p = alg.p
         if cols is None:
@@ -209,8 +185,10 @@ def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None)
                             _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1], guard)))
     # a vertex table's coefficients sum to |GL_alpha_v|, and those sizes multiply to |G|
     width = (order * prod(sum(t) for _, t in factors)).bit_length() + 1
-    for v, (lst, weights) in enumerate(zip(reps, sizes)):
-        exponents = [_det_residue_dlog(alg, g) % m if char_order else 0 for g in lst]
+    t = index_tables(alg)
+    for v, (a, lst, weights) in enumerate(zip(alpha, reps, sizes)):
+        exponents = [alg.dlog(alg.residue(t.ring[t.det(g, a)])) % m if char_order else 0
+                     for g in lst]
         factors.append(((v,), [size << width * e for e, size in zip(exponents, weights)]))
     buckets = unpack(_contract(factors, [len(lst) for lst in reps], m, width, guard), width)
     return [buckets.get(e, 0) for e in range(m)], order
@@ -269,15 +247,15 @@ def double_quiver(quiver):
 
 
 def _moment_blocks(alg, alpha, arrows, star, x):
-    """Vertex blocks (lists of rows) of sum over arrows of M_a M_a* - M_a* M_a."""
-    blocks = [[[alg.zero()] * a for _ in range(a)] for a in alpha]
+    """Vertex blocks (flat index lists) of sum over arrows of M_a M_a* - M_a* M_a."""
+    tab = index_tables(alg)
+    blocks = [[tab.zero] * (a * a) for a in alpha]
     for e, s, t in arrows:
-        ma, mstar = x[e], x[star[e]]
-        for block, term, op in ((blocks[t - 1], mat_mul(alg, ma, mstar), alg.add),
-                                (blocks[s - 1], mat_mul(alg, mstar, ma), alg.sub)):
-            for i, row in enumerate(term):
-                for j, entry in enumerate(row):
-                    block[i][j] = op(block[i][j], entry)
+        n, k = alpha[t - 1], alpha[s - 1]
+        plus = times(tab, x[e], x[star[e]], n, k, n)
+        blocks[t - 1] = [tab.add[b][y] for b, y in zip(blocks[t - 1], plus)]
+        minus = times(tab, x[star[e]], x[e], k, n, k)
+        blocks[s - 1] = [tab.add[b][tab.neg[y]] for b, y in zip(blocks[s - 1], minus)]
     return blocks
 
 
@@ -300,7 +278,8 @@ def _whole_zero_fiber(quiver, alg, alpha, guard):
             for i, j, h in product(range(n), range(n), range(k)):
                 sums.setdefault((v, i, j), []).append(
                     (slot[left], i * k + h, slot[right], h * n + j, negated))
-    per_arrow = [list(_all_matrices(alg, alpha[t - 1], alpha[s - 1])) for _, s, t in darrows]
+    per_arrow = [list(product(range(alg.size()), repeat=alpha[t - 1] * alpha[s - 1]))
+                 for _, s, t in darrows]        # every matrix of each arrow's shape
     return (tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
             for combo in vanishing_points(alg, per_arrow, list(sums.values())))
 
@@ -314,22 +293,24 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, guard=GUARD):
     alpha = _validate_alpha(quiver, alpha)
     arrows = quiver.arrows()
     star = double_quiver(quiver)[1]
-    p = alg.p
-    width = sum(a * a for a in alpha) * alg.dim
+    p, dim, ring = alg.p, alg.dim, index_tables(alg).ring
+    width = sum(a * a for a in alpha) * dim
     basis_cache = {}
 
     def basis(gt, gs, rows, cols):
+        """The fixed space's F_p basis, each vector as a flat index tuple."""
         key = (rows, cols, gt, gs)
         if key not in basis_cache:
-            basis_cache[key] = [_vector_to_matrix(alg, v, rows, cols) for v in
-                                modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)]
+            vectors = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
+            basis_cache[key] = [tuple(alg.element_index(v[i:i + dim])
+                                      for i in range(0, len(v), dim)) for v in vectors]
         return basis_cache[key]
 
     def column(arrow, x, y):
         """mu at the point x on the arrow, y on its star, zero elsewhere,
         as a flat F_p vector."""
         blocks = _moment_blocks(alg, alpha, [arrow], star, {arrow[0]: x, star[arrow[0]]: y})
-        return [c for block in blocks for row in block for entry in row for c in entry]
+        return [c for block in blocks for entry in block for c in ring[entry]]
 
     def fix_values(g):
         halves = [[(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows],
@@ -375,27 +356,21 @@ def a_preproj(quiver, alg, alpha, guard=GUARD):
 
 def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
     """Cardinality of the moment map's zero fiber, both by direct
-    enumeration and by the additive-group average
-    (1/|g|) sum_x |V| |ker rho(x)|; asserts the two agree."""
+    enumeration of the doubled representation space and by the
+    additive-group average (1/|g|) sum_x |V| |ker rho(x)| over every x in
+    g = prod_v M_alpha_v; asserts the two agree."""
     alpha = _validate_alpha(quiver, alpha)
-    arrows = quiver.arrows()
-    p = alg.p
-
+    arrows, p = quiver.arrows(), alg.p
     lie_total = prod(alg.size() ** (a * a) for a in alpha)
     charge(lie_total, guard, "%d elements of the additive group" % lie_total)
-
-    # direct side: enumerate the doubled representation space
     direct = sum(1 for _ in _whole_zero_fiber(quiver, alg, alpha, guard))
-
-    # additive average side
     v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
     acc = sum(v_size * prod(p ** fix_nullity(alg, x[t - 1], x[s - 1], alpha[t - 1], alpha[s - 1])
                             for _, s, t in arrows)
-              for x in product(*[_all_matrices(alg, a, a) for a in alpha]))
-    if acc % lie_total:
+              for x in product(*[product(range(alg.size()), repeat=a * a) for a in alpha]))
+    averaged, rest = divmod(acc, lie_total)
+    if rest:
         raise AssertionError("additive average is not integral")
-    averaged = acc // lie_total
-
     if direct != averaged:
         raise AssertionError("zero-fiber count mismatch: direct %d vs averaged %d"
                              % (direct, averaged))
@@ -417,9 +392,8 @@ def toric_ai_orbit_count(quiver, alg, guard=GUARD):
     units = [u for u, unit in enumerate(tab.is_unit) if unit]
     group = len(units) ** quiver.n
     charge(group, guard, "|R^x|^%d = %d unit tuples" % (quiver.n, group))
-    inverse = {u: tab.mul[u].index(tab.one) for u in units}
     # the unit tuple g scales the arrow s -> t by g_t g_s^-1
-    scalings = {tuple(tab.mul[g[t - 1]][inverse[g[s - 1]]] for _, s, t in arrows)
+    scalings = {tuple(tab.mul[g[t - 1]][tab.inverse[g[s - 1]]] for _, s, t in arrows)
                 for g in product(units, repeat=quiver.n)}
     return sum(1 for point in scaling_orbits(alg, len(arrows), scalings)
                if quiver.graph.spanning_connected(
@@ -427,12 +401,25 @@ def toric_ai_orbit_count(quiver, alg, guard=GUARD):
 
 
 def stabilizer_order(x, quiver, alg, alpha, guard=GUARD):
-    """Order of the stabilizer of a representation point x (dict arrow
-    id -> matrix), by filtering the full group enumeration."""
+    """Order of the stabilizer of a representation point x, a dict arrow
+    id -> alpha_t x alpha_s matrix (rows of elements of alg; one without
+    entries in any empty form), by filtering the full group enumeration.
+    A malformed point is refused with ValueError before G is listed."""
     alpha = _validate_alpha(quiver, alpha)
+    tab, point = index_tables(alg), []
+    for e, s, t in quiver.arrows():
+        rows, cols, m = alpha[t - 1], alpha[s - 1], x.get(e)
+        try:
+            flat = tuple(tab.index[y] for row in m for y in row)
+        except (KeyError, TypeError):       # no such arrow, or not a matrix of elements
+            flat = None
+        if flat is None or tuple(map(len, m)) != (cols,) * rows and (flat or rows * cols):
+            raise ValueError("arrow %d needs an alpha_t x alpha_s = %d x %d matrix over %s"
+                             % (e, rows, cols, alg.name))
+        point.append((flat, t - 1, s - 1, rows, cols))
     return sum(1 for g in enumerate_group(quiver, alg, alpha, guard)
-               if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
-                      for e, s, t in quiver.arrows()))
+               if all(times(tab, g[t], m, rows, rows, cols) == times(tab, m, g[s], rows, cols, cols)
+                      for m, t, s, rows, cols in point))
 
 
 def toric_point(quiver, values):

@@ -1,11 +1,13 @@
 """A finite algebra as index tables, for loops that would otherwise call
 its arithmetic element by element.
 
-Elements are numbered 0..|R|-1 in the order of elements(); sums, products
-and negatives are looked up in |R| x |R| tables built once per algebra.
-The zero-fiber filter of the moment map and the scaling orbits of the
-toric oracle run on these indices, as do the GL scan, the class
-partition and its lift in gl.py.
+Elements are numbered 0..|R|-1 in the order of elements(): index i counts
+in base p, digit k the coordinate on b_k, so a residue-field element has
+the index of its embedding (x, 0, ..., 0) and the residue of index i is
+i mod |k|.  Sums, products, negatives and unit inverses are looked up in
+tables built once per algebra.  A matrix is a row-major flat tuple of
+indices and times() its one product; gl.py and the engines of repenum.py
+take no other form.
 
 The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel
@@ -15,13 +17,14 @@ distinct element, and the F_p system is ranked; the scaling orbits of the
 counterexample read the same blocks.
 """
 
+from functools import cached_property
 from itertools import product
 
 
 class IndexTables:
     """The algebra's elements as indices 0..|R|-1 in the order of
     elements(): the ring list, the index map, |R| x |R| add and mul
-    tables, and the neg, is_unit lists."""
+    tables, the neg, is_unit lists and, built on first use, inverse."""
 
     def __init__(self, alg):
         self.ring = ring = list(alg.elements())
@@ -48,6 +51,11 @@ class IndexTables:
         self.is_unit = [alg.is_unit(x) for x in ring]
         self.zero, self.one = index[alg.zero()], index[alg.one]
 
+    @cached_property
+    def inverse(self):
+        """u^-1 per unit index u, None per non-unit."""
+        return [row.index(self.one) if unit else None for row, unit in zip(self.mul, self.is_unit)]
+
     def det(self, m, n):
         """Determinant of the n x n matrix given as a flat tuple of indices,
         by expansion along the first row."""
@@ -65,19 +73,27 @@ class IndexTables:
 
 def index_tables(alg):
     """The algebra's IndexTables, built once and kept on the algebra."""
-    tables = getattr(alg, "_index_data", None)
-    if tables is None:
-        tables = alg._index_data = IndexTables(alg)
-    return tables
+    if "_index_data" not in alg.__dict__:
+        alg._index_data = IndexTables(alg)
+    return alg._index_data
+
+
+def times(t, a, b, rows, inner, cols):
+    """The product of a rows x inner and an inner x cols matrix over t."""
+    add, mul, out = t.add, t.mul, []
+    for r, c in product(range(rows), range(cols)):
+        acc = t.zero
+        for k in range(inner):
+            acc = add[acc][mul[a[r * inner + k]][b[k * cols + c]]]
+        out.append(acc)
+    return tuple(out)
 
 
 def mul_block(alg, x):
     """Multiplication by x as its dim columns x * b_k over F_p, each a
     tuple of the (coordinate, value) pairs with value nonzero.  Filled
     lazily per distinct element and kept on the algebra as _block_data."""
-    blocks = getattr(alg, "_block_data", None)
-    if blocks is None:
-        blocks = alg._block_data = {}
+    blocks = alg.__dict__.setdefault("_block_data", {})
     block = blocks.get(x)
     if block is None:
         p, table, columns = alg.p, alg.table, []
@@ -98,8 +114,8 @@ def arrow_system(alg, gt, gs, rows, cols):
     (a, c) of the image, column i * cols + j entry (i, j) of X.  It is the
     Kronecker sum gt (x) 1 - 1 (x) gs^T."""
     t = index_tables(alg)
-    left = [[t.index[x] for x in row] for row in gt]
-    minus = [[t.neg[t.index[x]] for x in column] for column in zip(*gs)]
+    left = [gt[a * rows:(a + 1) * rows] for a in range(rows)]
+    minus = [[t.neg[x] for x in gs[c::cols]] for c in range(cols)]
     system = []
     for a, c in product(range(rows), range(cols)):
         row = [t.zero] * (rows * cols)
@@ -125,8 +141,7 @@ def chain_nullity(alg, system):
         q = alg.p ** bd
         # index 0 is zero; a valuation counts the zero blocks below the first nonzero one
         val = [d] + [next(v for v in range(d) if e % q ** (v + 1)) for e in range(1, len(t.ring))]
-        minus_inverse = [t.mul[t.neg[row.index(t.one)]] if unit else None
-                         for row, unit in zip(t.mul, t.is_unit)]
+        minus_inverse = [None if u is None else t.mul[t.neg[u]] for u in t.inverse]
         data = alg._chain_data = (d, bd, q, val, minus_inverse)
     d, bd, q, val, minus_inverse = data
     add, mul = t.add, t.mul
@@ -162,9 +177,8 @@ def vanishing_points(alg, matrices, sums):
     negated).  A point is dropped at its first nonzero sum."""
     t = index_tables(alg)
     add, mul, neg, zero = t.add, t.mul, t.neg, t.zero
-    flat = [[tuple(t.index[x] for row in m for x in row) for m in lst] for lst in matrices]
-    for combo in product(*[range(len(f)) for f in flat]):
-        point = [f[c] for f, c in zip(flat, combo)]
+    for combo in product(*[range(len(lst)) for lst in matrices]):
+        point = [lst[c] for lst, c in zip(matrices, combo)]
         for terms in sums:
             acc = zero
             for a, i, b, j, negated in terms:

@@ -117,20 +117,27 @@ def a_d_polynomial(graph, d, guard=GUARD):
         raise ValueError("d >= 0 required")
     if d == 0:
         return QPoly.const(epsilon1_value(graph))
-    return _a_of_step(graph.n, *deque(_r_d_table(graph, d, guard), maxlen=1).pop())
+    b1, h, width = deque(_r_d_table(graph, d, guard), maxlen=1).pop()
+    return _a_of_step(_spanning_by_b1(graph.n, b1), h, width)
 
 
-def _a_of_step(n, b1, h, width):
-    """sum of (q-1)^b1(S) h(S) over the connected spanning S, those of rank
-    |S| - b1(S) = n - 1, for a step (b1, h, width) of _r_d_table: the packed
-    h(S) of equal b1 sum to P_b, and the P_b enter by Horner's rule in q-1."""
-    by_b1 = [0] * (max(b1) + 1)
-    for mask, (b, x) in enumerate(zip(b1, h)):
+def _spanning_by_b1(n, b1):
+    """The masks of the connected spanning S, those of rank |S| - b1(S) =
+    n - 1, grouped by b1(S): one selection per b1 table of _r_d_table."""
+    groups = [[] for _ in range(max(b1) + 1)]
+    for mask, b in enumerate(b1):
         if mask.bit_count() - b == n - 1:
-            by_b1[b] += x
+            groups[b].append(mask)
+    return groups
+
+
+def _a_of_step(groups, h, width):
+    """sum of (q-1)^b1(S) h(S) over the connected spanning S, given by
+    _spanning_by_b1, for a step (b1, h, width) of _r_d_table: the packed
+    h(S) of equal b1 sum to P_b, and the P_b enter by Horner's rule in q-1."""
     qm1, total = QPoly({1: 1, 0: -1}), QPoly()
-    for x in reversed(by_b1):
-        total = total * qm1 + QPoly(unpack(x, width))
+    for masks in reversed(groups):
+        total = total * qm1 + QPoly(unpack(sum(map(h.__getitem__, masks)), width))
     return total
 
 

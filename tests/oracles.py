@@ -10,20 +10,21 @@ never from each other (tests/test_source.py holds them to that).
 """
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, prod
 
 from quivercount.cyclotomic import root_sum
 from quivercount.families import _canonical_form
-from quivercount.finite_algebra import FiniteAlgebra, mat_mul
+from quivercount.finite_algebra import FiniteAlgebra
 from quivercount.genfun import GraphChar, r_genfun
 from quivercount.gl import _validate_alpha, enumerate_group, gl_elements, group_order
 from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
-from quivercount.repenum import (_fix_system, _group_average, _moment_blocks, _vector_to_matrix,
-                                 _vertex_lists, _whole_zero_fiber, double_quiver, fix_nullity)
+from quivercount.repenum import (_fix_system, _group_average, _vertex_lists, _whole_zero_fiber,
+                                 double_quiver, fix_nullity)
 from quivercount.ring_tables import index_tables, vanishing_points
 from quivercount.toric import check_depth_function, r_d_polynomial
 
@@ -318,6 +319,32 @@ def mobius(n):
 
 
 # -- finite algebras and matrices over them ----------------------------
+#
+# A matrix here is a tuple of rows of coordinate tuples, computed on
+# through FiniteAlgebra arithmetic; the engines take a row-major flat tuple
+# of element indices, and flat_indices / coordinate_matrix convert.
+
+def flat_indices(alg, m):
+    """The engines' form of a coordinate matrix: a flat tuple of element
+    indices, read off the base-p digits by FiniteAlgebra.element_index."""
+    return tuple(alg.element_index(x) for row in m for x in row)
+
+
+def coordinate_matrix(alg, flat, cols):
+    """A flat index tuple as a matrix of coordinate tuples with cols
+    columns, the digits of each index in base p; () when it has no entries."""
+    entries = [tuple(i // alg.p ** k % alg.p for k in range(alg.dim)) for i in flat]
+    return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols or 1))
+
+
+def mat_mul(alg, a, b):
+    """The product of coordinate matrices through FiniteAlgebra.add/mul:
+    the reference for ring_tables.times."""
+    if not a or not b:
+        return ()
+    return tuple(tuple(reduce(alg.add, map(alg.mul, row, column), alg.zero())
+                       for column in zip(*b)) for row in a)
+
 
 def mat_identity(alg, n):
     """The n x n identity matrix over alg."""
@@ -416,10 +443,9 @@ def conjugacy_classes_by_partition(alg, n):
                 m[target] = add[m[target]][by[m[source]]]
             yield tuple(m)
 
-    flat = [tuple(index[x] for row in m for x in row) for m in elements]
-    position = {g: k for k, g in enumerate(flat)}
-    parent = list(range(len(flat)))
-    _merge(parent, ((k, position[h]) for k, g in enumerate(flat) for h in conjugates(g)))
+    position = {g: k for k, g in enumerate(elements)}
+    parent = list(range(len(elements)))
+    _merge(parent, ((k, position[h]) for k, g in enumerate(elements) for h in conjugates(g)))
     return {m: elements[_find(parent, k)] for k, m in enumerate(elements)}
 
 
@@ -561,10 +587,11 @@ def fix_count(g, quiver, alg, alpha):
 
 def fix_space_points(alg, basis, rows, cols):
     """All rows x cols matrices in the span of basis, the nullspace vectors
-    of the system gt X = X gs, in product order of the coefficients."""
+    of the system gt X = X gs, in product order of the coefficients, as
+    flat index tuples."""
     if rows == 0 or cols == 0:
         return [()]
-    n = rows * cols * alg.dim
+    n, dim = rows * cols * alg.dim, alg.dim
     points = []
     for coeffs in product(range(alg.p), repeat=len(basis)):
         vec = [0] * n
@@ -572,7 +599,8 @@ def fix_space_points(alg, basis, rows, cols):
             if cf:
                 for idx, bv in enumerate(bvec):
                     vec[idx] += cf * bv
-        points.append(_vector_to_matrix(alg, vec, rows, cols))
+        points.append(tuple(alg.element_index([c % alg.p for c in vec[i:i + dim]])
+                            for i in range(0, n, dim)))
     return points
 
 
@@ -594,13 +622,15 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
                             for row in block for entry in row)]
     buckets = [0] * order
     for g in enumerate_group(quiver, alg, alpha):
+        coordinates = [coordinate_matrix(alg, m, a) for m, a in zip(g, alpha)]
         if preproj:
             fix = sum(1 for x in fiber
-                      if all(mat_mul(alg, g[t - 1], x[e]) == mat_mul(alg, x[e], g[s - 1])
-                             for e, s, t in darrows))
+                      if all(mat_mul(alg, coordinates[t - 1], x[e])
+                             == mat_mul(alg, x[e], coordinates[s - 1]) for e, s, t in darrows))
         else:
             fix = fix_count(g, quiver, alg, alpha)
-        exponent = sum(alg.dlog(alg.residue(mat_det(alg, m))) for m in g) if character else 0
+        exponent = sum(alg.dlog(alg.residue(mat_det(alg, m)))
+                       for m in coordinates) if character else 0
         buckets[exponent % order] += fix
     value, rest = divmod(root_sum(buckets), group_order(quiver, alg, alpha))
     assert rest == 0
@@ -641,7 +671,8 @@ def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
         logs = residue_logs(alg, alg.primitive_element() if generator is None else generator)
         if logs is None:
             raise ValueError("%r is not a primitive root" % (generator,))
-        exponents = [[logs[alg.residue(mat_det(alg, h))] for h in lst] for lst in reps]
+        exponents = [[logs[alg.residue(mat_det(alg, coordinate_matrix(alg, h, a)))] for h in lst]
+                     for a, lst in zip(alpha, reps)]
     buckets = [0] * m
     solved = {}
 
@@ -702,7 +733,8 @@ def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
 
 def moment_map(quiver, alg, alpha, x):
     """Vertex-wise value of sum over arrows of M_a M_a* - M_a* M_a for a
-    representation x of the double quiver (dict arrow id -> matrix)."""
+    representation x of the double quiver (dict arrow id -> coordinate
+    matrix), through mat_mul: the oracle for repenum._moment_blocks."""
     alpha = _validate_alpha(quiver, alpha)
     _, star = double_quiver(quiver)
     arrows = quiver.arrows()
@@ -710,7 +742,15 @@ def moment_map(quiver, alg, alpha, x):
         ma = x[e]
         if len(ma) != alpha[t - 1] or (ma and len(ma[0]) != alpha[s - 1]):
             raise ValueError("arrow %d matrix has the wrong shape" % e)
-    return tuple(tuple(map(tuple, block)) for block in _moment_blocks(alg, alpha, arrows, star, x))
+    blocks = [[[alg.zero()] * a for _ in range(a)] for a in alpha]
+    for e, s, t in arrows:
+        ma, mstar = x[e], x[star[e]]
+        for block, term, op in ((blocks[t - 1], mat_mul(alg, ma, mstar), alg.add),
+                                (blocks[s - 1], mat_mul(alg, mstar, ma), alg.sub)):
+            for i, row in enumerate(term):
+                for j, entry in enumerate(row):
+                    block[i][j] = op(block[i][j], entry)
+    return tuple(tuple(map(tuple, block)) for block in blocks)
 
 
 def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
@@ -721,9 +761,13 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
     darrows = double_quiver(quiver)[0].arrows()
     points = _whole_zero_fiber(quiver, alg, alpha, guard)
     elements = enumerate_group(quiver, alg, alpha, guard)
-    fiber = list(points)
+    fiber = [tuple(coordinate_matrix(alg, x, alpha[s - 1]) for x, (_, s, _) in zip(point, darrows))
+             for point in points]
 
-    group = [(g, [mat_inverse(alg, gi) if gi else () for gi in g]) for g in elements]
+    group = []
+    for g in elements:
+        g = [coordinate_matrix(alg, gi, a) for gi, a in zip(g, alpha)]
+        group.append((g, [mat_inverse(alg, gi) if gi else () for gi in g]))
     orbits = 0
     visited = set()
     for point in fiber:

@@ -8,12 +8,12 @@ from quivercount import modp
 from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers,
                                         make_field, make_field_ext,
                                         make_prime_field, make_square_zero,
-                                        make_truncated, mat_mul, ring_from_spec,
+                                        make_truncated, ring_from_spec,
                                         truncated_generator)
 from quivercount.multigraph import GuardError
-from quivercount.ring_tables import IndexTables, index_tables
-from oracles import (dual_numbers_by_blocks, mat_det, mat_identity, mat_inverse,
-                     square_zero_by_blocks, truncated_by_blocks)
+from quivercount.ring_tables import IndexTables, index_tables, times
+from oracles import (dual_numbers_by_blocks, flat_indices, mat_det, mat_identity, mat_inverse,
+                     mat_mul, square_zero_by_blocks, truncated_by_blocks)
 
 
 def test_prime_field_basics():
@@ -222,6 +222,23 @@ def test_three_by_three_determinants():
             assert mat_det(alg, m) == t.ring[t.det(tuple(t.index[x] for row in m for x in row), 3)]
         for a, b in zip(matrices, matrices[1:]):
             assert mat_det(alg, mat_mul(alg, a, b)) == alg.mul(mat_det(alg, a), mat_det(alg, b))
+
+
+def test_index_product_equals_the_coordinate_product():
+    # ring_tables.times, the one matrix product of the engines, against
+    # mat_mul on every shape up to 3 x 3 x 3, empty rows or columns included;
+    # an inner dimension 0 gives the zero matrix
+    rng = random.Random(5)
+    for alg in (make_prime_field(3), make_truncated(make_prime_field(2), 2), make_field(4)):
+        t, elems = index_tables(alg), list(alg.elements())
+        for rows, inner, cols in product(range(4), repeat=3):
+            a = tuple(tuple(rng.choice(elems) for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(inner))
+            flat = times(t, flat_indices(alg, a), flat_indices(alg, b), rows, inner, cols)
+            if inner:
+                assert flat == flat_indices(alg, mat_mul(alg, a, b))
+            else:
+                assert flat == (t.zero,) * (rows * cols)
 
 
 def test_matrix_inverse():

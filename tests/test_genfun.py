@@ -268,6 +268,18 @@ def test_a_genfun_equals_the_subgraph_sum_oracle():
         assert same_form(a_genfun(g), a_genfun_by_subgraphs(g)), g
 
 
+def test_a_genfun_selects_the_connected_spanning_masks_once(monkeypatch):
+    # the selection depends only on the b1 table, so the 2^m masks are
+    # scanned once per a_genfun, not once per transform step (7 for C_4)
+    from quivercount import genfun
+    calls = []
+    select = genfun._spanning_by_b1
+    monkeypatch.setattr(genfun, "_spanning_by_b1", lambda *args: calls.append(1) or select(*args))
+    g = cycle_graph(4)
+    assert same_form(a_genfun(g), a_genfun_by_subgraphs(g))
+    assert len(calls) == 1
+
+
 def test_filtration_sum_equals_the_series_with_its_known_denominator():
     # the engine r_genfun is to move to: R_0..R_{deg D - 1} over the
     # denominator prod_{b=0}^{b1} (1 - q^b T)^n

@@ -42,7 +42,8 @@ from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
                      class_tuple_buckets, convolve_by_minors, cvector_by_unions, den_by_powers,
                      depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
-                     fix_nullity_by_rank, fix_system_by_products, preproj_by_filter, same_form,
+                     coordinate_matrix, fix_nullity_by_rank, fix_system_by_products,
+                     preproj_by_filter, same_form,
                      series_coefficient_by_binomials, series_numerator_by_rows,
                      strict_filtrations_by_recursion)
 from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
@@ -167,7 +168,9 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
     targets, sources = gl_elements(ring, rows), gl_elements(ring, cols)
     gt = targets[t % len(targets)]
     gs = gt if loop else sources[s % len(sources)]
-    assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(ring, gt, gs, rows, cols)
+    # the oracle computes on coordinate matrices
+    assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(
+        ring, coordinate_matrix(ring, gt, rows), coordinate_matrix(ring, gs, cols), rows, cols)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -183,7 +186,7 @@ def test_chain_ring_elimination_equals_the_f_p_rank(ring, rows, cols, loop, data
 
     def matrix(n):
         flat = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
-        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        return tuple(ring.element_index(x) for x in flat)     # row-major, as the engine reads
 
     if loop:
         cols = rows

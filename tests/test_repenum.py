@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import partial
+from itertools import product
 from math import prod
 
 import pytest
@@ -8,16 +9,17 @@ from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
                                   path_quiver)
 from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
-                                        make_truncated, mat_mul, truncated_generator)
+                                        make_truncated, truncated_generator)
 from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
-from quivercount.repenum import (_burnside, _group_average, _whole_zero_fiber, a_count,
-                                 a_preproj, counterexample_counts, double_quiver,
+from quivercount.repenum import (_burnside, _group_average, _moment_blocks, _whole_zero_fiber,
+                                 a_count, a_preproj, counterexample_counts, double_quiver,
                                  fix_nullity, fourier_fiber_count, m_count, m_preproj,
                                  stabilizer_order, toric_ai_orbit_count, toric_point)
+from quivercount.ring_tables import index_tables
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
-                     conjugacy_classes_by_partition, fix_count,
-                     mat_det, mat_identity, mat_inverse, moment_map, preproj_by_filter,
+                     conjugacy_classes_by_partition, coordinate_matrix, fix_count, flat_indices,
+                     mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
                      preproj_orbit_partition, primitive_roots)
 
 F2 = make_prime_field(2)
@@ -45,7 +47,7 @@ def test_gl_order_of_truncated_rings():
 
 def test_gl_elements_equal_the_determinant_filter():
     ring = make_truncated(F2, 2)
-    assert gl_elements(ring, 2) == [m for m in all_matrices(ring, 2, 2)
+    assert gl_elements(ring, 2) == [flat_indices(ring, m) for m in all_matrices(ring, 2, 2)
                                     if ring.is_unit(mat_det(ring, m))]
 
 
@@ -59,15 +61,15 @@ def test_enumerate_group():
 
 def test_fix_count_examples():
     a2 = path_quiver(2)
-    one = ((F2.one,),)
+    one = flat_indices(F2, ((F2.one,),))
     assert fix_count((one, one), a2, F2, (1, 1)) == 2
-    k_one = ((K2F2.one,),)
-    k_u = (((1, 1),),)
+    k_one = flat_indices(K2F2, ((K2F2.one,),))
+    k_u = flat_indices(K2F2, (((1, 1),),))
     # identity fixes everything
     assert fix_count((k_one, k_one), a2, K2F2, (1, 1)) == 4
     # (1, 1+t): fixed points form the annihilator of t
     assert fix_count((k_one, k_u), a2, K2F2, (1, 1)) == 2
-    ident2 = mat_identity(K2F2, 2)
+    ident2 = flat_indices(K2F2, mat_identity(K2F2, 2))
     assert fix_count((ident2, ident2), a2, K2F2, (2, 2)) == 4 ** 4
 
 
@@ -202,10 +204,11 @@ def test_gl2_of_a_field_has_q_squared_minus_one_classes():
 
 def test_class_equation():
     for ring in (F3, make_field(4), K2F2):
-        elements = gl_elements(ring, 2)
+        elements = [coordinate_matrix(ring, h, 2) for h in gl_elements(ring, 2)]
         classes = gl_classes(ring, 2)
         assert sum(size for _, size in classes) == gl_order(ring, 2)
         for rep, size in classes:
+            rep = coordinate_matrix(ring, rep, 2)
             centralizer = sum(1 for h in elements
                               if mat_mul(ring, h, rep) == mat_mul(ring, rep, h))
             assert size * centralizer == len(elements)
@@ -219,9 +222,9 @@ def test_classes_are_the_conjugation_orbits():
     # distinct, and together they cover GL_2.  No representative is pinned:
     # a class lifted from the residue field is named by a point of its fibre.
     for ring in (F3, K2F2):
-        elements = gl_elements(ring, 2)
+        elements = [coordinate_matrix(ring, h, 2) for h in gl_elements(ring, 2)]
         inverses = [mat_inverse(ring, h) for h in elements]
-        classes = gl_classes(ring, 2)
+        classes = [(coordinate_matrix(ring, g, 2), size) for g, size in gl_classes(ring, 2)]
         orbits = [frozenset(mat_mul(ring, mat_mul(ring, h, g), h_inv)
                             for h, h_inv in zip(elements, inverses)) for g, _ in classes]
         assert [len(orbit) for orbit in orbits] == [size for _, size in classes]
@@ -264,6 +267,46 @@ def test_lifted_classes_equal_the_whole_group_partition(ring, n):
     # each representative lies in its own class of the partition, of its size
     assert len({partition[g] for g, _ in classes}) == len(classes)
     assert all(oracle[partition[g]] == size for g, size in classes)
+
+
+def test_residue_field_indices_are_those_of_their_embeddings():
+    # the facts behind one matrix format: gl_classes lifts GL_n(k) without
+    # converting, and the residue of ring index i is i mod |k|
+    for ring in dict.fromkeys(ring for ring, _ in LIFTED):
+        field = ring.residue_field
+        t, pad = index_tables(ring), (0,) * (ring.dim - field.dim)
+        k = list(field.elements())
+        assert [t.index[x + pad] for x in k] == list(range(len(k)))
+        assert all(ring.residue(x) == k[i % len(k)] for i, x in enumerate(t.ring))
+
+
+def test_index_table_inverses_equal_the_algebra_inverses():
+    for ring in dict.fromkeys(ring for ring, _ in LIFTED):
+        t = index_tables(ring)
+        assert len(t.inverse) == ring.size()
+        for x, inverse in zip(t.ring, t.inverse):
+            if ring.is_unit(x):
+                assert t.ring[inverse] == ring.inverse(x)
+            else:
+                assert inverse is None
+
+
+def test_warm_group_averages_make_no_coordinate_arithmetic(monkeypatch):
+    # the engines compute on element indices: once the tables and memos of
+    # an algebra are built, a count makes no FiniteAlgebra.add/sub/mul call
+    f5, k2f4 = make_prime_field(5), make_truncated(make_field(4), 2)
+    cases = [(a_count, path_quiver(3), k2f4, (1, 1, 1), 4),
+             (m_preproj, path_quiver(2), F3, (2, 2), 6),
+             (a_preproj, path_quiver(2), f5, (1, 1), 2),
+             (a_preproj, jordan_quiver(1), make_truncated(F3, 2), (1,), 81)]
+    for count, quiver, ring, alpha, value in cases:
+        assert count(quiver, ring, alpha) == value
+    calls = []
+    for name in ("add", "sub", "mul"):
+        calls += [_count_calls(monkeypatch, FiniteAlgebra, name)]
+    for count, quiver, ring, alpha, value in cases:
+        assert count(quiver, ring, alpha) == value
+    assert calls == [[], [], []]
 
 
 def test_lifted_classes_never_scan_the_ring(monkeypatch):
@@ -401,6 +444,15 @@ def test_non_integer_ranks_and_sizes_are_refused():
         Multigraph(2, [(1, 1, 2.0)])
 
 
+def _engine_moment_map(quiver, alg, alpha, x):
+    """repenum._moment_blocks on x as flat index tuples, read back as
+    coordinate blocks to compare with the oracle moment_map."""
+    arrows, star = quiver.arrows(), double_quiver(quiver)[1]
+    flat = {e: flat_indices(alg, m) for e, m in x.items()}
+    return tuple(coordinate_matrix(alg, block, a)
+                 for block, a in zip(_moment_blocks(alg, alpha, arrows, star, flat), alpha))
+
+
 def test_moment_map_examples():
     a2 = path_quiver(2)
     _, star = double_quiver(a2)
@@ -411,9 +463,21 @@ def test_moment_map_examples():
     yx = K2F2.mul(y_val, x_val)
     assert value[0] == ((K2F2.neg(yx),),)
     assert value[1] == ((yx,),)
+    assert _engine_moment_map(a2, K2F2, (1, 1), x) == value
     zero = {1: ((K2F2.zero(),),), 2: ((K2F2.zero(),),)}
     value = moment_map(a2, K2F2, (1, 1), zero)
     assert all(entry == K2F2.zero() for block in value for row in block for entry in row)
+    assert _engine_moment_map(a2, K2F2, (1, 1), zero) == value
+    # the engine on every point of small doubled spaces, loops, a cycle and
+    # rectangular arrows included
+    for quiver, ring, alpha in ((a2, K2F2, (1, 1)), (a2, F2, (2, 1)), (jordan_quiver(), F2, (2,)),
+                                (cycle_quiver(2), F3, (1, 1)), (a2, F3, (1, 2))):
+        darrows = double_quiver(quiver)[0].arrows()
+        for combo in product(*[all_matrices(ring, alpha[t - 1], alpha[s - 1])
+                               for _, s, t in darrows]):
+            point = {e: m for (e, _, _), m in zip(darrows, combo)}
+            assert _engine_moment_map(quiver, ring, alpha, point) == \
+                moment_map(quiver, ring, alpha, point)
     with pytest.raises(ValueError):
         moment_map(a2, K2F2, (1, 1), {1: ((x_val,), (y_val,)), 2: ((y_val,),)})
 
@@ -483,7 +547,7 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     # at the identity tuple both halves of A2 at (2,2) over F_3 are all of
     # M_2(F_3): k = |b| = 4, so 4 * 4 moment maps, not 3^4 * 4, and the
     # count is that of the pairs X, Y with XY = 0 and YX = 0
-    a2, identity = path_quiver(2), mat_identity(F3, 2)
+    a2, identity = path_quiver(2), flat_indices(F3, mat_identity(F3, 2))
     m_preproj(a2, F3, (2, 2))
     fiber = sum(1 for _ in _whole_zero_fiber(a2, F3, (2, 2), GUARD))
     assert engine["fix_values"]((identity, identity)) == fiber
@@ -492,7 +556,7 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     # is x . y = 0 on F_3^2, 9 points y at x = 0 and 3 at each x != 0
     calls.clear()
     m_preproj(banana_quiver(2), F3, (1, 1))
-    assert engine["fix_values"]((((F3.one,),),) * 2) == 9 + 8 * 3
+    assert engine["fix_values"]((flat_indices(F3, ((F3.one,),)),) * 2) == 9 + 8 * 3
     assert len(calls) == 2
 
 
@@ -542,6 +606,31 @@ def test_stabilizer_orders():
     assert stabilizer_order(ts, tri, K2F2, (1, 1, 1)) == 8
     zero = toric_point(tri, {e: K2F2.zero() for e in (1, 2, 3)})
     assert stabilizer_order(zero, tri, K2F2, (1, 1, 1)) == 8
+
+
+def test_stabilizer_order_refuses_a_wrong_shape():
+    # a 1 x 2 matrix at rank (1, 1) gave 0 instead of an error
+    a2 = path_quiver(2)
+    with pytest.raises(ValueError, match=r"arrow 1 needs an alpha_t x alpha_s = 1 x 1 matrix"):
+        stabilizer_order({1: ((F2.one, F2.one),)}, a2, F2, (1, 1))
+    with pytest.raises(ValueError, match=r"arrow 1 needs an alpha_t x alpha_s = 2 x 1 matrix"):
+        stabilizer_order({1: ((F2.one,),)}, a2, F2, (1, 2))
+
+
+def test_stabilizer_order_refuses_a_missing_arrow():
+    # a KeyError from deep inside the filter before
+    with pytest.raises(ValueError, match=r"arrow 2 needs an alpha_t x alpha_s = 1 x 1 matrix"):
+        stabilizer_order({1: ((F2.one,),)}, banana_quiver(2), F2, (1, 1))
+
+
+def test_stabilizer_order_refuses_an_entry_outside_the_ring():
+    # an int, an unreduced coordinate tuple, a tuple of the wrong length and
+    # a list were each accepted and compared as they were
+    a2 = path_quiver(2)
+    for entry in (1, (2,), (1, 0), [1]):
+        with pytest.raises(ValueError, match=r"arrow 1 needs .* 1 x 1 matrix over fq\(2\)"):
+            stabilizer_order({1: ((entry,),)}, a2, F2, (1, 1))
+    assert stabilizer_order({1: ((F2.one,),)}, a2, F2, (1, 1)) == 1
 
 
 def test_counterexample_counts():
