@@ -50,7 +50,6 @@ class FiniteAlgebra:
         self.name = name
         self.residue_field = residue_field if residue_field is not None else self
         self._rd = self.residue_field.dim
-        self._units = None
         self._dlog = None
         self._check_structure()
 
@@ -104,24 +103,25 @@ class FiniteAlgebra:
                                               for i in range(rd) for j in range(rd)):
             fail("x -> (x, 0) does not embed the residue field")
 
-    # -- element arithmetic (coordinate tuples) -----------------------
+    # -- element arithmetic (coordinate tuples, built from lists at their final
+    # size: CPython keeps the freed blocks of a tuple resized from a generator) ---
     def zero(self):
         return (0,) * self.dim
 
     def basis_vector(self, i):
-        return tuple(1 if k == i else 0 for k in range(self.dim))
+        return tuple([1 if k == i else 0 for k in range(self.dim)])
 
     def add(self, x, y):
         p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
+        return tuple([(a + b) % p for a, b in zip(x, y)])
 
     def sub(self, x, y):
         p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
+        return tuple([(a - b) % p for a, b in zip(x, y)])
 
     def neg(self, x):
         p = self.p
-        return tuple((-a) % p for a in x)
+        return tuple([(-a) % p for a in x])
 
     def mul(self, x, y):
         p = self.p
@@ -188,9 +188,7 @@ class FiniteAlgebra:
         return tuple(sol)
 
     def units(self):
-        if self._units is None:
-            self._units = tuple(x for x in self.elements() if self.is_unit(x))
-        return self._units
+        return [x for x in self.elements() if self.is_unit(x)]
 
     def unit_count(self):
         q = self.residue_field.size()

@@ -227,15 +227,27 @@ def r_d_via_convolution(gamma, d, guard=GUARD):
 def check_recursion(gamma, guard=GUARD):
     """Verify R(gamma,q,T) = eps(gamma) + T * sum over A of
     R(gamma/A, q, q^b1(gamma[A]) T), exactly as rational functions."""
+    return _recursion_holds(gamma, guard, {})
+
+
+def _recursion_holds(gamma, guard, memo):
+    """check_recursion reading each R(gamma/A) from memo by canonical_key(), filled by
+    r_genfun on a miss (A = 0 is gamma, so a cold memo charges its Fubini(m) after
+    the 2^m terms), and summing one term per distinct pair (key, b1(gamma[A]))."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
     lattice = _Lattice(gamma)
     top = lattice.top
     charge(top + 1, guard, "2^%d = %d recursion terms" % (len(lattice.ids), top + 1))
-    lhs = r_genfun(gamma, guard)
-    terms = [r_genfun(lattice._minor(a, top), guard).subs_t_scale(lattice.b1[a]).t_shift(1)
-             for a in range(top + 1)]
-    return lhs == RatQT.sum([epsilon_value(gamma)] + terms)
+    pairs = Counter()
+    for a in range(top + 1):
+        minor = lattice._minor(a, top)
+        key = minor.canonical_key()
+        if key not in memo:
+            memo[key] = r_genfun(minor, guard)
+        pairs[key, lattice.b1[a]] += 1
+    terms = [n * memo[key].subs_t_scale(b1).t_shift(1) for (key, b1), n in pairs.items()]
+    return memo[gamma.canonical_key()] == RatQT.sum([epsilon_value(gamma)] + terms)
 
 
 def check_duality(g, which, guard=GUARD):

@@ -143,10 +143,12 @@ def _lifted_classes(alg, n, residue_classes, guard):
                     new = {times(t, x, s, n, n, n) for x in new for s in gens} - group
                     group |= new
         for h in gens:
-            x, inverse = h, one         # h^-1 is the power of h just before 1
-            while x != one:
-                inverse, x = x, times(t, x, h, n, n, n)
-            lifts.append((h, inverse))
+            powers = [h]        # h^-1 is the power of h just before 1; all lie in group
+            while powers[-1] != one:
+                if len(powers) > len(group):
+                    raise ArithmeticError("no power of a centralizer generator is 1")
+                powers.append(times(t, powers[-1], h, n, n, n))
+            lifts.append((h, powers[-2]))
         fibre = [tuple(t.add[b][x] for b, x in zip(g0, xs)) for xs in product(ideal, repeat=n * n)]
         out += [(fibre[k], size0 * size) for k, size in _orbit_parts(t, n, fibre, steps, lifts)]
     return out

@@ -448,28 +448,13 @@ def counterexample_counts(n, q, guard=GUARD):
     s = sum(q ** i for i in range(n))
     closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s
     closed_b = 3 + (q - 1) * s * s + 2 * s
-    # one unit image per (orbit, unit), which covers the |R| elements listed
-    images = closed_a * doubled.unit_count()
-    charge(images, guard, "%d orbits x %d units = %d unit images"
-           % (closed_a, doubled.unit_count(), images))
-
-    visited = bytearray(doubled.size())
-    units = doubled.units()
-    p, a_value = doubled.p, 0
-    for x in doubled.elements():
-        if visited[doubled.element_index(x)]:
-            continue
-        a_value += 1
-        # u x = sum_k u_k (x b_k), read off the block of x
-        block = mul_block(doubled, x)
-        for u in units:
-            image = [0] * doubled.dim
-            for uk, column in zip(u, block):
-                for t, v in column:
-                    image[t] += uk * v
-            visited[doubled.element_index([c % p for c in image])] = 1
-
-    if a_value != closed_a:
+    units = doubled.unit_count()        # Burnside: u fixes the kernel of x -> (u - 1) x
+    charge(units, guard, "%d unit ranks" % units)
+    p, dim = doubled.p, doubled.dim
+    fixed = sum(p ** (dim - modp.rank(doubled.mul_matrix(doubled.sub(u, doubled.one)), p))
+                for u in doubled.units())
+    a_value, rest = divmod(fixed, units)
+    if rest or a_value != closed_a:
         raise AssertionError("scaling orbit count %d != closed form %d" % (a_value, closed_a))
 
     b_value = m_preproj(path_quiver(2), ring, (1, 1), guard)

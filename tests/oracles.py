@@ -26,7 +26,7 @@ from quivercount.ratfun import RatQT
 from quivercount.repenum import (_fix_system, _group_average, _vertex_lists, _whole_zero_fiber,
                                  double_quiver, fix_nullity)
 from quivercount.ring_tables import index_tables, vanishing_points
-from quivercount.toric import check_depth_function, r_d_polynomial
+from quivercount.toric import check_depth_function, epsilon_value, r_d_polynomial
 
 
 # -- multigraphs -------------------------------------------------------
@@ -206,6 +206,19 @@ def convolve_by_minors(f, g):
         return total
 
     return GraphChar("(%s*%s)" % (f.name, g.name), evaluate)
+
+
+def recursion_rhs_by_minors(gamma):
+    """Oracle for the right side of genfun.check_recursion: eps(gamma) + T *
+    the sum over edge subsets A of R(gamma/A, q, q^b1(gamma[A]) T), one
+    minor built and one r_genfun summed per A, with no memo or grouping."""
+    ids = sorted(gamma.edge_ids())
+    terms = [epsilon_value(gamma)]
+    for mask in range(1 << len(ids)):
+        a = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        b1 = gamma.spanning_subgraph(a).b1()
+        terms.append(r_genfun(gamma.contract(a)).subs_t_scale(b1).t_shift(1))
+    return RatQT.sum(terms)
 
 
 def weighted_depth_function_sum(graph, d):
@@ -739,8 +752,9 @@ def moment_map(quiver, alg, alpha, x):
     _, star = double_quiver(quiver)
     arrows = quiver.arrows()
     for e, s, t in arrows:
-        ma = x[e]
-        if len(ma) != alpha[t - 1] or (ma and len(ma[0]) != alpha[s - 1]):
+        ma, rows, cols = x[e], alpha[t - 1], alpha[s - 1]
+        # a matrix without entries may come in any empty form, as in stabilizer_order
+        if tuple(map(len, ma)) != (cols,) * rows and (any(ma) or rows * cols):
             raise ValueError("arrow %d matrix has the wrong shape" % e)
     blocks = [[[alg.zero()] * a for _ in range(a)] for a in alpha]
     for e, s, t in arrows:

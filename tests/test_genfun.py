@@ -13,7 +13,8 @@ from quivercount.multigraph import GuardError, Multigraph, strict_filtrations
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
 from quivercount.toric import r_d_polynomial
-from oracles import a_genfun_by_subgraphs, same_form
+from quivercount.verify import check_recursion_battery
+from oracles import a_genfun_by_subgraphs, recursion_rhs_by_minors, same_form
 
 
 def t_pochhammer(m):
@@ -193,6 +194,28 @@ def test_recursion_examples():
     assert check_recursion(banana_graph(2))
     assert check_recursion(cycle_graph(3))
     assert check_recursion(loops_graph(2))
+
+
+def test_recursion_rhs_by_minors_equals_r_genfun():
+    # the one-term-per-A sum, independent of the memo and grouping of check_recursion
+    graphs = all_connected_multigraphs(4)
+    assert len(graphs) == 48
+    for g in graphs:
+        assert recursion_rhs_by_minors(g) == r_genfun(g), g
+
+
+def test_recursion_battery_sums_each_minor_once(monkeypatch):
+    from quivercount import genfun
+    keys, original = [], genfun.r_genfun
+    monkeypatch.setattr(genfun, "r_genfun",
+                        lambda g, guard: keys.append(g.canonical_key()) or original(g, guard))
+    assert check_recursion_battery()[0][1]
+    assert len(keys) == len(set(keys)) == 59
+    # the battery's memo is gone, and a public call starts cold: Gamma itself
+    # charges its Fubini(3) filtrations right after its 2^3 terms
+    assert check_recursion(cycle_graph(3))
+    with pytest.raises(GuardError, match="Fubini\\(3\\) = 13"):
+        check_recursion(cycle_graph(3), guard=12)
 
 
 def test_duality_examples():

@@ -2,6 +2,7 @@ from collections import Counter
 from functools import partial
 from itertools import product
 from math import prod
+import time
 
 import pytest
 
@@ -317,6 +318,17 @@ def test_lifted_classes_never_scan_the_ring(monkeypatch):
     assert scanned == [(f3, 2)]
 
 
+def test_a_product_whose_powers_never_reach_one_raises(monkeypatch):
+    # the inverse of a centralizer lift is a power of it; a broken product
+    # whose powers stay put must raise, not loop
+    from quivercount import gl
+    monkeypatch.setattr(gl, "times", lambda t, a, b, rows, inner, cols: a)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="no power"):
+        gl_classes(make_truncated(make_prime_field(2), 2), 2)
+    assert time.perf_counter() - start < 1
+
+
 def test_class_sums_match_the_element_loop():
     a2, a3 = path_quiver(2), path_quiver(3)
     k2f3 = make_truncated(F3, 2)
@@ -471,7 +483,8 @@ def test_moment_map_examples():
     # the engine on every point of small doubled spaces, loops, a cycle and
     # rectangular arrows included
     for quiver, ring, alpha in ((a2, K2F2, (1, 1)), (a2, F2, (2, 1)), (jordan_quiver(), F2, (2,)),
-                                (cycle_quiver(2), F3, (1, 1)), (a2, F3, (1, 2))):
+                                (cycle_quiver(2), F3, (1, 1)), (a2, F3, (1, 2)),
+                                (path_quiver(3), F3, (1, 0, 1))):
         darrows = double_quiver(quiver)[0].arrows()
         for combo in product(*[all_matrices(ring, alpha[t - 1], alpha[s - 1])
                                for _, s, t in darrows]):
