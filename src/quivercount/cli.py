@@ -127,13 +127,11 @@ def build_parser():
                     "over finite commutative algebras.")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    p = subs.add_parser("poly", help="count polynomial A_d in q")
-    _add_common(p)
-    p.add_argument("-d", type=int, required=True)
-
-    p = subs.add_parser("rdpoly", help="depth-sum polynomial R_d in q")
-    _add_common(p)
-    p.add_argument("-d", type=int, required=True)
+    for verb, text in (("poly", "count polynomial A_d in q"),
+                       ("rdpoly", "depth-sum polynomial R_d in q")):
+        p = subs.add_parser(verb, help=text)
+        _add_common(p)
+        p.add_argument("-d", type=int, required=True)
 
     p = subs.add_parser("genfun", help="rational generating function in (q, T)")
     _add_common(p)

@@ -13,7 +13,6 @@ e - 1 edges.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 from .multigraph import Multigraph, Quiver
 
@@ -67,51 +66,61 @@ def banana_quiver(m):
 
 
 def _canonical_form(n, pairs):
-    """The class key (n, pairs') of a multigraph on vertices 1..n: pairs'
-    is the lexicographically least sorted tuple of (min, max) endpoint
-    pairs over all n! vertex relabelings.
-
-    A scan over every edge multiset on 1..n in lexicographic order meets
-    each class first at this labeling, so the representatives built from
-    the keys, in key order, are the ones such a scan keeps."""
-    return (n, min(tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
-                                for u, v in pairs))
-                   for p in ((0,) + perm for perm in permutations(range(1, n + 1)))))
+    """The class key (n, pairs') of a multigraph on 1..n: pairs' is the
+    least sorted tuple of (min, max) endpoint pairs over all relabelings,
+    so a lexicographic scan of edge multisets meets each class first there.
+    It lists (a, b) c(a, b) times, so its labeling has the greatest rows
+    (c(a, a), ..., c(a, n)) in turn.  Individualization-refinement (McKay
+    and Piperno, "Practical graph isomorphism, II", 2014) finds it: the
+    unlabeled vertices stay sorted by multiplicity to the labeled ones,
+    larger first; row a labels one of the first block of ties, and equal
+    branches merge."""
+    c = [[0] * (n + 1) for _ in range(n + 1)]
+    for u, v in pairs:
+        c[u][v] += 1
+        c[v][u] += u != v
+    states, rows = {tuple(((), w) for w in range(1, n + 1))}, []
+    for _ in range(n):
+        best, after = None, set()
+        for state in states:        # sorted (negated multiplicities, vertex)
+            for v in [w for s, w in state if s == state[0][0]]:
+                cv = c[v]
+                new = tuple(sorted((s + (-cv[w],), w) for s, w in state if w != v))
+                row = [cv[v]] + [-s[-1] for s, _ in new]
+                if best is None or row > best:
+                    best, after = row, set()
+                if row == best:
+                    after.add(new)
+        states = after
+        rows.append(best)
+    return (n, tuple((a, b) for a, row in enumerate(rows, 1)
+                     for b, k in enumerate(row, a) for _ in range(k)))
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(edges):
-    """The class keys of the connected multigraphs with exactly `edges`
-    edges, each class with e >= 1 edges grown from a key with e - 1: add
-    an edge (u, v), u <= v <= n, or a pendant edge (u, n + 1)."""
-    if edges == 0:
-        return frozenset([(1, ())])
-    keys = set()
-    for n, pairs in _connected_classes(edges - 1):
-        for u in range(1, n + 1):
-            for v in range(u, n + 2):
-                keys.add(_canonical_form(max(n, v), pairs + ((u, v),)))
-    return frozenset(keys)
+def _class_keys(max_edges):
+    """The class keys with at most max_edges edges, sorted by (edge count,
+    key); those with e >= 1 edges grow from the keys with e - 1 by an edge
+    (u, v), u <= v <= n, or a pendant edge (u, n + 1)."""
+    if max_edges == 0:
+        return ((1, ()),)
+    keys = _class_keys(max_edges - 1)
+    return keys + tuple(sorted({_canonical_form(max(n, v), pairs + ((u, v),))
+                                for n, pairs in keys if len(pairs) == max_edges - 1
+                                for u in range(1, n + 1) for v in range(u, n + 2)}))
 
 
 def all_connected_multigraphs(max_edges):
     """All connected multigraphs with at most max_edges edges, one labeled
     representative per isomorphism class (loops and parallel edges
-    included): the key's pairs as edges 1, 2, ..., sorted by (edge count,
-    vertex count, key), as a lexicographic scan of edge multisets would
-    list them.  ValueError unless max_edges is an int >= 0.
-    """
+    included): the key's pairs as edges 1, 2, ..., in key order, as a
+    lexicographic scan of edge multisets would list them.  Built anew on
+    each call from cached keys, so a caller's memos on them go with it.
+    ValueError unless max_edges is an int >= 0."""
     if type(max_edges) is not int or max_edges < 0:
         raise ValueError("max_edges must be an int >= 0, not %r" % (max_edges,))
-    return _connected_multigraphs(max_edges)
-
-
-@lru_cache(maxsize=None)
-def _connected_multigraphs(max_edges):
-    keys = sorted((key for e in range(max_edges + 1) for key in _connected_classes(e)),
-                  key=lambda key: (len(key[1]), key))
     return tuple(Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(pairs)])
-                 for n, pairs in keys)
+                 for n, pairs in _class_keys(max_edges))
 
 
 def random_connected_multigraph(rng, max_edges=5):

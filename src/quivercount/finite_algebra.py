@@ -140,8 +140,7 @@ class FiniteAlgebra:
         return tuple(out)
 
     def power(self, x, n):
-        result = self.one
-        base = x
+        result, base = self.one, x
         while n:
             if n & 1:
                 result = self.mul(result, base)

@@ -66,7 +66,7 @@ def r_genfun(gamma, guard=GUARD):
         raise ValueError("gamma must be connected")
     weights = Counter(cvector_of_filtration(gamma, chain)
                       for chain in strict_filtrations(gamma.edge_ids(), guard))
-    gamma._outside_b1 = None    # so that a cached graph does not keep this walk's sets
+    gamma._outside_b1 = None    # so that gamma does not keep this walk's sets
     return RatQT.sum(weights[c] * r_of_cvector(c) for c in sorted(weights))
 
 
@@ -163,13 +163,13 @@ class _Lattice:
     """The edge subsets of one graph as bitmasks over its sorted ids, lo <= hi
     standing for the minor Gamma[hi]/lo; memo lives for one evaluation."""
 
-    def __init__(self, graph):
-        self.graph, self.ids, self.memo = graph, sorted(graph.edge_ids()), {}
+    def __init__(self, graph, guard):
+        self.graph, self.ids, self.guard, self.memo = graph, sorted(graph.edge_ids()), guard, {}
         self.top = (1 << len(self.ids)) - 1
 
     @cached_property
     def b1(self):       # first read after the top interval has charged its terms
-        return self.graph.subset_b1(self.ids)
+        return self.graph.subset_b1(self.ids, self.guard)
 
     def _minor(self, lo, hi):
         g = self.graph if hi == self.top else self.graph.spanning_subgraph(self._edges(hi))
@@ -203,7 +203,7 @@ def convolve(f, g, guard=GUARD):
         return value
 
     char = GraphChar("(%s*%s)" % (f.name, g.name),
-                     lambda graph: interval(_Lattice(graph), 0, (1 << graph.edge_count()) - 1))
+                     lambda graph: interval(_Lattice(graph, guard), 0, (1 << graph.edge_count()) - 1))
     char._on_interval = interval
     return char
 
@@ -236,7 +236,7 @@ def _recursion_holds(gamma, guard, memo):
     the 2^m terms), and summing one term per distinct pair (key, b1(gamma[A]))."""
     if not gamma.is_connected():
         raise ValueError("gamma must be connected")
-    lattice = _Lattice(gamma)
+    lattice = _Lattice(gamma, guard)
     top = lattice.top
     charge(top + 1, guard, "2^%d = %d recursion terms" % (len(lattice.ids), top + 1))
     pairs = Counter()
@@ -260,14 +260,11 @@ def check_duality(g, which, guard=GUARD):
         raise ValueError("g must be connected")
     if which == "A":
         f = a_genfun(g, guard)
-        sign = (-1) ** (g.n % 2)
-        rhs = RatQT(epsilon1_value(g)) + sign * f
-        return f.invert_vars() == rhs
+        return f.invert_vars() == RatQT(epsilon1_value(g)) + (-1) ** (g.n % 2) * f
     if which == "R":
         f = r_genfun(g, guard)
         sign = (-1) ** ((g.edge_count() - 1) % 2)
-        rhs = RatQT(epsilon_value(g)) + sign * (QPoly.monomial(g.b1()) * f)
-        return f.invert_vars() == rhs
+        return f.invert_vars() == RatQT(epsilon_value(g)) + sign * (QPoly.monomial(g.b1()) * f)
     raise ValueError("which must be 'A' or 'R'")
 
 

@@ -28,7 +28,7 @@ def charge(count, guard, what):
 
 
 class Multigraph:
-    __slots__ = ("n", "edges", "_by_id", "_outside_b1")
+    __slots__ = ("n", "edges", "_by_id", "_outside_b1", "_subset_b1")
 
     def __init__(self, vertex_count, edges):
         """edges: iterable of (edge_id, u, v) with 1 <= u, v <= vertex_count."""
@@ -46,7 +46,7 @@ class Multigraph:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError("edge %d has endpoint outside 1..%d" % (e, self.n))
             self._by_id[e] = (u, v)
-        self._outside_b1 = None     # created by the first _b1_outside
+        self._outside_b1 = self._subset_b1 = None   # memos of _b1_outside and subset_b1
 
     def edge_ids(self):
         return tuple(e for e, _, _ in self.edges)
@@ -108,16 +108,30 @@ class Multigraph:
         a = self._check_subset(a)
         return self._b1_outside(frozenset()) - self._b1_outside(frozenset(self._by_id) - a)
 
-    def subset_b1(self, ids):
-        """b1 of the spanning subgraph on every subset of the edge ids,
-        as a list indexed by bitmask over ids (bit i for ids[i]).
+    def subset_b1(self, ids, guard=GUARD):
+        """b1 of the spanning subgraph on every subset of the edge ids, as a
+        list by bitmask over ids (bit i for ids[i]), kept on the graph for
+        the last ids (callers only read it); its 2^m entries are charged
+        before the memo is read.  b1(S + e) = b1(S) + [the ends of e are
+        joined in S], the component labels carried depth-first over the bits."""
+        ids = tuple(ids)
+        m = len(ids)
+        charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
+        if self._subset_b1 is None or self._subset_b1[0] != ids:
+            ends, table = [self.endpoints(e) for e in ids], [0] * (1 << m)
 
-        Equals b1(self) - b1_of_contraction(subset); each entry costs one
-        union-find pass over at most len(ids) edges.
-        """
-        ends = list(enumerate(self.endpoints(e) for e in ids))
-        subsets = ([p for i, p in ends if mask >> i & 1] for mask in range(1 << len(ids)))
-        return [len(pairs) - _merge(list(range(self.n + 1)), pairs) for pairs in subsets]
+            def fill(mask, start, label):       # label[v]: one vertex of v's class in mask
+                b = table[mask]
+                for j in range(start, m):
+                    u, v = ends[j]
+                    x, y = label[u], label[v]
+                    table[mask | 1 << j] = b + (x == y)
+                    if j + 1 < m:
+                        fill(mask | 1 << j, j + 1,
+                             label if x == y else [x if z == y else z for z in label])
+            fill(0, 0, list(range(self.n + 1)))
+            self._subset_b1 = ids, table
+        return self._subset_b1[1]
 
     def _b1_outside(self, f):
         """b1 of the spanning subgraph on the edges outside the frozenset f,
@@ -196,18 +210,13 @@ def _merge(parent, pairs):
 def _bareiss_det(m):
     """Fraction-free exact integer determinant (Bareiss)."""
     a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
+    n, sign, prev = len(a), 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -307,8 +316,7 @@ class Quiver:
         return Quiver(self.graph, new)
 
     def all_orientations(self):
-        ids = self.graph.edge_ids()
-        proper = [e for e in ids if not self.graph.is_loop(e)]
+        proper = [e for e in self.graph.edge_ids() if not self.graph.is_loop(e)]
         for mask in range(1 << len(proper)):
             yield self.flip([proper[i] for i in range(len(proper)) if mask >> i & 1])
 

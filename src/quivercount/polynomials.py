@@ -170,12 +170,8 @@ class QPoly(_Laurent):
 
     def __call__(self, q):
         """Evaluate at an integer; exact (Fraction only if Laurent)."""
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += Fraction(c) * Fraction(q) ** e
-        if total.denominator == 1:
-            return int(total)
-        return total
+        total = sum(Fraction(c) * Fraction(q) ** e for e, c in self.coeffs.items())
+        return int(total) if total.denominator == 1 else total
 
 
 class QTPoly(_Laurent):
@@ -254,14 +250,10 @@ class QTPoly(_Laurent):
 
     def evaluate(self, x, y):
         """Evaluate with x, y ints or QPoly; exponents must be >= 0."""
-        total = QPoly()
-        for (i, j), c in self.coeffs.items():
-            if i < 0 or j < 0:
-                raise ValueError("cannot evaluate a Laurent polynomial here")
-            xv = x if isinstance(x, QPoly) else QPoly.const(x)
-            yv = y if isinstance(y, QPoly) else QPoly.const(y)
-            total = total + (xv ** i) * (yv ** j) * c
-        return total
+        if any(i < 0 or j < 0 for i, j in self.coeffs):
+            raise ValueError("cannot evaluate a Laurent polynomial here")
+        x, y = (v if isinstance(v, QPoly) else QPoly.const(v) for v in (x, y))
+        return sum((x ** i * y ** j * c for (i, j), c in self.coeffs.items()), QPoly())
 
 
 def _t_slices(p):

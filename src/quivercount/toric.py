@@ -31,8 +31,7 @@ def epsilon1_value(g):
 
 
 def check_depth_function(gamma, r, d):
-    ids = set(gamma.edge_ids())
-    if set(r) != ids:
+    if set(r) != set(gamma.edge_ids()):
         raise ValueError("depth function must be total on the edges")
     for e, value in r.items():
         if not 1 <= value <= d:
@@ -88,7 +87,7 @@ def _r_d_table(graph, d, guard):
     m = len(ids)
     steps = max(d - 1, 1) * m << m
     charge(steps, guard, "(d-1) * |E| * 2^|E| = %d transform steps" % steps)
-    b1 = graph.subset_b1(ids)
+    b1 = graph.subset_b1(ids, guard)
     width = m * d.bit_length() + 1
     h = [1] * len(b1)
     for j in range(d):
@@ -148,11 +147,8 @@ def a_d_cyclic_closed_form(n, d):
     """
     if (n := _integer(n, "cycle length n")) < 1 or (d := _integer(d, "depth d")) < 1:
         raise ValueError("n >= 1 and d >= 1 required")
-    coeffs = {d: 1}
-    for k in range(1, d):
-        x = d - k
-        coeffs[k] = coeffs.get(k, 0) + (x + 1) ** n - 2 * x ** n + (x - 1) ** n
-    coeffs[0] = coeffs.get(0, 0) + (-(d ** n) + (d - 1) ** n + n * d ** (n - 1))
+    coeffs = {k: (d - k + 1) ** n - 2 * (d - k) ** n + (d - k - 1) ** n for k in range(1, d)}
+    coeffs[0], coeffs[d] = -(d ** n) + (d - 1) ** n + n * d ** (n - 1), 1
     return QPoly(coeffs)
 
 

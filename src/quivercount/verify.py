@@ -256,7 +256,7 @@ def _orbit_table_rows():
     two = tri.spanning_subgraph([1, 2])
     qm1 = QPoly({1: 1, 0: -1})
     q = QPoly.q()
-    rows = [
+    return [
         (tri, {1: 2, 2: 2, 3: 2}, 1, q * qm1, q ** 3 * qm1 ** 3, q * qm1),
         (tri, {1: 2, 2: 2, 3: 1}, 3, q * qm1, q ** 2 * qm1 ** 3, qm1),
         (tri, {1: 2, 2: 1, 3: 1}, 3, q ** 2 * qm1, q * qm1 ** 3, qm1),
@@ -265,7 +265,6 @@ def _orbit_table_rows():
         (two, {1: 2, 2: 1}, 6, q ** 2 * qm1, q * qm1 ** 2, QPoly.const(1)),
         (two, {1: 1, 2: 1}, 3, q ** 3 * qm1, qm1 ** 2, QPoly.const(1)),
     ]
-    return rows
 
 
 def check_orbit_table():
@@ -377,11 +376,11 @@ def check_fourier():
 # -- the non-self-dual counterexample ---------------------------------------------
 
 def check_counterexample():
+    counts = {(n, q): counterexample_counts(n, q) for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]}
     ok = all(b - a == (q ** n - 1) * (q ** (n - 1) - 1) and (a == b) == (n == 1)
-             for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]
-             for a, b in [counterexample_counts(n, q)])
+             for (n, q), (a, b) in counts.items())
     return [("defect formula at (n, q) in {1,2} x {2,3}", ok),
-            ("(n, q) = (2, 2) gives (15, 18)", counterexample_counts(2, 2) == (15, 18))]
+            ("(n, q) = (2, 2) gives (15, 18)", counts[2, 2] == (15, 18))]
 
 
 # -- small count tables ------------------------------------------------------------

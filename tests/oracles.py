@@ -15,7 +15,6 @@ from itertools import combinations_with_replacement, permutations, product
 from math import comb, prod
 
 from quivercount.cyclotomic import root_sum
-from quivercount.families import _canonical_form
 from quivercount.finite_algebra import FiniteAlgebra
 from quivercount.genfun import GraphChar, r_genfun
 from quivercount.gl import _validate_alpha, enumerate_group, gl_elements, group_order
@@ -42,10 +41,26 @@ def all_connected_multigraphs_by_scan(max_edges):
                 g = Multigraph(n, [(i + 1, u, v) for i, (u, v) in enumerate(combo)])
                 if not g.is_connected():
                     continue
-                key = _canonical_form(n, combo)
+                key = canonical_form_by_relabeling(n, combo)
                 if key not in found:
                     found[key] = g
     return tuple(found.values())
+
+
+def canonical_form_by_relabeling(n, pairs):
+    """Oracle for families._canonical_form: the least sorted tuple of
+    (min, max) endpoint pairs over all n! vertex relabelings."""
+    return (n, min(tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u])
+                                for u, v in pairs))
+                   for p in ((0,) + perm for perm in permutations(range(1, n + 1)))))
+
+
+def subset_b1_by_union_find(graph, ids):
+    """Oracle for Multigraph.subset_b1: one union-find pass per bitmask
+    over ids, b1 = #edges - #merges."""
+    ends = list(enumerate(graph.endpoints(e) for e in ids))
+    subsets = ([p for i, p in ends if mask >> i & 1] for mask in range(1 << len(ids)))
+    return [len(pairs) - _merge(list(range(graph.n + 1)), pairs) for pairs in subsets]
 
 
 def connected_spanning_subgraphs(graph, guard=GUARD):

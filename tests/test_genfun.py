@@ -139,6 +139,16 @@ def test_r_d_via_convolution_examples():
     assert r_d_via_convolution(banana_graph(2), 3) == expected
 
 
+def test_transforms_lattices_and_recursion_share_one_b1_table():
+    g = Multigraph(3, [(3, 1, 2), (1, 2, 3), (2, 3, 1), (4, 1, 1)])
+    table = g.subset_b1([1, 2, 3, 4])
+    r_d_polynomial(g, 3)
+    a_genfun(g)
+    convolve(psi_inverse_char(1), psi_char(1))(g)
+    assert check_recursion(g)
+    assert g.subset_b1((1, 2, 3, 4)) is table
+
+
 def test_psi_convolutions_build_no_minor(monkeypatch):
     # psi and psi^-1 read #E and b1 of every interval from one subset_b1
     # table, so neither convolution nor r_d_via_convolution builds a graph

@@ -32,6 +32,7 @@ CASES = {
                  "2^3 = 8 convolution terms"),
     "check_recursion": (lambda g: check_recursion(banana_graph(2), g), 4,
                         "2^2 = 4 recursion terms"),
+    "subset_b1": (lambda g: C3.subset_b1(C3.edge_ids(), g), 8, "2^3 = 8 subsets"),
     # strict filtrations: Fubini(m)
     "strict_filtrations": (lambda g: list(strict_filtrations([1, 2, 3], g)), 13,
                            "Fubini(3) = 13"),

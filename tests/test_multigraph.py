@@ -1,13 +1,15 @@
 import os
+import time
 from itertools import combinations
 
 import pytest
 
-from quivercount.families import (all_connected_multigraphs, banana_graph, cycle_graph,
-                                  loops_graph, path_graph, point_graph)
+from quivercount.families import (_canonical_form, _class_keys, all_connected_multigraphs,
+                                  banana_graph, cycle_graph, loops_graph, path_graph, point_graph)
 from quivercount.multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from quivercount.polynomials import QTPoly
-from oracles import all_connected_multigraphs_by_scan, connected_spanning_subgraphs
+from oracles import (all_connected_multigraphs_by_scan, canonical_form_by_relabeling,
+                     connected_spanning_subgraphs, subset_b1_by_union_find)
 
 ORDERED_BELL = [1, 1, 3, 13, 75, 541]
 
@@ -32,6 +34,22 @@ def test_enumeration_equals_the_multiset_scan():
 def test_enumeration_equals_the_multiset_scan_at_five_edges():
     assert _labelled(all_connected_multigraphs(5)) == \
         _labelled(all_connected_multigraphs_by_scan(5))
+
+
+def test_canonical_form_equals_the_relabeling_scan_on_every_candidate():
+    # the augmented keys that the enumeration canonicalizes, up to 5 edges
+    candidates = [(max(n, v), pairs + ((u, v),)) for n, pairs in _class_keys(4)
+                  for u in range(1, n + 1) for v in range(u, n + 2)]
+    assert len(candidates) == 433
+    for n, pairs in candidates:
+        assert _canonical_form(n, pairs) == canonical_form_by_relabeling(n, pairs)
+
+
+def test_enumeration_builds_fresh_graphs_per_call():
+    # so that a memo a caller leaves on a graph goes with the caller
+    first, second = all_connected_multigraphs(4), all_connected_multigraphs(4)
+    assert _labelled(first) == _labelled(second)
+    assert not any(a is b for a, b in zip(first, second))
 
 
 def test_class_counts_at_six_edges():
@@ -179,6 +197,34 @@ def test_contract_composition_on_disjoint_subsets():
             lhs = g.contract(a | b)
             rhs = g.contract(a).contract(b)
             assert lhs.n == rhs.n and _labeled_key(lhs) == _labeled_key(rhs)
+
+
+def test_subset_b1_equals_the_union_find_table():
+    for g in all_connected_multigraphs(5):
+        ids = g.edge_ids()
+        # all ids in order, unsorted, and a proper subset
+        for chosen in (ids, ids[::-1], ids[1::2]):
+            assert g.subset_b1(chosen) == subset_b1_by_union_find(g, chosen)
+
+
+def test_subset_b1_keeps_the_table_of_the_last_ids_only():
+    g = Multigraph(3, [(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 1)])
+    full = g.subset_b1([1, 2, 3, 4])
+    assert g.subset_b1((1, 2, 3, 4)) is full
+    assert g.subset_b1([4, 3]) == [0, 1, 0, 1]        # a loop, then the edge 3-1
+    assert g.subset_b1([3, 4]) == [0, 0, 1, 1]
+    again = g.subset_b1([1, 2, 3, 4])
+    assert again is not full and again == full == subset_b1_by_union_find(g, [1, 2, 3, 4])
+    with pytest.raises(ValueError):
+        g.subset_b1([1, 5])
+
+
+def test_subset_b1_guard_trips_before_listing():
+    g = banana_graph(40)
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match=r"2\^40 = 1099511627776 subsets"):
+        g.subset_b1(g.edge_ids())
+    assert time.perf_counter() - start < 1
 
 
 def test_b1_of_contraction_matches_graph_construction():

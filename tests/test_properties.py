@@ -27,6 +27,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from quivercount.families import _canonical_form  # noqa: E402
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated)
 from quivercount.genfun import (GraphChar, _series_numerator, a_genfun,  # noqa: E402
@@ -40,7 +41,8 @@ from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # 
                                  fix_nullity, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
-                     class_tuple_buckets, convolve_by_minors, cvector_by_unions, den_by_powers,
+                     canonical_form_by_relabeling, class_tuple_buckets, convolve_by_minors,
+                     cvector_by_unions, den_by_powers,
                      depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
                      coordinate_matrix, fix_nullity_by_rank, fix_system_by_products,
                      preproj_by_filter, same_form,
@@ -104,6 +106,15 @@ def test_lattice_convolution_equals_the_sum_over_built_minors(graph, f, g, h):
              (convolve(f, convolve(g, h)), convolve_by_minors(f, convolve_by_minors(g, h)))]
     for lattice, oracle in pairs:
         assert lattice(graph) == oracle(graph)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(1, n), st.integers(1, n)), max_size=8))))
+def test_refined_canonical_form_equals_the_relabeling_scan(graph):
+    # any multigraph, connected or not, loops and parallel edges included
+    n, pairs = graph
+    assert _canonical_form(n, pairs) == canonical_form_by_relabeling(n, pairs)
 
 
 @PROPERTY
