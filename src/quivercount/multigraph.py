@@ -118,6 +118,8 @@ class Multigraph:
         m = len(ids)
         charge(1 << m, guard, "2^%d = %d subsets" % (m, 1 << m))
         if self._subset_b1 is None or self._subset_b1[0] != ids:
+            if len(set(ids)) < m:
+                raise ValueError("duplicate edge id in %r" % (ids,))
             ends, table = [self.endpoints(e) for e in ids], [0] * (1 << m)
 
             def fill(mask, start, label):       # label[v]: one vertex of v's class in mask
@@ -145,7 +147,10 @@ class Multigraph:
 
     def spanning_connected(self, a):
         """True iff the spanning subgraph on edge subset a is connected."""
-        return _merge(list(range(self.n + 1)), (self._by_id[e] for e in a)) == self.n - 1
+        try:
+            return _merge(list(range(self.n + 1)), (self._by_id[e] for e in a)) == self.n - 1
+        except KeyError as unknown:
+            raise ValueError("unknown edge id %r" % unknown.args) from None
 
     def bridge_count(self):
         """Number of edges whose deletion disconnects their component."""
@@ -248,9 +253,12 @@ def strict_filtrations(edge_ids, guard=GUARD):
     Equivalently all ordered set partitions; for |E| = m there are
     Fubini(m) of them, charged before the first is listed.  The chains are
     walked as bitmasks, each F_i taken from one list of the 2^m cumulative
-    sets.  The empty set yields one empty chain.
+    sets.  The empty set yields one empty chain; a repeated id is refused
+    with ValueError.
     """
     ids = tuple(sorted(edge_ids))
+    if len(set(ids)) < len(ids):
+        raise ValueError("duplicate edge id in %r" % (ids,))
     chains = _fubini(len(ids))
     charge(chains, guard, "Fubini(%d) = %d strict filtrations" % (len(ids), chains))
 
@@ -310,7 +318,7 @@ class Quiver:
 
     def flip(self, edge_subset):
         new = dict(self.orientation)
-        for e in edge_subset:
+        for e in self.graph._check_subset(edge_subset):
             s, t = new[e]
             new[e] = (t, s)
         return Quiver(self.graph, new)

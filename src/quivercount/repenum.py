@@ -17,11 +17,12 @@ sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with one F_p
 rank per point of the smaller half and the other half never listed.  The
 columns mu(x, b) over a basis b of the other half are F_p-combinations of
 the mu(B_i, b) over a basis B_i of the listed half: one moment map per
-basis pair, not per point.  An independent orbit-partition engine
-provides the oracle for the rank-one (toric) counts; the oracles for the
-engines here (the loop over every group element, the loop over class
-tuples, the zero-fiber filter and the orbit partition of the whole fiber)
-are in tests/oracles.py.
+basis pair, not per point.  fourier_fiber_count reads the same sum at
+the identity tuple, whose fixed space is all of V x V*.  An independent
+orbit-partition engine provides the oracle for the rank-one (toric)
+counts; the oracles for the engines here (the loop over every group
+element, the loop over class tuples, the zero-fiber filter and the orbit
+partition of the whole fiber) are in tests/oracles.py.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
@@ -39,9 +40,9 @@ every arrow of those ranks reads it.  The preprojective count does not
 split over arrows and enters as one factor on all vertices.  A matrix is
 a row-major flat tuple of element indices, as gl.py lists them: the arrow
 solves, the determinant character (det over R, then its residue), the
-moment map, the zero-fiber filter and the toric oracle compute on one set
-of |R| x |R| tables per algebra (ring_tables).  Only stabilizer_order
-takes coordinate matrices, converted once at entry.
+moment map and the toric oracle compute on one set of |R| x |R| tables
+per algebra (ring_tables).  Only stabilizer_order takes coordinate
+matrices, converted once at entry.
 Exact and deterministic.
 """
 
@@ -53,8 +54,7 @@ from .cyclotomic import root_sum
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import unpack
-from .ring_tables import (arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits,
-                          times, vanishing_points)
+from .ring_tables import arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits, times
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -259,38 +259,13 @@ def _moment_blocks(alg, alpha, arrows, star, x):
     return blocks
 
 
-def _whole_zero_fiber(quiver, alg, alpha, guard):
-    """The points of the whole doubled representation space, one matrix
-    per arrow of the double quiver in the order of its arrows(), on which
-    the moment map vanishes; listed lazily once their number is charged.
-    Each entry of mu is a signed sum of products of two arrow entries,
-    M_a M_a* at the target of a and -M_a* M_a at its source, evaluated
-    through the index tables."""
-    dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    total = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
-    charge(total, guard, "%d points of the doubled representation space" % total)
-    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
-    sums = {}       # (vertex, i, j) -> [(slot, flat index, slot, flat index, negated)]
-    for e, s, t in quiver.arrows():
-        for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
-            n, k = alpha[v - 1], alpha[w - 1]
-            for i, j, h in product(range(n), range(n), range(k)):
-                sums.setdefault((v, i, j), []).append(
-                    (slot[left], i * k + h, slot[right], h * n + j, negated))
-    per_arrow = [list(product(range(alg.size()), repeat=alpha[t - 1] * alpha[s - 1]))
-                 for _, s, t in darrows]        # every matrix of each arrow's shape
-    return (tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
-            for combo in vanishing_points(alg, per_arrow, list(sums.values())))
-
-
-def _preproj_buckets(quiver, alg, alpha, char_order=None, guard=GUARD):
-    """The Burnside sum of zero-fiber fixed counts.  For a tuple g the
-    fixed space of the doubled quiver is V^g x V*^g (the arrows, then their
-    stars), and mu(x, y) is F_p-bilinear; so the count is the sum over x in
-    one half of p^(dim of the other half - rank of mu(x, .) on it).  The
-    half with fewer points is the one enumerated."""
-    alpha = _validate_alpha(quiver, alpha)
+def _zero_fiber_fixed(quiver, alg, alpha, guard):
+    """The number of points fixed by g in the moment map's zero fiber, as a
+    function of a tuple g of vertex matrices.  The fixed space of the
+    doubled quiver is V^g x V*^g (the arrows, then their stars), and
+    mu(x, y) is F_p-bilinear; so the count is the sum over x in one half of
+    p^(dim of the other half - rank of mu(x, .) on it).  The half with
+    fewer points is the one enumerated."""
     arrows = quiver.arrows()
     star = double_quiver(quiver)[1]
     p, dim, ring = alg.p, alg.dim, index_tables(alg).ring
@@ -334,8 +309,13 @@ def _preproj_buckets(quiver, alg, alpha, char_order=None, guard=GUARD):
         return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))
                    for combo in product(*per_arrow))
 
+    return fix_values
+
+
+def _preproj_buckets(quiver, alg, alpha, char_order=None, guard=GUARD):
+    """The Burnside sum of zero-fiber fixed counts over a validated alpha."""
     return _burnside(quiver, alg, alpha, char_order=char_order, guard=guard,
-                     fix_values=fix_values)
+                     fix_values=_zero_fiber_fixed(quiver, alg, alpha, guard))
 
 
 def m_preproj(quiver, alg, alpha, guard=GUARD):
@@ -355,15 +335,17 @@ def a_preproj(quiver, alg, alpha, guard=GUARD):
 # -- Fourier fiber count ----------------------------------------------------
 
 def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
-    """Cardinality of the moment map's zero fiber, both by direct
-    enumeration of the doubled representation space and by the
-    additive-group average (1/|g|) sum_x |V| |ker rho(x)| over every x in
-    g = prod_v M_alpha_v; asserts the two agree."""
+    """Cardinality of the moment map's zero fiber, both as the zero-fiber
+    fixed count of the identity tuple (its fixed space is all of V x V*) and
+    by the additive-group average (1/|g|) sum_x |V| |ker rho(x)| over every
+    x in g = prod_v M_alpha_v, which never evaluates mu; asserts they agree."""
     alpha = _validate_alpha(quiver, alpha)
-    arrows, p = quiver.arrows(), alg.p
+    arrows, p, tab = quiver.arrows(), alg.p, index_tables(alg)
     lie_total = prod(alg.size() ** (a * a) for a in alpha)
     charge(lie_total, guard, "%d elements of the additive group" % lie_total)
-    direct = sum(1 for _ in _whole_zero_fiber(quiver, alg, alpha, guard))
+    identity = tuple(tuple(tab.one if i == j else tab.zero for i in range(a) for j in range(a))
+                     for a in alpha)
+    direct = _zero_fiber_fixed(quiver, alg, alpha, guard)(identity)
     v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
     acc = sum(v_size * prod(p ** fix_nullity(alg, x[t - 1], x[s - 1], alpha[t - 1], alpha[s - 1])
                             for _, s, t in arrows)

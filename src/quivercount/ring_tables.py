@@ -13,8 +13,8 @@ The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel
 size comes from elimination over the ring itself.  Elsewhere each entry
 becomes its multiplication block, the dim columns x * b_k kept per
-distinct element, and the F_p system is ranked; the scaling orbits of the
-counterexample read the same blocks.
+distinct element, and the F_p system is ranked.  The one whole-space
+loop here lists the scaling orbits of the toric oracle.
 """
 
 from functools import cached_property
@@ -168,26 +168,6 @@ def chain_nullity(alg, system):
                 by = mul[b // shift]
                 rows[k] = [add[x][by[y]] for x, y in zip(row, pivot)]
     return bd * total
-
-
-def vanishing_points(alg, matrices, sums):
-    """The index tuples into `matrices`, one list of matrices per slot, at
-    which every sum vanishes; a sum is a list of signed products of two
-    matrix entries, (slot, flat entry index, slot, flat entry index,
-    negated).  A point is dropped at its first nonzero sum."""
-    t = index_tables(alg)
-    add, mul, neg, zero = t.add, t.mul, t.neg, t.zero
-    for combo in product(*[range(len(lst)) for lst in matrices]):
-        point = [lst[c] for lst, c in zip(matrices, combo)]
-        for terms in sums:
-            acc = zero
-            for a, i, b, j, negated in terms:
-                x = mul[point[a][i]][point[b][j]]
-                acc = add[acc][neg[x] if negated else x]
-            if acc != zero:
-                break
-        else:
-            yield combo
 
 
 def scaling_orbits(alg, m, scalings):

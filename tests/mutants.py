@@ -1,0 +1,121 @@
+"""A mutant battery for the exact kernels, run by hand:
+
+    python tests/mutants.py                 # every mutant
+    python tests/mutants.py NAME [NAME ...] # the named ones
+
+Each mutant is one source substitution.  It is applied to a copy of src/
+in a temporary directory, and a named subset of the test suite runs on
+the copy (pytest -x, PYTHONPATH pointing at it) under a per-mutant
+timeout.  A failing run kills the mutant; a passing run is a survivor; a
+timeout is a finding of its own, never a kill, since a mutant that makes
+a loop run away is a defect the suite should name.  A mutant marked
+equivalent computes the same function as the original, for the reason
+given with it, so it is expected to survive.
+
+The script exits 0 when every mutant is killed or survives as documented,
+and 1 otherwise.  It uses only the standard library; pytest does not
+collect it, so it adds no gate to the test suite.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120       # seconds per mutant
+
+# file under src/quivercount, the text replaced (it must occur exactly
+# once), its replacement, the test ids to run, and None or the reason the
+# mutant is equivalent
+Mutant = namedtuple("Mutant", "name path old new tests equivalent")
+
+MUTANTS = [
+    Mutant("moment_star_sign", "repenum.py",
+           "tab.add[b][tab.neg[y]]", "tab.add[b][y]",
+           ["tests/test_repenum.py::test_moment_map_examples"], None),
+    # over a Frobenius ring V^g and V*^g have equal dimensions, so only a
+    # ring whose halves differ, sqz(F_2, 2) at (2, 1), can catch this
+    Mutant("rank_sum_exponent_half", "repenum.py",
+           "p ** (dims[not starred] - modp.rank(", "p ** (dims[starred] - modp.rank(",
+           ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
+    Mutant("enumerate_starred_on_ties", "repenum.py",
+           "starred = dims[1] < dims[0]", "starred = dims[1] <= dims[0]",
+           ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter",
+            "tests/test_repenum.py::test_preproj_columns_are_combinations_of_basis_pairs",
+            "tests/test_guard.py"],
+           "on a tie both halves have p^dim points, and enumerating either one "
+           "counts the same pairs (x, y) with mu(x, y) = 0 and charges the same "
+           "p^dim, with k * |b| moment maps either way"),
+    Mutant("fourier_zero_tuple", "repenum.py",
+           "tuple(tuple(tab.one if i == j else tab.zero for i in range(a)",
+           "tuple(tuple(tab.zero for i in range(a)",
+           ["tests/test_repenum.py::test_fourier_fiber_counts", "tests/test_guard.py",
+            "tests/test_properties.py::test_preprojective_rank_sums_equal_the_zero_fiber_filter"],
+           "a scalar tuple c fixes all of V x V*, as c X - X c = 0 for every "
+           "arrow matrix X, so the zero tuple has the identity's fixed space, "
+           "basis and rank sum"),
+    Mutant("chain_nullity_valuation", "ring_tables.py",
+           "total += v\n", "total += v - (v > 1)\n",
+           ["tests/test_properties.py::test_chain_ring_elimination_equals_the_f_p_rank"], None),
+    Mutant("burnside_width", "repenum.py",
+           "for _, t in factors)).bit_length() + 1", "for _, t in factors)).bit_length()",
+           ["tests/test_repenum.py"], None),
+    Mutant("times_transposed", "ring_tables.py",
+           "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
+           ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),
+]
+
+
+def run(mutant, scratch):
+    """Apply the mutant to a copy of src/ under scratch and run its tests;
+    returns (outcome, seconds), the outcome killed, survived, timeout or
+    stale (the text to replace is missing or not unique)."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src)
+    path = src / "quivercount" / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return "stale", 0.0
+    path.write_text(text.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *mutant.tests]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(command, cwd=ROOT, env=env, timeout=TIMEOUT,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    # pytest exits 1 on a failed test; any other nonzero status (no test
+    # collected, a usage error) means the subset did not run
+    outcome = {0: "survived", 1: "killed"}.get(done.returncode, "error")
+    return outcome, time.perf_counter() - start
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        sys.exit("unknown mutant %s" % ", ".join(sorted(unknown)))
+    findings = 0
+    for mutant in chosen:
+        with tempfile.TemporaryDirectory() as scratch:
+            outcome, seconds = run(mutant, Path(scratch))
+        expected = "survived" if mutant.equivalent else "killed"
+        ok = outcome == expected
+        findings += not ok
+        print("%-26s %-8s %6.1f s%s" % (mutant.name, outcome, seconds,
+                                         "" if ok else "   <- expected %s" % expected))
+        if mutant.equivalent and ok:
+            print("    equivalent: %s" % mutant.equivalent)
+    print("%d mutants, %d findings" % (len(chosen), findings))
+    return 1 if findings else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -22,9 +22,9 @@ from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
-from quivercount.repenum import (_fix_system, _group_average, _vertex_lists, _whole_zero_fiber,
-                                 double_quiver, fix_nullity)
-from quivercount.ring_tables import index_tables, vanishing_points
+from quivercount.repenum import (_fix_system, _group_average, _vertex_lists, double_quiver,
+                                 fix_nullity)
+from quivercount.ring_tables import index_tables
 from quivercount.toric import check_depth_function, epsilon_value, r_d_polynomial
 
 
@@ -721,19 +721,15 @@ def class_tuple_buckets(quiver, alg, alpha, char_order=None, generator=None,
     return buckets, order
 
 
-def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
-    """m_preproj (a_preproj with character=True) by filtering: per tuple
-    of class representatives g, in the class-tuple loop, list every point
-    of V^g x V*^g and keep those on which the moment map vanishes.  The
-    oracle for the rank sums of the engine and for their contraction;
-    generator is class_tuple_buckets' primitive root."""
-    alpha = tuple(alpha)
+def moment_equations(quiver, alpha):
+    """The entries of mu on the doubled representation space as sums over
+    its matrices, one list per entry: entry (i, j) of mu at v is
+    sum_h a[i][h] a*[h][j] over the arrows a into v, minus the same with a*
+    first over the arrows out of v, each product as (slot, flat index,
+    slot, flat index, negated), a slot numbering the arrows of the double
+    quiver in the order of its arrows()."""
     dq, star = double_quiver(quiver)
-    darrows = dq.arrows()
-    # entry (i, j) of mu at v: sum_h a[i][h] a*[h][j] over the arrows a into
-    # v, minus the same with a* first over the arrows out of v, each product
-    # as (slot, flat index, slot, flat index, negated)
-    slot = {e: k for k, (e, _, _) in enumerate(darrows)}
+    slot = {e: k for k, (e, _, _) in enumerate(dq.arrows())}
     equations = {}
     for e, s, t in quiver.arrows():
         for v, w, left, right, negated in ((t, s, e, star[e], False), (s, t, star[e], e, True)):
@@ -741,7 +737,53 @@ def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
             for i, j, h in product(range(n), range(n), range(k)):
                 equations.setdefault((v, i, j), []).append(
                     (slot[left], i * k + h, slot[right], h * n + j, negated))
-    sums = list(equations.values())
+    return list(equations.values())
+
+
+def vanishing_points(alg, matrices, sums):
+    """The index tuples into `matrices`, one list of matrices per slot, at
+    which every sum of moment_equations vanishes, through the index
+    tables.  A point is dropped at its first nonzero sum."""
+    t = index_tables(alg)
+    add, mul, neg, zero = t.add, t.mul, t.neg, t.zero
+    for combo in product(*[range(len(lst)) for lst in matrices]):
+        point = [lst[c] for lst, c in zip(matrices, combo)]
+        for terms in sums:
+            acc = zero
+            for a, i, b, j, negated in terms:
+                x = mul[point[a][i]][point[b][j]]
+                acc = add[acc][neg[x] if negated else x]
+            if acc != zero:
+                break
+        else:
+            yield combo
+
+
+def whole_zero_fiber(quiver, alg, alpha, guard=GUARD):
+    """The points of the whole doubled representation space, one flat
+    index matrix per arrow of the double quiver in the order of its
+    arrows(), on which the moment map vanishes; listed lazily once their
+    number is charged.  The oracle for the fiber count that
+    fourier_fiber_count reads off the preprojective rank sum."""
+    alpha = _validate_alpha(quiver, alpha)
+    darrows = double_quiver(quiver)[0].arrows()
+    total = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in darrows)
+    charge(total, guard, "%d points of the doubled representation space" % total)
+    per_arrow = [list(product(range(alg.size()), repeat=alpha[t - 1] * alpha[s - 1]))
+                 for _, s, t in darrows]        # every matrix of each arrow's shape
+    return (tuple(matrices[c] for matrices, c in zip(per_arrow, combo))
+            for combo in vanishing_points(alg, per_arrow, moment_equations(quiver, alpha)))
+
+
+def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
+    """m_preproj (a_preproj with character=True) by filtering: per tuple
+    of class representatives g, in the class-tuple loop, list every point
+    of V^g x V*^g and keep those on which the moment map vanishes.  The
+    oracle for the rank sums of the engine and for their contraction;
+    generator is class_tuple_buckets' primitive root."""
+    alpha = tuple(alpha)
+    darrows = double_quiver(quiver)[0].arrows()
+    sums = moment_equations(quiver, alpha)
 
     def points(gt, gs, rows, cols):
         basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
@@ -788,7 +830,7 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
     group.  Only viable for tiny spaces; must agree with m_preproj."""
     alpha = _validate_alpha(quiver, alpha)
     darrows = double_quiver(quiver)[0].arrows()
-    points = _whole_zero_fiber(quiver, alg, alpha, guard)
+    points = whole_zero_fiber(quiver, alg, alpha, guard)
     elements = enumerate_group(quiver, alg, alpha, guard)
     fiber = [tuple(coordinate_matrix(alg, x, alpha[s - 1]) for x, (_, s, _) in zip(point, darrows))
              for point in points]

@@ -81,11 +81,16 @@ CASES = {
                                "4 class tuples"),
     "m_preproj_half": (lambda g: m_preproj(banana_quiver(2), F3, (1, 1), g), 9,
                        "p^2 = 9 points"),
+    # the Fourier identity: |g| additive-group elements, then the p^dim points of V
+    # (p^8 = 256 for Kronecker at (2,2) over F_2, not its 65536 doubled points)
+    "fourier_fiber_count": (lambda g: fourier_fiber_count(path_quiver(2), K2F2, (1, 1), g), 16,
+                            "16 elements of the additive group"),
+    "fourier_fiber_count_kronecker": (
+        lambda g: fourier_fiber_count(banana_quiver(2), F2, (2, 2), g), 256,
+        "256 elements of the additive group"),
     # whole spaces of the oracles
     "preproj_orbit_partition": (lambda g: preproj_orbit_partition(path_quiver(2), K2F2,
                                                                   (1, 1), g), 16, "16 points"),
-    "fourier_fiber_count": (lambda g: fourier_fiber_count(path_quiver(2), K2F2, (1, 1), g), 16,
-                            "16 elements of the additive group"),
     "toric_ai_orbit_count": (lambda g: toric_ai_orbit_count(cycle_quiver(3), K2F2, guard=g),
                              64, "|R|^3 = 64 points"),
     "toric_ai_orbit_count_units": (lambda g: toric_ai_orbit_count(path_quiver(2), K3F2, guard=g),

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from quivercount.families import (_canonical_form, _class_keys, all_connected_multigraphs,
-                                  banana_graph, cycle_graph, loops_graph, path_graph, point_graph)
+                                  banana_graph, cycle_graph, loops_graph, path_graph, path_quiver,
+                                  point_graph)
 from quivercount.multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from quivercount.polynomials import QTPoly
 from oracles import (all_connected_multigraphs_by_scan, canonical_form_by_relabeling,
@@ -217,6 +218,28 @@ def test_subset_b1_keeps_the_table_of_the_last_ids_only():
     assert again is not full and again == full == subset_b1_by_union_find(g, [1, 2, 3, 4])
     with pytest.raises(ValueError):
         g.subset_b1([1, 5])
+
+
+def test_subset_b1_refuses_a_duplicate_edge_id():
+    # a repeated id would count as a parallel edge, b1 = 1 at mask 0b011
+    with pytest.raises(ValueError, match="duplicate edge id"):
+        cycle_graph(3).subset_b1([1, 1, 2])
+
+
+def test_spanning_connected_refuses_an_unknown_edge_id():
+    with pytest.raises(ValueError, match="unknown edge id 9"):
+        cycle_graph(3).spanning_connected([9])
+
+
+def test_strict_filtrations_refuse_a_duplicate_edge_id():
+    # [1, 1] would yield ({1}, {1}) twice, a chain that is not strict
+    with pytest.raises(ValueError, match="duplicate edge id"):
+        strict_filtrations([1, 1])
+
+
+def test_flip_refuses_an_unknown_edge_id():
+    with pytest.raises(ValueError, match="unknown edge id 9"):
+        path_quiver(2).flip([9])
 
 
 def test_subset_b1_guard_trips_before_listing():

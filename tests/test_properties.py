@@ -7,8 +7,8 @@ connected spanning subgraphs, and the lattice convolution of characters
 against the sum over built minors; and on random small quivers, the
 conjugacy-class sums of m_count and a_count against the loop over every
 group element, their contraction along the
-quiver against the loop over class tuples, and the rank sums of m_preproj
-and a_preproj against the zero-fiber filter; and on random Laurent
+quiver against the loop over class tuples, and the rank sums of m_preproj,
+a_preproj and fourier_fiber_count against the zero-fiber filter; and on random Laurent
 polynomials, RatQT.sum against the pairwise addition, RatQT equality
 against cross-multiplication, the one-pass division by (1 - q^c T)
 against the slice-by-slice division, the series by synthetic division
@@ -21,6 +21,7 @@ Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
 
 from functools import reduce
+from math import prod
 
 import pytest
 
@@ -38,7 +39,7 @@ from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: 
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
-                                 fix_nullity, m_count, m_preproj)
+                                 fix_nullity, fourier_fiber_count, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
                      canonical_form_by_relabeling, class_tuple_buckets, convolve_by_minors,
@@ -47,7 +48,7 @@ from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements, 
                      coordinate_matrix, fix_nullity_by_rank, fix_system_by_products,
                      preproj_by_filter, same_form,
                      series_coefficient_by_binomials, series_numerator_by_rows,
-                     strict_filtrations_by_recursion)
+                     strict_filtrations_by_recursion, whole_zero_fiber)
 from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
                         ratqts, repeated_denominators, series_ratqts, small_quivers,
                         sum_terms, t_factor_exponents)
@@ -138,10 +139,14 @@ def test_class_sums_equal_the_element_loop(quiver, ring, data):
 @given(small_quivers(), st.sampled_from(RINGS), st.data())
 def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data):
     alpha = data.draw(st.tuples(*[st.integers(0, 2)] * quiver.n))
-    # the filter lists at most the whole doubled space, |R|^(2 sum_a alpha_t alpha_s)
+    # the filter lists at most the whole doubled space, |R|^(2 sum_a alpha_t alpha_s),
+    # and the Fourier average every element of the additive group, prod_v |R|^(alpha_v^2)
     doubled = ring.size() ** (2 * sum(alpha[t - 1] * alpha[s - 1] for _, s, t in quiver.arrows()))
-    assume(any(alpha) and doubled <= 5000)
+    additive = prod(ring.size() ** (a * a) for a in alpha)
+    assume(any(alpha) and doubled <= 5000 and additive <= 1 << 16)
     assert m_preproj(quiver, ring, alpha) == preproj_by_filter(quiver, ring, alpha)
+    assert fourier_fiber_count(quiver, ring, alpha) == \
+        sum(1 for _ in whole_zero_fiber(quiver, ring, alpha))
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_preproj(quiver, ring, alpha) == \
             preproj_by_filter(quiver, ring, alpha, character=True)

@@ -13,15 +13,15 @@ from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers, make_f
                                         make_truncated, truncated_generator)
 from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
-from quivercount.repenum import (_burnside, _group_average, _moment_blocks, _whole_zero_fiber,
-                                 a_count, a_preproj, counterexample_counts, double_quiver,
-                                 fix_nullity, fourier_fiber_count, m_count, m_preproj,
-                                 stabilizer_order, toric_ai_orbit_count, toric_point)
+from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_count, a_preproj,
+                                 counterexample_counts, double_quiver, fix_nullity,
+                                 fourier_fiber_count, m_count, m_preproj, stabilizer_order,
+                                 toric_ai_orbit_count, toric_point)
 from quivercount.ring_tables import index_tables
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
                      conjugacy_classes_by_partition, coordinate_matrix, fix_count, flat_indices,
                      mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
-                     preproj_orbit_partition, primitive_roots)
+                     preproj_orbit_partition, primitive_roots, whole_zero_fiber)
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -562,7 +562,7 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     # count is that of the pairs X, Y with XY = 0 and YX = 0
     a2, identity = path_quiver(2), flat_indices(F3, mat_identity(F3, 2))
     m_preproj(a2, F3, (2, 2))
-    fiber = sum(1 for _ in _whole_zero_fiber(a2, F3, (2, 2), GUARD))
+    fiber = sum(1 for _ in whole_zero_fiber(a2, F3, (2, 2), GUARD))
     assert engine["fix_values"]((identity, identity)) == fiber
     assert len(calls) == 16
     # Kronecker at (1,1): k = |b| = 1 on each of its two arrows; the fiber
