@@ -17,6 +17,7 @@ from math import isqrt
 
 from . import modp
 from .multigraph import GUARD, charge
+from .polynomials import _integer
 
 # Default irreducible polynomials (ascending coefficients, monic) for the
 # built-in extension fields.
@@ -31,10 +32,6 @@ _IRREDUCIBLE = {
 }
 
 
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
 class FiniteAlgebra:
     """Commutative F_p-algebra with basis-indexed structure constants."""
 
@@ -42,11 +39,14 @@ class FiniteAlgebra:
     truncation = None
 
     def __init__(self, p, basis_names, table, one, name, residue_field=None):
-        self.p = p
+        self.p = p = _integer(p, "characteristic p")
+        if p < 2 or not all(p % d for d in range(2, isqrt(p) + 1)):
+            raise ValueError("%d is not prime" % p)
         self.dim = len(basis_names)
         self.basis_names = tuple(basis_names)
-        self.table = tuple(tuple(tuple(c % p for c in cell) for cell in row) for row in table)
-        self.one = tuple(c % p for c in one)
+        self.table = tuple(tuple(tuple(_integer(c, "structure constant") % p for c in cell)
+                                 for cell in row) for row in table)
+        self.one = tuple(_integer(c, "unit coordinate") % p for c in one)
         self.name = name
         self.residue_field = residue_field if residue_field is not None else self
         self._rd = self.residue_field.dim
@@ -240,17 +240,14 @@ class FiniteAlgebra:
 # -- field constructors -----------------------------------------------
 
 def make_prime_field(p):
-    if not _is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    return FiniteAlgebra(p, ("1",), (((1,),),), (1,), "fq(%d)" % p)
+    return FiniteAlgebra(p, ("1",), (((1,),),), (1,), "fq(%s)" % (p,))
 
 
 def make_field_ext(p, coeffs):
     """F_p[x]/(f) for a supplied monic irreducible f (ascending coeffs); a
     reducible f gives zero divisors, which the constructor rejects."""
-    if not _is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    coeffs = tuple(c % p for c in coeffs)
+    p = _integer(p, "characteristic p")
+    coeffs = tuple(_integer(c, "coefficient") % p for c in coeffs)
     k = len(coeffs) - 1
     if k < 1 or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic of degree at least 1")
@@ -280,6 +277,7 @@ def _builtin_field(p, k):
 def make_field(q):
     """The field of size q = p^k via the built-in polynomial table; p is
     the least divisor of q above 1, so a prime."""
+    q = _integer(q, "field size q")
     p = next((d for d in range(2, q + 1) if q % d == 0), 0)
     k = next((k for k in range(1, q) if p ** k >= q), 1)
     if p < 2 or p ** k != q:
@@ -315,7 +313,7 @@ def make_truncated(base, d):
     """k_d = base[t]/(t^d) for a base field; residue field = base."""
     if not base.is_field:
         raise ValueError("truncated polynomial rings require a field base")
-    if d < 1:
+    if (d := _integer(d, "depth d")) < 1:
         raise ValueError("d >= 1 required")
     if d == 1:
         return base
@@ -334,7 +332,7 @@ def make_square_zero(base, n):
     """base[t_1..t_n]/(t_1..t_n)^2; local, not self-dual for n > 1."""
     if not base.is_field:
         raise ValueError("square-zero rings require a field base")
-    if n < 1:
+    if (n := _integer(n, "n")) < 1:
         raise ValueError("n >= 1 required")
     suffixes = ["t%d" % j for j in range(1, n + 1)]
     return _local_ring(base, suffixes, lambda a, b: a and b, "sqz(%s,%d)" % (base.name, n))

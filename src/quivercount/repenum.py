@@ -13,16 +13,18 @@ in Z[z]/(z^m - 1) and read once, mod Phi_m.
 
 Preprojective counts use that the moment map mu(x, y) is bilinear in the
 arrows x and their stars y: the fixed points of g in its zero fiber number
-sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with one F_p
-rank per point of the smaller half and the other half never listed.  The
-columns mu(x, b) over a basis b of the other half are F_p-combinations of
-the mu(B_i, b) over a basis B_i of the listed half: one moment map per
-basis pair, not per point.  fourier_fiber_count reads the same sum at
-the identity tuple, whose fixed space is all of V x V*.  An independent
-orbit-partition engine provides the oracle for the rank-one (toric)
-counts; the oracles for the engines here (the loop over every group
-element, the loop over class tuples, the zero-fiber filter and the orbit
-partition of the whole fiber) are in tests/oracles.py.
+sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with the
+smaller half listed and the other never.  The columns mu(x, b) over a
+basis b of the other half are F_p-combinations of the mu(B_i, b) over a
+basis B_i of the listed half: one moment map per basis pair, not per
+point.  A point and its nonzero multiples have one rank, so one F_p rank
+per line, and one sum per pair of fixed spaces, not per class tuple.
+fourier_fiber_count reads the same sum at the identity tuple, whose
+fixed space is all of V x V*.  An independent orbit-partition engine
+provides the oracle for the rank-one (toric) counts; the oracles for the
+engines here (the loop over every group element, the loop over class
+tuples, the zero-fiber filter and the orbit partition of the whole
+fiber) are in tests/oracles.py.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
@@ -46,6 +48,7 @@ matrices, converted once at entry.
 Exact and deterministic.
 """
 
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -53,7 +56,7 @@ from . import modp
 from .cyclotomic import root_sum
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
-from .polynomials import unpack
+from .polynomials import _integer, unpack
 from .ring_tables import arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits, times
 
 
@@ -265,21 +268,17 @@ def _zero_fiber_fixed(quiver, alg, alpha, guard):
     doubled quiver is V^g x V*^g (the arrows, then their stars), and
     mu(x, y) is F_p-bilinear; so the count is the sum over x in one half of
     p^(dim of the other half - rank of mu(x, .) on it).  The half with
-    fewer points is the one enumerated."""
-    arrows = quiver.arrows()
-    star = double_quiver(quiver)[1]
+    fewer points is the one enumerated and charged per tuple; the sum is
+    memoized for one count by the pair of fixed spaces (their bases)."""
+    arrows, star = quiver.arrows(), double_quiver(quiver)[1]
     p, dim, ring = alg.p, alg.dim, index_tables(alg).ring
     width = sum(a * a for a in alpha) * dim
-    basis_cache = {}
 
+    @cache
     def basis(gt, gs, rows, cols):
         """The fixed space's F_p basis, each vector as a flat index tuple."""
-        key = (rows, cols, gt, gs)
-        if key not in basis_cache:
-            vectors = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
-            basis_cache[key] = [tuple(alg.element_index(v[i:i + dim])
-                                      for i in range(0, len(v), dim)) for v in vectors]
-        return basis_cache[key]
+        return tuple(tuple(alg.element_index(v[i:i + dim]) for i in range(0, len(v), dim))
+                     for v in modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p))
 
     def column(arrow, x, y):
         """mu at the point x on the arrow, y on its star, zero elsewhere,
@@ -287,27 +286,30 @@ def _zero_fiber_fixed(quiver, alg, alpha, guard):
         blocks = _moment_blocks(alg, alpha, [arrow], star, {arrow[0]: x, star[arrow[0]]: y})
         return [c for block in blocks for entry in block for c in ring[entry]]
 
+    @cache
+    def rank_sum(enumerated, other, starred):
+        """Sum over x = sum_i c_i B_i in the enumerated half of p^(dim other -
+        rank of mu(x, .)): x = 0 adds p^(dim other), and each line (the x
+        whose last nonzero c_i is 1) adds one rank's term weighed p - 1."""
+        zero, other_dim = [0] * width, sum(map(len, other))
+        gens = [[(column(a, b, e) if starred else column(a, e, b)) if a == arrow else zero
+                 for a, bs in zip(arrows, other) for b in bs]
+                for arrow, half in zip(arrows, enumerated) for e in half]
+        total, span = p ** other_dim, [[zero] * other_dim]
+        for gen in gens:     # span: the points spanned by the generators so far
+            lines = [[[(u + w) % p for u, w in zip(col, g)] for col, g in zip(x, gen)] for x in span]
+            total += (p - 1) * sum(p ** (other_dim - modp.rank(x, p)) for x in lines)
+            span += [[[c * u % p for u in col] for col in x] for x in lines for c in range(1, p)]
+        return total
+
     def fix_values(g):
-        halves = [[(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows],
-                  [(g[s - 1], g[t - 1], alpha[s - 1], alpha[t - 1]) for _, s, t in arrows]]
-        bases = [[basis(*key) for key in half] for half in halves]
+        bases = [tuple(basis(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows),
+                 tuple(basis(g[s - 1], g[t - 1], alpha[s - 1], alpha[t - 1]) for _, s, t in arrows)]
         dims = [sum(map(len, half)) for half in bases]
         starred = dims[1] < dims[0]     # enumerate V*^g, the smaller half
         charge(p ** dims[starred], guard, "p^%d = %d points of the enumerated preprojective "
                "half" % (dims[starred], p ** dims[starred]))
-        per_arrow = []
-        for arrow, enumerated, other in zip(arrows, bases[starred], bases[not starred]):
-            # mu is bilinear, so the point sum_i c_i B_i of the enumerated
-            # half has the columns sum_i c_i mu(B_i, b): one moment map per
-            # pair (B_i, b), the points in product order of the c_i
-            points = [[[0] * width for _ in other]]
-            for e in enumerated:
-                gen = [column(arrow, b, e) if starred else column(arrow, e, b) for b in other]
-                points = [[[(u + c * w) % p for u, w in zip(col, by)] for col, by in zip(pt, gen)]
-                          for pt in points for c in range(p)]
-            per_arrow.append(points)
-        return sum(p ** (dims[not starred] - modp.rank([c for cols in combo for c in cols], p))
-                   for combo in product(*per_arrow))
+        return rank_sum(bases[starred], bases[not starred], starred)
 
     return fix_values
 
@@ -424,8 +426,8 @@ def counterexample_counts(n, q, guard=GUARD):
     from .families import path_quiver
     from .finite_algebra import make_dual_numbers, make_field, make_square_zero
 
-    field = make_field(q)
-    ring = make_square_zero(field, n)
+    field = make_field(q := _integer(q, "q"))
+    ring = make_square_zero(field, n := _integer(n, "n"))
     doubled = make_dual_numbers(ring)
     s = sum(q ** i for i in range(n))
     closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s

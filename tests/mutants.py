@@ -41,7 +41,20 @@ MUTANTS = [
     # over a Frobenius ring V^g and V*^g have equal dimensions, so only a
     # ring whose halves differ, sqz(F_2, 2) at (2, 1), can catch this
     Mutant("rank_sum_exponent_half", "repenum.py",
-           "p ** (dims[not starred] - modp.rank(", "p ** (dims[starred] - modp.rank(",
+           "p ** (other_dim - modp.rank(", "p ** (sum(map(len, enumerated)) - modp.rank(",
+           ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
+    Mutant("rank_sum_line_weight", "repenum.py",
+           "total += (p - 1) * sum(", "total += sum(",
+           ["tests/test_repenum.py::test_one_rank_per_line_once_per_pair_of_fixed_spaces"],
+           None),
+    Mutant("rank_sum_zero_point", "repenum.py",
+           "total, span = p ** other_dim, ", "total, span = 0, ",
+           ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
+    # a memo that answers for every pair sharing the enumerated half
+    Mutant("rank_sum_memo_one_half", "repenum.py",
+           "    @cache\n    def rank_sum(",
+           "    @(lambda f, memo={}: lambda e, o, s: memo[e] if e in memo "
+           "else memo.setdefault(e, f(e, o, s)))\n    def rank_sum(",
            ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
     Mutant("enumerate_starred_on_ties", "repenum.py",
            "starred = dims[1] < dims[0]", "starred = dims[1] <= dims[0]",

@@ -124,6 +124,37 @@ def test_structure_constant_validation():
         FiniteAlgebra(2, ("e1", "e2"), ((e1, zero), (zero, e2)), (1, 1), "F2xF2")
 
 
+def test_characteristic_and_structure_constants_are_integers():
+    # Z/4 with one basis vector built as a field, is_field True, and its
+    # counts failed deep inside; each constructor now refuses a composite p
+    for build in (lambda: FiniteAlgebra(4, ("1",), (((1,),),), (1,), "z4"),
+                  lambda: make_prime_field(4), lambda: make_field_ext(4, (1, 1, 1))):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            build()
+    for p in (2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape("characteristic p %r is not an integer"
+                                                       % p)):
+            make_prime_field(p)
+    with pytest.raises(ValueError, match="structure constant 0.5 is not an integer"):
+        FiniteAlgebra(2, ("1",), (((0.5,),),), (1,), "half")
+    with pytest.raises(ValueError, match="unit coordinate 1.0 is not an integer"):
+        FiniteAlgebra(2, ("1",), (((1,),),), (1.0,), "float unit")
+    # this built "fq(2,2)" with the structure constant 0.5
+    with pytest.raises(ValueError, match="coefficient 1.5 is not an integer"):
+        make_field_ext(2, (1, 1.5, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_truncated(make_prime_field(2), 2.0), "depth d 2.0"),
+    (lambda: make_square_zero(make_prime_field(2), 1.0), "n 1.0"),
+    (lambda: make_field(4.0), "field size q 4.0"),
+])
+def test_constructor_sizes_are_integers(build, message):
+    # each raised "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
+        build()
+
+
 def test_residue_map_validation():
     f2 = make_prime_field(2)
     e1, e2, zero = (1, 0), (0, 1), (0, 0)

@@ -2,6 +2,7 @@ from collections import Counter
 from functools import partial
 from itertools import product
 from math import prod
+import re
 import time
 
 import pytest
@@ -573,6 +574,30 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_rank_per_line_once_per_pair_of_fixed_spaces(monkeypatch):
+    from quivercount import modp
+    a2 = path_quiver(2)
+    # built first: a field's construction checks rank its multiplication matrices
+    sqz2, sqz5, f5 = make_square_zero(F2, 2), make_square_zero(F2, 5), make_prime_field(5)
+    calls = _count_calls(monkeypatch, modp, "rank")
+    cases = [
+        # units a, b of sqz(F_2, n) differ by an element of m, so the fixed
+        # space ann(a - b) is the ring or m: two pairs of fixed spaces in
+        # 4^2 (n = 2) or 32^2 (n = 5) class tuples, 2^(n+1) - 1 + 2^n - 1 lines
+        (m_preproj, sqz2, (1, 1), 18, 7 + 3),
+        (m_preproj, sqz5, (1, 1), 1026, 63 + 31),
+        # 20 pairs of fixed spaces in the 8^2 class tuples of GL_2(F_3); this
+        # value and the next are wrong without each line's weight p - 1
+        (m_preproj, F3, (2, 2), 6, 100),
+        # a = b gives the one line F_5, a != b the zero space and no rank
+        (a_preproj, f5, (1, 1), 2, 1),
+    ]
+    for count, ring, alpha, value, ranks in cases:
+        calls.clear()
+        assert count(a2, ring, alpha) == value
+        assert len(calls) == ranks
+
+
 def test_preproj_partition_fallback_agrees():
     cases = [
         (path_quiver(2), F2, (1, 1)),
@@ -653,6 +678,13 @@ def test_counterexample_counts():
     assert counterexample_counts(2, 2) == (15, 18)
     a, b = counterexample_counts(2, 3)
     assert b - a == (9 - 1) * (3 - 1)
+
+
+@pytest.mark.parametrize("n, q, message", [(1, 2.0, "q 2.0"), ("1", 2, "n '1'")])
+def test_counterexample_arguments_are_integers(n, q, message):
+    # these raised a TypeError from deep inside: a float in range(), a str in <
+    with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
+        counterexample_counts(n, q)
 
 
 def test_random_graphs_cross_validate_closed_form():
