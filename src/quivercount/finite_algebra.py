@@ -150,8 +150,8 @@ class FiniteAlgebra:
 
     def mul_matrix(self, x):
         """Matrix over F_p of multiplication by x (columns = x * basis_j)."""
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        rows, dim = [(xi, row) for xi, row in zip(x, self.table) if xi], range(self.dim)
+        return [[sum(xi * r[j][k] for xi, r in rows) % self.p for j in dim] for k in dim]
 
     # -- enumeration ---------------------------------------------------
     def size(self):
@@ -188,6 +188,11 @@ class FiniteAlgebra:
 
     def units(self):
         return [x for x in self.elements() if self.is_unit(x)]
+
+    def socle(self):
+        """An F_p basis of soc = Ann(m), as coordinate tuples."""
+        rows = [r for i in range(self._rd, self.dim) for r in self.mul_matrix(self.basis_vector(i))]
+        return [tuple(v) for v in modp.nullspace_basis(rows, self.p)]
 
     def unit_count(self):
         q = self.residue_field.size()

@@ -5,17 +5,15 @@ The one module that lists or partitions GL_n(R), memoized in the
 algebra's _gl_data dict; a matrix, in and out, is a row-major flat tuple
 of element indices (ring_tables).  Over a field the invertible matrices
 are scanned and their conjugacy classes joined by union-find.  Over a
-local ring R with residue field k the classes are lifted: GL_n(R) maps
-onto GL_n(k) with kernel K = 1 + M_n(m), so each class lies over one
-class of GL_n(k) and meets the fibre over its representative in one orbit
-of the preimage of the centralizer.  A matrix over k has the indices of
-its embedding in M_n(R), so the lift reads GL_n(k) as it is.
+local ring the classes are lifted from the residue field's, each fibre
+listed modulo [M_n(soc R), g0] for its residue class g0.
 """
 
 from collections import Counter
 from itertools import permutations, product
 from math import prod
 
+from . import modp
 from .multigraph import GUARD, _find, _merge, charge
 from .polynomials import _integer
 from .ring_tables import index_tables, times
@@ -54,43 +52,12 @@ def invertible_matrices(alg, n):
     return out
 
 
-def _conjugation_steps(t, n, entries, units, positions):
-    """Conjugations g -> s g s^-1 of flat index tuples, each as steps
-    m[a] += c * m[b] in order: for s = 1 + x e_ij, x in entries, row i +=
-    x row j, then column j -= x column i; for s = 1 + (u - 1) e_ii, u in
-    units and i in positions, row i *= u, then column i *= u^-1 (indices)."""
-    steps = []
-    for x in entries:
-        plus, minus = t.mul[x], t.mul[t.neg[x]]
-        steps += [[(i * n + k, j * n + k, plus) for k in range(n)]
-                  + [(k * n + j, k * n + i, minus) for k in range(n)]
-                  for i, j in permutations(range(n), 2)]
-    for u in units:
-        up, down = (t.mul[t.add[v][t.neg[t.one]]] for v in (u, t.inverse[u]))
-        steps += [[(i * n + k, i * n + k, up) for k in range(n)]
-                  + [(k * n + i, k * n + i, down) for k in range(n)] for i in positions]
-    return steps
-
-
-def _orbit_parts(t, n, points, steps, lifts=()):
-    """Union-find over points, flat index tuples, joining each with its
-    conjugates by the steps, then each root so far with h g h^-1 for the
-    (h, h^-1) in lifts, which must normalize the group of the steps.
-    Returns (index of the first point, size) per part, in order.  A part
-    lies in one class whatever the generators, so weighted sums are exact."""
-    def conjugates(g):
-        for conjugation in steps:
-            m = list(g)
-            for target, source, by in conjugation:
-                m[target] = t.add[m[target]][by[m[source]]]
-            yield tuple(m)
-
-    position = {g: k for k, g in enumerate(points)}
-    parent = list(range(len(points)))
-    _merge(parent, ((k, position[h]) for k, g in enumerate(points) for h in conjugates(g)))
-    roots = [k for k, root in enumerate(parent) if k == root]
-    _merge(parent, ((k, position[times(t, times(t, h, points[k], n, n, n), h_inv, n, n, n)])
-                    for k in roots for h, h_inv in lifts))
+def _orbit_parts(points, images):
+    """Union-find over the points joined with their images, each image list
+    aligned with points: (index of the first point, size) per part, in
+    order.  A part lies in one class whatever the generators."""
+    position, parent = {x: k for k, x in enumerate(points)}, list(range(len(points)))
+    _merge(parent, ((k, position[x]) for image in images for k, x in enumerate(image)))
     return sorted(Counter(_find(parent, k) for k in range(len(points))).items())
 
 
@@ -100,57 +67,106 @@ def conjugacy_classes(alg, n, elements):
     in that order.  The generators E_ij(1) = 1 + e_ij and diag(u, 1, ...,
     1), u the primitive element, give GL_n: conjugating E_ij(1) by powers
     of the diagonal gives every E_0j(c) and E_i0(c), their commutators
-    every E_ij(c), so SL_n, and u every determinant."""
+    every E_ij(c), so SL_n, and u every determinant.  A conjugation runs
+    as steps m[a] += c * m[b], a row operation, then a column operation."""
     if n < 2:
         return [(m, 1) for m in elements]
     t = index_tables(alg)
-    steps = _conjugation_steps(t, n, [t.one], [t.index[alg.primitive_element()]], [0])
-    return [(elements[k], size) for k, size in _orbit_parts(t, n, elements, steps)]
+    plus, minus, u = t.mul[t.one], t.mul[t.neg[t.one]], t.index[alg.primitive_element()]
+    up, down = (t.mul[t.add[v][t.neg[t.one]]] for v in (u, t.inverse[u]))
+    steps = [[(i * n + k, j * n + k, plus) for k in range(n)]
+             + [(k * n + j, k * n + i, minus) for k in range(n)]
+             for i, j in permutations(range(n), 2)]
+    steps.append([(k, k, up) for k in range(n)] + [(k * n, k * n, down) for k in range(n)])
+
+    def conjugate(g, conjugation):
+        m = list(g)
+        for target, source, by in conjugation:
+            m[target] = t.add[m[target]][by[m[source]]]
+        return tuple(m)
+
+    images = ([conjugate(g, conjugation) for g in elements] for conjugation in steps)
+    return [(elements[k], size) for k, size in _orbit_parts(elements, images)]
 
 
 def _lifted_classes(alg, n, residue_classes, guard):
     """The classes of GL_n(alg), alg local but not a field, lifted from
-    those of GL_n(k), k the residue field: (first point of a part, size).
-    The fibre g0 + M_n(m) over g0, whose indices are those of g0 in k,
-    is joined by K = 1 + M_n(m): row reduction leaves a diagonal in 1 + m,
-    so K is generated by 1 + b e_ij, b in the basis of m, and 1 + y e_ii,
-    i < n - 1 as scalars act trivially, y in the nonzero products of basis
-    vectors; these span each m^j, so the 1 + y generate 1 + m layer by
-    layer.  Lifts of the centralizer's generators then join K-orbits: the
-    commuting elements of GL_n(k), in order, kept when outside the group
-    of those kept, until it has |GL_n(k)| / size0 elements.  A part of s
-    points is a class of size0 * s."""
+    those of GL_n(k), k the residue field (indices as in alg): (first point
+    of a part, size).  A class meets the fibre g0 + M_n(m) over its residue
+    class g0 in one stabilizer orbit.  As soc m = 0, 1 + Y in 1 + M_n(soc)
+    adds [Y, g0], so a point modulo W = [M_n(soc), g0] is its F_p coordinates
+    outside the pivots of W, packed width bits each.  The other generators:
+    1 + y e_ij, y a nonzero product of basis vectors of m outside soc, ij not
+    the last diagonal cell as scalars act trivially (row reduction leaves a
+    diagonal in 1 + m, which the 1 + y generate layer by layer); lifts of the
+    commuting elements of GL_n(k), in order, kept when outside the group of
+    those kept, until it has |GL_n(k)| / size0 elements.  Each A maps H to
+    A H A^-1 + A g0 A^-1 - g0 mod W.  A part of s points: size0 |W| s elements."""
     t, elements = index_tables(alg), gl_elements(alg.residue_field, n, guard)
+    p, rd, cells = alg.p, alg.residue_field.dim, range(n * n)
     one = tuple(t.one if i == j else t.zero for i in range(n) for j in range(n))
-    basis = [t.index[alg.basis_vector(i)] for i in range(alg.residue_field.dim, alg.dim)]
+
+    def elementary(cell, x):        # 1 + x e_cell and its inverse
+        u = t.add[one[cell]][x]
+        inverse = t.neg[x] if one[cell] == t.zero else t.inverse[u]
+        return [one[:cell] + (y,) + one[cell + 1:] for y in (u, inverse)]
+
+    def conjugate(a, b, m):         # the F_p coordinates of the m-parts of a m b, b = a^-1
+        return [c for x in times(t, times(t, a, m, n, n, n), b, n, n, n) for c in t.ring[x][rd:]]
+
+    def fill(image, columns):       # image + x * columns for every point x
+        for j, column in enumerate(columns):
+            for _ in range(p - 1):          # a sum of p or more sets its slot's top bit
+                image += [s - ((s + excess & high) >> width - 1) * p
+                          for s in (x + column for x in image[-p ** j:])]
+        return image
+
+    basis = [p ** k for k in range(rd, alg.dim)]        # b_k has index p^k
     products = list(basis)
     for x in products:
-        for y in (t.mul[x][b] for b in basis):
-            if y != t.zero and y not in products:
-                products.append(y)
-    steps = _conjugation_steps(t, n, basis, [t.add[t.one][y] for y in products], range(n - 1))
-    ideal = [x for x, unit in enumerate(t.is_unit) if not unit]
-    out = []
+        products += {t.mul[x][b] for b in basis} - {t.zero, *products}
+    gens = [elementary(cell, x) for x in products for cell in cells[:-1]
+            if any(t.mul[x][b] != t.zero for b in basis)]
+    socle = [t.index[s] for s in alg.socle()]
+    fibre = [tuple(b if k == cell else t.zero for k in cells) for cell in cells for b in basis]
+    width, out = p.bit_length() + 1, []         # bits a coordinate: room for a sum of two
+    high = sum(1 << width * j + width - 1 for j in range(len(fibre)))
+    excess = (high >> width - 1) * ((1 << width - 1) - p)
     for g0, size0 in residue_classes:
-        gens, group, lifts = [], {one}, []
+        centralizer, group, lifts = [], {one}, []
         for h in elements:
             if len(group) == len(elements) // size0:
                 break
             if h not in group and times(t, h, g0, n, n, n) == times(t, g0, h, n, n, n):
-                gens.append(h)
+                centralizer.append(h)
                 group, new = {one}, {one}
                 while new:
-                    new = {times(t, x, s, n, n, n) for x in new for s in gens} - group
+                    new = {times(t, x, s, n, n, n) for x in new for s in centralizer} - group
                     group |= new
-        for h in gens:
+        for h in centralizer:
             powers = [h]        # h^-1 is the power of h just before 1; all lie in group
             while powers[-1] != one:
                 if len(powers) > len(group):
                     raise ArithmeticError("no power of a centralizer generator is 1")
                 powers.append(times(t, powers[-1], h, n, n, n))
             lifts.append((h, powers[-2]))
-        fibre = [tuple(t.add[b][x] for b, x in zip(g0, xs)) for xs in product(ideal, repeat=n * n)]
-        out += [(fibre[k], size0 * size) for k, size in _orbit_parts(t, n, fibre, steps, lifts)]
+        rows, pivots = modp.rref([conjugate(*elementary(cell, s), g0)
+                                  for cell in cells for s in socle], p)
+        free = [c for c in range(len(fibre)) if c not in pivots]
+
+        def point(v):       # v mod W
+            for row, c in zip(rows, pivots):
+                v = [(x - v[c] * y) % p for x, y in zip(v, row)]
+            return sum(v[c] << width * j for j, c in enumerate(free))
+
+        points = fill([0], [1 << width * j for j in range(len(free))])
+        images = (fill([point(conjugate(a, b, g0))], [point(conjugate(a, b, fibre[c])) for c in free])
+                  for a, b in gens + lifts)
+        for k, size in _orbit_parts(points, images):
+            g, x = list(g0), points[k]
+            for j, c in enumerate(free):
+                g[c // len(basis)] += (x >> width * j & (1 << width) - 1) * basis[c % len(basis)]
+            out.append((tuple(g), size0 * p ** len(pivots) * size))
     return out
 
 
@@ -162,9 +178,10 @@ def _memo(alg, key, build):
     return cache[key]
 
 
-def _gl_table(alg, size, guard=GUARD):
-    """Every invertible size x size matrix in a fixed order, memoized; it
-    charges the |alg|^(size^2) matrices the scan visits, cached or not."""
+def gl_elements(alg, size, guard=GUARD):
+    """Every invertible size x size matrix as a row-major flat tuple of
+    element indices, in a fixed order, memoized; it charges the
+    |alg|^(size^2) matrices the scan visits, cached or not."""
     matrices = alg.size() ** (size * size)
     charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
     return _memo(alg, size, lambda: invertible_matrices(alg, size))
@@ -172,24 +189,18 @@ def _gl_table(alg, size, guard=GUARD):
 
 def gl_order(alg, size, guard=GUARD):
     """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
-    return len(_gl_table(alg, size, guard))
-
-
-def gl_elements(alg, size, guard=GUARD):
-    """Every invertible size x size matrix as a row-major flat tuple of
-    element indices, deterministic order (memoized)."""
-    return _gl_table(alg, size, guard)
+    return len(gl_elements(alg, size, guard))
 
 
 def gl_classes(alg, size, guard=GUARD):
     """The conjugacy classes of GL_size(alg) as (representative, class
-    size) pairs (memoized), each representative a flat index tuple.  Over
-    a field, or for size < 2, from the scan, each the first of its class in
-    the order of gl_elements.  Over a local ring lifted from the residue
-    field k, charging the fibre points #classes(GL_size(k)) x |m|^(size^2),
-    cached or not; as |m| >= |k| they bound the centralizer search too."""
+    size) pairs (memoized), each a flat index tuple: over a field, or for
+    size < 2, from the scan, each the first of its class in gl_elements
+    order; over a local ring lifted from the residue field k, charging
+    #classes(GL_size(k)) x |m|^(size^2) fibre points, cached or not, which
+    bound the points listed and, as |m| >= |k|, the centralizer search."""
     if alg.is_field or size < 2:
-        elements = _gl_table(alg, size, guard)
+        elements = gl_elements(alg, size, guard)
         return _memo(alg, ("classes", size), lambda: conjugacy_classes(alg, size, elements))
     residue = gl_classes(alg.residue_field, size, guard)
     fibre = (alg.size() // alg.residue_field.size()) ** (size * size)

@@ -57,7 +57,7 @@ from .cyclotomic import root_sum
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import _integer, unpack
-from .ring_tables import arrow_system, chain_nullity, index_tables, mul_block, scaling_orbits, times
+from .ring_tables import arrow_system, chain_nullity, index_tables, scaling_orbits, times
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -65,15 +65,18 @@ from .ring_tables import arrow_system, chain_nullity, index_tables, mul_block, s
 def _fix_system(alg, gt, gs, rows, cols):
     """Equation matrix over F_p of X -> gt X - X gs on rows x cols matrices:
     arrow_system with entry (r, c) replaced by its multiplication block, in
-    rows r * dim .. r * dim + dim - 1 and the same columns of c."""
+    rows r * dim .. r * dim + dim - 1 and the same columns of c; the
+    blocks (alg.mul_matrix) are kept per element index as _block_data."""
     dim, ring = alg.dim, index_tables(alg).ring
+    blocks = alg.__dict__.setdefault("_block_data", {})
     system = arrow_system(alg, gt, gs, rows, cols)
     matrix = [[0] * (len(system) * dim) for _ in range(len(system) * dim)]
     for r, row in enumerate(system):
         for c, x in enumerate(row):
-            for k, column in enumerate(mul_block(alg, ring[x])):
-                for s, v in column:
-                    matrix[r * dim + s][c * dim + k] = v
+            if x not in blocks:
+                blocks[x] = alg.mul_matrix(ring[x])
+            for s, values in enumerate(blocks[x]):
+                matrix[r * dim + s][c * dim:(c + 1) * dim] = values
     return matrix
 
 

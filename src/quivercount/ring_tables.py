@@ -89,25 +89,6 @@ def times(t, a, b, rows, inner, cols):
     return tuple(out)
 
 
-def mul_block(alg, x):
-    """Multiplication by x as its dim columns x * b_k over F_p, each a
-    tuple of the (coordinate, value) pairs with value nonzero.  Filled
-    lazily per distinct element and kept on the algebra as _block_data."""
-    blocks = alg.__dict__.setdefault("_block_data", {})
-    block = blocks.get(x)
-    if block is None:
-        p, table, columns = alg.p, alg.table, []
-        for k in range(alg.dim):
-            column = [0] * alg.dim
-            for i, xi in enumerate(x):
-                if xi:
-                    for t, c in enumerate(table[i][k]):
-                        column[t] += xi * c
-            columns.append(tuple((t, v % p) for t, v in enumerate(column) if v % p))
-        block = blocks[x] = tuple(columns)
-    return block
-
-
 def arrow_system(alg, gt, gs, rows, cols):
     """X -> gt X - X gs on rows x cols matrices as an N x N matrix over alg,
     N = rows * cols, entries as element indices: row a * cols + c is entry

@@ -33,6 +33,8 @@ TIMEOUT = 120       # seconds per mutant
 # once), its replacement, the test ids to run, and None or the reason the
 # mutant is equivalent
 Mutant = namedtuple("Mutant", "name path old new tests equivalent")
+LIFT_TESTS = ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_partition",
+              "tests/test_repenum.py::test_class_equation"]
 
 MUTANTS = [
     Mutant("moment_star_sign", "repenum.py",
@@ -78,6 +80,16 @@ MUTANTS = [
     Mutant("burnside_width", "repenum.py",
            "for _, t in factors)).bit_length() + 1", "for _, t in factors)).bit_length()",
            ["tests/test_repenum.py"], None),
+    # the lift of GL_n classes through the socle quotient: a class of s
+    # points modulo W has size0 |W| s elements
+    Mutant("lift_size_without_w", "gl.py",
+           "size0 * p ** len(pivots) * size", "size0 * size", LIFT_TESTS, None),
+    # soc = m holds only when m^2 = 0, so only k_3, eps(k_2(F_2)) and the
+    # skewed-basis ring can catch these two
+    Mutant("lift_socle_all_of_m", "gl.py",
+           "socle = [t.index[s] for s in alg.socle()]", "socle = basis", LIFT_TESTS, None),
+    Mutant("lift_k_constant_dropped", "gl.py",
+           "fill([point(conjugate(a, b, g0))],", "fill([0],", LIFT_TESTS, None),
     Mutant("times_transposed", "ring_tables.py",
            "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
            ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),

@@ -271,6 +271,33 @@ def test_lifted_classes_equal_the_whole_group_partition(ring, n):
     assert all(oracle[partition[g]] == size for g, size in classes)
 
 
+def test_the_socle_is_the_annihilator_of_m():
+    # soc R = Ann(m) by brute force over the elements; it is all of m
+    # exactly when every product of basis vectors of m vanishes (k_3(F_2)
+    # has t * t = t^2, a basis vector, so "no new product" would not do)
+    for ring in dict.fromkeys(ring for ring, _ in LIFTED if not ring.is_field):
+        m = [x for x in ring.elements() if not ring.is_unit(x)]
+        annihilator = {x for x in ring.elements() if not any(any(ring.mul(x, y)) for y in m)}
+        socle = ring.socle()
+        span = {tuple(sum(c * v[k] for c, v in zip(cs, socle)) % ring.p for k in range(ring.dim))
+                for cs in product(range(ring.p), repeat=len(socle))}
+        assert len(span) == ring.p ** len(socle) and span == annihilator
+        basis = [ring.basis_vector(i) for i in range(ring.residue_field.dim, ring.dim)]
+        square_zero = not any(any(ring.mul(a, b)) for a in basis for b in basis)
+        assert (len(socle) == len(basis)) == square_zero
+
+
+def test_the_lift_lists_each_fibre_modulo_w(monkeypatch):
+    # k_2(F_3), n = 2: soc = m, so W = [M_2(m), g0] and the fibre over g0
+    # has 3^dim C(g0) points: 2 central classes x 81 and 6 x 9, not 8 x 81
+    from quivercount import gl
+    f3 = make_prime_field(3)
+    gl_classes(f3, 2)
+    listed = _count_calls(monkeypatch, gl, "_orbit_parts")
+    assert len(gl_classes(make_truncated(f3, 2), 2)) == 78
+    assert sorted(len(points) for points, _ in listed) == [9] * 6 + [81] * 2
+
+
 def test_residue_field_indices_are_those_of_their_embeddings():
     # the facts behind one matrix format: gl_classes lifts GL_n(k) without
     # converting, and the residue of ring index i is i mod |k|

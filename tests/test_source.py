@@ -89,8 +89,8 @@ def test_one_gl_module():
     # classes of GL_n(R) and keeps the _gl_data memo on each algebra.  No
     # other module defines or calls the scan, the partition, the lift and
     # its helpers or the memo lookup, or names the memo.
-    scan = {"invertible_matrices", "conjugacy_classes", "_gl_table", "_lifted_classes",
-            "_conjugation_steps", "_orbit_parts"}
+    scan = {"invertible_matrices", "conjugacy_classes", "gl_elements", "_lifted_classes",
+            "_orbit_parts"}
     defined, found = set(), []
     for name, tree in _parsed_sources():
         for node in ast.walk(tree):
