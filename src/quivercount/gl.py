@@ -1,12 +1,12 @@
 """GL_n(R) over a finite commutative algebra R, and the base change group
 G = prod_v GL_{alpha_v}(R) of a quiver at a rank vector alpha.
 
-The one module that lists or partitions GL_n(R), memoized in the
-algebra's _gl_data dict; a matrix, in and out, is a row-major flat tuple
-of element indices (ring_tables).  Over a field the invertible matrices
-are scanned and their conjugacy classes joined by union-find.  Over a
-local ring the classes are lifted from the residue field's, each fibre
-listed modulo [M_n(soc R), g0] for its residue class g0.
+The one module that lists or partitions GL_n(R), or M_n(R) under its
+conjugation, memoized in the algebra's _gl_data dict; a matrix is a
+row-major flat tuple of element indices (ring_tables).  Over a field the
+invertible (or all) matrices are scanned and their classes joined by
+union-find.  Over a local ring the classes are lifted from the residue
+field's, each fibre listed modulo [M_n(soc R), g0] for its class g0.
 """
 
 from collections import Counter
@@ -62,13 +62,13 @@ def _orbit_parts(points, images):
 
 
 def conjugacy_classes(alg, n, elements):
-    """The classes of GL_n over a field alg, or of an abelian GL_n (n < 2),
-    as (first of `elements`, all of GL_n(alg), in the class, class size),
-    in that order.  The generators E_ij(1) = 1 + e_ij and diag(u, 1, ...,
-    1), u the primitive element, give GL_n: conjugating E_ij(1) by powers
-    of the diagonal gives every E_0j(c) and E_i0(c), their commutators
-    every E_ij(c), so SL_n, and u every determinant.  A conjugation runs
-    as steps m[a] += c * m[b], a row operation, then a column operation."""
+    """The GL_n-classes of `elements`, all of GL_n or M_n over a field alg
+    (or n < 2), as (first of `elements` in the class, class size), in that
+    order.  The generators E_ij(1) = 1 + e_ij and diag(u, 1, ..., 1), u the
+    primitive element, give GL_n: conjugating E_ij(1) by powers of the
+    diagonal gives every E_0j(c) and E_i0(c), their commutators every
+    E_ij(c), so SL_n, and u every determinant.  A conjugation runs as steps
+    m[a] += c * m[b], a row operation, then a column operation."""
     if n < 2:
         return [(m, 1) for m in elements]
     t = index_tables(alg)
@@ -90,17 +90,18 @@ def conjugacy_classes(alg, n, elements):
 
 
 def _lifted_classes(alg, n, residue_classes, guard):
-    """The classes of GL_n(alg), alg local but not a field, lifted from
-    those of GL_n(k), k the residue field (indices as in alg): (first point
-    of a part, size).  A class meets the fibre g0 + M_n(m) over its residue
-    class g0 in one stabilizer orbit.  As soc m = 0, 1 + Y in 1 + M_n(soc)
-    adds [Y, g0], so a point modulo W = [M_n(soc), g0] is its F_p coordinates
-    outside the pivots of W, packed width bits each.  The other generators:
-    1 + y e_ij, y a nonzero product of basis vectors of m outside soc, ij not
-    the last diagonal cell as scalars act trivially (row reduction leaves a
-    diagonal in 1 + m, which the 1 + y generate layer by layer); lifts of the
-    commuting elements of GL_n(k), in order, kept when outside the group of
-    those kept, until it has |GL_n(k)| / size0 elements.  Each A maps H to
+    """The classes of GL_n(alg) (or M_n(alg)), alg local but not a field,
+    lifted from those of GL_n(k) (or M_n(k)), k the residue field (indices
+    as in alg): (first point of a part, size).  A class meets the fibre
+    g0 + M_n(m) over its residue class g0 in one stabilizer orbit.  As
+    soc m = 0, 1 + Y in 1 + M_n(soc) adds [Y, g0], so a point modulo
+    W = [M_n(soc), g0] is its F_p coordinates outside the pivots of W,
+    packed width bits each.  The other generators: 1 + y e_ij, y a nonzero
+    product of basis vectors of m outside soc, ij not the last diagonal cell
+    as scalars act trivially (row reduction leaves a diagonal in 1 + m,
+    which the 1 + y generate layer by layer); lifts of the commuting
+    elements of GL_n(k), in order, kept when outside the group of those
+    kept, until it has |GL_n(k)| / size0 elements.  Each A maps H to
     A H A^-1 + A g0 A^-1 - g0 mod W.  A part of s points: size0 |W| s elements."""
     t, elements = index_tables(alg), gl_elements(alg.residue_field, n, guard)
     p, rd, cells = alg.p, alg.residue_field.dim, range(n * n)
@@ -187,38 +188,36 @@ def gl_elements(alg, size, guard=GUARD):
     return _memo(alg, size, lambda: invertible_matrices(alg, size))
 
 
-def gl_order(alg, size, guard=GUARD):
-    """Order of GL_size(alg), by exhaustive unit-matrix count (memoized)."""
-    return len(gl_elements(alg, size, guard))
-
-
-def gl_classes(alg, size, guard=GUARD):
-    """The conjugacy classes of GL_size(alg) as (representative, class
-    size) pairs (memoized), each a flat index tuple: over a field, or for
-    size < 2, from the scan, each the first of its class in gl_elements
-    order; over a local ring lifted from the residue field k, charging
-    #classes(GL_size(k)) x |m|^(size^2) fibre points, cached or not, which
-    bound the points listed and, as |m| >= |k|, the centralizer search."""
+def gl_classes(alg, size, guard=GUARD, whole=False):
+    """The conjugacy classes of GL_size(alg), or with whole those of all of
+    M_size(alg) under GL_size(alg), as (representative, class size) pairs
+    (memoized), each a flat index tuple: over a field, or for size < 2,
+    from the scan (all |alg|^(size^2) matrices in product order with
+    whole, charged as gl_elements), each the first of its class; over a
+    local ring lifted from the residue field k, charging #classes(GL_size(k))
+    (M_size(k)) x |m|^(size^2) fibre points, cached or not, which bound
+    the points listed and, as |m| >= |k|, the centralizer search."""
+    key = "classes", size, whole
     if alg.is_field or size < 2:
-        elements = gl_elements(alg, size, guard)
-        return _memo(alg, ("classes", size), lambda: conjugacy_classes(alg, size, elements))
-    residue = gl_classes(alg.residue_field, size, guard)
+        if whole:
+            matrices = alg.size() ** (size * size)
+            charge(matrices, guard, "M_%d over %s: %d matrices" % (size, alg.name, matrices))
+            elements = product(range(alg.size()), repeat=size * size)
+        else:
+            elements = gl_elements(alg, size, guard)
+        return _memo(alg, key, lambda: conjugacy_classes(alg, size, list(elements)))
+    residue = gl_classes(alg.residue_field, size, guard, whole)
     fibre = (alg.size() // alg.residue_field.size()) ** (size * size)
     points = len(residue) * fibre
-    charge(points, guard, "GL_%d over %s: %d x %d = %d fibre points"
-           % (size, alg.name, len(residue), fibre, points))
-    return _memo(alg, ("classes", size), lambda: _lifted_classes(alg, size, residue, guard))
-
-
-def group_order(quiver, alg, alpha, guard=GUARD):
-    alpha = _validate_alpha(quiver, alpha)
-    return prod(gl_order(alg, a, guard) for a in alpha)
+    charge(points, guard, "%s_%d over %s: %d x %d = %d fibre points"
+           % ("M" if whole else "GL", size, alg.name, len(residue), fibre, points))
+    return _memo(alg, key, lambda: _lifted_classes(alg, size, residue, guard))
 
 
 def enumerate_group(quiver, alg, alpha, guard=GUARD):
     """Yield every element of the product of GL's, a tuple of flat index
     tuples, one per vertex; charges the GL scans and the |G| elements listed."""
-    alpha = _validate_alpha(quiver, alpha)
-    order = group_order(quiver, alg, alpha, guard)
+    lists = [gl_elements(alg, a, guard) for a in _validate_alpha(quiver, alpha)]
+    order = prod(map(len, lists))
     charge(order, guard, "|G| = %d group elements" % order)
-    return product(*[gl_elements(alg, a, guard) for a in alpha])
+    return product(*lists)

@@ -20,18 +20,19 @@ basis B_i of the listed half: one moment map per basis pair, not per
 point.  A point and its nonzero multiples have one rank, so one F_p rank
 per line, and one sum per pair of fixed spaces, not per class tuple.
 fourier_fiber_count reads the same sum at the identity tuple, whose
-fixed space is all of V x V*.  An independent orbit-partition engine
-provides the oracle for the rank-one (toric) counts; the oracles for the
-engines here (the loop over every group element, the loop over class
-tuples, the zero-fiber filter and the orbit partition of the whole
-fiber) are in tests/oracles.py.
+fixed space is all of V x V*, against its additive-group average over
+g = prod_v M_alpha_v(R), one more class sum.  An independent
+orbit-partition engine provides the oracle for the rank-one (toric)
+counts; the oracles for the engines here (the loop over every group
+element, the loop over class tuples, the zero-fiber filter and the orbit
+partition of the whole fiber) are in tests/oracles.py.
 
 Every summand of the group average is a class function on
 G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
 count and the determinant character are unchanged when each vertex factor
-is conjugated.  So the Burnside sum runs over tuples of conjugacy-class
-representatives (gl.gl_classes), each weighted by the product of its
-class sizes.
+is conjugated, as is each kernel size the Fourier average sums over g.
+So the Burnside sum runs over tuples of conjugacy-class representatives
+(gl.gl_classes), each weighted by the product of its class sizes.
 
 The fixed-point count is a product over the arrows, so the sum over class
 tuples is a contraction along the quiver: a factor per vertex (class size
@@ -92,37 +93,37 @@ def fix_nullity(alg, gt, gs, rows, cols):
 
 # -- the weighted group average ------------------------------------------
 
-def _vertex_lists(alg, alpha, guard):
-    """Per-vertex conjugacy-class representatives, their class sizes, and
-    |G|, the product over the vertices of their class-size sums (the
-    classes partition each GL)."""
-    classes = [gl_classes(alg, a, guard) for a in alpha]
+def _vertex_lists(alg, alpha, guard, whole=False):
+    """Per-vertex class representatives of GL_alpha_v (with whole, of all
+    of M_alpha_v), their class sizes, and the product over the vertices of
+    their class-size sums: |G| (|g|), as the classes partition each GL (M)."""
+    classes = [gl_classes(alg, a, guard, whole) for a in alpha]
     sizes = [[size for _, size in c] for c in classes]
     return [[rep for rep, _ in c] for c in classes], sizes, prod(map(sum, sizes))
 
 
-def _arrow_table(alg, rows, cols, guard):
+def _arrow_table(alg, rows, cols, guard, whole):
     """p^nullity of X -> gt X - X gs for the class representatives gt of
-    GL_rows and gs of GL_cols, as one flat list over the class index pairs
-    (ct, cs) in product order; for a loop, cols None, the diagonal gt = gs
-    only.  Memoized on the algebra as _arrow_data, apart from the scans in
-    the GL memo, so every arrow of these ranks reads one table in any quiver
-    and orientation; its solves are charged, memoized or not.  Each entry
-    is its own solve: none is copied from the transposed pair, since that
-    symmetry is the orientation theorem the checks test."""
-    targets = [g for g, _ in gl_classes(alg, rows, guard)]
-    sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard)]
+    GL_rows and gs of GL_cols (M_rows and M_cols with whole), one flat list
+    over the class index pairs (ct, cs) in product order; for a loop, cols
+    None, the diagonal gt = gs only.  Memoized on the algebra as _arrow_data
+    by (rows, cols, whole), so every arrow of these ranks reads one table in
+    any quiver and orientation; its solves are charged, memoized or not.
+    Each entry is its own solve: none is copied from the transposed pair,
+    since that symmetry is the orientation theorem the checks test."""
+    targets = [g for g, _ in gl_classes(alg, rows, guard, whole)]
+    sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard, whole)]
     solves = len(targets) if cols is None else len(targets) * len(sources)
     charge(solves, guard, "%d arrow solves" % solves)
-    cache = alg.__dict__.setdefault("_arrow_data", {})
-    if (rows, cols) not in cache:
+    cache, key = alg.__dict__.setdefault("_arrow_data", {}), (rows, cols, whole)
+    if key not in cache:
         p = alg.p
         if cols is None:
-            table = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
+            cache[key] = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
         else:
-            table = [p ** fix_nullity(alg, gt, gs, rows, cols) for gt in targets for gs in sources]
-        cache[rows, cols] = table
-    return cache[rows, cols]
+            cache[key] = [p ** fix_nullity(alg, gt, gs, rows, cols)
+                          for gt in targets for gs in sources]
+    return cache[key]
 
 
 def _contract(factors, counts, m, width, guard):
@@ -169,16 +170,17 @@ def _contract(factors, counts, m, width, guard):
     return total
 
 
-def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None):
+def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None, whole=False):
     """The fixed-point counts summed over tuples of conjugacy classes,
     weighted by class size and graded by the determinant character
     exponent mod m = char_order (or 1): a contraction of one factor per
     vertex (class size times z^exponent) and one per arrow (its table of
     fixed-point counts).  fix_values lets the preprojective engine give
     its count for a tuple of class representatives instead, as one factor
-    on all vertices, charged one entry per tuple.  Returns (buckets, |G|)."""
+    on all vertices, charged one entry per tuple.  With whole the classes
+    are those of g = prod_v M_alpha_v.  Returns (buckets, |G| or |g|)."""
     alpha = _validate_alpha(quiver, alpha)
-    reps, sizes, order = _vertex_lists(alg, alpha, guard)
+    reps, sizes, order = _vertex_lists(alg, alpha, guard, whole)
     m, factors = char_order or 1, []
     if fix_values is not None:
         tuples = prod(map(len, reps))
@@ -186,10 +188,9 @@ def _burnside(quiver, alg, alpha, char_order=None, guard=GUARD, fix_values=None)
         factors.append((tuple(range(quiver.n)), [fix_values(g) for g in product(*reps)]))
     else:
         for _, s, t in quiver.arrows():
-            loop = s == t
-            factors.append(((t - 1,) if loop else (t - 1, s - 1),
-                            _arrow_table(alg, alpha[t - 1], None if loop else alpha[s - 1], guard)))
-    # a vertex table's coefficients sum to |GL_alpha_v|, and those sizes multiply to |G|
+            scope, cols = ((t - 1,), None) if s == t else ((t - 1, s - 1), alpha[s - 1])
+            factors.append((scope, _arrow_table(alg, alpha[t - 1], cols, guard, whole)))
+    # a vertex table's coefficients sum to |GL_alpha_v| (|M_alpha_v|); those multiply to order
     width = (order * prod(sum(t) for _, t in factors)).bit_length() + 1
     t = index_tables(alg)
     for v, (a, lst, weights) in enumerate(zip(alpha, reps, sizes)):
@@ -271,17 +272,23 @@ def _zero_fiber_fixed(quiver, alg, alpha, guard):
     doubled quiver is V^g x V*^g (the arrows, then their stars), and
     mu(x, y) is F_p-bilinear; so the count is the sum over x in one half of
     p^(dim of the other half - rank of mu(x, .) on it).  The half with
-    fewer points is the one enumerated and charged per tuple; the sum is
-    memoized for one count by the pair of fixed spaces (their bases)."""
+    fewer points is the one enumerated and charged per tuple; for one count
+    a basis is memoized by its arrow system, the sum by the pair of bases."""
     arrows, star = quiver.arrows(), double_quiver(quiver)[1]
     p, dim, ring = alg.p, alg.dim, index_tables(alg).ring
     width = sum(a * a for a in alpha) * dim
 
+    by_system = {}      # many pairs of classes share one arrow system
+
     @cache
     def basis(gt, gs, rows, cols):
         """The fixed space's F_p basis, each vector as a flat index tuple."""
-        return tuple(tuple(alg.element_index(v[i:i + dim]) for i in range(0, len(v), dim))
-                     for v in modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p))
+        key = tuple(map(tuple, arrow_system(alg, gt, gs, rows, cols)))
+        if key not in by_system:
+            vectors = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
+            by_system[key] = tuple(tuple(alg.element_index(v[i:i + dim])
+                                         for i in range(0, len(v), dim)) for v in vectors)
+        return by_system[key]
 
     def column(arrow, x, y):
         """mu at the point x on the arrow, y on its star, zero elsewhere,
@@ -342,25 +349,20 @@ def a_preproj(quiver, alg, alpha, guard=GUARD):
 def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
     """Cardinality of the moment map's zero fiber, both as the zero-fiber
     fixed count of the identity tuple (its fixed space is all of V x V*) and
-    by the additive-group average (1/|g|) sum_x |V| |ker rho(x)| over every
-    x in g = prod_v M_alpha_v, which never evaluates mu; asserts they agree."""
+    by the additive-group average (1/|g|) sum_x |V| |ker rho(x)| over
+    g = prod_v M_alpha_v, which never evaluates mu; asserts they agree.  The
+    kernel is a class function of x, so _burnside sums it over classes."""
     alpha = _validate_alpha(quiver, alpha)
-    arrows, p, tab = quiver.arrows(), alg.p, index_tables(alg)
-    lie_total = prod(alg.size() ** (a * a) for a in alpha)
-    charge(lie_total, guard, "%d elements of the additive group" % lie_total)
+    tab = index_tables(alg)
     identity = tuple(tuple(tab.one if i == j else tab.zero for i in range(a) for j in range(a))
                      for a in alpha)
     direct = _zero_fiber_fixed(quiver, alg, alpha, guard)(identity)
-    v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in arrows)
-    acc = sum(v_size * prod(p ** fix_nullity(alg, x[t - 1], x[s - 1], alpha[t - 1], alpha[s - 1])
-                            for _, s, t in arrows)
-              for x in product(*[product(range(alg.size()), repeat=a * a) for a in alpha]))
-    averaged, rest = divmod(acc, lie_total)
-    if rest:
-        raise AssertionError("additive average is not integral")
-    if direct != averaged:
-        raise AssertionError("zero-fiber count mismatch: direct %d vs averaged %d"
-                             % (direct, averaged))
+    (acc,), lie_total = _burnside(quiver, alg, alpha, guard=guard, whole=True)
+    v_size = prod(alg.size() ** (alpha[t - 1] * alpha[s - 1]) for _, s, t in quiver.arrows())
+    averaged, rest = divmod(v_size * acc, lie_total)
+    if rest or direct != averaged:
+        raise AssertionError("zero-fiber count mismatch: direct %d vs averaged %d / %d"
+                             % (direct, v_size * acc, lie_total))
     return direct
 
 

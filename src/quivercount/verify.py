@@ -358,19 +358,15 @@ def check_preprojective():
 # -- zero-fiber count identity ---------------------------------------------------
 
 def check_fourier():
-    checks = []
     f2 = make_prime_field(2)
-    f3 = make_prime_field(3)
-    k2f2 = make_truncated(f2, 2)
-    checks.append(("A2 over F_2: zero fiber has 3 points",
-                   fourier_fiber_count(path_quiver(2), f2, (1, 1)) == 3))
-    checks.append(("A2 over k_2(F_2): zero fiber has 8 points",
-                   fourier_fiber_count(path_quiver(2), k2f2, (1, 1)) == 8))
-    checks.append(("Jordan loop over F_2: zero fiber is everything (4)",
-                   fourier_fiber_count(jordan_quiver(1), f2, (1,)) == 4))
-    checks.append(("Jordan loop over F_3: zero fiber is everything (9)",
-                   fourier_fiber_count(jordan_quiver(1), f3, (1,)) == 9))
-    return checks
+    cases = [("A2 over F_2: zero fiber has 3 points", path_quiver(2), f2, (1, 1), 3),
+             ("A2 over k_2(F_2): zero fiber has 8 points",
+              path_quiver(2), make_truncated(f2, 2), (1, 1), 8),
+             ("Jordan loop over F_2: zero fiber is everything (4)", jordan_quiver(1), f2, (1,), 4),
+             ("Jordan loop over F_3: zero fiber is everything (9)",
+              jordan_quiver(1), make_prime_field(3), (1,), 9)]
+    return [(label, fourier_fiber_count(quiver, ring, alpha) == value)
+            for label, quiver, ring, alpha, value in cases]
 
 
 # -- the non-self-dual counterexample ---------------------------------------------

@@ -90,6 +90,19 @@ MUTANTS = [
            "socle = [t.index[s] for s in alg.socle()]", "socle = basis", LIFT_TESTS, None),
     Mutant("lift_k_constant_dropped", "gl.py",
            "fill([point(conjugate(a, b, g0))],", "fill([0],", LIFT_TESTS, None),
+    # the classes of all of M_n (the Fourier average) beside those of GL_n:
+    # each memo and the M scan must keep the two apart
+    Mutant("arrow_key_without_whole", "repenum.py",
+           '{}), (rows, cols, whole)', '{}), (rows, cols)',
+           ["tests/test_repenum.py::test_gl_and_matrix_class_memos_stay_apart"], None),
+    Mutant("class_key_without_whole", "gl.py",
+           'key = "classes", size, whole', 'key = "classes", size',
+           ["tests/test_repenum.py::test_gl_and_matrix_class_memos_stay_apart"], None),
+    Mutant("matrix_classes_from_gl_scan", "gl.py",
+           "elements = product(range(alg.size()), repeat=size * size)",
+           "elements = gl_elements(alg, size, guard)",
+           ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_partition",
+            "tests/test_repenum.py::test_fourier_fiber_counts"], None),
     Mutant("times_transposed", "ring_tables.py",
            "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
            ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),

@@ -17,7 +17,7 @@ from math import comb, prod
 from quivercount.cyclotomic import root_sum
 from quivercount.finite_algebra import FiniteAlgebra
 from quivercount.genfun import GraphChar, r_genfun
-from quivercount.gl import _validate_alpha, enumerate_group, gl_elements, group_order
+from quivercount.gl import _validate_alpha, enumerate_group
 from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
@@ -422,16 +422,17 @@ def mat_inverse(alg, m):
     return tuple(adj)
 
 
-def conjugacy_classes_by_partition(alg, n):
-    """The conjugacy class of every element of GL_n(alg), alg local, as
-    {element: first element of its class in the order of gl_elements}:
-    union-find over the whole group, joining each g with s g s^-1 for every
-    generator s, E_ij(1) = 1 + e_ij and diag(u, 1, ..., 1) for u in a
-    generating set of the units found greedily.  The oracle for the classes
-    that gl.gl_classes lifts from the residue field.  These s generate
+def conjugacy_classes_by_partition(alg, n, elements):
+    """The class under conjugation by GL_n(alg), alg local, of every one of
+    `elements`, n x n flat index matrices closed under that conjugation (all
+    of GL_n(alg) from gl_elements, or all of M_n(alg)), as {element: first
+    element of its class in the order of elements}: union-find over the
+    whole list, joining each g with s g s^-1 for every generator s,
+    E_ij(1) = 1 + e_ij and diag(u, 1, ..., 1) for u in a generating set of
+    the units found greedily.  The oracle for the classes that
+    gl.gl_classes lifts from the residue field.  These s generate
     GL_n(alg): they give every E_ij(u), u a unit, each r is a unit or 1 + r
     is, so E_ij(r) = E_ij(1 + r) E_ij(-1), and E_n(R) = SL_n(R)."""
-    elements = gl_elements(alg, n)
     t = index_tables(alg)
     ring, index, add, mul, one = t.ring, t.index, t.add, t.mul, t.one
 
@@ -613,6 +614,16 @@ def fix_count(g, quiver, alg, alpha):
     return total
 
 
+def additive_group_sum(quiver, alg, alpha):
+    """The sum over every x in g = prod_v M_alpha_v(alg) of the points of the
+    representation space that x fixes, and |g|: the loop that the averaged
+    side of fourier_fiber_count ran before it summed over classes, and the
+    oracle for that class sum (_burnside with whole)."""
+    alpha = _validate_alpha(quiver, alpha)
+    lie = list(product(*[product(range(alg.size()), repeat=a * a) for a in alpha]))
+    return sum(fix_count(x, quiver, alg, alpha) for x in lie), len(lie)
+
+
 def fix_space_points(alg, basis, rows, cols):
     """All rows x cols matrices in the span of basis, the nullspace vectors
     of the system gt X = X gs, in product order of the coefficients, as
@@ -648,8 +659,9 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
         fiber = [x for x in points
                  if not any(any(entry) for block in moment_map(quiver, alg, alpha, x)
                             for row in block for entry in row)]
-    buckets = [0] * order
+    buckets, listed = [0] * order, 0
     for g in enumerate_group(quiver, alg, alpha):
+        listed += 1
         coordinates = [coordinate_matrix(alg, m, a) for m, a in zip(g, alpha)]
         if preproj:
             fix = sum(1 for x in fiber
@@ -660,7 +672,7 @@ def burnside_by_elements(quiver, alg, alpha, character=False, preproj=False):
         exponent = sum(alg.dlog(alg.residue(mat_det(alg, m)))
                        for m in coordinates) if character else 0
         buckets[exponent % order] += fix
-    value, rest = divmod(root_sum(buckets), group_order(quiver, alg, alpha))
+    value, rest = divmod(root_sum(buckets), listed)
     assert rest == 0
     return value
 

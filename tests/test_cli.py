@@ -161,10 +161,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(2)",
                  "--rank", "2,1", "--guard", "10"]) == 3
     assert "GL_2" in capsys.readouterr().err
-    # fourier takes the same one guard: 2^2 elements of the additive group
+    # fourier takes the same one guard: 2 x 2 arrow solves over the classes of M_1
     fourier = ["fourier", "--quiver", "builtin:A2", "--ring", "fq(2)", "--rank", "1,1"]
     assert main(fourier + ["--guard", "3"]) == 3
-    assert "4 elements" in capsys.readouterr().err
+    assert "4 arrow solves" in capsys.readouterr().err
     assert main(fourier + ["--guard", "4"]) == 0
     assert capsys.readouterr().out.strip() == "3"
     # a failed internal consistency check -> 4, one line on stderr

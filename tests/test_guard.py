@@ -13,7 +13,7 @@ from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycl
 from quivercount.finite_algebra import make_prime_field, make_truncated
 from quivercount.genfun import (a_genfun, check_duality, check_recursion, convolve, psi_char,
                                 q_eulerian, r_d_via_convolution, r_genfun)
-from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
+from quivercount.gl import enumerate_group, gl_classes, gl_elements
 from quivercount.multigraph import GUARD, GuardError, strict_filtrations
 from quivercount.repenum import (a_count, a_preproj, counterexample_counts, fourier_fiber_count,
                                  m_count, m_preproj, stabilizer_order, toric_ai_orbit_count)
@@ -50,15 +50,20 @@ CASES = {
     "find_frobenius_form": (lambda g: make_truncated(F2, 3).find_frobenius_form(g), 8,
                             "p^dim = 2^3 = 8 candidate forms"),
     # GL scans: |R|^(n^2) matrices, memoized or not
-    "gl_order": (lambda g: gl_order(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
     "gl_elements": (lambda g: gl_elements(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
     "gl_classes": (lambda g: gl_classes(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
+    # the classes of all of M_n: the same |R|^(n^2) scan over a field, and
+    # #classes(M_n(k)) x |m|^(n^2) fibre points over a local ring
+    "gl_classes_whole": (lambda g: gl_classes(F2, 2, g, whole=True), 16,
+                         "M_2 over fq(2): 16 matrices"),
+    "gl_classes_whole_lifted": (lambda g: gl_classes(K2F2, 2, g, whole=True), 96,
+                                "M_2 over kd(fq(2),2): 6 x 16 = 96 fibre points"),
     # GL classes lifted from the residue field: #classes(GL_n(k)) x |m|^(n^2)
     # fibre points, after the residue field's scan
     "gl_classes_lifted": (lambda g: gl_classes(K2F2, 2, g), 48,
                           "GL_2 over kd(fq(2),2): 3 x 16 = 48 fibre points"),
-    "group_order": (lambda g: group_order(path_quiver(2), F2, (2, 1), g), 16,
-                    "GL_2 over fq(2): 16 matrices"),
+    "enumerate_group_gl_scan": (lambda g: list(enumerate_group(path_quiver(2), F2, (2, 1), g)),
+                                16, "GL_2 over fq(2): 16 matrices"),
     "m_count_gl_scan": (lambda g: m_count(path_quiver(2), F2, (2, 1), g), 16,
                         "GL_2 over fq(2): 16 matrices"),
     "m_preproj_gl_scan": (lambda g: m_preproj(path_quiver(2), F3, (2, 2), g), 81,
@@ -81,13 +86,14 @@ CASES = {
                                "4 class tuples"),
     "m_preproj_half": (lambda g: m_preproj(banana_quiver(2), F3, (1, 1), g), 9,
                        "p^2 = 9 points"),
-    # the Fourier identity: |g| additive-group elements, then the p^dim points of V
-    # (p^8 = 256 for Kronecker at (2,2) over F_2, not its 65536 doubled points)
+    # the Fourier identity: the p^dim points of V, then the class sum over the
+    # M_alpha_v (p^8 = 256 for Kronecker at (2,2) over F_2, not its 65536
+    # doubled points; 4 x 4 arrow solves for A2 at (1,1) over k_2(F_2))
     "fourier_fiber_count": (lambda g: fourier_fiber_count(path_quiver(2), K2F2, (1, 1), g), 16,
-                            "16 elements of the additive group"),
+                            "16 arrow solves"),
     "fourier_fiber_count_kronecker": (
         lambda g: fourier_fiber_count(banana_quiver(2), F2, (2, 2), g), 256,
-        "256 elements of the additive group"),
+        "p^8 = 256 points"),
     # whole spaces of the oracles
     "preproj_orbit_partition": (lambda g: preproj_orbit_partition(path_quiver(2), K2F2,
                                                                   (1, 1), g), 16, "16 points"),

@@ -34,14 +34,15 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: 
 from quivercount.genfun import (GraphChar, _series_numerator, a_genfun,  # noqa: E402
                                 convolve, cvector_of_filtration, epsilon1_value,
                                 epsilon_value, psi_char, psi_inverse_char, r_d_char, r_genfun)
-from quivercount.gl import gl_classes, gl_elements, group_order  # noqa: E402
+from quivercount.gl import gl_classes, gl_elements  # noqa: E402
 from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
                                  fix_nullity, fourier_fiber_count, m_count, m_preproj)
 from quivercount.toric import r_d_polynomial  # noqa: E402
-from oracles import (a_genfun_by_subgraphs, add_pairwise, burnside_by_elements,  # noqa: E402
+from oracles import (a_genfun_by_subgraphs, add_pairwise, additive_group_sum,  # noqa: E402
+                     burnside_by_elements,
                      canonical_form_by_relabeling, class_tuple_buckets, convolve_by_minors,
                      cvector_by_unions, den_by_powers,
                      depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
@@ -128,7 +129,7 @@ def test_a_genfun_equals_the_subgraph_sum_oracle(graph):
 @given(small_quivers(), st.sampled_from(RINGS), st.data())
 def test_class_sums_equal_the_element_loop(quiver, ring, data):
     alpha = data.draw(st.tuples(*[st.integers(0, 2)] * quiver.n))
-    assume(any(alpha) and group_order(quiver, ring, alpha) <= 500)
+    assume(any(alpha) and prod(len(gl_elements(ring, a)) for a in alpha) <= 500)
     assert m_count(quiver, ring, alpha) == burnside_by_elements(quiver, ring, alpha)
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_count(quiver, ring, alpha) == \
@@ -139,8 +140,9 @@ def test_class_sums_equal_the_element_loop(quiver, ring, data):
 @given(small_quivers(), st.sampled_from(RINGS), st.data())
 def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data):
     alpha = data.draw(st.tuples(*[st.integers(0, 2)] * quiver.n))
-    # the filter lists at most the whole doubled space, |R|^(2 sum_a alpha_t alpha_s),
-    # and the Fourier average every element of the additive group, prod_v |R|^(alpha_v^2)
+    # the filter lists at most the whole doubled space, |R|^(2 sum_a alpha_t alpha_s);
+    # the bound on the additive group, prod_v |R|^(alpha_v^2), which the Fourier
+    # average once listed and now sums over classes, keeps the draws as they were
     doubled = ring.size() ** (2 * sum(alpha[t - 1] * alpha[s - 1] for _, s, t in quiver.arrows()))
     additive = prod(ring.size() ** (a * a) for a in alpha)
     assume(any(alpha) and doubled <= 5000 and additive <= 1 << 16)
@@ -150,6 +152,26 @@ def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data)
     if (ring.residue_field.size() - 1) % sum(alpha) == 0:
         assert a_preproj(quiver, ring, alpha) == \
             preproj_by_filter(quiver, ring, alpha, character=True)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(quivers_with_ranks(), st.sampled_from(SYSTEM_RINGS))
+# rank-2 vertices over local rings, which the random draws seldom give: the
+# lifted classes of M_2 over k_2(F_2), eps(F_2), k_3(F_2) (m^2 != 0) and the
+# non-Frobenius sqz(F_2, 2), beside a loop and a zero rank
+@example((Quiver.from_edges(2, [(1, 2)]), (2, 1)), make_truncated(F2, 2))
+@example((Quiver.from_edges(2, [(1, 2), (1, 2)]), (1, 2)), make_dual_numbers(F2))
+@example((Quiver.from_edges(1, [(1, 1)]), (2,)), make_truncated(F2, 3))
+@example((Quiver.from_edges(1, [(1, 1)]), (2,)), make_square_zero(F2, 2))
+@example((Quiver.from_edges(2, [(1, 1), (1, 2)]), (2, 1)), F2)
+@example((Quiver.from_edges(3, [(1, 2), (2, 3)]), (1, 0, 2)), F3)
+def test_fourier_class_sum_equals_the_additive_group_loop(quiver_and_ranks, ring):
+    # the averaged side of the Fourier identity sums over the classes of the
+    # M_alpha_v what the loop sums over their elements, over any ring
+    quiver, alpha = quiver_and_ranks
+    assume(any(alpha) and prod(ring.size() ** (a * a) for a in alpha) <= 1 << 12)
+    (total,), order = _burnside(quiver, ring, alpha, whole=True)
+    assert (total, order) == additive_group_sum(quiver, ring, alpha)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)

@@ -12,7 +12,7 @@ from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
 from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, truncated_generator)
-from quivercount.gl import enumerate_group, gl_classes, gl_elements, gl_order, group_order
+from quivercount.gl import enumerate_group, gl_classes, gl_elements
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
 from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_count, a_preproj,
                                  counterexample_counts, double_quiver, fix_nullity,
@@ -30,13 +30,13 @@ K2F2 = make_truncated(F2, 2)
 
 
 def test_group_orders():
-    assert group_order(path_quiver(2), K2F2, (1, 1)) == 4
-    assert group_order(jordan_quiver(1), F3, (1,)) == 2
-    assert group_order(path_quiver(3), K2F2, (1, 1, 1)) == 8
-    assert gl_order(F2, 2) == 6
-    assert gl_order(K2F2, 2) == 96
-    assert gl_order(F3, 2) == 48
-    assert gl_order(F2, 0) == 1
+    assert len(list(enumerate_group(path_quiver(2), K2F2, (1, 1)))) == 4
+    assert len(list(enumerate_group(jordan_quiver(1), F3, (1,)))) == 2
+    assert len(list(enumerate_group(path_quiver(3), K2F2, (1, 1, 1)))) == 8
+    assert len(gl_elements(F2, 2)) == 6
+    assert len(gl_elements(K2F2, 2)) == 96
+    assert len(gl_elements(F3, 2)) == 48
+    assert len(gl_elements(F2, 0)) == 1
 
 
 def test_gl_order_of_truncated_rings():
@@ -44,7 +44,7 @@ def test_gl_order_of_truncated_rings():
     for q, d, n in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 1, 3), (3, 1, 3)]:
         field_order = prod(q ** n - q ** i for i in range(n))
         ring = make_truncated(make_prime_field(q), d)
-        assert gl_order(ring, n) == field_order * q ** (n * n * (d - 1))
+        assert len(gl_elements(ring, n)) == field_order * q ** (n * n * (d - 1))
 
 
 def test_gl_elements_equal_the_determinant_filter():
@@ -201,14 +201,14 @@ def test_gl2_of_a_field_has_q_squared_minus_one_classes():
         field = make_field(q)
         classes = gl_classes(field, 2)
         assert len(classes) == q * q - 1
-        assert sum(size for _, size in classes) == gl_order(field, 2)
+        assert sum(size for _, size in classes) == len(gl_elements(field, 2))
 
 
 def test_class_equation():
     for ring in (F3, make_field(4), K2F2):
         elements = [coordinate_matrix(ring, h, 2) for h in gl_elements(ring, 2)]
         classes = gl_classes(ring, 2)
-        assert sum(size for _, size in classes) == gl_order(ring, 2)
+        assert sum(size for _, size in classes) == len(gl_elements(ring, 2))
         for rep, size in classes:
             rep = coordinate_matrix(ring, rep, 2)
             centralizer = sum(1 for h in elements
@@ -252,14 +252,24 @@ LIFTED = [(make_truncated(F2, 2), 2), (make_truncated(F3, 2), 2),
           (make_truncated(F3, 3), 2), (make_dual_numbers(F3), 2),
           (make_dual_numbers(make_truncated(F2, 2)), 2), (make_square_zero(F2, 2), 2),
           (make_truncated(F2, 2), 3), (_skew_basis_ring(), 2), (F2, 3), (F3, 3)]
+# The classes of all of M_n under GL_n, with their counts: over a field, a
+# local ring with m^2 = 0 and one with m^2 != 0
+WHOLE = [(F2, 2, 6), (F3, 2, 12), (make_field(4), 2, 20), (make_truncated(F2, 2), 2, 28),
+         (make_dual_numbers(F2), 2, 28), (make_truncated(F2, 3), 2, 120), (F2, 3, 14)]
 
 
-@pytest.mark.parametrize("ring, n", LIFTED, ids=["%s-%d" % (r.name, n) for r, n in LIFTED])
-def test_lifted_classes_equal_the_whole_group_partition(ring, n):
-    partition = conjugacy_classes_by_partition(ring, n)
+@pytest.mark.parametrize("ring, n, count", [(r, n, None) for r, n in LIFTED] + WHOLE,
+                         ids=["%s-%d" % (r.name, n) for r, n in LIFTED]
+                         + ["M-%s-%d" % (r.name, n) for r, n, _ in WHOLE])
+def test_lifted_classes_equal_the_whole_group_partition(ring, n, count):
+    # count None: the classes of GL_n; else those of all of M_n, count of them
+    whole = count is not None
+    elements = list(product(range(ring.size()), repeat=n * n)) if whole else gl_elements(ring, n)
+    partition = conjugacy_classes_by_partition(ring, n, elements)
     oracle = Counter(partition.values())
-    classes = gl_classes(ring, n)
+    classes = gl_classes(ring, n, whole=whole)
     assert len(classes) == len(oracle)
+    assert not whole or len(classes) == count
     assert sorted(size for _, size in classes) == sorted(oracle.values())
 
     def weighted(pairs):
@@ -602,27 +612,35 @@ def test_preproj_columns_are_combinations_of_basis_pairs(monkeypatch):
 
 
 def test_one_rank_per_line_once_per_pair_of_fixed_spaces(monkeypatch):
-    from quivercount import modp
+    from quivercount import modp, repenum
     a2 = path_quiver(2)
     # built first: a field's construction checks rank its multiplication matrices
     sqz2, sqz5, f5 = make_square_zero(F2, 2), make_square_zero(F2, 5), make_prime_field(5)
     calls = _count_calls(monkeypatch, modp, "rank")
+    systems = _count_calls(monkeypatch, repenum, "_fix_system")
     cases = [
         # units a, b of sqz(F_2, n) differ by an element of m, so the fixed
         # space ann(a - b) is the ring or m: two pairs of fixed spaces in
-        # 4^2 (n = 2) or 32^2 (n = 5) class tuples, 2^(n+1) - 1 + 2^n - 1 lines
-        (m_preproj, sqz2, (1, 1), 18, 7 + 3),
-        (m_preproj, sqz5, (1, 1), 1026, 63 + 31),
-        # 20 pairs of fixed spaces in the 8^2 class tuples of GL_2(F_3); this
-        # value and the next are wrong without each line's weight p - 1
-        (m_preproj, F3, (2, 2), 6, 100),
-        # a = b gives the one line F_5, a != b the zero space and no rank
-        (a_preproj, f5, (1, 1), 2, 1),
+        # 4^2 (n = 2) or 32^2 (n = 5) class tuples, 2^(n+1) - 1 + 2^n - 1
+        # lines, and one F_p system and nullspace per arrow system [a - b],
+        # 2^n of them
+        (m_preproj, sqz2, (1, 1), 18, 7 + 3, 4),
+        (m_preproj, sqz5, (1, 1), 1026, 63 + 31, 32),
+        # 20 pairs of fixed spaces in the 8^2 class tuples of GL_2(F_3), and
+        # 63 arrow systems, as the pairs (I, I) and (2I, 2I) share the zero
+        # system; this value and the next are wrong without each line's
+        # weight p - 1
+        (m_preproj, F3, (2, 2), 6, 100, 63),
+        # a = b gives the one line F_5, a != b the zero space and no rank;
+        # the systems [a - b] are the 5 elements of F_5
+        (a_preproj, f5, (1, 1), 2, 1, 5),
     ]
-    for count, ring, alpha, value, ranks in cases:
+    for count, ring, alpha, value, ranks, nullspaces in cases:
         calls.clear()
+        systems.clear()
         assert count(a2, ring, alpha) == value
         assert len(calls) == ranks
+        assert len(systems) == nullspaces
 
 
 def test_preproj_partition_fallback_agrees():
@@ -645,8 +663,27 @@ def test_fourier_fiber_counts():
     assert fourier_fiber_count(path_quiver(2), K2F2, (1, 1)) == 8
     assert fourier_fiber_count(jordan_quiver(1), F2, (1,)) == 4
     assert fourier_fiber_count(jordan_quiver(1), F3, (1,)) == 9
+    # the averaged side sums over the 39 x 39 class pairs of M_3(F_3) and
+    # the 117 x 117 of M_2(k_2(F_3)), not over 3^18 and 9^8 elements of g
+    assert fourier_fiber_count(path_quiver(2), F3, (3, 3)) == 82629
+    assert fourier_fiber_count(path_quiver(2), make_truncated(F3, 2), (2, 2)) == 35073
     with pytest.raises(GuardError):
         fourier_fiber_count(path_quiver(2), K2F2, (1, 1), guard=10)
+
+
+def test_gl_and_matrix_class_memos_stay_apart():
+    # m_count sums over the classes of GL_n, fourier_fiber_count over those
+    # of all of M_n; on one fresh ring at one rank, in either order, each
+    # returns its cold value, so neither reads the other's classes or tables
+    cases = [(path_quiver(2), lambda: make_prime_field(3), (2, 2), 3, 225),
+             (jordan_quiver(), lambda: make_truncated(make_prime_field(2), 2), (2,), 28, 6400)]
+    for quiver, fresh, alpha, classes, fiber in cases:
+        cold = {count: count(quiver, fresh(), alpha) for count in (m_count, fourier_fiber_count)}
+        assert cold == {m_count: classes, fourier_fiber_count: fiber}
+        for first, second in ((m_count, fourier_fiber_count), (fourier_fiber_count, m_count)):
+            ring = fresh()
+            assert first(quiver, ring, alpha) == cold[first]
+            assert second(quiver, ring, alpha) == cold[second]
 
 
 def test_toric_orbit_counts():
