@@ -169,28 +169,23 @@ def build_parser():
 
 def run(args):
     quiver = load_quiver(args.quiver) if "quiver" in vars(args) else None
-    if args.verb in ("poly", "rdpoly"):
-        fn = a_d_polynomial if args.verb == "poly" else r_d_polynomial
-        value = fn(quiver.graph, args.d)
+    if args.verb in ("poly", "rdpoly", "tutte", "qeulerian"):
+        if args.verb in ("poly", "rdpoly"):
+            fn = a_d_polynomial if args.verb == "poly" else r_d_polynomial
+            value = fn(quiver.graph, args.d)
+        else:
+            value = quiver.graph.tutte() if args.verb == "tutte" else q_eulerian(args.m)
         _emit(args, str(value), _poly_json(value))
     elif args.verb == "genfun":
-        fn = a_genfun if args.which == "A" else r_genfun
-        value = fn(quiver.graph)
+        value = (a_genfun if args.which == "A" else r_genfun)(quiver.graph)
         _emit(args, str(value), _ratfun_json(value))
     elif args.verb == "series":
-        fn = a_genfun if args.which == "A" else r_genfun
-        coeffs = fn(quiver.graph).series(args.order)
+        coeffs = (a_genfun if args.which == "A" else r_genfun)(quiver.graph).series(args.order)
         if args.format == "json":
             print(json.dumps([_poly_json(c) for c in coeffs]))
         else:
             for d, c in enumerate(coeffs):
                 print("T^%d: %s" % (d, c))
-    elif args.verb == "tutte":
-        value = quiver.graph.tutte()
-        _emit(args, str(value), _poly_json(value))
-    elif args.verb == "qeulerian":
-        value = q_eulerian(args.m)
-        _emit(args, str(value), _poly_json(value))
     elif args.verb in ("brute-m", "brute-a", "brute-preproj-m", "brute-preproj-a", "fourier"):
         ring = ring_from_spec(args.ring)
         alpha = _parse_rank(args.rank, quiver)

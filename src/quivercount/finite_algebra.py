@@ -91,10 +91,9 @@ class FiniteAlgebra:
             fail("the residue field must be a field of characteristic %d and "
                  "dimension at most %d" % (self.p, dim))
         basis = [self.basis_vector(i)[:rd] for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if self.table[i][j][:rd] != field.mul(basis[i], basis[j]):
-                    fail("not multiplicative")
+        if any(self.table[i][j][:rd] != field.mul(basis[i], basis[j])
+               for i, j in product(range(dim), repeat=2)):
+            fail("not multiplicative")
         for i in range(rd, dim):
             if any(self.power(self.basis_vector(i), dim)):
                 fail("kernel vector %s is not nilpotent" % self.basis_names[i])
@@ -266,8 +265,7 @@ def make_field_ext(p, coeffs):
         powers.append(tuple((s - top[-1] * c) % p for s, c in zip((0,) + top[:-1], coeffs)))
     table = [[powers[i + j] for j in range(k)] for i in range(k)]
     names = tuple("x^%d" % i if i > 1 else ("x" if i == 1 else "1") for i in range(k))
-    one = tuple(1 if i == 0 else 0 for i in range(k))
-    return FiniteAlgebra(p, names, table, one, "fq(%d,%d)" % (p, k))
+    return FiniteAlgebra(p, names, table, powers[0], "fq(%d,%d)" % (p, k))
 
 
 def _builtin_field(p, k):
@@ -302,8 +300,7 @@ def _local_ring(base, suffixes, vanishes, name):
     names = list(base.basis_names)
     for suffix in suffixes:
         names.extend(suffix if b == "1" else b + "*" + suffix for b in base.basis_names)
-    zero = (0,) * dim
-    table = [[zero] * dim for _ in range(dim)]
+    table = [[(0,) * dim] * dim for _ in range(dim)]
     for j1, j2 in product(range(blocks), repeat=2):
         if not vanishes(j1, j2):
             for i1, i2 in product(range(bd), repeat=2):

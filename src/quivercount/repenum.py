@@ -2,51 +2,38 @@
 commutative algebras.
 
 Isomorphism classes are counted by averaging fixed points over the base
-change group (a product of GL's over the algebra); a fixed-point count
-is a kernel size, never a scan of the representation space.  Over a
-chain ring (a field or k_d) the kernel of X -> gt X - X gs comes from
-Smith elimination of its N x N system over the ring; over other rings
-each entry becomes its multiplication block and the F_p system is
-ranked.  Absolutely indecomposable classes are counted the same way with
-a determinant character weight valued in roots of unity: the sum is kept
-in Z[z]/(z^m - 1) and read once, mod Phi_m.
+change group G = prod_v GL_{alpha_v}(R); a fixed-point count is a kernel
+size, never a scan of the representation space.  Over a chain ring (a
+field or k_d) the kernel of X -> gt X - X gs comes from Smith elimination
+of its N x N system over the ring; over other rings each entry becomes
+its multiplication block and the F_p system is ranked.  Absolutely
+indecomposable classes are counted the same way with a determinant
+character weight valued in roots of unity: the sum is kept in
+Z[z]/(z^m - 1) and read once, mod Phi_m.
 
 Preprojective counts use that the moment map mu(x, y) is bilinear in the
 arrows x and their stars y: the fixed points of g in its zero fiber number
 sum over x in V^g of p^(dim V*^g - rank of y -> mu(x, y)), with the
 smaller half listed and the other never.  The columns mu(x, b) over a
 basis b of the other half are F_p-combinations of the mu(B_i, b) over a
-basis B_i of the listed half: one moment map per basis pair, not per
-point.  A point and its nonzero multiples have one rank, so one F_p rank
-per line, and one sum per pair of fixed spaces, not per class tuple.
-fourier_fiber_count reads the same sum at the identity tuple, whose
-fixed space is all of V x V*, against its additive-group average over
-g = prod_v M_alpha_v(R), one more class sum.  An independent
-orbit-partition engine provides the oracle for the rank-one (toric)
-counts; the oracles for the engines here (the loop over every group
-element, the loop over class tuples, the zero-fiber filter and the orbit
-partition of the whole fiber) are in tests/oracles.py.
+basis B_i of the listed half, and a point and its nonzero multiples have
+one rank: one F_p rank per line, one sum per pair of fixed spaces.
+fourier_fiber_count reads the same sum at the identity tuple against its
+additive-group average over g = prod_v M_alpha_v(R), one more class sum.
+The toric orbit partition here is an independent oracle for the rank-one
+counts; the oracles of the engines here are in tests/oracles.py.
 
-Every summand of the group average is a class function on
-G = prod_v GL_{alpha_v}(R): the fixed-point count, the zero-fiber fixed
-count and the determinant character are unchanged when each vertex factor
-is conjugated, as is each kernel size the Fourier average sums over g.
-So the Burnside sum runs over tuples of conjugacy-class representatives
-(gl.gl_classes), each weighted by the product of its class sizes.
-
-The fixed-point count is a product over the arrows, so the sum over class
-tuples is a contraction along the quiver: a factor per vertex (class size
-times z^(character exponent), in Z[z]/(z^m - 1)) and one per arrow (its
-fixed-point counts on pairs of classes), summed out one vertex at a time,
-cheapest first.  Each algebra solves one table per pair of ranks, and
-every arrow of those ranks reads it.  The preprojective count does not
-split over arrows and enters as one factor on all vertices.  A matrix is
-a row-major flat tuple of element indices, as gl.py lists them: the arrow
-solves, the determinant character (det over R, then its residue), the
-moment map and the toric oracle compute on one set of |R| x |R| tables
-per algebra (ring_tables).  Only stabilizer_order takes coordinate
-matrices, converted once at entry.
-Exact and deterministic.
+Every summand is unchanged when each vertex factor is conjugated, so the
+Burnside sum runs over tuples of conjugacy-class representatives
+(gl.gl_classes) weighted by class size, as a contraction along the
+quiver: a factor per vertex (class size times z^(character exponent))
+and one per arrow (its fixed-point counts on pairs of classes), summed
+out one vertex at a time, cheapest first.  Each algebra solves one table per pair of ranks, read by
+every arrow of those ranks; a pair with coprime residue characteristic
+polynomials needs no solve (Nakayama).  The preprojective count enters
+as one factor on all vertices.  Matrices are row-major flat tuples of
+element indices on one set of |R| x |R| tables per algebra (ring_tables);
+only stabilizer_order takes coordinate matrices.  Exact and deterministic.
 """
 
 from functools import cache
@@ -58,7 +45,8 @@ from .cyclotomic import root_sum
 from .gl import _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import _integer, unpack
-from .ring_tables import arrow_system, chain_nullity, index_tables, scaling_orbits, times
+from .ring_tables import (arrow_system, chain_nullity, coprime, index_tables, residue_charpoly,
+                          scaling_orbits, times)
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -108,21 +96,24 @@ def _arrow_table(alg, rows, cols, guard, whole):
     over the class index pairs (ct, cs) in product order; for a loop, cols
     None, the diagonal gt = gs only.  Memoized on the algebra as _arrow_data
     by (rows, cols, whole), so every arrow of these ranks reads one table in
-    any quiver and orientation; its solves are charged, memoized or not.
-    Each entry is its own solve: none is copied from the transposed pair,
-    since that symmetry is the orientation theorem the checks test."""
+    any quiver and orientation; classes x classes solves are charged, an
+    upper bound, memoized or not.  A pair with coprime residue characteristic
+    polynomials is 1 (Nakayama); every other pair is its own solve, none
+    copied from the transposed pair, since that symmetry is the orientation
+    theorem the checks test."""
     targets = [g for g, _ in gl_classes(alg, rows, guard, whole)]
     sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard, whole)]
     solves = len(targets) if cols is None else len(targets) * len(sources)
     charge(solves, guard, "%d arrow solves" % solves)
-    cache, key = alg.__dict__.setdefault("_arrow_data", {}), (rows, cols, whole)
-    if key not in cache:
-        p = alg.p
-        if cols is None:
-            cache[key] = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
-        else:
-            cache[key] = [p ** fix_nullity(alg, gt, gs, rows, cols)
-                          for gt in targets for gs in sources]
+    cache, key, p = alg.__dict__.setdefault("_arrow_data", {}), (rows, cols, whole), alg.p
+    if key not in cache and cols is None:
+        cache[key] = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
+    elif key not in cache:      # one Euclid per pair of distinct polynomials
+        ft = [residue_charpoly(alg, g, rows) for g in targets]
+        fs = [residue_charpoly(alg, g, cols) for g in sources]
+        solve = {(f, h) for f in set(ft) for h in set(fs) if not coprime(alg, f, h)}
+        cache[key] = [p ** fix_nullity(alg, gt, gs, rows, cols) if (f, h) in solve else 1
+                      for gt, f in zip(targets, ft) for gs, h in zip(sources, fs)]
     return cache[key]
 
 
@@ -351,8 +342,11 @@ def fourier_fiber_count(quiver, alg, alpha, guard=GUARD):
     fixed count of the identity tuple (its fixed space is all of V x V*) and
     by the additive-group average (1/|g|) sum_x |V| |ker rho(x)| over
     g = prod_v M_alpha_v, which never evaluates mu; asserts they agree.  The
-    kernel is a class function of x, so _burnside sums it over classes."""
+    kernel is a class function of x, so _burnside sums it over classes.  The
+    identity needs a Frobenius alg; any other is refused with ValueError."""
     alpha = _validate_alpha(quiver, alpha)
+    if alg.find_frobenius_form(guard) is None:
+        raise ValueError("the Fourier identity needs a Frobenius ring; %s is not" % alg.name)
     tab = index_tables(alg)
     identity = tuple(tuple(tab.one if i == j else tab.zero for i in range(a) for j in range(a))
                      for a in alpha)

@@ -39,20 +39,17 @@ def _rat(triples, den):
 # -- exact polynomial identities -------------------------------------------
 
 def check_polynomial_identities():
-    checks = []
-    checks.append(("A_2 of the triangle is q^2 + 6q + 5",
-                   a_d_polynomial(cycle_graph(3), 2) == QPoly({2: 1, 1: 6, 0: 5})))
-    checks.append(("cycle closed form matches the subgraph sum, n <= 5, d <= 4",
-                   all(a_d_polynomial(cycle_graph(n), d) == a_d_cyclic_closed_form(n, d)
-                       for n in range(1, 6) for d in range(1, 5))))
-    checks.append(("double edge: A_d = q^d + 2q^(d-1) + ... + 2q + 1, d <= 6",
-                   all(a_d_polynomial(banana_graph(2), d) == a_d_cyclic_closed_form(2, d)
-                       == QPoly({d: 1, 0: 1, **{k: 2 for k in range(1, d)}})
-                       for d in range(1, 7))))
-    checks.append(("loop bouquets: A_d = q^(dm), m <= 3, d <= 4",
-                   all(a_d_polynomial(loops_graph(m), d) == QPoly.monomial(d * m)
-                       for m in range(0, 4) for d in range(1, 5))))
-    return checks
+    return [("A_2 of the triangle is q^2 + 6q + 5",
+             a_d_polynomial(cycle_graph(3), 2) == QPoly({2: 1, 1: 6, 0: 5})),
+            ("cycle closed form matches the subgraph sum, n <= 5, d <= 4",
+             all(a_d_polynomial(cycle_graph(n), d) == a_d_cyclic_closed_form(n, d)
+                 for n in range(1, 6) for d in range(1, 5))),
+            ("double edge: A_d = q^d + 2q^(d-1) + ... + 2q + 1, d <= 6",
+             all(a_d_polynomial(banana_graph(2), d) == a_d_cyclic_closed_form(2, d)
+                 == QPoly({d: 1, 0: 1, **{k: 2 for k in range(1, d)}}) for d in range(1, 7))),
+            ("loop bouquets: A_d = q^(dm), m <= 3, d <= 4",
+             all(a_d_polynomial(loops_graph(m), d) == QPoly.monomial(d * m)
+                 for m in range(0, 4) for d in range(1, 5)))]
 
 
 # -- generating function tables ---------------------------------------------
@@ -98,27 +95,23 @@ _QEULERIAN = {
 
 
 def check_genfun_tables():
-    checks = []
     rows = _table_rows()
-    checks.append(("series table: all six R rows", all(r_genfun(g) == r for _, g, r, _ in rows)))
-    checks.append(("series table: all six A rows", all(a_genfun(g) == a for _, g, _, a in rows)))
-    checks.append(("A(triangle) = ((2q+1)T^2 + (q+2)T) / ((1-T)^2 (1-qT))",
-                   a_genfun(cycle_graph(3)) ==
-                   _rat([(1, 2, 2), (0, 2, 1), (1, 1, 1), (0, 1, 2)], {0: 2, 1: 1})))
-    checks.append(("cycle numerator table, n = 2..6",
-                   all(a_genfun(cycle_graph(n))
-                       == RatQT(_qt(triples).shift(0, 1), {0: n - 1, 1: 1})
-                       for n, triples in _CYCLE_NUMERATORS.items())))
-    checks.append(("q-Eulerian numerators F_1..F_4",
-                   all(q_eulerian(m) == _qt(triples) for m, triples in _QEULERIAN.items())))
-    checks.append(("T^2 coefficient of A(triangle) is q^2 + 6q + 5",
-                   a_genfun(cycle_graph(3)).series_coefficient(2) == QPoly({2: 1, 1: 6, 0: 5})))
-    checks.append(("T^2 coefficient of R(double edge) is q + 3",
-                   r_genfun(banana_graph(2)).series_coefficient(2) == QPoly({1: 1, 0: 3})))
-    checks.append(("coefficients of 1/(1-T) are all 1",
-                   all(RatQT.geometric(0).series_coefficient(d) == QPoly.const(1)
-                       for d in range(6))))
-    return checks
+    return [("series table: all six R rows", all(r_genfun(g) == r for _, g, r, _ in rows)),
+            ("series table: all six A rows", all(a_genfun(g) == a for _, g, _, a in rows)),
+            ("A(triangle) = ((2q+1)T^2 + (q+2)T) / ((1-T)^2 (1-qT))",
+             a_genfun(cycle_graph(3)) ==
+             _rat([(1, 2, 2), (0, 2, 1), (1, 1, 1), (0, 1, 2)], {0: 2, 1: 1})),
+            ("cycle numerator table, n = 2..6",
+             all(a_genfun(cycle_graph(n)) == RatQT(_qt(triples).shift(0, 1), {0: n - 1, 1: 1})
+                 for n, triples in _CYCLE_NUMERATORS.items())),
+            ("q-Eulerian numerators F_1..F_4",
+             all(q_eulerian(m) == _qt(triples) for m, triples in _QEULERIAN.items())),
+            ("T^2 coefficient of A(triangle) is q^2 + 6q + 5",
+             a_genfun(cycle_graph(3)).series_coefficient(2) == QPoly({2: 1, 1: 6, 0: 5})),
+            ("T^2 coefficient of R(double edge) is q + 3",
+             r_genfun(banana_graph(2)).series_coefficient(2) == QPoly({1: 1, 0: 3})),
+            ("coefficients of 1/(1-T) are all 1",
+             all(RatQT.geometric(0).series_coefficient(d) == QPoly.const(1) for d in range(6)))]
 
 
 # -- duality -----------------------------------------------------------------
@@ -142,45 +135,39 @@ def check_recursion_battery():
 
 
 def check_hopf():
-    checks = []
     graphs = all_connected_multigraphs(4)
-    checks.append(("R_(d+1) equals psi(q^d) * R_d, d <= 4",
-                   all(step(g) == r_d_polynomial(g, d + 1) for d in range(0, 5)
-                       for step in [convolve(psi_char(d), r_d_char(d))] for g in graphs)))
-    checks.append(("R_d as an iterated psi convolution, d <= 4",
-                   all(r_d_via_convolution(g, d) == r_d_polynomial(g, d)
-                       for d in range(1, 5) for g in graphs)))
-    inv = convolve(psi_inverse_char(1), psi_char(1))
-    ok = all(inv(g) == QPoly.const(epsilon_value(g)) for g in graphs)
-    checks.append(("signed psi is the convolution inverse of psi", ok))
-    doubling = convolve(psi_char(0), psi_char(0))
-    ok = all(doubling(g) == QPoly.const(2 ** g.edge_count()) for g in graphs)
-    checks.append(("(1 * 1)(Gamma) counts the 2^#E edge subsets", ok))
-    ok = all(binomial_qseries_identity(m) for m in range(1, 5))
-    checks.append(("binomial series identity for loop bouquets, m <= 4", ok))
-    return checks
+    inv, doubling = convolve(psi_inverse_char(1), psi_char(1)), convolve(psi_char(0), psi_char(0))
+    return [("R_(d+1) equals psi(q^d) * R_d, d <= 4",
+             all(step(g) == r_d_polynomial(g, d + 1) for d in range(0, 5)
+                 for step in [convolve(psi_char(d), r_d_char(d))] for g in graphs)),
+            ("R_d as an iterated psi convolution, d <= 4",
+             all(r_d_via_convolution(g, d) == r_d_polynomial(g, d)
+                 for d in range(1, 5) for g in graphs)),
+            ("signed psi is the convolution inverse of psi",
+             all(inv(g) == QPoly.const(epsilon_value(g)) for g in graphs)),
+            ("(1 * 1)(Gamma) counts the 2^#E edge subsets",
+             all(doubling(g) == QPoly.const(2 ** g.edge_count()) for g in graphs)),
+            ("binomial series identity for loop bouquets, m <= 4",
+             all(binomial_qseries_identity(m) for m in range(1, 5)))]
 
 
 # -- Tutte specializations ----------------------------------------------------
 
 def check_tutte():
-    checks = []
-    graphs = all_connected_multigraphs(5)
-    qv = QPoly.q()
-    ok = all(a_d_polynomial(g, 1) == g.tutte().evaluate(1, qv) for g in graphs)
-    checks.append(("A_1 equals the Tutte polynomial at (1, q)", ok))
-    ok = all(r_d_polynomial(g, 2) == g.tutte().evaluate(2, qv + 1) for g in graphs)
-    checks.append(("R_2 equals the Tutte polynomial at (2, q+1)", ok))
+    graphs, qv = all_connected_multigraphs(5), QPoly.q()
+    checks = [("A_1 equals the Tutte polynomial at (1, q)",
+               all(a_d_polynomial(g, 1) == g.tutte().evaluate(1, qv) for g in graphs)),
+              ("R_2 equals the Tutte polynomial at (2, q+1)",
+               all(r_d_polynomial(g, 2) == g.tutte().evaluate(2, qv + 1) for g in graphs))]
     diff = (r_genfun(banana_graph(2)) - r_genfun(path_graph(2)) - r_genfun(loops_graph(1)))
     expected = RatQT(_qt([(1, 2, 1), (0, 2, 2), (0, 1, -1)]), {0: 2, 1: 1})
-    checks.append(("deletion-contraction defect of the double edge", diff == expected))
-    checks.append(("defect series: T^2 coefficient vanishes",
-                   diff.series_coefficient(2) == QPoly()))
-    checks.append(("defect series: T^3 coefficient is 2q + 1",
-                   diff.series_coefficient(3) == QPoly({1: 2, 0: 1})))
-    checks.append(("defect series: T^4 coefficient is 2q^2 + 4q + 2",
-                   diff.series_coefficient(4) == QPoly({2: 2, 1: 4, 0: 2})))
-    return checks
+    return checks + [("deletion-contraction defect of the double edge", diff == expected),
+                     ("defect series: T^2 coefficient vanishes",
+                      diff.series_coefficient(2) == QPoly()),
+                     ("defect series: T^3 coefficient is 2q + 1",
+                      diff.series_coefficient(3) == QPoly({1: 2, 0: 1})),
+                     ("defect series: T^4 coefficient is 2q^2 + 4q + 2",
+                      diff.series_coefficient(4) == QPoly({2: 2, 1: 4, 0: 2}))]
 
 
 # -- structural properties ----------------------------------------------------
@@ -200,31 +187,19 @@ def check_structural():
     ok_lead_a = ok_value_at_one = ok_r = ok_vanish = True
     for _ in range(50):
         g = random_connected_multigraph(rng, max_edges=5)
-        b1 = g.b1()
-        bridges = g.bridge_count()
-        trees = g.spanning_tree_count()
+        b1, bridges, trees = g.b1(), g.bridge_count(), g.spanning_tree_count()
         for d in range(1, 5):
             a = a_d_polynomial(g, d)
-            if b1 > 0:
-                if a.degree() != d * b1 or a.leading_coefficient() != d ** bridges:
-                    ok_lead_a = False
-                if bridges == 0 and not a.is_monic():
-                    ok_lead_a = False
-            elif a != QPoly.const(d ** (g.n - 1)):
-                ok_lead_a = False
-            if a(1) != d ** (g.n - 1) * trees:
-                ok_value_at_one = False
+            ok_lead_a &= (a.degree() == d * b1 and a.leading_coefficient() == d ** bridges
+                          and (bridges > 0 or a.is_monic())) if b1 > 0 \
+                else a == QPoly.const(d ** (g.n - 1))
+            ok_value_at_one &= a(1) == d ** (g.n - 1) * trees
             r = r_d_polynomial(g, d)
-            if any(c < 0 for c in r.coeffs.values()):
-                ok_r = False
-            if b1 > 0 and (r.degree() != (d - 1) * b1
-                           or r.leading_coefficient() != (d ** bridges if d > 1 else 1)):
-                ok_r = False
-            if b1 > 0 and bridges == 0 and not r.is_monic():
-                ok_r = False
+            ok_r &= all(c >= 0 for c in r.coeffs.values()) and (b1 == 0 or (
+                r.degree() == (d - 1) * b1 and (bridges > 0 or r.is_monic())
+                and r.leading_coefficient() == (d ** bridges if d > 1 else 1)))
         f = r_genfun(g)
-        if f.numerator_t_degree() >= f.den_t_degree():
-            ok_vanish = False
+        ok_vanish &= f.numerator_t_degree() < f.den_t_degree()
     return [
         ("A_d degree d*b1, leading coefficient d^bridges (monic when bridgeless)", ok_lead_a),
         ("A_d at q = 1 counts spanning trees times d^(n-1)", ok_value_at_one),
@@ -327,9 +302,7 @@ def check_orientation():
 # -- preprojective correspondence ----------------------------------------------
 
 def check_preprojective():
-    checks = []
-    f2 = make_prime_field(2)
-    f3 = make_prime_field(3)
+    f2, f3 = make_prime_field(2), make_prime_field(3)
     k2f2 = make_truncated(f2, 2)
     m_grid = [
         ("Jordan loop over F_2", jordan_quiver(1), f2, (1,)),
@@ -338,11 +311,10 @@ def check_preprojective():
         ("A2 over k_2(F_2)", path_quiver(2), k2f2, (1, 1)),
         ("A3 over F_2", path_quiver(3), f2, (1, 1, 1)),
     ]
-    checks.append(("preprojective class count equals the dual-number count (5 cases)",
-                   all(m_preproj(quiver, ring, alpha)
-                       == m_count(quiver, make_dual_numbers(ring), alpha)
-                       for _, quiver, ring, alpha in m_grid)))
-
+    checks = [("preprojective class count equals the dual-number count (5 cases)",
+               all(m_preproj(quiver, ring, alpha)
+                   == m_count(quiver, make_dual_numbers(ring), alpha)
+                   for _, quiver, ring, alpha in m_grid))]
     lhs = a_preproj(path_quiver(2), f3, (1, 1))
     rhs = a_count(path_quiver(2), make_dual_numbers(f3), (1, 1))
     checks.append(("A2 over F_3: absolutely indecomposable sides agree and equal 2",
@@ -350,9 +322,8 @@ def check_preprojective():
     f4 = make_field(4)
     lhs = a_preproj(path_quiver(3), f4, (1, 1, 1))
     rhs = a_count(path_quiver(3), make_dual_numbers(f4), (1, 1, 1))
-    checks.append(("A3 over F_4: absolutely indecomposable sides agree and equal 4",
-                   lhs == rhs == 4))
-    return checks
+    return checks + [("A3 over F_4: absolutely indecomposable sides agree and equal 4",
+                      lhs == rhs == 4)]
 
 
 # -- zero-fiber count identity ---------------------------------------------------
@@ -383,16 +354,15 @@ def check_counterexample():
 
 def check_count_tables():
     f3 = make_prime_field(3)
-    checks = [("A2 over k_d(F_3): d classes of rank (1,1), d = 1..3",
-               all(a_count(path_quiver(2), make_truncated(f3, d), (1, 1)) == d
-                   for d in range(1, 4)))]
-    checks.append(("A3 over k_2(F_4): 4 classes of rank (1,1,1)",
-                   a_count(path_quiver(3), make_truncated(make_field(4), 2), (1, 1, 1)) == 4))
-    checks.append(("A3 over k_2(F_7): 4 classes of rank (1,1,1)",
-                   a_count(path_quiver(3), make_truncated(make_prime_field(7), 2), (1, 1, 1)) == 4))
-    checks.append(("A3 over k_2(F_3): 2 classes of rank (1,1,0)",
-                   a_count(path_quiver(3), make_truncated(f3, 2), (1, 1, 0)) == 2))
-    return checks
+    return [("A2 over k_d(F_3): d classes of rank (1,1), d = 1..3",
+             all(a_count(path_quiver(2), make_truncated(f3, d), (1, 1)) == d
+                 for d in range(1, 4))),
+            ("A3 over k_2(F_4): 4 classes of rank (1,1,1)",
+             a_count(path_quiver(3), make_truncated(make_field(4), 2), (1, 1, 1)) == 4),
+            ("A3 over k_2(F_7): 4 classes of rank (1,1,1)",
+             a_count(path_quiver(3), make_truncated(make_prime_field(7), 2), (1, 1, 1)) == 4),
+            ("A3 over k_2(F_3): 2 classes of rank (1,1,0)",
+             a_count(path_quiver(3), make_truncated(f3, 2), (1, 1, 0)) == 2)]
 
 
 def check_count_tables_slow():
@@ -404,19 +374,17 @@ def check_count_tables_slow():
 # -- self-duality detection ----------------------------------------------------------
 
 def check_frobenius():
-    checks = []
     f2 = make_prime_field(2)
-    ok = all(make_truncated(f2, d).find_frobenius_form() is not None for d in range(1, 4))
-    checks.append(("truncated rings k_d(F_2), d <= 3, admit a non-degenerate form", ok))
-    checks.append(("dual numbers F_2[eps] admit a non-degenerate form",
-                   make_dual_numbers(f2).find_frobenius_form() is not None))
-    checks.append(("k_2(F_2)[eps] admits a non-degenerate form",
-                   make_dual_numbers(make_truncated(f2, 2)).find_frobenius_form() is not None))
-    checks.append(("square-zero ring with 2 generators admits none",
-                   make_square_zero(f2, 2).find_frobenius_form() is None))
-    checks.append(("square-zero ring with 3 generators admits none",
-                   make_square_zero(f2, 3).find_frobenius_form() is None))
-    return checks
+    return [("truncated rings k_d(F_2), d <= 3, admit a non-degenerate form",
+             all(make_truncated(f2, d).find_frobenius_form() is not None for d in range(1, 4))),
+            ("dual numbers F_2[eps] admit a non-degenerate form",
+             make_dual_numbers(f2).find_frobenius_form() is not None),
+            ("k_2(F_2)[eps] admits a non-degenerate form",
+             make_dual_numbers(make_truncated(f2, 2)).find_frobenius_form() is not None),
+            ("square-zero ring with 2 generators admits none",
+             make_square_zero(f2, 2).find_frobenius_form() is None),
+            ("square-zero ring with 3 generators admits none",
+             make_square_zero(f2, 3).find_frobenius_form() is None)]
 
 
 SUITES = {

@@ -35,6 +35,8 @@ TIMEOUT = 120       # seconds per mutant
 Mutant = namedtuple("Mutant", "name path old new tests equivalent")
 LIFT_TESTS = ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_partition",
               "tests/test_repenum.py::test_class_equation"]
+SKIP_PROPERTY = ("tests/test_properties.py::"
+                 "test_arrow_tables_solve_exactly_the_pairs_of_positive_nullity")
 
 MUTANTS = [
     Mutant("moment_star_sign", "repenum.py",
@@ -103,6 +105,19 @@ MUTANTS = [
            "elements = gl_elements(alg, size, guard)",
            ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_partition",
             "tests/test_repenum.py::test_fourier_fiber_counts"], None),
+    # the arrow tables skip a pair of classes when its residue characteristic
+    # polynomials are coprime: a common linear factor reported coprime skips
+    # pairs of positive nullity
+    Mutant("coprime_common_factor", "ring_tables.py",
+           "return not any(f[1:])", "return not any(f[2:])", [SKIP_PROPERTY], None),
+    # dropping -g's sign gives det(x + g) up to sign, every root negated: the
+    # tables cannot see it, as negating both sides keeps the coprime pairs,
+    # so the evaluation test kills it (over F_2 and F_4 it is the identity)
+    Mutant("charpoly_sign_parity", "ring_tables.py",
+           "g = [k.neg[x % len(k.ring)] for x in g]", "g = [x % len(k.ring) for x in g]",
+           [SKIP_PROPERTY,
+            "tests/test_repenum.py::test_residue_charpoly_is_det_of_x0_minus_g_at_every_x0"],
+           None),
     Mutant("times_transposed", "ring_tables.py",
            "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
            ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),

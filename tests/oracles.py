@@ -422,6 +422,24 @@ def mat_inverse(alg, m):
     return tuple(adj)
 
 
+def coprime_by_divisors(field, f, g):
+    """Whether no monic polynomial of positive degree over the field divides
+    both f and g, nonzero coefficient tuples of field elements lowest degree
+    first, by trial division by every one up to the smaller degree: the
+    oracle for Euclid's algorithm in ring_tables.coprime."""
+    def divides(h, f):          # h monic
+        f = list(f)
+        while len(f) >= len(h):
+            top, start = f.pop(), len(f) + 1 - len(h)
+            f[start:] = [field.sub(x, field.mul(top, y)) for x, y in zip(f[start:], h)]
+        return not any(map(any, f))
+
+    degree = min(max(i for i, c in enumerate(p) if any(c)) for p in (f, g))
+    monic = (h + (field.one,) for d in range(1, degree + 1)
+             for h in product(list(field.elements()), repeat=d))
+    return not any(divides(h, f) and divides(h, g) for h in monic)
+
+
 def conjugacy_classes_by_partition(alg, n, elements):
     """The class under conjugation by GL_n(alg), alg local, of every one of
     `elements`, n x n flat index matrices closed under that conjugation (all

@@ -167,6 +167,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert "4 arrow solves" in capsys.readouterr().err
     assert main(fourier + ["--guard", "4"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+    # the Fourier identity needs a Frobenius ring: any other is a usage error
+    assert main(["fourier", "--quiver", "builtin:A2", "--ring", "sqz(fq(2),2)",
+                 "--rank", "2,1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the Fourier identity needs a Frobenius ring; sqz(fq(2),2) is not\n"
     # a failed internal consistency check -> 4, one line on stderr
     from quivercount import cli
 

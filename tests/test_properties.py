@@ -15,27 +15,32 @@ against the slice-by-slice division, the series by synthetic division
 against the binomial expansion, the series numerator against the row pass
 and den_poly against the power expansion; and on random elements of GL_1 and
 GL_2 over seven rings, the block-built arrow systems against the systems
-built one product at a time; and on arbitrary matrices over every chain
-ring of the tests, the elimination over the ring against the F_p rank.
+built one product at a time; on the classes of GL_n and M_n, n <= 2, over
+ten rings, the arrow tables that skip the coprime pairs against a full
+solve per pair; and on arbitrary matrices over every chain ring of the
+tests, the elimination over the ring against the F_p rank.
 Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
 
 from functools import reduce
 from math import prod
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from quivercount import repenum  # noqa: E402
 from quivercount.families import _canonical_form  # noqa: E402
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
-                                        make_prime_field, make_square_zero, make_truncated)
+                                        make_prime_field, make_square_zero, make_truncated,
+                                        ring_from_spec)
 from quivercount.genfun import (GraphChar, _series_numerator, a_genfun,  # noqa: E402
                                 convolve, cvector_of_filtration, epsilon1_value,
                                 epsilon_value, psi_char, psi_inverse_char, r_d_char, r_genfun)
 from quivercount.gl import gl_classes, gl_elements  # noqa: E402
-from quivercount.multigraph import Quiver, _fubini, strict_filtrations  # noqa: E402
+from quivercount.multigraph import GUARD, Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
@@ -209,6 +214,32 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
     # the oracle computes on coordinate matrices
     assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(
         ring, coordinate_matrix(ring, gt, rows), coordinate_matrix(ring, gs, cols), rows, cols)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(["fq(2)", "fq(3)", "fq(2,2)", "fq(5)", "kd(fq(2),2)", "kd(fq(3),2)",
+                        "kd(fq(2),3)", "eps(fq(3))", "eps(kd(fq(2),2))", "sqz(fq(2),2)"]),
+       st.integers(1, 2), st.integers(1, 2), st.booleans())
+@example("kd(fq(2),2)", 2, 2, True)
+@example("sqz(fq(2),2)", 2, 1, False)
+def test_arrow_tables_solve_exactly_the_pairs_of_positive_nullity(spec, rows, cols, whole):
+    # a pair of classes whose residue characteristic polynomials are coprime
+    # has nullity 0 and is not solved (Nakayama); each pair still solved has
+    # a positive nullity.  A fresh ring, so that its table is built here.
+    ring = ring_from_spec(spec)
+    targets, sources = ([g for g, _ in gl_classes(ring, n, whole=whole)] for n in (rows, cols))
+    assume(len(targets) * len(sources) <= 4000)
+    solved = []
+
+    def solve(*args):
+        solved.append(fix_nullity(*args))
+        return solved[-1]
+
+    with mock.patch.object(repenum, "fix_nullity", solve):
+        table = repenum._arrow_table(ring, rows, cols, GUARD, whole)
+    assert table == [ring.p ** fix_nullity(ring, gt, gs, rows, cols)
+                     for gt in targets for gs in sources]
+    assert 0 not in solved
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

@@ -1,7 +1,8 @@
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import prod
+import random
 import re
 import time
 
@@ -18,9 +19,10 @@ from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_co
                                  counterexample_counts, double_quiver, fix_nullity,
                                  fourier_fiber_count, m_count, m_preproj, stabilizer_order,
                                  toric_ai_orbit_count, toric_point)
-from quivercount.ring_tables import index_tables
+from quivercount.ring_tables import coprime, index_tables, residue_charpoly
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
-                     conjugacy_classes_by_partition, coordinate_matrix, fix_count, flat_indices,
+                     conjugacy_classes_by_partition, coordinate_matrix, coprime_by_divisors,
+                     fix_count, flat_indices,
                      mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
                      preproj_orbit_partition, primitive_roots, whole_zero_fiber)
 
@@ -126,16 +128,67 @@ def test_one_arrow_table_per_algebra_and_ranks(monkeypatch):
     ring = make_truncated(make_prime_field(7), 2)
     a3 = path_quiver(3)
     # 42 classes in GL_1(k_2(F_7)): one 42 x 42 table serves both arrows of
-    # all four orientations (the class-tuple loop solved 4 * 2 * 42^2)
+    # all four orientations (the class-tuple loop solved 4 * 2 * 42^2), and
+    # only the pairs of one residue are solved, 6 residues of 7^2 pairs each:
+    # the residue characteristic polynomials of the others are coprime
     assert {a_count(q, ring, (1, 1, 1)) for q in a3.all_orientations()} == {4}
-    assert len(calls) == 42 * 42 == 1764
+    assert len(calls) == 6 * 7 ** 2 == 294
     # every ordered pair is its own solve, the transposed one included
-    assert len({(gt, gs) for _, gt, gs, _, _ in calls}) == 1764
+    assert len({(gt, gs) for _, gt, gs, _, _ in calls}) == 294
     assert m_count(a3.flip([1]), ring, (1, 1, 1)) == m_count(a3, ring, (1, 1, 1))
-    assert len(calls) == 1764
+    assert len(calls) == 294
     # another algebra object, even an equal one, keeps its own tables
     assert a_count(a3, make_truncated(make_prime_field(7), 2), (1, 1, 1)) == 4
-    assert len(calls) == 2 * 1764
+    assert len(calls) == 2 * 294
+
+
+def test_residue_charpoly_is_det_of_x0_minus_g_at_every_x0():
+    # n < |k|, so two polynomials of degree at most n agree when their values
+    # on k do; every matrix where there are at most 6561, else a seeded sample
+    rng = random.Random(32)
+    cases = [(F2, 1), (F3, 2), (make_field(4), 3), (make_prime_field(5), 3), (K2F2, 1),
+             (make_truncated(F3, 2), 2), (make_dual_numbers(F3), 2),
+             (make_truncated(make_field(4), 2), 2)]
+    for ring, n in cases:
+        k, size = ring.residue_field, ring.size()
+        matrices = product(range(size), repeat=n * n) if size ** (n * n) <= 6561 else \
+            [[rng.randrange(size) for _ in range(n * n)] for _ in range(300)]
+        for flat in matrices:
+            coefficients = [index_tables(k).ring[c] for c in residue_charpoly(ring, flat, n)]
+            assert len(coefficients) == n + 1
+            g = [[ring.residue(x) for x in row] for row in coordinate_matrix(ring, flat, n)]
+            for x0 in k.elements():
+                value = reduce(k.add, (k.mul(c, k.power(x0, i)) for i, c in enumerate(coefficients)))
+                shifted = [[k.sub(x0 if i == j else k.zero(), x) for j, x in enumerate(row)]
+                           for i, row in enumerate(g)]
+                assert value == mat_det(k, shifted), (ring.name, flat, x0)
+
+
+def test_coprime_equals_the_brute_gcd():
+    # every pair of nonzero polynomials up to the given degree, leading
+    # coefficients other than 1 included; a local ring decides over its
+    # residue field
+    for ring, top in [(F2, 3), (F3, 2), (make_field(4), 2), (make_truncated(F3, 2), 2)]:
+        k = ring.residue_field
+        polys = [f for d in range(top + 1) for f in product(list(k.elements()), repeat=d + 1)
+                 if any(f[-1])]
+        for f, g in product(polys, repeat=2):
+            indices = [[k.element_index(c) for c in h] for h in (f, g)]
+            assert coprime(ring, *indices) == coprime_by_divisors(k, f, g), (ring.name, f, g)
+
+
+def test_the_orientation_check_can_fail_over_a_non_frobenius_ring():
+    # the negative control of the orientation check: over the non-Frobenius
+    # sqz(F_2, 2) the Kronecker counts at (2, 1) depend on the orientation,
+    # and the element loop, which solves every arrow, agrees; over the
+    # non-chain Frobenius eps(k_2(F_2)) they do not depend on it.  So arrow
+    # tables that skip the coprime pairs are not symmetric by construction.
+    sqz, dual = make_square_zero(F2, 2), make_dual_numbers(K2F2)
+    kronecker = list(banana_quiver(2).all_orientations())
+    assert [m_count(q, sqz, (2, 1)) for q in kronecker] == [82, 79, 79, 82]
+    assert [burnside_by_elements(q, sqz, (2, 1)) for q in kronecker[:2]] == [82, 79]
+    for alpha in ((2, 1), (1, 2)):
+        assert {m_count(q, dual, alpha) for q in kronecker} == {137}
 
 
 def test_chain_rings_solve_arrow_tables_without_an_f_p_rank(monkeypatch):
