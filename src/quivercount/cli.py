@@ -114,8 +114,8 @@ def _add_common(sub, brute=False):
                          help="ring spec: fq(p[,k]) | kd(spec,d) | eps(spec) | sqz(fq(p[,k]),n)")
         sub.add_argument("--rank", required=True, help="comma-separated rank vector, e.g. 1,1")
         sub.add_argument("--guard", type=int, default=GUARD,
-                         help="the most enumerands any one enumeration may list: GL scan "
-                              "matrices, arrow solves, contraction terms, points "
+                         help="the most enumerands any one enumeration may list: GL "
+                              "classes, arrow solves, contraction terms, points "
                               "(default 2^24)")
     sub.add_argument("--format", choices=["text", "json"], default="text")
 

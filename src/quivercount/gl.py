@@ -1,16 +1,17 @@
 """GL_n(R) over a finite commutative algebra R, and the base change group
 G = prod_v GL_{alpha_v}(R) of a quiver at a rank vector alpha.
 
-The one module that lists or partitions GL_n(R), or M_n(R) under its
-conjugation, memoized in the algebra's _gl_data dict; a matrix is a
-row-major flat tuple of element indices (ring_tables).  Over a field the
-invertible (or all) matrices are scanned and their classes joined by
-union-find.  Over a local ring the classes are lifted from the residue
-field's, each fibre listed modulo [M_n(soc R), g0] for its class g0.
+The one module that lists GL_n(R) or the classes of GL_n(R) and M_n(R),
+memoized in the algebra's _gl_data dict, a matrix a row-major flat tuple of
+element indices (ring_tables): over a field the rational canonical forms,
+with no matrix scan, each labelled by the irreducible factors of its
+characteristic polynomial; over a local ring their lift, each fibre listed
+modulo [M_n(soc R), g0] for its class g0.
 """
 
+from bisect import bisect
 from collections import Counter
-from itertools import permutations, product
+from itertools import accumulate, product
 from math import prod
 
 from . import modp
@@ -36,10 +37,8 @@ def invertible_matrices(alg, n):
     come from one table pass per column."""
     if n == 0:
         return [()]
-    t = index_tables(alg)
-    k = len(t.ring)
-    rows = list(product(range(k), repeat=n))
-    out = []
+    t, out = index_tables(alg), []
+    rows = list(product(range(len(t.ring)), repeat=n))
     for head in product(range(len(rows)), repeat=n - 1):
         flat = tuple(i for h in head for i in rows[h])
         dets = [t.zero]
@@ -47,7 +46,7 @@ def invertible_matrices(alg, n):
             minor = tuple(flat[r * n + c] for r in range(n - 1) for c in range(n) if c != j)
             cofactor = t.det(minor, n - 1)
             by = t.mul[cofactor if (n - 1 + j) % 2 == 0 else t.neg[cofactor]]
-            dets = [t.add[d][by[x]] for d in dets for x in range(k)]
+            dets = [t.add[d][y] for d in dets for y in by]
         out.extend(flat + rows[r] for r, d in enumerate(dets) if t.is_unit[d])
     return out
 
@@ -61,39 +60,59 @@ def _orbit_parts(points, images):
     return sorted(Counter(_find(parent, k) for k in range(len(points))).items())
 
 
-def conjugacy_classes(alg, n, elements):
-    """The GL_n-classes of `elements`, all of GL_n or M_n over a field alg
-    (or n < 2), as (first of `elements` in the class, class size), in that
-    order.  The generators E_ij(1) = 1 + e_ij and diag(u, 1, ..., 1), u the
-    primitive element, give GL_n: conjugating E_ij(1) by powers of the
-    diagonal gives every E_0j(c) and E_i0(c), their commutators every
-    E_ij(c), so SL_n, and u every determinant.  A conjugation runs as steps
-    m[a] += c * m[b], a row operation, then a column operation."""
-    if n < 2:
-        return [(m, 1) for m in elements]
+def _field_classes(alg, n, whole):
+    """The classes of GL_n (with whole, M_n) over a field alg = F_q and their
+    labels by rational canonical forms (Macdonald, IV.2): multisets of blocks
+    f^k of degree n in all, f monic irreducible (x only with whole), index
+    tuples lowest degree first.  A class is the block diagonal of their
+    companion matrices, of size |GL_n(q)| over the centralizer order."""
     t = index_tables(alg)
-    plus, minus, u = t.mul[t.one], t.mul[t.neg[t.one]], t.index[alg.primitive_element()]
-    up, down = (t.mul[t.add[v][t.neg[t.one]]] for v in (u, t.inverse[u]))
-    steps = [[(i * n + k, j * n + k, plus) for k in range(n)]
-             + [(k * n + j, k * n + i, minus) for k in range(n)]
-             for i, j in permutations(range(n), 2)]
-    steps.append([(k, k, up) for k in range(n)] + [(k * n, k * n, down) for k in range(n)])
+    q, zero, one = len(t.ring), t.zero, t.one
+    monic = [[g + (one,) for g in product(range(q), repeat=d)] for d in range(n + 1)]
 
-    def conjugate(g, conjugation):
-        m = list(g)
-        for target, source, by in conjugation:
-            m[target] = t.add[m[target]][by[m[source]]]
-        return tuple(m)
+    def times_poly(f, g):
+        h = [zero] * (len(f) + len(g) - 1)
+        for (i, a), (j, b) in product(enumerate(f), enumerate(g)):
+            h[i + j] = t.add[h[i + j]][t.mul[a][b]]
+        return tuple(h)
 
-    images = ([conjugate(g, conjugation) for g in elements] for conjugation in steps)
-    return [(elements[k], size) for k, size in _orbit_parts(elements, images)]
+    irreducible = []
+    for d in range(1, n + 1):       # a reducible f of degree d has an irreducible factor
+        reducible = {times_poly(f, g) for f in irreducible for g in monic[d + 1 - len(f)]}
+        irreducible += [f for f in monic[d] if f not in reducible]
+    blocks = sorted((len(h) - 1, f, k, h) for f in irreducible[1 - whole:]     # [0] is x
+                    for k, h in enumerate(accumulate([f] * (n // (len(f) - 1)), times_poly), 1))
+
+    def forms(start, budget):       # the multisets of blocks[start:] of total degree budget
+        if not budget:
+            yield ()
+        for i in range(start, bisect(blocks, (budget + 1,))):      # the blocks of degree <= budget
+            yield from ((blocks[i],) + rest for rest in forms(i, budget - blocks[i][0]))
+
+    def centralizer(f, lam):        # c(lam, u) = u^(sum lam'_i^2 - sum m_i^2) prod |GL_m_i(u)|
+        u, runs = q ** (len(f) - 1), [lam.count(k) for k in set(lam)]
+        squares = sum((2 * i + 1) * k for i, k in enumerate(sorted(lam, reverse=True)))
+        return u ** (squares - sum(m * m for m in runs)) * prod(
+            u ** m - u ** i for m in runs for i in range(m))
+
+    order, classes, labels = prod(q ** n - q ** i for i in range(n)), [], []
+    for form in forms(0, n):
+        g, at, partitions = [zero] * (n * n), 0, {}
+        for d, f, k, h in form:     # the companion block at (at, at): last column, subdiagonal
+            g[at * (n + 1) + d - 1:(at + d) * n:n] = [t.neg[c] for c in h[:-1]]
+            g[(at + 1) * n + at:(at + d) * n:n + 1] = [one] * (d - 1)
+            at += d
+            partitions.setdefault(f, []).append(k)      # lambda_f
+        classes.append((tuple(g), order // prod(centralizer(*c) for c in partitions.items())))
+        labels.append(frozenset(partitions))       # the f with lambda_f nonempty
+    return classes, labels
 
 
-def _lifted_classes(alg, n, residue_classes, guard):
+def _lifted_classes(alg, n, residue_classes, residue_labels, guard):
     """The classes of GL_n(alg) (or M_n(alg)), alg local but not a field,
-    lifted from those of GL_n(k) (or M_n(k)), k the residue field (indices
-    as in alg): (first point of a part, size).  A class meets the fibre
-    g0 + M_n(m) over its residue class g0 in one stabilizer orbit.  As
+    lifted with their labels from those of GL_n(k) (or M_n(k)), k the
+    residue field (indices as in alg): (first point of a part, size).  A
+    class meets g0 + M_n(m) over its class g0 in one stabilizer orbit.  As
     soc m = 0, 1 + Y in 1 + M_n(soc) adds [Y, g0], so a point modulo
     W = [M_n(soc), g0] is its F_p coordinates outside the pivots of W,
     packed width bits each.  The other generators: 1 + y e_ij, y a nonzero
@@ -133,7 +152,7 @@ def _lifted_classes(alg, n, residue_classes, guard):
     width, out = p.bit_length() + 1, []         # bits a coordinate: room for a sum of two
     high = sum(1 << width * j + width - 1 for j in range(len(fibre)))
     excess = (high >> width - 1) * ((1 << width - 1) - p)
-    for g0, size0 in residue_classes:
+    for (g0, size0), label in zip(residue_classes, residue_labels):
         centralizer, group, lifts = [], {one}, []
         for h in elements:
             if len(group) == len(elements) // size0:
@@ -167,51 +186,65 @@ def _lifted_classes(alg, n, residue_classes, guard):
             g, x = list(g0), points[k]
             for j, c in enumerate(free):
                 g[c // len(basis)] += (x >> width * j & (1 << width) - 1) * basis[c % len(basis)]
-            out.append((tuple(g), size0 * p ** len(pivots) * size))
-    return out
+            out.append(((tuple(g), size0 * p ** len(pivots) * size), label))
+    return [c for c, _ in out], [label for _, label in out]
 
 
 def _memo(alg, key, build):
     """build() once per algebra and key, kept in the algebra's _gl_data."""
     cache = alg.__dict__.setdefault("_gl_data", {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    return cache[key] if key in cache else cache.setdefault(key, build())
+
+
+def _size(size):
+    size = _integer(size, "size")
+    if size < 0:
+        raise ValueError("size %d is negative" % size)
+    return size
 
 
 def gl_elements(alg, size, guard=GUARD):
-    """Every invertible size x size matrix as a row-major flat tuple of
-    element indices, in a fixed order, memoized; it charges the
-    |alg|^(size^2) matrices the scan visits, cached or not."""
-    matrices = alg.size() ** (size * size)
+    """Every invertible size x size matrix as a flat tuple of element indices,
+    memoized; it charges the |alg|^(size^2) matrices of the scan, cached or not."""
+    matrices = alg.size() ** (_size(size) * size)
     charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
     return _memo(alg, size, lambda: invertible_matrices(alg, size))
 
 
-def gl_classes(alg, size, guard=GUARD, whole=False):
-    """The conjugacy classes of GL_size(alg), or with whole those of all of
-    M_size(alg) under GL_size(alg), as (representative, class size) pairs
-    (memoized), each a flat index tuple: over a field, or for size < 2,
-    from the scan (all |alg|^(size^2) matrices in product order with
-    whole, charged as gl_elements), each the first of its class; over a
-    local ring lifted from the residue field k, charging #classes(GL_size(k))
-    (M_size(k)) x |m|^(size^2) fibre points, cached or not, which bound
+def _classes(alg, size, guard, whole):
+    """gl_classes and the label of each class, the frozenset of the monic
+    irreducible factors of its residue characteristic polynomial, memoized
+    and charged cached or not: over a field (or for size 0) the canonical
+    forms, charging the x^size coefficient of prod_r (1 - x^r) / (1 - q x^r)
+    (with whole, prod_r 1 / (1 - q x^r)); for size 1 every element, charging
+    |alg|; else the lift, labelled as the residue classes, charging
+    #classes(GL_size(k)) (M_size(k)) x |m|^(size^2) fibre points, which bound
     the points listed and, as |m| >= |k|, the centralizer search."""
+    size, name = _size(size), "M" if whole else "GL"
     key = "classes", size, whole
-    if alg.is_field or size < 2:
-        if whole:
-            matrices = alg.size() ** (size * size)
-            charge(matrices, guard, "M_%d over %s: %d matrices" % (size, alg.name, matrices))
-            elements = product(range(alg.size()), repeat=size * size)
-        else:
-            elements = gl_elements(alg, size, guard)
-        return _memo(alg, key, lambda: conjugacy_classes(alg, size, list(elements)))
-    residue = gl_classes(alg.residue_field, size, guard, whole)
-    fibre = (alg.size() // alg.residue_field.size()) ** (size * size)
-    points = len(residue) * fibre
-    charge(points, guard, "%s_%d over %s: %d x %d = %d fibre points"
-           % ("M" if whole else "GL", size, alg.name, len(residue), fibre, points))
-    return _memo(alg, key, lambda: _lifted_classes(alg, size, residue, guard))
+    if alg.is_field or not size:
+        q, c = alg.size(), [1] + [0] * size       # a power series to x^size
+        for r in range(1, size + 1):        # times 1 - x^r unless whole, over 1 - q x^r
+            c = [a - (not whole and i >= r) * c[i - r] for i, a in enumerate(c)]
+            c = [sum(q ** j * c[i - j * r] for j in range(i // r + 1)) for i in range(size + 1)]
+        charge(c[-1], guard, "%s_%d over %s: %d classes" % (name, size, alg.name, c[-1]))
+        return _memo(alg, key, lambda: _field_classes(alg, size, whole))
+    if size == 1:       # each element a class, labelled by its residue
+        charge(alg.size(), guard, "%s_1 over %s: %d matrices" % (name, alg.name, alg.size()))
+        t, k = index_tables(alg), index_tables(alg.residue_field)
+        elements = [x for x, unit in enumerate(t.is_unit) if whole or unit]
+        return _memo(alg, key, lambda: ([((x,), 1) for x in elements], [
+            frozenset({(k.neg[x % len(k.ring)], k.one)}) for x in elements]))
+    residue = _classes(alg.residue_field, size, guard, whole)
+    fibre, count = (alg.size() // alg.residue_field.size()) ** (size * size), len(residue[0])
+    charge(count * fibre, guard, "%s_%d over %s: %d x %d = %d fibre points"
+           % (name, size, alg.name, count, fibre, count * fibre))
+    return _memo(alg, key, lambda: _lifted_classes(alg, size, *residue, guard))
+
+
+def gl_classes(alg, size, guard=GUARD, whole=False):
+    """The classes of GL_size(alg), with whole of M_size(alg), as (representative, size)."""
+    return _classes(alg, size, guard, whole)[0]
 
 
 def enumerate_group(quiver, alg, alpha, guard=GUARD):

@@ -28,25 +28,24 @@ Burnside sum runs over tuples of conjugacy-class representatives
 (gl.gl_classes) weighted by class size, as a contraction along the
 quiver: a factor per vertex (class size times z^(character exponent))
 and one per arrow (its fixed-point counts on pairs of classes), summed
-out one vertex at a time, cheapest first.  Each algebra solves one table per pair of ranks, read by
-every arrow of those ranks; a pair with coprime residue characteristic
-polynomials needs no solve (Nakayama).  The preprojective count enters
-as one factor on all vertices.  Matrices are row-major flat tuples of
-element indices on one set of |R| x |R| tables per algebra (ring_tables);
-only stabilizer_order takes coordinate matrices.  Exact and deterministic.
+out one vertex at a time, cheapest first.  Each algebra solves one table
+per pair of ranks, read by every arrow of those ranks; a pair of classes
+with disjoint factor labels needs no solve (Nakayama).  The preprojective
+count enters as one factor on all vertices.  Matrices are row-major flat
+tuples of element indices on one set of |R| x |R| tables per algebra
+(ring_tables); only stabilizer_order takes coordinate matrices.  Exact.
 """
 
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 from . import modp
 from .cyclotomic import root_sum
-from .gl import _validate_alpha, enumerate_group, gl_classes
+from .gl import _classes, _validate_alpha, enumerate_group, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import _integer, unpack
-from .ring_tables import (arrow_system, chain_nullity, coprime, index_tables, residue_charpoly,
-                          scaling_orbits, times)
+from .ring_tables import arrow_system, chain_nullity, index_tables, scaling_orbits, times
 
 
 # -- fixed points by nullspace -------------------------------------------
@@ -97,23 +96,20 @@ def _arrow_table(alg, rows, cols, guard, whole):
     None, the diagonal gt = gs only.  Memoized on the algebra as _arrow_data
     by (rows, cols, whole), so every arrow of these ranks reads one table in
     any quiver and orientation; classes x classes solves are charged, an
-    upper bound, memoized or not.  A pair with coprime residue characteristic
-    polynomials is 1 (Nakayama); every other pair is its own solve, none
-    copied from the transposed pair, since that symmetry is the orientation
-    theorem the checks test."""
-    targets = [g for g, _ in gl_classes(alg, rows, guard, whole)]
-    sources = targets if cols is None else [g for g, _ in gl_classes(alg, cols, guard, whole)]
+    upper bound, memoized or not.  A pair with disjoint labels (gl._classes)
+    has coprime residue characteristic polynomials and is 1 (Nakayama);
+    every other pair is its own solve, none copied from the transposed pair,
+    since that symmetry is the orientation theorem the checks test."""
+    (targets, ft), (sources, fs) = (_classes(alg, n, guard, whole)
+                                    for n in (rows, rows if cols is None else cols))
     solves = len(targets) if cols is None else len(targets) * len(sources)
     charge(solves, guard, "%d arrow solves" % solves)
     cache, key, p = alg.__dict__.setdefault("_arrow_data", {}), (rows, cols, whole), alg.p
     if key not in cache and cols is None:
-        cache[key] = [p ** fix_nullity(alg, g, g, rows, rows) for g in targets]
-    elif key not in cache:      # one Euclid per pair of distinct polynomials
-        ft = [residue_charpoly(alg, g, rows) for g in targets]
-        fs = [residue_charpoly(alg, g, cols) for g in sources]
-        solve = {(f, h) for f in set(ft) for h in set(fs) if not coprime(alg, f, h)}
-        cache[key] = [p ** fix_nullity(alg, gt, gs, rows, cols) if (f, h) in solve else 1
-                      for gt, f in zip(targets, ft) for gs, h in zip(sources, fs)]
+        cache[key] = [p ** fix_nullity(alg, g, g, rows, rows) for g, _ in targets]
+    elif key not in cache:
+        cache[key] = [1 if f.isdisjoint(h) else p ** fix_nullity(alg, gt, gs, rows, cols)
+                      for (gt, _), f in zip(targets, ft) for (gs, _), h in zip(sources, fs)]
     return cache[key]
 
 
@@ -290,18 +286,20 @@ def _zero_fiber_fixed(quiver, alg, alpha, guard):
     @cache
     def rank_sum(enumerated, other, starred):
         """Sum over x = sum_i c_i B_i in the enumerated half of p^(dim other -
-        rank of mu(x, .)): x = 0 adds p^(dim other), and each line (the x
-        whose last nonzero c_i is 1) adds one rank's term weighed p - 1."""
+        rank of mu(x, .)): x = 0 adds p^(dim other), each line (the x whose
+        last nonzero c_i is 1, walked depth first) one rank's term weighed p - 1."""
+        def lines(x, k):        # the terms of x + sum_(i < k) c_i gens[i], every c
+            if not k:
+                return p ** (other_dim - modp.rank(x, p))
+            points = accumulate([x] + [gens[k - 1]] * (p - 1), lambda y, gen: [
+                [(u + w) % p for u, w in zip(col, g)] for col, g in zip(y, gen)])
+            return sum(lines(y, k - 1) for y in points)
+
         zero, other_dim = [0] * width, sum(map(len, other))
         gens = [[(column(a, b, e) if starred else column(a, e, b)) if a == arrow else zero
                  for a, bs in zip(arrows, other) for b in bs]
                 for arrow, half in zip(arrows, enumerated) for e in half]
-        total, span = p ** other_dim, [[zero] * other_dim]
-        for gen in gens:     # span: the points spanned by the generators so far
-            lines = [[[(u + w) % p for u, w in zip(col, g)] for col, g in zip(x, gen)] for x in span]
-            total += (p - 1) * sum(p ** (other_dim - modp.rank(x, p)) for x in lines)
-            span += [[[c * u % p for u in col] for col in x] for x in lines for c in range(1, p)]
-        return total
+        return p ** other_dim + (p - 1) * sum(lines(gen, k) for k, gen in enumerate(gens))
 
     def fix_values(g):
         bases = [tuple(basis(g[t - 1], g[s - 1], alpha[t - 1], alpha[s - 1]) for _, s, t in arrows),

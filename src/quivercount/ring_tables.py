@@ -13,14 +13,12 @@ The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel
 size comes from elimination over the ring itself.  Elsewhere each entry
 becomes its multiplication block, the dim columns x * b_k kept per
-distinct element, and the F_p system is ranked.  No solve is needed when
-the residue characteristic polynomials of gt and gs, read on the residue
-field's tables, are coprime by Euclid over k.  The one whole-space loop
-here lists the scaling orbits of the toric oracle.
+distinct element, and the F_p system is ranked.  The one whole-space
+loop here lists the scaling orbits of the toric oracle.
 """
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 
 class IndexTables:
@@ -151,35 +149,6 @@ def chain_nullity(alg, system):
                 by = mul[b // shift]
                 rows[k] = [add[x][by[y]] for x, y in zip(row, pivot)]
     return bd * total
-
-
-def residue_charpoly(alg, g, n):
-    """det(x - g) mod m for an n x n matrix g over alg, as indices into the
-    residue field k's tables, lowest degree first: the coefficient of x^i
-    is the sum of the principal minors of size n - i of -g mod m."""
-    k = index_tables(alg.residue_field)
-    g = [k.neg[x % len(k.ring)] for x in g]
-    coefficients = []
-    for i in range(n + 1):
-        total = k.zero
-        for keep in combinations(range(n), n - i):
-            total = k.add[total][k.det(tuple(g[r * n + c] for r in keep for c in keep), n - i)]
-        coefficients.append(total)
-    return tuple(coefficients)
-
-
-def coprime(alg, f, g):
-    """Whether nonzero polynomials f and g over alg's residue field k (its
-    indices, 0 the zero, lowest degree first) share no factor: Euclid over k."""
-    k, f, g = index_tables(alg.residue_field), list(f), list(g)
-    while any(g):
-        del g[max(i for i, y in enumerate(g) if y) + 1:]
-        by = k.mul[k.neg[k.inverse[g[-1]]]]
-        while len(f) >= len(g):     # f -= (lead f / lead g) x^s g, dropping lead f
-            c, s = k.mul[by[f.pop()]], len(f) + 1 - len(g)
-            f[s:] = [k.add[x][c[y]] for x, y in zip(f[s:], g)]
-        f, g = g, f
-    return not any(f[1:])
 
 
 def scaling_orbits(alg, m, scalings):

@@ -48,11 +48,11 @@ MUTANTS = [
            "p ** (other_dim - modp.rank(", "p ** (sum(map(len, enumerated)) - modp.rank(",
            ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
     Mutant("rank_sum_line_weight", "repenum.py",
-           "total += (p - 1) * sum(", "total += sum(",
+           "+ (p - 1) * sum(lines(", "+ sum(lines(",
            ["tests/test_repenum.py::test_one_rank_per_line_once_per_pair_of_fixed_spaces"],
            None),
     Mutant("rank_sum_zero_point", "repenum.py",
-           "total, span = p ** other_dim, ", "total, span = 0, ",
+           "return p ** other_dim + ", "return 0 + ",
            ["tests/test_repenum.py::test_rank_sum_equals_the_zero_fiber_filter"], None),
     # a memo that answers for every pair sharing the enumerated half
     Mutant("rank_sum_memo_one_half", "repenum.py",
@@ -93,31 +93,33 @@ MUTANTS = [
     Mutant("lift_k_constant_dropped", "gl.py",
            "fill([point(conjugate(a, b, g0))],", "fill([0],", LIFT_TESTS, None),
     # the classes of all of M_n (the Fourier average) beside those of GL_n:
-    # each memo and the M scan must keep the two apart
+    # each memo and the canonical forms must keep the two apart
     Mutant("arrow_key_without_whole", "repenum.py",
            '{}), (rows, cols, whole)', '{}), (rows, cols)',
            ["tests/test_repenum.py::test_gl_and_matrix_class_memos_stay_apart"], None),
     Mutant("class_key_without_whole", "gl.py",
            'key = "classes", size, whole', 'key = "classes", size',
            ["tests/test_repenum.py::test_gl_and_matrix_class_memos_stay_apart"], None),
-    Mutant("matrix_classes_from_gl_scan", "gl.py",
-           "elements = product(range(alg.size()), repeat=size * size)",
-           "elements = gl_elements(alg, size, guard)",
+    Mutant("matrix_classes_without_x", "gl.py",
+           "irreducible[1 - whole:]", "irreducible[1:]",
            ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_partition",
             "tests/test_repenum.py::test_fourier_fiber_counts"], None),
-    # the arrow tables skip a pair of classes when its residue characteristic
-    # polynomials are coprime: a common linear factor reported coprime skips
-    # pairs of positive nullity
-    Mutant("coprime_common_factor", "ring_tables.py",
-           "return not any(f[1:])", "return not any(f[2:])", [SKIP_PROPERTY], None),
-    # dropping -g's sign gives det(x + g) up to sign, every root negated: the
-    # tables cannot see it, as negating both sides keeps the coprime pairs,
-    # so the evaluation test kills it (over F_2 and F_4 it is the identity)
-    Mutant("charpoly_sign_parity", "ring_tables.py",
-           "g = [k.neg[x % len(k.ring)] for x in g]", "g = [x % len(k.ring) for x in g]",
-           [SKIP_PROPERTY,
-            "tests/test_repenum.py::test_residue_charpoly_is_det_of_x0_minus_g_at_every_x0"],
-           None),
+    # the canonical forms over a field: a centralizer order with sum lam_i^2
+    # for sum lam'_i^2 in its exponent, and a companion column without its
+    # sign, which only a field of odd order can see
+    Mutant("centralizer_unconjugated", "gl.py",
+           "squares = sum((2 * i + 1) * k for i, k in enumerate(sorted(lam, reverse=True)))",
+           "squares = sum(k * k for k in lam)", LIFT_TESTS, None),
+    Mutant("companion_without_sign", "gl.py",
+           "= [t.neg[c] for c in h[:-1]]", "= list(h[:-1])", LIFT_TESTS, None),
+    # the arrow tables skip a pair of classes when their labels are
+    # disjoint: a label missing a factor, or a skip of every pair with
+    # unequal labels, skips pairs of positive nullity
+    Mutant("label_drops_a_factor", "gl.py",
+           "labels.append(frozenset(partitions))",
+           "labels.append(frozenset(list(partitions)[1:]))", [SKIP_PROPERTY], None),
+    Mutant("labels_equal_not_disjoint", "repenum.py",
+           "1 if f.isdisjoint(h) else", "1 if f != h else", [SKIP_PROPERTY], None),
     Mutant("times_transposed", "ring_tables.py",
            "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
            ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),

@@ -11,7 +11,7 @@ never from each other (tests/test_source.py holds them to that).
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
 
 from quivercount.cyclotomic import root_sum
@@ -422,11 +422,42 @@ def mat_inverse(alg, m):
     return tuple(adj)
 
 
+def residue_charpoly(alg, g, n):
+    """det(x - g) mod m for an n x n matrix g over alg, as indices into the
+    residue field k's tables, lowest degree first: the coefficient of x^i
+    is the sum of the principal minors of size n - i of -g mod m.  The
+    oracle for the labels of gl.class_labels."""
+    k = index_tables(alg.residue_field)
+    g = [k.neg[x % len(k.ring)] for x in g]
+    coefficients = []
+    for i in range(n + 1):
+        total = k.zero
+        for keep in combinations(range(n), n - i):
+            total = k.add[total][k.det(tuple(g[r * n + c] for r in keep for c in keep), n - i)]
+        coefficients.append(total)
+    return tuple(coefficients)
+
+
+def coprime(alg, f, g):
+    """Whether nonzero polynomials f and g over alg's residue field k (its
+    indices, 0 the zero, lowest degree first) share no factor: Euclid over
+    k, which decides the pairs that disjoint class labels decide."""
+    k, f, g = index_tables(alg.residue_field), list(f), list(g)
+    while any(g):
+        del g[max(i for i, y in enumerate(g) if y) + 1:]
+        by = k.mul[k.neg[k.inverse[g[-1]]]]
+        while len(f) >= len(g):     # f -= (lead f / lead g) x^s g, dropping lead f
+            c, s = k.mul[by[f.pop()]], len(f) + 1 - len(g)
+            f[s:] = [k.add[x][c[y]] for x, y in zip(f[s:], g)]
+        f, g = g, f
+    return not any(f[1:])
+
+
 def coprime_by_divisors(field, f, g):
     """Whether no monic polynomial of positive degree over the field divides
     both f and g, nonzero coefficient tuples of field elements lowest degree
     first, by trial division by every one up to the smaller degree: the
-    oracle for Euclid's algorithm in ring_tables.coprime."""
+    oracle for Euclid's algorithm in coprime."""
     def divides(h, f):          # h monic
         f = list(f)
         while len(f) >= len(h):

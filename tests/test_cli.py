@@ -110,6 +110,10 @@ def test_count_verbs(capsys):
     args = ["fourier", "--quiver", "builtin:A2", "--ring", "fq(2)", "--rank", "1,1"]
     assert main(args) == 0
     assert capsys.readouterr().out.strip() == "3"
+    # the 399 similarity classes of M_3(F_7), from canonical forms
+    args = ["brute-m", "--quiver", "builtin:Sm:1", "--ring", "fq(7)", "--rank", "3"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "399"
 
 
 def test_qeulerian_and_counterexample(capsys):
@@ -157,10 +161,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
               "--rank", "1,1", "--guard", "-1"])
     assert err.value.code == 2
     assert "--guard" in capsys.readouterr().err
-    # --guard also bounds the GL scan: GL_2(F_2) visits 2^4 = 16 matrices
+    # --guard also bounds the GL classes: GL_2(F_2) has 3 of them
     assert main(["brute-m", "--quiver", "builtin:A2", "--ring", "fq(2)",
-                 "--rank", "2,1", "--guard", "10"]) == 3
-    assert "GL_2" in capsys.readouterr().err
+                 "--rank", "2,1", "--guard", "2"]) == 3
+    assert "GL_2 over fq(2): 3 classes" in capsys.readouterr().err
     # fourier takes the same one guard: 2 x 2 arrow solves over the classes of M_1
     fourier = ["fourier", "--quiver", "builtin:A2", "--ring", "fq(2)", "--rank", "1,1"]
     assert main(fourier + ["--guard", "3"]) == 3

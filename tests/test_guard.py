@@ -49,25 +49,25 @@ CASES = {
     # candidate Frobenius forms: p^dim
     "find_frobenius_form": (lambda g: make_truncated(F2, 3).find_frobenius_form(g), 8,
                             "p^dim = 2^3 = 8 candidate forms"),
-    # GL scans: |R|^(n^2) matrices, memoized or not
+    # the GL scan: |R|^(n^2) matrices, memoized or not
     "gl_elements": (lambda g: gl_elements(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
-    "gl_classes": (lambda g: gl_classes(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
-    # the classes of all of M_n: the same |R|^(n^2) scan over a field, and
-    # #classes(M_n(k)) x |m|^(n^2) fibre points over a local ring
-    "gl_classes_whole": (lambda g: gl_classes(F2, 2, g, whole=True), 16,
-                         "M_2 over fq(2): 16 matrices"),
-    "gl_classes_whole_lifted": (lambda g: gl_classes(K2F2, 2, g, whole=True), 96,
-                                "M_2 over kd(fq(2),2): 6 x 16 = 96 fibre points"),
-    # GL classes lifted from the residue field: #classes(GL_n(k)) x |m|^(n^2)
-    # fibre points, after the residue field's scan
-    "gl_classes_lifted": (lambda g: gl_classes(K2F2, 2, g), 48,
-                          "GL_2 over kd(fq(2),2): 3 x 16 = 48 fibre points"),
     "enumerate_group_gl_scan": (lambda g: list(enumerate_group(path_quiver(2), F2, (2, 1), g)),
                                 16, "GL_2 over fq(2): 16 matrices"),
-    "m_count_gl_scan": (lambda g: m_count(path_quiver(2), F2, (2, 1), g), 16,
-                        "GL_2 over fq(2): 16 matrices"),
-    "m_preproj_gl_scan": (lambda g: m_preproj(path_quiver(2), F3, (2, 2), g), 81,
-                          "GL_2 over fq(3): 81 matrices"),
+    # the classes of GL_n and of all of M_n over a field: their number,
+    # charged before the canonical forms are listed, memoized or not
+    "gl_classes": (lambda g: gl_classes(F2, 2, g), 3, "GL_2 over fq(2): 3 classes"),
+    "gl_classes_whole": (lambda g: gl_classes(F2, 2, g, whole=True), 6,
+                         "M_2 over fq(2): 6 classes"),
+    "m_count_gl_scan": (lambda g: m_count(path_quiver(2), F2, (2, 1), g), 3,
+                        "GL_2 over fq(2): 3 classes"),
+    "m_preproj_gl_scan": (lambda g: m_preproj(path_quiver(2), F3, (2, 0), g), 8,
+                          "GL_2 over fq(3): 8 classes"),
+    # over a local ring #classes(GL_n(k)) (M_n(k)) x |m|^(n^2) fibre points,
+    # after the residue field's classes
+    "gl_classes_whole_lifted": (lambda g: gl_classes(K2F2, 2, g, whole=True), 96,
+                                "M_2 over kd(fq(2),2): 6 x 16 = 96 fibre points"),
+    "gl_classes_lifted": (lambda g: gl_classes(K2F2, 2, g), 48,
+                          "GL_2 over kd(fq(2),2): 3 x 16 = 48 fibre points"),
     # the oracles that list G: |G| elements
     "enumerate_group": (lambda g: list(enumerate_group(path_quiver(2), F3, (1, 1), g)), 4,
                         "|G| = 4 group elements"),

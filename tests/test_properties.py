@@ -16,13 +16,17 @@ against the binomial expansion, the series numerator against the row pass
 and den_poly against the power expansion; and on random elements of GL_1 and
 GL_2 over seven rings, the block-built arrow systems against the systems
 built one product at a time; on the classes of GL_n and M_n, n <= 2, over
-ten rings, the arrow tables that skip the coprime pairs against a full
-solve per pair; and on arbitrary matrices over every chain ring of the
-tests, the elimination over the ring against the F_p rank.
+ten rings, the arrow tables that skip the pairs with disjoint labels
+against a full solve per pair, and on the classes of GL_n and M_n, n <= 3,
+over eight rings, each label against the irreducible factors of the
+residue characteristic polynomial by brute force; and on arbitrary
+matrices over every chain ring of the tests, the elimination over the ring
+against the F_p rank.
 Derandomized, so a run is reproducible; a failure shrinks to a small graph.
 """
 
-from functools import reduce
+from functools import cache, reduce
+from itertools import product
 from math import prod
 from unittest import mock
 
@@ -31,7 +35,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from quivercount import repenum  # noqa: E402
+from quivercount import gl, repenum  # noqa: E402
 from quivercount.families import _canonical_form  # noqa: E402
 from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: E402
                                         make_prime_field, make_square_zero, make_truncated,
@@ -45,13 +49,15 @@ from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # n
 from quivercount.ratfun import RatQT  # noqa: E402
 from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
                                  fix_nullity, fourier_fiber_count, m_count, m_preproj)
+from quivercount.ring_tables import index_tables  # noqa: E402
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, additive_group_sum,  # noqa: E402
                      burnside_by_elements,
                      canonical_form_by_relabeling, class_tuple_buckets, convolve_by_minors,
                      cvector_by_unions, den_by_powers,
                      depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
-                     coordinate_matrix, fix_nullity_by_rank, fix_system_by_products,
+                     coordinate_matrix, coprime_by_divisors, fix_nullity_by_rank,
+                     fix_system_by_products, residue_charpoly,
                      preproj_by_filter, same_form,
                      series_coefficient_by_binomials, series_numerator_by_rows,
                      strict_filtrations_by_recursion, whole_zero_fiber)
@@ -223,9 +229,10 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
 @example("kd(fq(2),2)", 2, 2, True)
 @example("sqz(fq(2),2)", 2, 1, False)
 def test_arrow_tables_solve_exactly_the_pairs_of_positive_nullity(spec, rows, cols, whole):
-    # a pair of classes whose residue characteristic polynomials are coprime
-    # has nullity 0 and is not solved (Nakayama); each pair still solved has
-    # a positive nullity.  A fresh ring, so that its table is built here.
+    # a pair of classes with disjoint labels has coprime residue
+    # characteristic polynomials, so nullity 0, and is not solved
+    # (Nakayama); each pair still solved has a positive nullity.  A fresh
+    # ring, so that its table is built here.
     ring = ring_from_spec(spec)
     targets, sources = ([g for g, _ in gl_classes(ring, n, whole=whole)] for n in (rows, cols))
     assume(len(targets) * len(sources) <= 4000)
@@ -240,6 +247,37 @@ def test_arrow_tables_solve_exactly_the_pairs_of_positive_nullity(spec, rows, co
     assert table == [ring.p ** fix_nullity(ring, gt, gs, rows, cols)
                      for gt in targets for gs in sources]
     assert 0 not in solved
+
+
+# the rings of the label property, with their residue field's monic
+# irreducibles up to degree 3 by brute force: f is irreducible when it is
+# coprime to every monic polynomial of degree at most deg f / 2
+LABEL_RINGS = (F2, F3, make_field(4), make_prime_field(5), make_truncated(F2, 2),
+               make_truncated(F3, 2), make_dual_numbers(F3), make_square_zero(F2, 2))
+
+
+@cache
+def _irreducibles(field):
+    monic = [h + (field.one,) for d in (1, 2, 3) for h in product(list(field.elements()), repeat=d)]
+    return [f for f in monic if all(coprime_by_divisors(field, f, h) for h in monic
+                                    if 2 * len(h) <= len(f) + 1)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(LABEL_RINGS), st.integers(1, 3), st.booleans(), st.integers(0, 1 << 16))
+@example(make_prime_field(5), 2, False, 7)
+def test_a_class_label_is_the_set_of_irreducible_factors_of_its_charpoly(ring, n, whole, pick):
+    # the label that decides the Nakayama skip is exactly the set of monic
+    # irreducibles sharing a factor with the residue characteristic
+    # polynomial det(x - g) mod m, read from the determinant oracle
+    assume(n < 3 or ring.is_field and ring.size() < 5)
+    classes, labels = gl._classes(ring, n, GUARD, whole)
+    k = ring.residue_field
+    g, label = classes[pick % len(classes)][0], labels[pick % len(classes)]
+    elements = index_tables(k).ring
+    charpoly = tuple(elements[c] for c in residue_charpoly(ring, g, n))
+    assert {tuple(elements[c] for c in f) for f in label} == \
+        {f for f in _irreducibles(k) if len(f) <= n + 1 and not coprime_by_divisors(k, f, charpoly)}
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

@@ -19,9 +19,10 @@ from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_co
                                  counterexample_counts, double_quiver, fix_nullity,
                                  fourier_fiber_count, m_count, m_preproj, stabilizer_order,
                                  toric_ai_orbit_count, toric_point)
-from quivercount.ring_tables import coprime, index_tables, residue_charpoly
+from quivercount.ring_tables import index_tables
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
-                     conjugacy_classes_by_partition, coordinate_matrix, coprime_by_divisors,
+                     conjugacy_classes_by_partition, coordinate_matrix, coprime,
+                     coprime_by_divisors, residue_charpoly,
                      fix_count, flat_indices,
                      mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
                      preproj_orbit_partition, primitive_roots, whole_zero_fiber)
@@ -216,9 +217,9 @@ def test_guards_trip_before_any_arrow_table(monkeypatch):
     calls = _count_solves(monkeypatch)
     cases = [
         (m_count, path_quiver(2), make_truncated(F2, 2), (2, 2), {"guard": 10}),
-        (m_count, path_quiver(2), make_prime_field(2), (2, 1), {"guard": 15}),
-        (a_count, path_quiver(2), make_prime_field(3), (1, 1), {"guard": 2}),
-        (m_count, jordan_quiver(), make_prime_field(7), (3,), {}),     # 7^9 matrices
+        (m_count, path_quiver(2), make_prime_field(2), (2, 1), {"guard": 2}),
+        (a_count, path_quiver(2), make_prime_field(3), (1, 1), {"guard": 1}),
+        (m_count, jordan_quiver(), make_prime_field(7), (9,), {}),     # 40350870 classes
     ]
     for count, quiver, ring, alpha, guards in cases:
         with pytest.raises(GuardError) as engine:
@@ -298,17 +299,22 @@ def _skew_basis_ring():
 
 
 # Every local ring the tests build, at rank 2, and GL_3(k_2(F_2)); a ring
-# whose basis of m does not follow the powers of m; the fields F_2 and F_3
-# at rank 3 check the primitive-element generators.
+# whose basis of m does not follow the powers of m; the canonical forms
+# over the fields F_2 and F_3 at rank 3 and F_4, F_5 and F_7 at rank 2 (a
+# companion column without its sign shows over F_3, F_5 and F_7 only); and
+# the one-by-one classes over local rings.
 LIFTED = [(make_truncated(F2, 2), 2), (make_truncated(F3, 2), 2),
           (make_truncated(make_field(4), 2), 2), (make_truncated(F2, 3), 2),
           (make_truncated(F3, 3), 2), (make_dual_numbers(F3), 2),
           (make_dual_numbers(make_truncated(F2, 2)), 2), (make_square_zero(F2, 2), 2),
-          (make_truncated(F2, 2), 3), (_skew_basis_ring(), 2), (F2, 3), (F3, 3)]
+          (make_truncated(F2, 2), 3), (_skew_basis_ring(), 2), (F2, 3), (F3, 3),
+          (make_field(4), 2), (make_prime_field(5), 2), (make_prime_field(7), 2),
+          (make_truncated(F3, 2), 1), (make_square_zero(F2, 2), 1)]
 # The classes of all of M_n under GL_n, with their counts: over a field, a
 # local ring with m^2 = 0 and one with m^2 != 0
 WHOLE = [(F2, 2, 6), (F3, 2, 12), (make_field(4), 2, 20), (make_truncated(F2, 2), 2, 28),
-         (make_dual_numbers(F2), 2, 28), (make_truncated(F2, 3), 2, 120), (F2, 3, 14)]
+         (make_dual_numbers(F2), 2, 28), (make_truncated(F2, 3), 2, 120), (F2, 3, 14),
+         (make_prime_field(5), 2, 30), (make_truncated(F2, 2), 1, 4)]
 
 
 @pytest.mark.parametrize("ring, n, count", [(r, n, None) for r, n in LIFTED] + WHOLE,
@@ -399,6 +405,58 @@ def test_warm_group_averages_make_no_coordinate_arithmetic(monkeypatch):
     for count, quiver, ring, alpha, value in cases:
         assert count(quiver, ring, alpha) == value
     assert calls == [[], [], []]
+
+
+def test_field_classes_list_no_matrix_and_charge_their_number(monkeypatch):
+    # the canonical forms: no matrix is scanned, the class count charged
+    # before listing is the length of the list, and the sizes sum to
+    # |GL_n(q)| (to q^(n^2) with whole)
+    from quivercount import gl
+    scanned = _count_calls(monkeypatch, gl, "invertible_matrices")
+    for q, n in [(2, 0), (2, 1), (2, 4), (3, 3), (4, 3), (5, 4), (7, 3)]:
+        field = make_field(q)
+        for whole in (False, True):
+            classes = gl_classes(field, n, whole=whole)
+            with pytest.raises(GuardError, match="%d classes" % len(classes)):
+                gl_classes(field, n, len(classes) - 1, whole)
+            assert gl_classes(field, n, len(classes), whole) == classes
+            order = q ** (n * n) if whole else prod(q ** n - q ** i for i in range(n))
+            assert sum(size for _, size in classes) == order
+    assert scanned == []
+
+
+def test_a_bad_size_is_refused_before_anything_is_charged():
+    # guard 0 trips on any charge, so the ValueError comes first
+    calls = [gl_elements, gl_classes, partial(gl_classes, whole=True)]
+    for call, ring in product(calls, (F2, K2F2)):
+        with pytest.raises(ValueError, match="size -1 is negative"):
+            call(ring, -1, 0)
+        with pytest.raises(ValueError, match="size 2.0 is not an integer"):
+            call(ring, 2.0, 0)
+
+
+def test_canonical_forms_reach_ranks_three_and_four_over_larger_fields():
+    # each was refused by a scan of |k|^(n^2) matrices; q^3 + q^2 + q
+    # similarity classes of M_3(F_7), and q + 1 absolutely indecomposable
+    # Kronecker classes at (3, 3)
+    assert m_count(jordan_quiver(), make_prime_field(7), (3,)) == 399
+    assert a_count(jordan_quiver(), make_prime_field(5), (4,)) == 5
+    assert a_count(banana_quiver(2), make_prime_field(7), (3, 3)) == 8
+
+
+def test_the_rank_sum_holds_one_point_per_generator():
+    # the lines of the enumerated half are walked depth first, so the rank
+    # sum over the 2^12 points of M_2(k_3(F_2)) holds a few, not all of them
+    import tracemalloc
+    ring = make_truncated(F2, 3)
+    index_tables(ring)
+    tracemalloc.start()
+    try:
+        assert fourier_fiber_count(jordan_quiver(), ring, (2,)) == 434176
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_lifted_classes_never_scan_the_ring(monkeypatch):

@@ -85,11 +85,12 @@ def test_one_guard():
 
 
 def test_one_gl_module():
-    # One GL enumeration: gl.py alone scans, partitions and lifts the
-    # classes of GL_n(R) and keeps the _gl_data memo on each algebra.  No
-    # other module defines or calls the scan, the partition, the lift and
-    # its helpers or the memo lookup, or names the memo.
-    scan = {"invertible_matrices", "conjugacy_classes", "gl_elements", "_lifted_classes",
+    # One GL enumeration: gl.py alone scans GL_n(R), lists the canonical
+    # forms over a field, lifts the classes to a local ring and keeps the
+    # _gl_data memo on each algebra.  No other module defines or calls the
+    # scan, the canonical forms, the lift and its orbit partition or the
+    # memo lookup, or names the memo.
+    scan = {"invertible_matrices", "gl_elements", "_field_classes", "_lifted_classes",
             "_orbit_parts"}
     defined, found = set(), []
     for name, tree in _parsed_sources():
