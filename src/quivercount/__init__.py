@@ -21,7 +21,6 @@ from .genfun import (GraphChar, a_genfun, check_duality, check_recursion,
                      convolve, cvector_of_filtration, psi_char,
                      psi_inverse_char, q_eulerian, r_d_char,
                      r_d_via_convolution, r_genfun, r_of_cvector)
-from .gl import enumerate_group, gl_elements
 from .multigraph import GuardError, Multigraph, Quiver, strict_filtrations
 from .polynomials import QPoly, QTPoly
 from .ratfun import RatQT

@@ -1,23 +1,25 @@
 """GL_n(R) over a finite commutative algebra R, and the base change group
 G = prod_v GL_{alpha_v}(R) of a quiver at a rank vector alpha.
 
-The one module that lists GL_n(R) or the classes of GL_n(R) and M_n(R),
-memoized in the algebra's _gl_data dict, a matrix a row-major flat tuple of
-element indices (ring_tables): over a field the rational canonical forms,
-with no matrix scan, each labelled by the irreducible factors of its
+The one module that lists the classes of GL_n(R) and M_n(R), memoized in
+the algebra's _gl_data dict, a matrix a row-major flat tuple of element
+indices (ring_tables): over a field the rational canonical forms, with no
+matrix scan, each labelled by the irreducible factors of its
 characteristic polynomial; over a local ring their lift, each fibre listed
-modulo [M_n(soc R), g0] for its class g0.
+modulo [M_n(soc R), g0] for its class g0.  No group is listed: a
+stabilizer in G, and the lift's centralizers, are units of End(x).
 """
 
 from bisect import bisect
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import prod
+from operator import mul
 
 from . import modp
 from .multigraph import GUARD, _find, _merge, charge
 from .polynomials import _integer
-from .ring_tables import index_tables, times
+from .ring_tables import block_system, index_tables, times
 
 
 def _validate_alpha(quiver, alpha):
@@ -29,26 +31,33 @@ def _validate_alpha(quiver, alpha):
     return alpha
 
 
-def invertible_matrices(alg, n):
-    """Every invertible n x n matrix over alg as a flat index tuple, in
-    the order of product(elements(), repeat=n*n).  The determinant is
-    linear in the last row, so each head (the first n - 1 rows) gives its
-    signed cofactors once, and the determinants of all |R|^n completions
-    come from one table pass per column."""
-    if n == 0:
-        return [()]
-    t, out = index_tables(alg), []
-    rows = list(product(range(len(t.ring)), repeat=n))
-    for head in product(range(len(rows)), repeat=n - 1):
-        flat = tuple(i for h in head for i in rows[h])
-        dets = [t.zero]
-        for j in range(n):
-            minor = tuple(flat[r * n + c] for r in range(n - 1) for c in range(n) if c != j)
-            cofactor = t.det(minor, n - 1)
-            by = t.mul[cofactor if (n - 1 + j) % 2 == 0 else t.neg[cofactor]]
-            dets = [t.add[d][y] for d in dets for y in by]
-        out.extend(flat + rows[r] for r, d in enumerate(dets) if t.is_unit[d])
-    return out
+def _end_units(alg, point, alpha, guard):
+    """The units of End(x), x a point at the validated ranks alpha given as
+    (x_e, t, s) per arrow, a flat index matrix and its vertices from 0: the
+    tuples (g_v) of flat matrices with g_t x_e = x_e g_s and each det g_v a
+    unit, lazily, in the product order of their coordinates on an F_p
+    basis of the nullspace.  Charges its p^dim points."""
+    t, p = index_tables(alg), alg.p
+    at = list(accumulate((a * a for a in alpha), initial=0))       # g_v from entry at[v]
+    rows = []
+    for x, target, source in point:
+        n, k = alpha[target], alpha[source]
+        for a, c in product(range(n), range(k)):        # entry (a, c) of g_t x_e - x_e g_s
+            row = [t.zero] * at[-1]
+            row[at[target] + a * n:at[target] + (a + 1) * n] = x[c::k]
+            for j in range(k):
+                cell = at[source] + j * k + c
+                row[cell] = t.add[row[cell]][t.neg[x[a * k + j]]]
+            rows.append(row)
+    basis = modp.nullspace_basis(block_system(alg, rows or [[t.zero] * at[-1]]), p)
+    charge(p ** len(basis), guard, "p^%d = %d points of End(x)" % (len(basis), p ** len(basis)))
+    columns = list(zip(zip(*basis), [p ** k for k in range(alg.dim)] * at[-1]))
+    for c in product(range(p), repeat=len(basis)):
+        g = [sum(map(mul, c, column)) % p * d for column, d in columns]
+        g = [sum(g[i:i + alg.dim]) for i in range(0, len(g), alg.dim)]
+        blocks = tuple(tuple(g[at[v]:at[v + 1]]) for v in range(len(alpha)))
+        if all(t.is_unit[t.det(b, a)] for b, a in zip(blocks, alpha)):
+            yield blocks
 
 
 def _orbit_parts(points, images):
@@ -118,13 +127,16 @@ def _lifted_classes(alg, n, residue_classes, residue_labels, guard):
     packed width bits each.  The other generators: 1 + y e_ij, y a nonzero
     product of basis vectors of m outside soc, ij not the last diagonal cell
     as scalars act trivially (row reduction leaves a diagonal in 1 + m,
-    which the 1 + y generate layer by layer); lifts of the commuting
-    elements of GL_n(k), in order, kept when outside the group of those
-    kept, until it has |GL_n(k)| / size0 elements.  Each A maps H to
+    which the 1 + y generate layer by layer); lifts of g0 if a unit, then of
+    the units of End(g0) over k, each kept outside the group of the scalars
+    and those kept, grown from its new elements only, until it has
+    |GL_n(k)| / size0 elements, else ArithmeticError.  Each A maps H to
     A H A^-1 + A g0 A^-1 - g0 mod W.  A part of s points: size0 |W| s elements."""
-    t, elements = index_tables(alg), gl_elements(alg.residue_field, n, guard)
-    p, rd, cells = alg.p, alg.residue_field.dim, range(n * n)
+    t, p, rd, cells = index_tables(alg), alg.p, alg.residue_field.dim, range(n * n)
+    q = alg.residue_field.size()
     one = tuple(t.one if i == j else t.zero for i in range(n) for j in range(n))
+    scalars = {tuple(u if i == j else t.zero for i in range(n) for j in range(n))
+               for u in range(1, q)}        # central, so trivial on every fibre
 
     def elementary(cell, x):        # 1 + x e_cell and its inverse
         u = t.add[one[cell]][x]
@@ -153,23 +165,25 @@ def _lifted_classes(alg, n, residue_classes, residue_labels, guard):
     high = sum(1 << width * j + width - 1 for j in range(len(fibre)))
     excess = (high >> width - 1) * ((1 << width - 1) - p)
     for (g0, size0), label in zip(residue_classes, residue_labels):
-        centralizer, group, lifts = [], {one}, []
-        for h in elements:
-            if len(group) == len(elements) // size0:
-                break
-            if h not in group and times(t, h, g0, n, n, n) == times(t, g0, h, n, n, n):
-                centralizer.append(h)
-                group, new = {one}, {one}
-                while new:
-                    new = {times(t, x, s, n, n, n) for x in new for s in centralizer} - group
-                    group |= new
-        for h in centralizer:
-            powers = [h]        # h^-1 is the power of h just before 1; all lie in group
+        order = prod(q ** n - q ** i for i in range(n)) // size0        # |C(g0)|
+        group, lifts, first = set(scalars), [], [(g0,)] if t.is_unit[t.det(g0, n)] else []
+        for (h,) in chain(first, _end_units(alg.residue_field, [(g0, 0, 0)], (n,), guard)):
+            if h in group:
+                continue
+            powers = [h]        # h^-1 is the power of h just before 1
             while powers[-1] != one:
-                if len(powers) > len(group):
+                if len(powers) > order:
                     raise ArithmeticError("no power of a centralizer generator is 1")
                 powers.append(times(t, powers[-1], h, n, n, n))
             lifts.append((h, powers[-2]))
+            new = {times(t, x, h, n, n, n) for x in group} - group
+            while new:          # <H, h> from H h - H, by every generator
+                group |= new
+                new = {times(t, x, s, n, n, n) for x in new for s, _ in lifts} - group
+            if len(group) == order:
+                break
+        if len(group) < order:
+            raise ArithmeticError("the units of End(g0) end before its centralizer order")
         rows, pivots = modp.rref([conjugate(*elementary(cell, s), g0)
                                   for cell in cells for s in socle], p)
         free = [c for c in range(len(fibre)) if c not in pivots]
@@ -203,14 +217,6 @@ def _size(size):
     return size
 
 
-def gl_elements(alg, size, guard=GUARD):
-    """Every invertible size x size matrix as a flat tuple of element indices,
-    memoized; it charges the |alg|^(size^2) matrices of the scan, cached or not."""
-    matrices = alg.size() ** (_size(size) * size)
-    charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
-    return _memo(alg, size, lambda: invertible_matrices(alg, size))
-
-
 def _classes(alg, size, guard, whole):
     """gl_classes and the label of each class, the frozenset of the monic
     irreducible factors of its residue characteristic polynomial, memoized
@@ -219,7 +225,8 @@ def _classes(alg, size, guard, whole):
     (with whole, prod_r 1 / (1 - q x^r)); for size 1 every element, charging
     |alg|; else the lift, labelled as the residue classes, charging
     #classes(GL_size(k)) (M_size(k)) x |m|^(size^2) fibre points, which bound
-    the points listed and, as |m| >= |k|, the centralizer search."""
+    the points listed; in the lift each commutant End(g0) that is solved
+    charges its p^dim points, at most |k|^(size^2) <= |m|^(size^2)."""
     size, name = _size(size), "M" if whole else "GL"
     key = "classes", size, whole
     if alg.is_field or not size:
@@ -245,12 +252,3 @@ def _classes(alg, size, guard, whole):
 def gl_classes(alg, size, guard=GUARD, whole=False):
     """The classes of GL_size(alg), with whole of M_size(alg), as (representative, size)."""
     return _classes(alg, size, guard, whole)[0]
-
-
-def enumerate_group(quiver, alg, alpha, guard=GUARD):
-    """Yield every element of the product of GL's, a tuple of flat index
-    tuples, one per vertex; charges the GL scans and the |G| elements listed."""
-    lists = [gl_elements(alg, a, guard) for a in _validate_alpha(quiver, alpha)]
-    order = prod(map(len, lists))
-    charge(order, guard, "|G| = %d group elements" % order)
-    return product(*lists)

@@ -33,7 +33,7 @@ per pair of ranks, read by every arrow of those ranks; a pair of classes
 with disjoint factor labels needs no solve (Nakayama).  The preprojective
 count enters as one factor on all vertices.  Matrices are row-major flat
 tuples of element indices on one set of |R| x |R| tables per algebra
-(ring_tables); only stabilizer_order takes coordinate matrices.  Exact.
+(ring_tables); only stabilizer_order, the units of End(x), takes coordinates.
 """
 
 from functools import cache
@@ -42,40 +42,24 @@ from math import prod
 
 from . import modp
 from .cyclotomic import root_sum
-from .gl import _classes, _validate_alpha, enumerate_group, gl_classes
+from .gl import _classes, _end_units, _validate_alpha, gl_classes
 from .multigraph import GUARD, Multigraph, Quiver, charge
 from .polynomials import _integer, unpack
-from .ring_tables import arrow_system, chain_nullity, index_tables, scaling_orbits, times
+from .ring_tables import (arrow_system, block_system, chain_nullity, index_tables,
+                          scaling_orbits, times)
 
 
 # -- fixed points by nullspace -------------------------------------------
-
-def _fix_system(alg, gt, gs, rows, cols):
-    """Equation matrix over F_p of X -> gt X - X gs on rows x cols matrices:
-    arrow_system with entry (r, c) replaced by its multiplication block, in
-    rows r * dim .. r * dim + dim - 1 and the same columns of c; the
-    blocks (alg.mul_matrix) are kept per element index as _block_data."""
-    dim, ring = alg.dim, index_tables(alg).ring
-    blocks = alg.__dict__.setdefault("_block_data", {})
-    system = arrow_system(alg, gt, gs, rows, cols)
-    matrix = [[0] * (len(system) * dim) for _ in range(len(system) * dim)]
-    for r, row in enumerate(system):
-        for c, x in enumerate(row):
-            if x not in blocks:
-                blocks[x] = alg.mul_matrix(ring[x])
-            for s, values in enumerate(blocks[x]):
-                matrix[r * dim + s][c * dim:(c + 1) * dim] = values
-    return matrix
-
 
 def fix_nullity(alg, gt, gs, rows, cols):
     """F_p-dimension of {X : gt X = X gs} on rows x cols matrices: over a
     chain ring by elimination over the ring, elsewhere by F_p rank."""
     if rows == 0 or cols == 0:
         return 0
+    system = arrow_system(alg, gt, gs, rows, cols)
     if alg.is_field or alg.truncation:
-        return chain_nullity(alg, arrow_system(alg, gt, gs, rows, cols))
-    return rows * cols * alg.dim - modp.rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
+        return chain_nullity(alg, system)
+    return rows * cols * alg.dim - modp.rank(block_system(alg, system), alg.p)
 
 
 # -- the weighted group average ------------------------------------------
@@ -272,7 +256,7 @@ def _zero_fiber_fixed(quiver, alg, alpha, guard):
         """The fixed space's F_p basis, each vector as a flat index tuple."""
         key = tuple(map(tuple, arrow_system(alg, gt, gs, rows, cols)))
         if key not in by_system:
-            vectors = modp.nullspace_basis(_fix_system(alg, gt, gs, rows, cols), p)
+            vectors = modp.nullspace_basis(block_system(alg, key), p)
             by_system[key] = tuple(tuple(alg.element_index(v[i:i + dim])
                                          for i in range(0, len(v), dim)) for v in vectors)
         return by_system[key]
@@ -384,8 +368,9 @@ def toric_ai_orbit_count(quiver, alg, guard=GUARD):
 def stabilizer_order(x, quiver, alg, alpha, guard=GUARD):
     """Order of the stabilizer of a representation point x, a dict arrow
     id -> alpha_t x alpha_s matrix (rows of elements of alg; one without
-    entries in any empty form), by filtering the full group enumeration.
-    A malformed point is refused with ValueError before G is listed."""
+    entries in any empty form): the units of End(x) among the p^dim points
+    of its F_p nullspace (gl._end_units), never a scan of G.  A malformed
+    point is refused with ValueError before anything is listed."""
     alpha = _validate_alpha(quiver, alpha)
     tab, point = index_tables(alg), []
     for e, s, t in quiver.arrows():
@@ -397,10 +382,8 @@ def stabilizer_order(x, quiver, alg, alpha, guard=GUARD):
         if flat is None or tuple(map(len, m)) != (cols,) * rows and (flat or rows * cols):
             raise ValueError("arrow %d needs an alpha_t x alpha_s = %d x %d matrix over %s"
                              % (e, rows, cols, alg.name))
-        point.append((flat, t - 1, s - 1, rows, cols))
-    return sum(1 for g in enumerate_group(quiver, alg, alpha, guard)
-               if all(times(tab, g[t], m, rows, rows, cols) == times(tab, m, g[s], rows, cols, cols)
-                      for m, t, s, rows, cols in point))
+        point.append((flat, t - 1, s - 1))
+    return sum(1 for _ in _end_units(alg, point, alpha, guard))
 
 
 def toric_point(quiver, values):

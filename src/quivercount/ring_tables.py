@@ -13,8 +13,8 @@ The arrow solve X -> gt X - X gs is one N x N system over the algebra,
 as element indices.  Over a chain ring every ideal is (t^v), so its kernel
 size comes from elimination over the ring itself.  Elsewhere each entry
 becomes its multiplication block, the dim columns x * b_k kept per
-distinct element, and the F_p system is ranked.  The one whole-space
-loop here lists the scaling orbits of the toric oracle.
+distinct element (block_system, also for gl.py's End(x)), and the F_p
+system is ranked.  The one whole-space loop lists the toric scaling orbits.
 """
 
 from functools import cached_property
@@ -105,6 +105,23 @@ def arrow_system(alg, gt, gs, rows, cols):
         row[a * cols + c] = t.add[left[a][a]][minus[c][c]]
         system.append(row)
     return system
+
+
+def block_system(alg, system):
+    """The F_p matrix of a system of element indices over alg: entry (r, c)
+    becomes its multiplication block (alg.mul_matrix) in rows
+    r * dim .. r * dim + dim - 1 and the same columns of c, each block
+    built once per element index and kept as _block_data."""
+    dim, ring = alg.dim, index_tables(alg).ring
+    blocks = alg.__dict__.setdefault("_block_data", {})
+    matrix = [[0] * (len(system[0]) * dim) for _ in range(len(system) * dim)]
+    for r, row in enumerate(system):
+        for c, x in enumerate(row):
+            if x not in blocks:
+                blocks[x] = alg.mul_matrix(ring[x])
+            for s, values in enumerate(blocks[x]):
+                matrix[r * dim + s][c * dim:(c + 1) * dim] = values
+    return matrix
 
 
 def chain_nullity(alg, system):

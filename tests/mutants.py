@@ -37,6 +37,8 @@ LIFT_TESTS = ["tests/test_repenum.py::test_lifted_classes_equal_the_whole_group_
               "tests/test_repenum.py::test_class_equation"]
 SKIP_PROPERTY = ("tests/test_properties.py::"
                  "test_arrow_tables_solve_exactly_the_pairs_of_positive_nullity")
+STABILIZER_TESTS = ["tests/test_repenum.py::test_stabilizer_orders",
+                    "tests/test_properties.py::test_stabilizer_orders_equal_the_group_filter"]
 
 MUTANTS = [
     Mutant("moment_star_sign", "repenum.py",
@@ -92,6 +94,26 @@ MUTANTS = [
            "socle = [t.index[s] for s in alg.socle()]", "socle = basis", LIFT_TESTS, None),
     Mutant("lift_k_constant_dropped", "gl.py",
            "fill([point(conjugate(a, b, g0))],", "fill([0],", LIFT_TESTS, None),
+    # the units of End(x): the system g_t x - x g_s with its sign, the
+    # determinant filter, and the closure of the kept centralizer lifts
+    # grown by every generator (by the new one alone it is no group, and
+    # the lift keeps units that the true closure holds already)
+    Mutant("end_star_sign", "gl.py",
+           "t.add[row[cell]][t.neg[x[a * k + j]]]", "t.add[row[cell]][x[a * k + j]]",
+           STABILIZER_TESTS + LIFT_TESTS, None),
+    Mutant("end_units_without_det", "gl.py",
+           "if all(t.is_unit[t.det(b, a)] for b, a in zip(blocks, alpha)):", "if True:",
+           STABILIZER_TESTS + LIFT_TESTS, None),
+    # the scalars act trivially on every fibre and start the group, so a unit
+    # is kept only outside <scalars, kept>; from 1 alone the lift keeps
+    # scalar generators (the same classes, more generators to apply)
+    Mutant("closure_without_scalars", "gl.py",
+           "group, lifts, first = set(scalars),", "group, lifts, first = {one},",
+           ["tests/test_repenum.py::test_the_lift_keeps_a_unit_only_outside_the_closure"], None),
+    Mutant("closure_by_new_generator", "gl.py",
+           "for x in new for s, _ in lifts} - group", "for x in new for s in [h]} - group",
+           LIFT_TESTS + ["tests/test_repenum.py::"
+                         "test_the_lift_keeps_a_unit_only_outside_the_closure"], None),
     # the classes of all of M_n (the Fourier average) beside those of GL_n:
     # each memo and the canonical forms must keep the two apart
     Mutant("arrow_key_without_whole", "repenum.py",

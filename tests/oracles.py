@@ -17,14 +17,13 @@ from math import comb, prod
 from quivercount.cyclotomic import root_sum
 from quivercount.finite_algebra import FiniteAlgebra
 from quivercount.genfun import GraphChar, r_genfun
-from quivercount.gl import _validate_alpha, enumerate_group
+from quivercount.gl import _memo, _size, _validate_alpha
 from quivercount.modp import nullspace_basis, rank
 from quivercount.multigraph import GUARD, Multigraph, _find, _merge, charge
 from quivercount.polynomials import QPoly, QTPoly
 from quivercount.ratfun import RatQT
-from quivercount.repenum import (_fix_system, _group_average, _vertex_lists, double_quiver,
-                                 fix_nullity)
-from quivercount.ring_tables import index_tables
+from quivercount.repenum import _group_average, _vertex_lists, double_quiver, fix_nullity
+from quivercount.ring_tables import arrow_system, block_system, index_tables
 from quivercount.toric import check_depth_function, epsilon_value, r_d_polynomial
 
 
@@ -608,7 +607,64 @@ def square_zero_by_blocks(base, n):
                          residue_field=base)
 
 
+# -- the general linear groups and G = prod_v GL_alpha_v --------------
+
+def invertible_matrices(alg, n):
+    """Every invertible n x n matrix over alg as a flat index tuple, in
+    the order of product(elements(), repeat=n*n).  The determinant is
+    linear in the last row, so each head (the first n - 1 rows) gives its
+    signed cofactors once, and the determinants of all |R|^n completions
+    come from one table pass per column."""
+    if n == 0:
+        return [()]
+    t, out = index_tables(alg), []
+    rows = list(product(range(len(t.ring)), repeat=n))
+    for head in product(range(len(rows)), repeat=n - 1):
+        flat = tuple(i for h in head for i in rows[h])
+        dets = [t.zero]
+        for j in range(n):
+            minor = tuple(flat[r * n + c] for r in range(n - 1) for c in range(n) if c != j)
+            cofactor = t.det(minor, n - 1)
+            by = t.mul[cofactor if (n - 1 + j) % 2 == 0 else t.neg[cofactor]]
+            dets = [t.add[d][y] for d in dets for y in by]
+        out.extend(flat + rows[r] for r, d in enumerate(dets) if t.is_unit[d])
+    return out
+
+
+def gl_elements(alg, size, guard=GUARD):
+    """Every invertible size x size matrix as a flat tuple of element indices,
+    memoized; it charges the |alg|^(size^2) matrices of the scan, cached or not."""
+    matrices = alg.size() ** (_size(size) * size)
+    charge(matrices, guard, "GL_%d over %s: %d matrices" % (size, alg.name, matrices))
+    return _memo(alg, size, lambda: invertible_matrices(alg, size))
+
+
+def enumerate_group(quiver, alg, alpha, guard=GUARD):
+    """Yield every element of the product of GL's, a tuple of flat index
+    tuples, one per vertex; charges the GL scans and the |G| elements listed."""
+    lists = [gl_elements(alg, a, guard) for a in _validate_alpha(quiver, alpha)]
+    order = prod(map(len, lists))
+    charge(order, guard, "|G| = %d group elements" % order)
+    return product(*lists)
+
+
+def stabilizer_by_filter(x, quiver, alg, alpha):
+    """The elements g of G with g_t x_e = x_e g_s on every arrow, counted
+    by filtering the whole group through mat_mul on coordinate matrices:
+    the oracle for stabilizer_order, which counts the units of End(x)."""
+    arrows = quiver.arrows()
+    return sum(1 for g in enumerate_group(quiver, alg, alpha)
+               if all(mat_mul(alg, coordinate_matrix(alg, g[t - 1], alpha[t - 1]), x[e])
+                      == mat_mul(alg, x[e], coordinate_matrix(alg, g[s - 1], alpha[s - 1]))
+                      for e, s, t in arrows))
+
+
 # -- group averages and the preprojective counts -----------------------
+
+def fix_system(alg, gt, gs, rows, cols):
+    """The engines' F_p equation matrix of X -> gt X - X gs."""
+    return block_system(alg, arrow_system(alg, gt, gs, rows, cols))
+
 
 def all_matrices(alg, rows, cols):
     if rows == 0 or cols == 0:
@@ -620,8 +676,9 @@ def all_matrices(alg, rows, cols):
 
 def fix_system_by_products(alg, gt, gs, rows, cols):
     """The equation matrix of X -> gt X - X gs built one coefficient at a
-    time through FiniteAlgebra.mul: the oracle for _fix_system, which
-    reads the same entries off memoized multiplication blocks."""
+    time through FiniteAlgebra.mul: the oracle for block_system on
+    arrow_system, which reads the same entries off memoized
+    multiplication blocks."""
     dim, p = alg.dim, alg.p
     n_unknowns = rows * cols * dim
     columns = []
@@ -649,7 +706,7 @@ def fix_system_by_products(alg, gt, gs, rows, cols):
 def fix_nullity_by_rank(alg, gt, gs, rows, cols):
     """F_p-dimension of {X : gt X = X gs} as the nullity of the whole F_p
     system: the oracle for fix_nullity's elimination over a chain ring."""
-    return rows * cols * alg.dim - rank(_fix_system(alg, gt, gs, rows, cols), alg.p)
+    return rows * cols * alg.dim - rank(fix_system(alg, gt, gs, rows, cols), alg.p)
 
 
 def fix_count(g, quiver, alg, alpha):
@@ -847,7 +904,7 @@ def preproj_by_filter(quiver, alg, alpha, character=False, generator=None):
     sums = moment_equations(quiver, alpha)
 
     def points(gt, gs, rows, cols):
-        basis = nullspace_basis(_fix_system(alg, gt, gs, rows, cols), alg.p)
+        basis = nullspace_basis(fix_system(alg, gt, gs, rows, cols), alg.p)
         return fix_space_points(alg, basis, rows, cols)
 
     def fix_values(g):

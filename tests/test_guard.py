@@ -13,12 +13,13 @@ from quivercount.families import (banana_graph, banana_quiver, cycle_graph, cycl
 from quivercount.finite_algebra import make_prime_field, make_truncated
 from quivercount.genfun import (a_genfun, check_duality, check_recursion, convolve, psi_char,
                                 q_eulerian, r_d_via_convolution, r_genfun)
-from quivercount.gl import enumerate_group, gl_classes, gl_elements
+from quivercount.gl import gl_classes
 from quivercount.multigraph import GUARD, GuardError, strict_filtrations
 from quivercount.repenum import (a_count, a_preproj, counterexample_counts, fourier_fiber_count,
                                  m_count, m_preproj, stabilizer_order, toric_ai_orbit_count)
 from quivercount.toric import a_d_polynomial, r_d_on_components, r_d_polynomial
-from oracles import connected_spanning_subgraphs, mat_identity, preproj_orbit_partition
+from oracles import (connected_spanning_subgraphs, enumerate_group, gl_elements, mat_identity,
+                     preproj_orbit_partition)
 
 F2, F3, F5 = make_prime_field(2), make_prime_field(3), make_prime_field(5)
 K2F2, K3F2 = make_truncated(F2, 2), make_truncated(F2, 3)
@@ -49,7 +50,7 @@ CASES = {
     # candidate Frobenius forms: p^dim
     "find_frobenius_form": (lambda g: make_truncated(F2, 3).find_frobenius_form(g), 8,
                             "p^dim = 2^3 = 8 candidate forms"),
-    # the GL scan: |R|^(n^2) matrices, memoized or not
+    # the oracles' GL scan: |R|^(n^2) matrices, memoized or not
     "gl_elements": (lambda g: gl_elements(F2, 2, g), 16, "GL_2 over fq(2): 16 matrices"),
     "enumerate_group_gl_scan": (lambda g: list(enumerate_group(path_quiver(2), F2, (2, 1), g)),
                                 16, "GL_2 over fq(2): 16 matrices"),
@@ -63,16 +64,20 @@ CASES = {
     "m_preproj_gl_scan": (lambda g: m_preproj(path_quiver(2), F3, (2, 0), g), 8,
                           "GL_2 over fq(3): 8 classes"),
     # over a local ring #classes(GL_n(k)) (M_n(k)) x |m|^(n^2) fibre points,
-    # after the residue field's classes
+    # after the residue field's classes; each commutant solved over k then
+    # charges its p^dim points, at most |k|^(n^2) <= |m|^(n^2)
     "gl_classes_whole_lifted": (lambda g: gl_classes(K2F2, 2, g, whole=True), 96,
                                 "M_2 over kd(fq(2),2): 6 x 16 = 96 fibre points"),
     "gl_classes_lifted": (lambda g: gl_classes(K2F2, 2, g), 48,
                           "GL_2 over kd(fq(2),2): 3 x 16 = 48 fibre points"),
-    # the oracles that list G: |G| elements
+    # the oracle that lists G: |G| elements
     "enumerate_group": (lambda g: list(enumerate_group(path_quiver(2), F3, (1, 1), g)), 4,
                         "|G| = 4 group elements"),
+    # the units of End(x) among its p^dim points: I over F_2 at rank 2
+    # commutes with all of M_2(F_2)
     "stabilizer_order": (lambda g: stabilizer_order({1: mat_identity(F2, 2)}, jordan_quiver(),
-                                                    F2, (2,), g), 16, "GL_2"),
+                                                    F2, (2,), g), 16,
+                         "p^4 = 16 points of End(x)"),
     # group averages: arrow solves, contraction terms, class tuples, points
     "m_count_arrow_table": (lambda g: m_count(path_quiver(2), F5, (1, 1), g), 16,
                             "16 arrow solves"),

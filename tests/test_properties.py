@@ -7,7 +7,8 @@ connected spanning subgraphs, and the lattice convolution of characters
 against the sum over built minors; and on random small quivers, the
 conjugacy-class sums of m_count and a_count against the loop over every
 group element, their contraction along the
-quiver against the loop over class tuples, and the rank sums of m_preproj,
+quiver against the loop over class tuples, stabilizer_order's units of
+End(x) against the filter over G, and the rank sums of m_preproj,
 a_preproj and fourier_fiber_count against the zero-fiber filter; and on random Laurent
 polynomials, RatQT.sum against the pairwise addition, RatQT equality
 against cross-multiplication, the one-pass division by (1 - q^c T)
@@ -43,12 +44,13 @@ from quivercount.finite_algebra import (make_dual_numbers, make_field,  # noqa: 
 from quivercount.genfun import (GraphChar, _series_numerator, a_genfun,  # noqa: E402
                                 convolve, cvector_of_filtration, epsilon1_value,
                                 epsilon_value, psi_char, psi_inverse_char, r_d_char, r_genfun)
-from quivercount.gl import gl_classes, gl_elements  # noqa: E402
+from quivercount.gl import gl_classes  # noqa: E402
 from quivercount.multigraph import GUARD, Quiver, _fubini, strict_filtrations  # noqa: E402
 from quivercount.polynomials import QPoly, QTPoly, divide_exact_by_t_factor  # noqa: E402
 from quivercount.ratfun import RatQT  # noqa: E402
-from quivercount.repenum import (_burnside, _fix_system, a_count, a_preproj,  # noqa: E402
-                                 fix_nullity, fourier_fiber_count, m_count, m_preproj)
+from quivercount.repenum import (_burnside, a_count, a_preproj,  # noqa: E402
+                                 fix_nullity, fourier_fiber_count, m_count, m_preproj,
+                                 stabilizer_order)
 from quivercount.ring_tables import index_tables  # noqa: E402
 from quivercount.toric import r_d_polynomial  # noqa: E402
 from oracles import (a_genfun_by_subgraphs, add_pairwise, additive_group_sum,  # noqa: E402
@@ -56,9 +58,9 @@ from oracles import (a_genfun_by_subgraphs, add_pairwise, additive_group_sum,  #
                      canonical_form_by_relabeling, class_tuple_buckets, convolve_by_minors,
                      cvector_by_unions, den_by_powers,
                      depth_function_sum, divide_by_t_factor_slices, equal_by_cross_multiplication,
-                     coordinate_matrix, coprime_by_divisors, fix_nullity_by_rank,
-                     fix_system_by_products, residue_charpoly,
-                     preproj_by_filter, same_form,
+                     coordinate_matrix, coprime_by_divisors, fix_nullity_by_rank, fix_system,
+                     fix_system_by_products, gl_elements, residue_charpoly,
+                     preproj_by_filter, same_form, stabilizer_by_filter,
                      series_coefficient_by_binomials, series_numerator_by_rows,
                      strict_filtrations_by_recursion, whole_zero_fiber)
 from strategies import (connected_multigraphs, laurent_qt, quivers_with_ranks,  # noqa: E402
@@ -147,6 +149,34 @@ def test_class_sums_equal_the_element_loop(quiver, ring, data):
             burnside_by_elements(quiver, ring, alpha, character=True)
 
 
+# fields, a chain ring, the non-Frobenius sqz(F_2, 2) and the non-chain eps(k_2(F_2))
+STABILIZER_RINGS = (F2, F3, make_truncated(F2, 2), make_square_zero(F2, 2),
+                    make_dual_numbers(make_truncated(F2, 2)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(small_quivers(), st.sampled_from(STABILIZER_RINGS), st.tuples(*[st.integers(0, 2)] * 3),
+       st.lists(st.one_of(st.sampled_from((0, 1)), st.integers(0, 15)), min_size=12,
+                max_size=12))
+# a zero rank between a loop and parallel arrows, and the non-chain ring
+# at a loop beside an arrow
+@example(Quiver.from_edges(3, [(1, 1), (1, 3), (1, 3)]), F3, (2, 0, 1), [1, 0, 0, 1, 2, 0] * 2)
+@example(Quiver.from_edges(2, [(1, 2), (2, 2)]), STABILIZER_RINGS[4], (1, 1, 0), [4, 1] * 6)
+def test_stabilizer_orders_equal_the_group_filter(quiver, ring, ranks, entries):
+    # the units of End(x) against the loop over every element of G; the
+    # entries are element indices, 0 and 1 (zero and one) half the time so
+    # that larger stabilizers show, up to 4 per arrow
+    alpha = ranks[:quiver.n]
+    q, m = ring.residue_field.size(), ring.size() // ring.residue_field.size()
+    order = prod(m ** (a * a) * prod(q ** a - q ** i for i in range(a)) for a in alpha)
+    assume(any(alpha) and order <= 2000)
+    x = {e: coordinate_matrix(ring, [i % ring.size() for i in entries[4 * k:4 * k + a * b]], b)
+         for k, (e, s, t) in enumerate(quiver.arrows())
+         for a, b in [(alpha[t - 1], alpha[s - 1])]}
+    assert stabilizer_order(x, quiver, ring, alpha) == \
+        stabilizer_by_filter(x, quiver, ring, alpha)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(small_quivers(), st.sampled_from(RINGS), st.data())
 def test_preprojective_rank_sums_equal_the_zero_fiber_filter(quiver, ring, data):
@@ -218,7 +248,7 @@ def test_block_built_system_equals_the_per_coefficient_one(ring, rows, cols, loo
     gt = targets[t % len(targets)]
     gs = gt if loop else sources[s % len(sources)]
     # the oracle computes on coordinate matrices
-    assert _fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(
+    assert fix_system(ring, gt, gs, rows, cols) == fix_system_by_products(
         ring, coordinate_matrix(ring, gt, rows), coordinate_matrix(ring, gs, cols), rows, cols)
 
 

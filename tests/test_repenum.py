@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial, reduce
-from itertools import product
+from itertools import islice, product
 from math import prod
 import random
 import re
@@ -13,7 +13,7 @@ from quivercount.families import (banana_quiver, cycle_quiver, jordan_quiver,
 from quivercount.finite_algebra import (FiniteAlgebra, make_dual_numbers, make_field,
                                         make_prime_field, make_square_zero,
                                         make_truncated, truncated_generator)
-from quivercount.gl import enumerate_group, gl_classes, gl_elements
+from quivercount.gl import gl_classes
 from quivercount.multigraph import GUARD, GuardError, Multigraph, Quiver
 from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_count, a_preproj,
                                  counterexample_counts, double_quiver, fix_nullity,
@@ -22,7 +22,7 @@ from quivercount.repenum import (_burnside, _group_average, _moment_blocks, a_co
 from quivercount.ring_tables import index_tables
 from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
                      conjugacy_classes_by_partition, coordinate_matrix, coprime,
-                     coprime_by_divisors, residue_charpoly,
+                     coprime_by_divisors, enumerate_group, gl_elements, residue_charpoly,
                      fix_count, flat_indices,
                      mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
                      preproj_orbit_partition, primitive_roots, whole_zero_fiber)
@@ -411,8 +411,8 @@ def test_field_classes_list_no_matrix_and_charge_their_number(monkeypatch):
     # the canonical forms: no matrix is scanned, the class count charged
     # before listing is the length of the list, and the sizes sum to
     # |GL_n(q)| (to q^(n^2) with whole)
-    from quivercount import gl
-    scanned = _count_calls(monkeypatch, gl, "invertible_matrices")
+    import oracles
+    scanned = _count_calls(monkeypatch, oracles, "invertible_matrices")
     for q, n in [(2, 0), (2, 1), (2, 4), (3, 3), (4, 3), (5, 4), (7, 3)]:
         field = make_field(q)
         for whole in (False, True):
@@ -460,11 +460,60 @@ def test_the_rank_sum_holds_one_point_per_generator():
 
 
 def test_lifted_classes_never_scan_the_ring(monkeypatch):
+    # no matrix of GL_2(F_3) is scanned: each of its 8 classes reads the
+    # units of one commutant
+    import oracles
     from quivercount import gl
-    scanned = _count_calls(monkeypatch, gl, "invertible_matrices")
+    scanned = _count_calls(monkeypatch, oracles, "invertible_matrices")
+    commutants = _count_calls(monkeypatch, gl, "_end_units")
     f3 = make_prime_field(3)
     assert len(gl_classes(make_truncated(f3, 2), 2)) == 78
-    assert scanned == [(f3, 2)]
+    assert scanned == [] and len(commutants) == 8
+
+
+def test_the_lift_keeps_a_unit_only_outside_the_closure(monkeypatch):
+    # over k_2(F_q) m = soc, so the orbits of a fibre are those of the
+    # centralizer lifts alone, one image list each; the lift keeps the
+    # units that a closure rebuilt from scratch keeps, in the same order (g0
+    # first, then End(g0)), the central scalars never
+    from quivercount import gl
+    lifts, orbit_parts = [], gl._orbit_parts
+    monkeypatch.setattr(gl, "_orbit_parts", lambda points, images: orbit_parts(
+        points, lifts.append(list(images)) or lifts[-1]))
+    for field, n in [(F2, 3), (F3, 2)]:
+        q = field.size()
+        lifts.clear()
+        gl_classes(make_truncated(field, 2), n)
+        order = prod(q ** n - q ** i for i in range(n))
+        scalars = {tuple(tuple(u if i == j else field.zero() for j in range(n)) for i in range(n))
+                   for u in field.elements() if field.is_unit(u)}
+        kept = []
+        for g0, size0 in gl_classes(field, n):
+            units = [coordinate_matrix(field, h, n)
+                     for (h,) in [(g0,)] + list(gl._end_units(field, [(g0, 0, 0)], (n,), GUARD))]
+            group, generators = set(scalars), []
+            for h in units:
+                if len(group) == order // size0:
+                    break
+                if h not in group:
+                    generators.append(h)
+                    group, new = set(scalars), scalars
+                    while new:
+                        new = {mat_mul(field, x, s) for x in new for s in generators} - group
+                        group |= new
+            assert len(group) == order // size0
+            kept.append(len(generators))
+        assert [len(images) for images in lifts] == kept
+
+
+def test_units_ending_before_the_centralizer_order_raise(monkeypatch):
+    # a commutant whose units end before |GL_n(k)| / size0 would lift the
+    # fibres by a smaller group into wrong class sizes; it must raise
+    from quivercount import gl
+    end_units = gl._end_units
+    monkeypatch.setattr(gl, "_end_units", lambda *args: islice(end_units(*args), 1))
+    with pytest.raises(ArithmeticError, match="end before"):
+        gl_classes(make_truncated(make_prime_field(2), 2), 2)
 
 
 def test_a_product_whose_powers_never_reach_one_raises(monkeypatch):
@@ -728,7 +777,7 @@ def test_one_rank_per_line_once_per_pair_of_fixed_spaces(monkeypatch):
     # built first: a field's construction checks rank its multiplication matrices
     sqz2, sqz5, f5 = make_square_zero(F2, 2), make_square_zero(F2, 5), make_prime_field(5)
     calls = _count_calls(monkeypatch, modp, "rank")
-    systems = _count_calls(monkeypatch, repenum, "_fix_system")
+    systems = _count_calls(monkeypatch, repenum, "block_system")
     cases = [
         # units a, b of sqz(F_2, n) differ by an element of m, so the fixed
         # space ann(a - b) is the ring or m: two pairs of fixed spaces in
