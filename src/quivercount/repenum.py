@@ -216,12 +216,10 @@ def a_count(quiver, alg, alpha, guard=GUARD):
 def double_quiver(quiver):
     """The double of a quiver: a reversed arrow a* for each arrow a.
     Returns (doubled quiver, map arrow id -> starred arrow id)."""
-    offset = max(quiver.graph.edge_ids(), default=0)
-    arrows = list(quiver.arrows())
-    arrows += [(e + offset, t, s) for e, s, t in quiver.arrows()]
-    g = Multigraph(quiver.n, arrows)
-    dq = Quiver(g, {e: (u, v) for e, u, v in arrows})
-    return dq, {e: e + offset for e, _, _ in quiver.arrows()}
+    offset, arrows = max(quiver.graph.edge_ids(), default=0), quiver.arrows()
+    doubled = arrows + tuple((e + offset, t, s) for e, s, t in arrows)
+    dq = Quiver(Multigraph(quiver.n, doubled), {e: (s, t) for e, s, t in doubled})
+    return dq, {e: e + offset for e, _, _ in arrows}
 
 
 def _moment_blocks(alg, alpha, arrows, star, x):
@@ -412,12 +410,14 @@ def counterexample_counts(n, q, guard=GUARD):
     s = sum(q ** i for i in range(n))
     closed_a = 2 + q ** n + sum(q ** (i + n - 1) for i in range(n)) + s
     closed_b = 3 + (q - 1) * s * s + 2 * s
-    units = doubled.unit_count()        # Burnside: u fixes the kernel of x -> (u - 1) x
-    charge(units, guard, "%d unit ranks" % units)
-    p, dim = doubled.p, doubled.dim
-    fixed = sum(p ** (dim - modp.rank(doubled.mul_matrix(doubled.sub(u, doubled.one)), p))
-                for u in doubled.units())
-    a_value, rest = divmod(fixed, units)
+    # Burnside: u fixes the kernel of x -> (u - 1) x: all p^dim points for u = 1, only
+    # 0 off 1 + m, and on 1 + x one rank per F_p-line, x with 1 at its last nonzero k
+    p, dim, rd, units = doubled.p, doubled.dim, field.dim, doubled.unit_count()
+    charge(lines := (p ** (dim - rd) - 1) // (p - 1), guard, "%d line ranks" % lines)
+    xs = ((0,) * rd + head + (1,) + (0,) * (dim - k)
+          for k in range(rd + 1, dim + 1) for head in product(range(p), repeat=k - rd - 1))
+    ranked = sum(p ** (dim - modp.rank(doubled.mul_matrix(x), p)) for x in xs)
+    a_value, rest = divmod(units - p ** (dim - rd) + p ** dim + (p - 1) * ranked, units)
     if rest or a_value != closed_a:
         raise AssertionError("scaling orbit count %d != closed form %d" % (a_value, closed_a))
 

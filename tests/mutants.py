@@ -142,6 +142,14 @@ MUTANTS = [
            "labels.append(frozenset(list(partitions)[1:]))", [SKIP_PROPERTY], None),
     Mutant("labels_equal_not_disjoint", "repenum.py",
            "1 if f.isdisjoint(h) else", "1 if f != h else", [SKIP_PROPERTY], None),
+    # the counterexample's Burnside sum over 1 + m: the units outside it, one
+    # fixed point each, and the p - 1 points of each line
+    Mutant("counterexample_units_off_1_plus_m", "repenum.py",
+           "divmod(units - p ** (dim - rd) + p ** dim", "divmod(p ** dim",
+           ["tests/test_repenum.py::test_counterexample_line_ranks_equal_the_unit_loop"], None),
+    Mutant("counterexample_line_weight", "repenum.py",
+           "+ (p - 1) * ranked, units)", "+ ranked, units)",
+           ["tests/test_repenum.py::test_counterexample_line_ranks_equal_the_unit_loop"], None),
     Mutant("times_transposed", "ring_tables.py",
            "mul[a[r * inner + k]][b[k * cols + c]]", "mul[a[r * inner + k]][b[c * inner + k]]",
            ["tests/test_repenum.py::test_class_equation", "tests/test_finite_algebra.py"], None),

@@ -968,3 +968,19 @@ def preproj_orbit_partition(quiver, alg, alpha, guard=GUARD):
                           for x, (e, s, t) in zip(point, darrows))
             visited.add(image)
     return orbits
+
+
+def scaling_orbits_by_units(n, q):
+    """The scaling-orbit count over sqz(F_q, n)[eps] by Burnside with one F_p
+    rank per unit u, of u - 1: the unit loop that counterexample_counts reads
+    off the lines of the maximal ideal."""
+    from quivercount.finite_algebra import make_dual_numbers, make_field, make_square_zero
+
+    doubled = make_dual_numbers(make_square_zero(make_field(q), n))
+    p, dim = doubled.p, doubled.dim
+    fixed = sum(p ** (dim - rank(doubled.mul_matrix(doubled.sub(u, doubled.one)), p))
+                for u in doubled.units())
+    orbits, rest = divmod(fixed, doubled.unit_count())
+    if rest:
+        raise ArithmeticError("Burnside sum %d is not a multiple of |R^x|" % fixed)
+    return orbits

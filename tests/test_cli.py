@@ -124,12 +124,13 @@ def test_qeulerian_and_counterexample(capsys):
 
 
 def test_counterexample_guard_trips_before_the_orbit_loop(capsys):
-    # one rank per unit of sqz(F_2, 12)[eps]: 2^25, above the default guard
+    # one rank per F_2-line of the maximal ideal of sqz(F_2, 12)[eps]:
+    # 2^25 - 1, above the default guard
     start = time.perf_counter()
     assert main(["counterexample", "--n", "12", "--q", "2"]) == 3
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "guard exceeded" in err and "%d unit ranks" % 2 ** 25 in err
+    assert "guard exceeded" in err and "%d line ranks" % (2 ** 25 - 1) in err
 
 
 def test_exit_codes(capsys, monkeypatch, tmp_path):

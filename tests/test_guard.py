@@ -106,8 +106,9 @@ CASES = {
                              64, "|R|^3 = 64 points"),
     "toric_ai_orbit_count_units": (lambda g: toric_ai_orbit_count(path_quiver(2), K3F2, guard=g),
                                    16, "|R^x|^2 = 16 unit tuples"),
-    # one F_p rank per unit of sqz(F_2, 1)[eps], the call's largest charge
-    "counterexample_counts": (lambda g: counterexample_counts(1, 2, g), 8, "8 unit ranks"),
+    # one F_p rank per line of the maximal ideal of sqz(F_2, 1)[eps], the
+    # call's largest charge
+    "counterexample_counts": (lambda g: counterexample_counts(1, 2, g), 7, "7 line ranks"),
 }
 
 

@@ -25,7 +25,8 @@ from oracles import (all_matrices, burnside_by_elements, class_tuple_buckets,
                      coprime_by_divisors, enumerate_group, gl_elements, residue_charpoly,
                      fix_count, flat_indices,
                      mat_det, mat_identity, mat_inverse, mat_mul, moment_map, preproj_by_filter,
-                     preproj_orbit_partition, primitive_roots, whole_zero_fiber)
+                     preproj_orbit_partition, primitive_roots, scaling_orbits_by_units,
+                     whole_zero_fiber)
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -902,6 +903,17 @@ def test_counterexample_counts():
     assert counterexample_counts(2, 2) == (15, 18)
     a, b = counterexample_counts(2, 3)
     assert b - a == (9 - 1) * (3 - 1)
+
+
+@pytest.mark.parametrize("n, q, lines", [(1, 2, 7), (1, 3, 13), (2, 2, 31), (2, 3, 121),
+                                         (3, 2, 127)])
+def test_counterexample_line_ranks_equal_the_unit_loop(n, q, lines):
+    # one rank per F_p-line of the maximal ideal, (|m| - 1)/(p - 1) charged
+    # before anything else is listed, against the Burnside sum with one rank
+    # per unit
+    assert counterexample_counts(n, q)[0] == scaling_orbits_by_units(n, q)
+    with pytest.raises(GuardError, match="%d line ranks" % lines):
+        counterexample_counts(n, q, lines - 1)
 
 
 @pytest.mark.parametrize("n, q, message", [(1, 2.0, "q 2.0"), ("1", 2, "n '1'")])
